@@ -224,8 +224,19 @@ def cmd_analyze(args):
     return 0
 
 
+def _json_safe(value):
+    """JSON has no inf or nan: a non-finite float (a saturated CI limit) is null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def _write_json(doc, out_path):
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(_json_safe(doc), indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -12,10 +12,24 @@ which reproduces marginal mean mu and pairwise correlation rho for every
 Cluster sizes are fixed or gamma-drawn; substreams keyed by
 (seed, scenario, replicate) make every dataset reproducible bit-for-bit
 regardless of execution order.
+
+A whole trial is generated in one pass over columns rather than cluster by
+cluster. Its uniforms come from one flat draw of sum(m_i) values, cut in
+cluster order into one segment of m_i per cluster. The generator's stream
+is a sequence of doubles that any split into calls consumes in order, so
+the flat draw holds exactly the values that one draw of m_i per cluster,
+in cluster order, would give. The segments are laid out as the heads of
+the rows of an (N, max m_i) array whose rows are sorted by size, longest
+first, so the clusters still drawing at column j are a prefix of the rows.
+Each column updates only that prefix, each row with its own arm's mu, by
+the same floating-point operations as a cluster-by-cluster loop, so the
+outcomes are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +123,34 @@ def qaqish_coeff(rho, j):
     return rho / (1.0 + (j - 2) * rho)
 
 
+def _draw_columns(u, mu, rho, active):
+    """Run the conditional-linear recurrence over the columns of `u`.
+
+    `u` is a (rows, m_max) array of uniforms and `mu` holds each row's
+    marginal mean. Rows are sorted by size, longest first: column j-1 is
+    drawn for rows [:active[j-1]] only, and the rest of a row is left 0.
+    The conditional means are kept and checked once, after the last column.
+    """
+    y = np.zeros(u.shape, dtype=np.int8)
+    lam = np.zeros(u.shape)
+    y[:, 0] = u[:, 0] < mu
+    centered = y[:, 0] - mu
+    for j in range(2, u.shape[1] + 1):
+        k = active[j - 1]
+        lam_j = mu[:k] + qaqish_coeff(rho, j) * centered[:k]
+        lam[:k, j - 1] = lam_j
+        draw = u[:k, j - 1] < lam_j
+        y[:k, j - 1] = draw
+        centered[:k] += draw - mu[:k]
+    bad = (lam < 0.0) | (lam > 1.0)
+    if bad.any():
+        col, row = np.argwhere(bad.T)[0]
+        raise GeneratorInvalidError(
+            f"conditional mean left [0, 1] at draw {col + 1} (mu={mu[row]}, rho={rho})"
+        )
+    return y
+
+
 def generate_clusters(mu, rho, m, count, rng):
     """Sample `count` independent clusters of size m as a (count, m) 0/1 array.
 
@@ -120,18 +162,7 @@ def generate_clusters(mu, rho, m, count, rng):
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
     u = rng.random((count, m))
-    y = np.empty((count, m), dtype=np.int8)
-    y[:, 0] = u[:, 0] < mu
-    centered = y[:, 0].astype(float) - mu
-    for j in range(2, m + 1):
-        lam = mu + qaqish_coeff(rho, j) * centered
-        if np.any(lam < 0.0) or np.any(lam > 1.0):
-            raise GeneratorInvalidError(
-                f"conditional mean left [0, 1] at draw {j} (mu={mu}, rho={rho})"
-            )
-        y[:, j - 1] = u[:, j - 1] < lam
-        centered += y[:, j - 1] - mu
-    return y
+    return _draw_columns(u, np.full(count, mu, dtype=float), rho, [count] * m)
 
 
 def generate_cluster(mu, rho, m, rng):
@@ -155,12 +186,23 @@ def generate_trial(scenario, replicate_index):
     """One simulated trial: N/2 control clusters then N/2 intervention clusters."""
     rng = substream(scenario.seed, scenario.index, replicate_index)
     n = scenario.n_clusters
-    sizes = scenario.sizes.draw(n, rng)
+    sizes = scenario.sizes.draw(n, rng).tolist()
     half = n // 2
-    clusters = []
-    for i in range(n):
-        arm = 0 if i < half else 1
-        mu = scenario.pi0 if arm == 0 else scenario.pi1
-        outcomes = generate_cluster(mu, scenario.icc, int(sizes[i]), rng)
-        clusters.append(Cluster(id=i, arm=arm, outcomes=outcomes))
-    return TrialDataset(clusters=tuple(clusters))
+    flat = rng.random(sum(sizes))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    # rows sorted by size, longest first (stable); active[j-1] counts the
+    # rows with m_i >= j, which form a prefix
+    order = sorted(range(n), key=sizes.__getitem__, reverse=True)
+    ascending = sorted(sizes)
+    m_max = ascending[-1]
+    active = [n - bisect.bisect_left(ascending, j) for j in range(1, m_max + 1)]
+    u = np.zeros((n, m_max))
+    for row, i in enumerate(order):
+        u[row, : sizes[i]] = flat[starts[i] : starts[i + 1]]
+    mu = np.array([scenario.pi0 if i < half else scenario.pi1 for i in order])
+    y = _draw_columns(u, mu, scenario.icc, active)
+    outcomes = {i: y[row, : sizes[i]] for row, i in enumerate(order)}
+    clusters = tuple(
+        Cluster(id=i, arm=0 if i < half else 1, outcomes=outcomes[i]) for i in range(n)
+    )
+    return TrialDataset(clusters=clusters)

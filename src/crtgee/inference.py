@@ -48,12 +48,21 @@ class InferenceResult:
         return self.p_value < self.alpha_level
 
 
+def _exp(x):
+    """math.exp saturated to inf where it would overflow (x past about 709)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def wald_inference(fit, var, measure=None, alpha_level=0.05):
     """Wald t-test and CI for the arm effect using one variance estimate.
 
     Degrees of freedom are N - p for N clusters and p mean parameters.
     The effect-scale interval exponentiates the link-scale interval for
-    log and logit links and is the identity for the identity link.
+    log and logit links and is the identity for the identity link; an
+    exponentiated value past the float range is inf.
     """
     if fit.spec.mean_model is not MeanModel.INTERCEPT_PLUS_ARM:
         raise UsageError("arm-effect inference needs the intercept + arm mean model")
@@ -87,8 +96,8 @@ def wald_inference(fit, var, measure=None, alpha_level=0.05):
         estimate_effect = beta1
         ci_effect = (lo, hi)
     else:
-        estimate_effect = math.exp(beta1)
-        ci_effect = (math.exp(lo), math.exp(hi))
+        estimate_effect = _exp(beta1)
+        ci_effect = (_exp(lo), _exp(hi))
 
     return InferenceResult(
         effect_measure=measure,

@@ -269,7 +269,8 @@ def run_grid(grid, threads=1, progress=None, skip=()):
     `skip` holds scenario indices already on disk (resumed runs); their cells
     are neither recomputed nor re-emitted.
     """
-    scenarios = [s for s in grid.scenarios() if s.index not in set(skip)]
+    skip = set(skip)
+    scenarios = [s for s in grid.scenarios() if s.index not in skip]
     args = (grid.models, grid.estimators, grid.fg_bound, grid.alpha_level)
     done = 0
     total = len(scenarios)

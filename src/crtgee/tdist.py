@@ -7,6 +7,7 @@ that side converges faster. Relative tolerance 1e-12, 300-term cap.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import DomainError
@@ -98,12 +99,18 @@ def student_t_quantile(upper_prob, df):
     """Inverse survival function: the t >= 0 with P(T > t) = upper_prob.
 
     Solved by bisection on the monotone survival function; accepts
-    probabilities in (0, 0.5].
+    probabilities in (0, 0.5]. Results are cached per (upper_prob, df):
+    Wald inference asks for the same critical value on every fit of a cell.
     """
     if df <= 0.0:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
     if not 0.0 < upper_prob <= 0.5:
         raise DomainError(f"upper_prob must lie in (0, 0.5], got {upper_prob}")
+    return _bisect_quantile(upper_prob, df)
+
+
+@functools.lru_cache(maxsize=1024)
+def _bisect_quantile(upper_prob, df):
     if upper_prob == 0.5:
         return 0.0
     lo, hi = 0.0, 1.0

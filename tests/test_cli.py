@@ -182,6 +182,33 @@ def test_analyze_nonconvergence_exit_2_with_report(tmp_path):
     assert doc["estimates"] == {}
 
 
+def test_analyze_writes_saturated_limit_as_null(tmp_path):
+    # a zero-event control arm under poisson-log: the model-based upper
+    # limit of the risk ratio is past the float range
+    trial = [
+        ("a1", 0, [0] * 8),
+        ("a2", 0, [0] * 8),
+        ("a3", 0, [0] * 6),
+        ("b1", 1, [1, 1] + [0] * 16),
+        ("b2", 1, [0] * 25),
+        ("b3", 1, [1] + [0] * 16),
+    ]
+    code, _ = run_analyze(tmp_path, trial=trial, family="poisson",
+                          extra=("--corrections", "mb"))
+    assert code == 0
+
+    def reject_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "report.json").read_text()
+    doc = json.loads(text, parse_constant=reject_constant)
+    mb = doc["estimates"]["mb"]
+    assert mb["ci_link"][1] > 710.0
+    assert mb["ci_effect"][0] == math.exp(mb["ci_link"][0])
+    assert mb["ci_effect"][1] is None
+    assert math.isfinite(mb["estimate_effect"])
+
+
 def test_analyze_csv_errors_carry_line_numbers(tmp_path, capsys):
     data = tmp_path / "bad.csv"
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import crtgee.datagen
 from crtgee import (
     DomainError,
     FixedSize,
+    GeneratorInvalidError,
     GammaSize,
     Scenario,
     gamma_cluster_sizes,
@@ -216,3 +218,82 @@ def test_arm_means_differ_when_pi_differs():
     summary = data.arm_summary()
     assert abs(summary[0]["proportion"] - 0.2) < 0.05
     assert abs(summary[1]["proportion"] - 0.5) < 0.05
+
+
+# --- one-pass generation against the per-cluster reference ---------------
+
+
+def reference_clusters(mu, rho, m, count, rng):
+    """The column loop of the per-cluster generator, kept here as a reference."""
+    u = rng.random((count, m))
+    y = np.empty((count, m), dtype=np.int8)
+    y[:, 0] = u[:, 0] < mu
+    centered = y[:, 0].astype(float) - mu
+    for j in range(2, m + 1):
+        lam = mu + (rho / (1.0 + (j - 2) * rho)) * centered
+        y[:, j - 1] = u[:, j - 1] < lam
+        centered += y[:, j - 1] - mu
+    return y
+
+
+def reference_trial(scenario, replicate_index):
+    """Per-cluster generation: sizes, then one draw of m_i uniforms per cluster."""
+    ss = np.random.SeedSequence(
+        entropy=scenario.seed, spawn_key=(scenario.index, replicate_index)
+    )
+    rng = np.random.Generator(np.random.Philox(ss))
+    n = scenario.n_clusters
+    sizes = scenario.sizes
+    if isinstance(sizes, FixedSize):
+        ms = [sizes.m] * n
+    else:
+        draws = rng.gamma(1.0 / sizes.cv**2, sizes.mean_size * sizes.cv**2, size=n)
+        ms = np.maximum(np.rint(draws).astype(int), 2)
+    out = []
+    for i in range(n):
+        arm = 0 if i < n // 2 else 1
+        mu = scenario.pi0 if arm == 0 else scenario.pi1
+        out.append((arm, reference_clusters(mu, scenario.icc, int(ms[i]), 1, rng)[0]))
+    return out
+
+
+REFERENCE_DESIGNS = {
+    "gamma-cv1": Scenario(n_clusters=20, sizes=GammaSize(30.0, 1.0), pi0=0.3, pi1=0.3,
+                          icc=0.05, seed=20260821),
+    "gamma-arms-differ-icc0.3": Scenario(n_clusters=12, sizes=GammaSize(15.0, 0.75),
+                                         pi0=0.1, pi1=0.45, icc=0.3, seed=7, index=4),
+    "fixed1": Scenario(n_clusters=10, sizes=FixedSize(1), pi0=0.2, pi1=0.6, icc=0.3, seed=8),
+    "fixed2": Scenario(n_clusters=8, sizes=FixedSize(2), pi0=0.4, pi1=0.4, icc=0.3, seed=9),
+    "icc0-arms-differ": Scenario(n_clusters=6, sizes=FixedSize(12), pi0=0.05, pi1=0.5,
+                                 icc=0.0, seed=10),
+    "n2-gamma": Scenario(n_clusters=2, sizes=GammaSize(8.0, 1.0), pi0=0.3, pi1=0.7,
+                         icc=0.3, seed=11, index=2),
+}
+
+
+@pytest.mark.parametrize("design", sorted(REFERENCE_DESIGNS))
+def test_trial_equals_per_cluster_reference(design):
+    sc = REFERENCE_DESIGNS[design]
+    for rep in range(25):
+        got = generate_trial(sc, rep)
+        want = reference_trial(sc, rep)
+        assert len(got.clusters) == len(want) == sc.n_clusters
+        for c, (arm, outcomes) in zip(got.clusters, want):
+            assert c.arm == arm
+            assert np.array_equal(c.outcomes, outcomes), (design, rep, c.id)
+
+
+def test_equal_size_clusters_equal_reference():
+    for mu, rho, m, count in ((0.3, 0.1, 7, 500), (0.05, 0.3, 1, 50), (0.6, 0.0, 2, 50)):
+        got = generate_clusters(mu, rho, m, count, substream(12, m, count))
+        want = reference_clusters(mu, rho, m, count, substream(12, m, count))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_guard_fires_when_conditional_mean_leaves_unit_interval(monkeypatch):
+    # b_j = 5 pushes lam past 1 after any first-draw event
+    monkeypatch.setattr(crtgee.datagen, "qaqish_coeff", lambda rho, j: 5.0)
+    sc = Scenario(n_clusters=10, sizes=GammaSize(10.0, 0.5), pi0=0.5, pi1=0.5, icc=0.1, seed=3)
+    with pytest.raises(GeneratorInvalidError, match="at draw 2"):
+        generate_trial(sc, 0)

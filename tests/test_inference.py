@@ -161,3 +161,29 @@ def test_degenerate_variance_rejected():
     zero = VarianceEstimate(kind=EstimatorKind.ROBUST, cov=np.zeros((2, 2)))
     with pytest.raises(DegenerateVarianceError):
         wald_inference(fit, zero)
+
+
+# a zero-event control arm: poisson-log converges with an intercept near -40
+# and a model-based SE near 4e7, so the upper limit on the log scale is far
+# past the largest finite exp (about 709)
+ZERO_EVENT_CONTROL = [(0, 0, 8), (0, 0, 8), (0, 0, 6), (1, 2, 18), (1, 0, 25), (1, 1, 17)]
+
+
+def zero_event_control_trial():
+    return TrialDataset(
+        tuple(
+            Cluster(id=i, arm=arm, outcomes=np.r_[np.ones(events), np.zeros(m - events)])
+            for i, (arm, events, m) in enumerate(ZERO_EVENT_CONTROL)
+        )
+    )
+
+
+def test_effect_scale_limit_saturates_instead_of_overflowing():
+    fit = fit_gee(zero_event_control_trial(), SPECS["poisson-log"][0])
+    var = compute_estimates(fit, kinds=(EstimatorKind.MB,))[EstimatorKind.MB]
+    res = wald_inference(fit, var)
+    lo, hi = res.ci_link
+    assert hi > 710.0
+    assert res.ci_effect == (math.exp(lo), math.inf)
+    assert res.estimate_effect == math.exp(res.estimate_link)
+    assert not res.reject

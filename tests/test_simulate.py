@@ -224,6 +224,25 @@ def test_run_grid_skip_resumes_by_scenario():
     assert result_rows(partial[0][0]) == result_rows(full[2][0])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_grid_skip_drops_exactly_the_listed_cells(threads):
+    grid = FactorialGrid(
+        n_clusters=(6, 10),
+        sizes=(FixedSize(6),),
+        pi0=(0.3,),
+        icc=(0.0, 0.1),
+        models=(ALL_MODELS[-1],),
+        estimators=(EstimatorKind.ROBUST,),
+        replicates=3,
+        seed=2026,
+    )
+    full = [result_rows(b[0]) for b in run_grid(grid, threads=1)]
+    # a one-shot iterator: the skip set must be built once, not per cell
+    kept = list(run_grid(grid, threads=threads, skip=iter([3, 1])))
+    assert [b[0].scenario.index for b in kept] == [0, 2]
+    assert [result_rows(b[0]) for b in kept] == [full[0], full[2]]
+
+
 def test_progress_callback_reports_in_order():
     grid = FactorialGrid(
         n_clusters=(6,),

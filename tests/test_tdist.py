@@ -8,7 +8,13 @@ import scipy.integrate
 import scipy.special
 
 from crtgee import DomainError
-from crtgee.tdist import betainc, student_t_quantile, student_t_sf, student_t_two_sided_p
+from crtgee.tdist import (
+    _bisect_quantile,
+    betainc,
+    student_t_quantile,
+    student_t_sf,
+    student_t_two_sided_p,
+)
 
 
 def t_density(x, df):
@@ -69,6 +75,22 @@ def test_quantile_against_scipy():
         for q in (0.005, 0.025, 0.05, 0.25):
             want = float(scipy.stats.t.isf(q, df))
             assert student_t_quantile(q, df) == pytest.approx(want, rel=1e-9)
+
+
+def test_cached_quantile_equals_fresh_bisection():
+    for df in (3, 8, 18, 48):
+        for q in (0.005, 0.025, 0.05, 0.5):
+            first = student_t_quantile(q, df)
+            again = student_t_quantile(q, df)
+            assert first == again == _bisect_quantile.__wrapped__(q, df)
+
+
+def test_bad_quantile_arguments_raise_after_a_good_call():
+    student_t_quantile(0.025, 18)
+    for q, df in ((0.025, 0), (0.025, -18), (0.0, 18), (0.6, 18), (-0.025, 18)):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                student_t_quantile(q, df)
 
 
 def test_sf_against_scipy_grid():
