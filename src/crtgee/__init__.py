@@ -12,7 +12,6 @@ from .datagen import (
     GammaSize,
     Scenario,
     gamma_cluster_sizes,
-    generate_cluster,
     generate_clusters,
     generate_trial,
     qaqish_coeff,
@@ -108,7 +107,6 @@ __all__ = [
     "estimate_alpha_phi",
     "fit_gee",
     "gamma_cluster_sizes",
-    "generate_cluster",
     "generate_clusters",
     "generate_trial",
     "mbn",

@@ -414,6 +414,8 @@ def _load_resume_lines(path, rows_per_scenario):
         if first.rstrip("\n") != ",".join(RESULT_COLUMNS):
             raise DataError(f"{path}: existing file does not match the results schema")
         for line in fh:
+            if not line.endswith("\n"):
+                continue  # torn final write from an interrupted run
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -427,6 +429,16 @@ def _load_resume_lines(path, rows_per_scenario):
             by_scenario.setdefault(sid, []).append(line)
     return {sid: lines for sid, lines in by_scenario.items()
             if len(lines) == rows_per_scenario}
+
+
+def _replace_lines(path, lines):
+    """Atomically make `path` hold `lines`: a temp file beside it, then os.replace."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.writelines(line + "\n" for line in lines)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def cmd_simulate(args):
@@ -446,20 +458,32 @@ def cmd_simulate(args):
     def progress(done, total, idx):
         sys.stderr.write(f"scenario {idx} done ({done}/{total} computed)\n")
 
+    # finished rows are never truncated: the cached scenarios are rewritten
+    # atomically, new ones are appended as they finish, and a last atomic
+    # rewrite puts the file in grid order. With nothing cached there is
+    # nothing to lose, so a fresh run just truncates the file (no fsync on
+    # the common path).
+    header = ",".join(RESULT_COLUMNS)
     scenarios = grid.scenarios()
-    skip = tuple(cached)
-    results = run_grid(grid, threads=threads, progress=progress, skip=skip)
-    with open(out_path, "w", newline="") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
+    lines = {sc.index: cached[sc.index] for sc in scenarios if sc.index in cached}
+    if cached:
+        _replace_lines(out_path, [header, *(line for rows in lines.values() for line in rows)])
+    results = run_grid(grid, threads=threads, progress=progress, skip=tuple(cached))
+    with open(out_path, "a" if cached else "w", newline="") as fh:
+        if not cached:
+            fh.write(header + "\n")
         for sc in scenarios:
             if sc.index in cached:
-                for line in cached[sc.index]:
-                    fh.write(line + "\n")
-            else:
-                for res in next(results):
-                    for row in result_rows(res):
-                        fh.write(",".join(_cell(row[c]) for c in RESULT_COLUMNS) + "\n")
+                continue
+            lines[sc.index] = [
+                ",".join(_cell(row[c]) for c in RESULT_COLUMNS)
+                for res in next(results)
+                for row in result_rows(res)
+            ]
+            fh.writelines(line + "\n" for line in lines[sc.index])
             fh.flush()
+    if cached:
+        _replace_lines(out_path, [header, *(line for sc in scenarios for line in lines[sc.index])])
     return 0
 
 

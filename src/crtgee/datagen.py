@@ -165,11 +165,6 @@ def generate_clusters(mu, rho, m, count, rng):
     return _draw_columns(u, np.full(count, mu, dtype=float), rho, [count] * m)
 
 
-def generate_cluster(mu, rho, m, rng):
-    """Sample one cluster's outcome vector."""
-    return generate_clusters(mu, rho, m, 1, rng)[0]
-
-
 def gamma_cluster_sizes(mean_size, cv, n, rng):
     """Integer cluster sizes from Gamma(1/cv^2, mean*cv^2), floored at 2."""
     if mean_size < 2:

@@ -127,12 +127,12 @@ def variance_function(family, mu):
     """Working variance V(mu) of the family (dispersion handled separately)."""
     mu = np.asarray(mu, dtype=float)
     if family is Family.BINOMIAL:
-        if np.any(mu <= 0) or np.any(mu >= 1):
+        if (mu <= 0).any() or (mu >= 1).any():
             bad = mu[(mu <= 0) | (mu >= 1)]
             raise DomainError(f"binomial variance requires 0 < mu < 1, got {float(bad.flat[0])}")
         return mu * (1.0 - mu)
     if family is Family.POISSON:
-        if np.any(mu <= 0):
+        if (mu <= 0).any():
             raise DomainError(f"poisson variance requires mu > 0, got {float(np.min(mu))}")
         return mu + 0.0
     if family is Family.GAUSSIAN:
@@ -143,12 +143,12 @@ def variance_function(family, mu):
 def mean_in_range(family, mu):
     """True when every entry of mu is a valid mean for the family."""
     mu = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(mu)):
+    if not np.isfinite(mu).all():
         return False
     if family is Family.BINOMIAL:
-        return bool(np.all(mu > 0.0) and np.all(mu < 1.0))
+        return bool((mu > 0.0).all() and (mu < 1.0).all())
     if family is Family.POISSON:
-        return bool(np.all(mu > 0.0))
+        return bool((mu > 0.0).all())
     return True
 
 

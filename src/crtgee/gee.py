@@ -2,18 +2,39 @@
 
 Fisher scoring on the marginal mean model g(mu_ij) = x_i' beta, alternating
 each iteration with moment re-estimation of the exchangeable correlation
-alpha and the dispersion phi. The mean model contains at most an intercept
-and a cluster-level arm indicator, so the covariate row is constant within
-every cluster; the scoring loop exploits that to reduce each cluster to
-scalar sufficient statistics, while the converged fit caches the full
-per-cluster matrices needed by the variance estimators.
+alpha and the dispersion phi.
+
+Treatment is cluster-level and the mean model (an intercept, plus the arm
+indicator) is saturated, so the covariate row x_i and the mean mu_i are
+constant within a cluster. With 0/1 outcomes (sum_j y_ij^2 = s_i) a cluster
+enters every sum only through (arm_i, m_i, s_i = sum_j y_ij). Writing
+d_i = dmu/deta, v_i = V(mu_i) and using 1' R(alpha)^{-1} 1 =
+m / (1 + (m-1) alpha):
+
+    Pearson residual sum      e_i = (s_i - m_i mu_i) / sqrt(v_i)
+    sum of their squares      q_i = (s_i (1 - 2 mu_i) + m_i mu_i^2) / v_i
+    working weight            w_i = d_i^2 / v_i * m_i / (1 + (m_i - 1) alpha)
+    score                     u_i = d_i / v_i * (s_i - m_i mu_i) / (1 + (m_i - 1) alpha)
+
+so that D_i' V_i^{-1} D_i = w_i x_i x_i' and D_i' V_i^{-1} (y_i - mu_i) =
+u_i x_i. Forming s costs O(total observations) once per fit; every scoring
+iteration then costs O(N), with mu, d and v evaluated once per arm and read
+per cluster. The converged fit keeps these arrays, the bread
+B = sum_i w_i x_i x_i', and each cluster's leverage
+h_i = w_i x_i' B^{-1} x_i = w_i / W_arm(i), its share of its arm's working
+information (of the total for the intercept-only model).
+
+A scoring step is a function of beta alone. When an iterate repeats bit for
+bit (the alpha/beta alternation can lock into such a cycle), the fit can
+neither converge nor fail otherwise before max_iter, so it stops at once and
+reports max_iterations with the iterate the cycle would hold at max_iter:
+the same outcome as running the budget out.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,28 +96,40 @@ class AlphaPhiEstimate:
     clamped: bool = False
 
 
-def estimate_alpha_phi(pearson_residuals, n_params, max_cluster_size=None):
+def estimate_alpha_phi(resid_sums, resid_sq_sums, sizes, n_params, max_cluster_size=None):
     """Moment estimators of the exchangeable correlation and dispersion.
 
     Parameters
     ----------
-    pearson_residuals : sequence of 1-D arrays
-        Per-cluster Pearson residuals (y - mu)/sqrt(V(mu)).
+    resid_sums, resid_sq_sums : 1-D arrays
+        Per-cluster sums of the Pearson residuals (y_ij - mu_i)/sqrt(V(mu_i))
+        and of their squares.
+    sizes : 1-D integer array
+        Cluster sizes m_i.
     n_params : int
         Number of mean-model parameters subtracted from both denominators.
     max_cluster_size : int, optional
         Used for the positive-definiteness clamp; inferred when omitted.
     """
-    resids = [np.asarray(e, dtype=float) for e in pearson_residuals]
-    sizes = [e.size for e in resids]
+    sums = np.asarray(resid_sums, dtype=float)
+    squares = np.asarray(resid_sq_sums, dtype=float)
+    sizes = np.asarray(sizes)
     if max_cluster_size is None:
-        max_cluster_size = max(sizes)
+        max_cluster_size = int(sizes.max())
+    # sum_{j<k} e_ij e_ik = ((sum_j e_ij)^2 - sum_j e_ij^2) / 2
+    return _alpha_phi(
+        float(squares.sum()),
+        float((sums * sums - squares).sum()) / 2.0,
+        int(sizes.sum()),
+        int((sizes * (sizes - 1) // 2).sum()),
+        n_params,
+        alpha_bounds(max_cluster_size),
+    )
 
-    n_obs = sum(sizes)
-    ss = sum(float(e @ e) for e in resids)
-    phi = ss / (n_obs - n_params)
 
-    n_pairs = sum(m * (m - 1) // 2 for m in sizes)
+def _alpha_phi(square_sum, cross_sum, n_obs, n_pairs, n_params, bounds):
+    """(alpha, phi) from sum_ij e_ij^2 and sum_i sum_{j<k} e_ij e_ik."""
+    phi = square_sum / (n_obs - n_params)
     if n_pairs == 0:
         return AlphaPhiEstimate(alpha=0.0, phi=phi)
     pair_denom = n_pairs - n_params
@@ -104,27 +137,29 @@ def estimate_alpha_phi(pearson_residuals, n_params, max_cluster_size=None):
         # too few within-cluster pairs to identify alpha
         return AlphaPhiEstimate(alpha=0.0, phi=phi, clamped=True)
 
-    cross = sum((float(np.sum(e)) ** 2 - float(e @ e)) / 2.0 for e in resids)
-    alpha_raw = (cross / pair_denom) / phi
-
-    lo, hi = alpha_bounds(max_cluster_size)
+    alpha_raw = (cross_sum / pair_denom) / phi
+    lo, hi = bounds
     alpha = min(max(alpha_raw, lo), hi)
     return AlphaPhiEstimate(alpha=alpha, phi=phi, clamped=(alpha != alpha_raw))
 
 
-def initialize_beta(data, spec):
+def initialize_beta(arm, m, s, spec):
     """Starting coefficients from (clamped) arm proportions on the link scale.
 
-    The clamp keeps log and logit links defined when an arm has zero (or
-    all) events; the Gaussian family starts from the raw proportions.
+    `arm`, `m` and `s` are the per-cluster arm labels, sizes and event
+    counts. The clamp keeps log and logit links defined when an arm has
+    zero (or all) events; the Gaussian family starts from the raw
+    proportions.
     """
-    summary = data.arm_summary()
-    p0 = summary[0]["proportion"]
-    p1 = summary[1]["proportion"]
-    pooled = (summary[0]["events"] + summary[1]["events"]) / data.n_obs
+    events = np.bincount(arm, weights=s, minlength=2)
+    n_arm = np.bincount(arm, weights=m, minlength=2)
+    n_obs = int(m.sum())
+    p0 = float(events[0]) / float(n_arm[0])
+    p1 = float(events[1]) / float(n_arm[1])
+    pooled = float(events[0] + events[1]) / n_obs
 
     if spec.family is not Family.GAUSSIAN:
-        floor = 0.5 / data.n_obs
+        floor = 0.5 / n_obs
         clamp = lambda x: min(max(x, floor), 1.0 - floor)
         p0, p1, pooled = clamp(p0), clamp(p1), clamp(pooled)
 
@@ -135,41 +170,20 @@ def initialize_beta(data, spec):
     return np.array([g0, g1 - g0])
 
 
-# -- closed-form exchangeable inverse ---------------------------------------
-#
-# R(alpha)^{-1} = (1/(1-alpha)) [I - (alpha / (1 + (m-1) alpha)) J]
-# so R^{-1} x costs O(m), and 1' R^{-1} x = sum(x) / (1 + (m-1) alpha).
-
-
-def exch_rinv_apply(x, alpha):
-    """R(alpha)^{-1} @ x for an exchangeable correlation of x's length."""
-    x = np.asarray(x, dtype=float)
-    m = x.shape[0]
-    shrink = alpha / (1.0 + (m - 1) * alpha)
-    return (x - shrink * x.sum(axis=0)) / (1.0 - alpha)
-
-
-@dataclass
-class ClusterWork:
-    """Converged per-cluster quantities consumed by the variance estimators."""
-
-    id: object
-    arm: int
-    m: int
-    x: np.ndarray          # covariate row (p,), constant within the cluster
-    mu: float              # fitted mean, constant within the cluster
-    deriv: float           # dmu/deta at the fitted linear predictor
-    var: float             # working variance V(mu)
-    resid: np.ndarray      # raw residuals y - mu, (m,)
-    a_sqrt: float          # sqrt V(mu); with R(alpha) this factors V_i
-    D: np.ndarray          # derivative matrix dmu_i/dbeta', (m, p)
-    info: np.ndarray       # D' V^{-1} D, (p, p)
-    score: np.ndarray      # D' V^{-1} (y - mu), (p,)
+def _design_rows(arm, n_params):
+    """Covariate rows x_i as an (N, p) array: (1, arm_i), or (1,) intercept-only."""
+    x = np.ones((len(arm), n_params))
+    if n_params == 2:
+        x[:, 1] = arm
+    return x
 
 
 @dataclass
 class GeeFit:
-    """A converged GEE fit plus the cached pieces every estimator reuses."""
+    """A converged GEE fit and the per-cluster arrays every estimator reads.
+
+    Arrays hold one entry (or row) per cluster, in dataset order.
+    """
 
     data: TrialDataset
     spec: ModelSpec
@@ -181,8 +195,14 @@ class GeeFit:
     iterations: int
     score_norm: float
     alpha_clamped: bool
-    clusters: list = field(default_factory=list)   # ClusterWork, dataset order
-    info_sum: np.ndarray = None                    # B = sum_i D' V^{-1} D
+    arm: np.ndarray        # arm label
+    m: np.ndarray          # cluster size m_i
+    s: np.ndarray          # event count s_i = sum_j y_ij
+    x: np.ndarray          # covariate rows x_i, (N, p)
+    w: np.ndarray          # working weight: D_i' V_i^{-1} D_i = w_i x_i x_i'
+    u: np.ndarray          # score: D_i' V_i^{-1} (y_i - mu_i) = u_i x_i
+    h: np.ndarray          # leverage w_i / W_arm(i)
+    info_sum: np.ndarray   # B = sum_i w_i x_i x_i'
 
     @property
     def n_clusters(self):
@@ -192,30 +212,15 @@ class GeeFit:
     def n_params(self):
         return self.beta.size
 
-    def sigma1(self):
-        """N-normalized bread matrix, B / N."""
-        return self.info_sum / self.n_clusters
+    @property
+    def scores(self):
+        """Per-cluster score vectors u_i x_i as an (N, p) array."""
+        return self.u[:, None] * self.x
 
     def fitted_arm_means(self):
         """Fitted mean per arm (identical across clusters of an arm)."""
-        out = {}
-        for w in self.clusters:
-            out[w.arm] = w.mu
-        return out
-
-
-def _covariate_row(arm, mean_model):
-    if mean_model is MeanModel.INTERCEPT_ONLY:
-        return np.array([1.0])
-    return np.array([1.0, float(arm)])
-
-
-def _cluster_stats(data, spec):
-    """Static per-cluster pieces: covariate row, size, outcome sum."""
-    rows = []
-    for c in data.clusters:
-        rows.append((c, _covariate_row(c.arm, spec.mean_model), c.size, float(c.outcomes.sum())))
-    return rows
+        mu = link_inverse(self.spec.link, _design_rows([0, 1], self.n_params) @ self.beta)
+        return {0: float(mu[0]), 1: float(mu[1])}
 
 
 def fit_gee(
@@ -241,8 +246,10 @@ def fit_gee(
     """
     if corr is None:
         corr = WorkingCorrelation.exchangeable()
-    stats = _cluster_stats(data, spec)
-    m_max = max(m for (_, _, m, _) in stats)
+    arm = np.array([c.arm for c in data.clusters], dtype=int)
+    m = np.array([c.size for c in data.clusters])
+    s = np.array([c.outcomes.sum() for c in data.clusters])
+    m_max = int(m.max())
     estimate_corr = corr.kind is CorrelationKind.EXCHANGEABLE and corr.alpha is None
     if corr.alpha is not None and corr.alpha != 0.0:
         lo, hi = alpha_bounds(m_max)
@@ -251,49 +258,60 @@ def fit_gee(
                 f"fixed alpha {corr.alpha} outside the valid range [{lo:.6g}, {hi:.6g}]"
             )
 
-    beta = initialize_beta(data, spec)
-    alpha = 0.0 if corr.alpha is None else float(corr.alpha)
-    phi = 1.0
-    clamped_any = False
     p = spec.n_params
+    x = _design_rows(arm, p)
+    beta = initialize_beta(arm, m, s, spec)
+    alpha = 0.0 if corr.alpha is None else float(corr.alpha)
+    clamped_any = False
 
-    def cluster_means(b):
-        # eta and mu are scalar per cluster because the covariate row is
-        # constant within a cluster
-        etas = np.array([float(x @ b) for (_, x, _, _) in stats])
-        mus = np.asarray(link_inverse(spec.link, etas))
-        return etas, mus
+    # mu, d and v are constant within a group (an arm; the whole trial for
+    # the intercept-only model): they are computed per group, xg holding
+    # each group's covariate row, and read per cluster through `group`
+    group = arm if p == 2 else np.zeros_like(arm)
+    xg = _design_rows(np.arange(p), p)
+    n_obs, n_pairs = int(m.sum()), int((m * (m - 1) // 2).sum())
+    bounds = alpha_bounds(m_max)
+    m_minus_1 = m - 1
 
-    def means_valid(b):
-        etas = np.array([float(x @ b) for (_, x, _, _) in stats])
-        mus = np.asarray(link_inverse(spec.link, etas))
-        return mean_in_range(spec.family, mus)
+    def residuals(mu):
+        """Per cluster: mu_i, m_i mu_i and the residual total s_i - m_i mu_i."""
+        mu_c = mu[group]
+        m_mu = m * mu_c
+        return mu_c, m_mu, s - m_mu
 
+    def alpha_phi(mu, v, mu_c, m_mu, resid):
+        # per cluster: e_i = sum_j e_ij and q_i = sum_j e_ij^2
+        e = resid / np.sqrt(v)[group]
+        q = (s * (1.0 - 2.0 * mu)[group] + m_mu * mu_c) / v[group]
+        return _alpha_phi(float(q.sum()), float((e * e - q).sum()) / 2.0, n_obs, n_pairs, p,
+                          bounds)
+
+    def weights_scores(d, v, resid, alpha):
+        denom = 1.0 + m_minus_1 * alpha
+        return (d * d / v)[group] * (m / denom), (d / v)[group] * (resid / denom)
+
+    eta = xg @ beta
+    mu = link_inverse(spec.link, eta)
+    # each step is a function of beta alone, so an iterate that repeats
+    # exactly starts a cycle that can neither converge nor fail differently:
+    # it is cut short, reporting the iterate the cycle holds at max_iter
+    iterates = [beta]
+    first_seen = {beta.tobytes(): 0}
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        etas, mus = cluster_means(beta)
-        derivs = np.asarray(link_mu_deriv(spec.link, etas))
-        variances = np.asarray(variance_function(spec.family, mus))
-
+        d = link_mu_deriv(spec.link, eta)
+        v = variance_function(spec.family, mu)
+        mu_c, m_mu, resid = residuals(mu)
         if estimate_corr:
-            resids = [
-                (c.outcomes - mu) / math.sqrt(v)
-                for (c, _, _, _), mu, v in zip(stats, mus, variances)
-            ]
-            est = estimate_alpha_phi(resids, p, max_cluster_size=m_max)
-            alpha, phi = est.alpha, est.phi
+            est = alpha_phi(mu, v, mu_c, m_mu, resid)
+            alpha = est.alpha
             clamped_any = clamped_any or est.clamped
 
-        B = np.zeros((p, p))
-        U = np.zeros(p)
-        for (c, x, m, ysum), mu, d, v in zip(stats, mus, derivs, variances):
-            denom = 1.0 + (m - 1) * alpha
-            w = (d * d / v) * (m / denom)      # x' part of D'V^{-1}D
-            B += w * np.outer(x, x)
-            U += (d / v) * ((ysum - m * mu) / denom) * x
-
-        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(U))):
+        w, u = weights_scores(d, v, resid, alpha)
+        B = x.T @ (w[:, None] * x)
+        U = x.T @ u
+        if not (np.isfinite(B).all() and np.isfinite(U).all()):
             raise NonConvergenceError("numerical_breakdown", iterations, beta)
         try:
             delta = np.linalg.solve(B, U)
@@ -302,66 +320,42 @@ def fit_gee(
 
         step = delta
         halvings = 0
-        while not means_valid(beta + step):
+        while True:
+            eta = xg @ (beta + step)
+            mu = link_inverse(spec.link, eta)
+            if mean_in_range(spec.family, mu):
+                break
             if halvings >= max_step_halvings:
                 raise NonConvergenceError("step_halving_exhausted", iterations, beta)
             step = step / 2.0
             halvings += 1
         beta = beta + step
-        if not np.all(np.isfinite(beta)):
+        if not np.isfinite(beta).all():
             raise NonConvergenceError("numerical_breakdown", iterations, beta)
-        if float(np.max(np.abs(step))) < beta_tol:
+        if float(np.abs(step).max()) < beta_tol:
             converged = True
             break
+        first = first_seen.setdefault(beta.tobytes(), iterations)
+        if first < iterations:
+            beta = iterates[first + (max_iter - first) % (iterations - first)]
+            iterations = max_iter
+            break
+        iterates.append(beta)
 
     if not converged:
         raise NonConvergenceError("max_iterations", iterations, beta)
 
-    # final pass at the converged beta: refresh (alpha, phi), build the
-    # per-cluster caches, and verify the first-order condition
-    etas, mus = cluster_means(beta)
-    derivs = np.asarray(link_mu_deriv(spec.link, etas))
-    variances = np.asarray(variance_function(spec.family, mus))
-    resids = [
-        (c.outcomes - mu) / math.sqrt(v)
-        for (c, _, _, _), mu, v in zip(stats, mus, variances)
-    ]
+    # at the converged beta: refresh (alpha, phi), then verify the
+    # first-order condition
+    d = link_mu_deriv(spec.link, eta)
+    v = variance_function(spec.family, mu)
+    mu_c, m_mu, resid = residuals(mu)
+    est = alpha_phi(mu, v, mu_c, m_mu, resid)
     if estimate_corr:
-        est = estimate_alpha_phi(resids, p, max_cluster_size=m_max)
-        alpha, phi = est.alpha, est.phi
+        alpha = est.alpha
         clamped_any = clamped_any or est.clamped
-    else:
-        est = estimate_alpha_phi(resids, p, max_cluster_size=m_max)
-        phi = est.phi
-
-    work = []
-    B = np.zeros((p, p))
-    U = np.zeros(p)
-    for (c, x, m, ysum), mu, d, v in zip(stats, mus, derivs, variances):
-        raw_resid = c.outcomes - mu
-        denom = 1.0 + (m - 1) * alpha
-        info = (d * d / v) * (m / denom) * np.outer(x, x)
-        score = (d / v) * ((ysum - m * mu) / denom) * x
-        work.append(
-            ClusterWork(
-                id=c.id,
-                arm=c.arm,
-                m=m,
-                x=x,
-                mu=float(mu),
-                deriv=float(d),
-                var=float(v),
-                resid=raw_resid,
-                a_sqrt=math.sqrt(v),
-                D=d * np.outer(np.ones(m), x),
-                info=info,
-                score=score,
-            )
-        )
-        B += info
-        U += score
-
-    score_norm = float(np.max(np.abs(U)))
+    w, u = weights_scores(d, v, resid, alpha)
+    score_norm = float(np.max(np.abs(x.T @ u)))
     if score_norm >= score_tol:
         raise NonConvergenceError("score_condition_failed", iterations, beta)
 
@@ -371,11 +365,17 @@ def fit_gee(
         corr=corr,
         beta=beta,
         alpha_hat=float(alpha),
-        phi_hat=float(phi),
+        phi_hat=float(est.phi),
         converged=True,
         iterations=iterations,
         score_norm=score_norm,
         alpha_clamped=clamped_any,
-        clusters=work,
-        info_sum=B,
+        arm=arm,
+        m=m,
+        s=s,
+        x=x,
+        w=w,
+        u=u,
+        h=w / np.bincount(group, weights=w)[group],
+        info_sum=x.T @ (w[:, None] * x),
     )

@@ -1,25 +1,26 @@
 """Model-based, robust, and bias-corrected sandwich covariance estimators.
 
-All corrections act in score space as p x p multipliers C_i applied to the
-per-cluster score s_i = D_i' V_i^{-1} (y_i - mu_i):
+Every estimator reads the converged fit's per-cluster arrays (see
+crtgee.gee): the score s_i = u_i x_i, the bread B = sum_i w_i x_i x_i',
+and the leverage h_i = w_i / W_arm(i). The sandwich kinds scale each
+score by a per-cluster factor:
 
-    cov = B^{-1} [ sum_i (C_i s_i)(C_i s_i)' ] B^{-1},   B = sum_i D_i' V_i^{-1} D_i
+    cov = B^{-1} [ sum_i c_i^2 s_i s_i' ] B^{-1}
 
-with C_i = I (robust), (I - Q_i)^{-1/2} (KC), (I - Q_i)^{-1} (MD), or the
-diagonal cap rule (FG), where Q_i = (D_i' V_i^{-1} D_i) B^{-1}. The MBN
-estimator adds an inflation term to the robust matrix instead. Internal
-sums are kept unnormalized; the N-normalized textbook writing differs only
-by cancelling factors of N.
-
-Q_i is not symmetric in general, but B^{-1/2} Q_i B^{1/2} always is (it is
-PSD with eigenvalues in [0, 1], and the transformed factors sum to I), so
-the KC and MD multipliers are evaluated as true matrix functions of Q_i
-through that similarity. This keeps (I - Q_i)^{-1/2} real and principal,
-reduces to plain symmetric eigendecomposition whenever Q_i is symmetric,
-and preserves the diagonal ordering robust <= KC <= MD whenever every
-Q_i eigenvalue is below 1. It also coincides exactly with the classical
-observation-space leverage form D'V^{-1}(I - H_i)^{-1/2}(y - mu), since
-D'V^{-1} f(H_i) = f(Q_i) D'V^{-1} for any power series f.
+with c_i = 1 (robust), (1 - h_i)^{-1/2} (KC; Kauermann & Carroll, JASA
+2001) or (1 - h_i)^{-1} (MD; Mancl & DeRouen, Biometrics 2001). Both are
+defined as (I - Q_i)^{-1/2} s_i and (I - Q_i)^{-1} s_i with the cluster
+leverage Q_i = w_i x_i x_i' B^{-1}. Q_i has rank one and, because the
+mean model is saturated, x_i' B^{-1} x_i = 1 / W_arm(i), so
+Q_i x_i = h_i x_i: the score is an eigenvector of Q_i with eigenvalue
+h_i, and the matrix functions reduce to these scalars. FG (Fay &
+Graubard, Biometrics 2001) caps the diagonal of Q_i at r; that diagonal
+is h_i at the coordinate of the cluster's arm (coordinate 0 for the
+intercept-only model) and 0 elsewhere, so FG divides that coordinate of
+s_i by sqrt(1 - min(r, h_i)). MBN (Morel, Bokossa & Neerchal, Biom. J.
+2003) adds an inflation term to the robust matrix instead. Sums are kept
+unnormalized; the N-normalized textbook writing differs only by
+cancelling factors of N.
 """
 
 from __future__ import annotations
@@ -69,31 +70,24 @@ class VarianceEstimate:
 
 
 @dataclass
-class ClusterCorrection:
-    """Eigendecomposition of one cluster's Q_i in the B^{-1/2} similarity.
-
-    Matrix functions of Q_i evaluate as lift @ diag(f(vals)) @ drop; `diag`
-    is the diagonal of the untransformed Q_i, which is what FG caps.
-    """
-
-    vals: np.ndarray        # eigenvalues of Q_i (real, in [0, 1])
-    lift: np.ndarray        # B^{1/2} @ eigenvectors
-    drop: np.ndarray        # eigenvectors' @ B^{-1/2}
-    diag: np.ndarray        # diag(Q_i)
-
-
-@dataclass
 class CorrectionContext:
-    """Per-cluster leverage-style factors Q_i shared by the corrections."""
+    """Per-cluster leverages shared by the corrections."""
 
-    q: list                 # p x p matrices Q_i = B_i B^{-1}, dataset order
-    cells: list             # ClusterCorrection, dataset order
+    h: np.ndarray           # h_i = w_i / W_arm(i), the nonzero eigenvalue of Q_i
+    x: np.ndarray           # covariate rows x_i, (N, p)
+    binv: np.ndarray        # B^{-1}
     r: float                # FG diagonal cap
-    q_max: float            # largest eigenvalue of any Q_i
+    q_max: float            # largest h_i
 
     def identity_gap(self):
-        """sum_i Q_i - I, an algebraic zero up to rounding."""
-        total = sum(self.q)
+        """sum_i Q_i - I, an algebraic zero up to rounding.
+
+        Q_i = w_i x_i x_i' B^{-1} = h_i x_i x_i' B^{-1} / (x_i' B^{-1} x_i)
+        is rebuilt from the closed-form h_i, so the gap also checks that
+        h_i is the cluster's share of its arm's information.
+        """
+        lev = np.sum((self.x @ self.binv) * self.x, axis=1)       # x_i' B^{-1} x_i
+        total = (self.x * (self.h / lev)[:, None]).T @ self.x @ self.binv
         return total - np.eye(total.shape[0])
 
 
@@ -109,53 +103,42 @@ def _bread_inverse(fit):
 
 
 def correction_context(fit, fg_bound=DEFAULT_FG_BOUND):
-    """Build the Q_i factors from a converged fit."""
+    """Collect the fit's leverages and the inverse bread for the corrections."""
     if not 0.0 < fg_bound <= 1.0:
         raise UsageError(f"FG bound must lie in (0, 1], got {fg_bound}")
-    Binv = _bread_inverse(fit)
-    b_vals, b_vecs = np.linalg.eigh(fit.info_sum)
-    if np.any(b_vals <= 0.0):
-        raise SingularityError("bread matrix sum_i D'V^{-1}D is not positive definite")
-    b_half = (b_vecs * np.sqrt(b_vals)) @ b_vecs.T
-    b_half_inv = (b_vecs / np.sqrt(b_vals)) @ b_vecs.T
-
-    q = []
-    cells = []
-    q_max = 0.0
-    for w in fit.clusters:
-        Qi = w.info @ Binv
-        tilde = b_half_inv @ w.info @ b_half_inv
-        vals, vecs = np.linalg.eigh((tilde + tilde.T) / 2.0)
-        q.append(Qi)
-        cells.append(
-            ClusterCorrection(
-                vals=vals,
-                lift=b_half @ vecs,
-                drop=vecs.T @ b_half_inv,
-                diag=np.diag(Qi).copy(),
-            )
-        )
-        q_max = max(q_max, float(vals[-1]))
-    return CorrectionContext(q=q, cells=cells, r=fg_bound, q_max=q_max)
+    return CorrectionContext(
+        h=fit.h, x=fit.x, binv=_bread_inverse(fit), r=fg_bound, q_max=float(fit.h.max())
+    )
 
 
-def _corrected_score(kind, w, cell, r):
-    """Apply the kind's multiplier C_i to the cluster score."""
+def _first_cluster_id(fit, bad):
+    return fit.data.clusters[int(np.flatnonzero(bad)[0])].id
+
+
+def _corrected_scores(kind, fit, ctx):
+    """The scores u_i x_i scaled by the kind's leverage factor, (N, p)."""
+    scores = fit.scores
     if kind is EstimatorKind.ROBUST:
-        return w.score
+        return scores
     if kind in (EstimatorKind.KC, EstimatorKind.MD):
-        gaps = 1.0 - cell.vals                         # eigenvalues of I - Q_i
+        gaps = 1.0 - ctx.h                             # eigenvalue of I - Q_i along x_i
         if np.any(gaps <= 1e-14):
             raise CorrectionSingularityError(
-                w.id, kind.name, f"I - Q_i eigenvalue {float(gaps.min()):.3g}"
+                _first_cluster_id(fit, gaps <= 1e-14), kind.name,
+                f"I - Q_i eigenvalue {float(gaps.min()):.3g}",
             )
         power = -0.5 if kind is EstimatorKind.KC else -1.0
-        return cell.lift @ (gaps ** power * (cell.drop @ w.score))
+        return scores * (gaps ** power)[:, None]
     if kind is EstimatorKind.FG:
-        factors = 1.0 - np.minimum(r, cell.diag)
+        factors = 1.0 - np.minimum(ctx.r, ctx.h)
         if np.any(factors <= 0.0):
-            raise CorrectionSingularityError(w.id, "FG", "capped diagonal reached 1")
-        return w.score / np.sqrt(factors)
+            raise CorrectionSingularityError(
+                _first_cluster_id(fit, factors <= 0.0), "FG", "capped diagonal reached 1"
+            )
+        # diag(Q_i) is h_i at the coordinate of the cluster's arm, 0 elsewhere
+        col = fit.arm if fit.n_params == 2 else 0
+        scores[np.arange(len(scores)), col] /= np.sqrt(factors)
+        return scores
     raise UsageError(f"{kind} is not a sandwich-multiplier kind")
 
 
@@ -169,16 +152,12 @@ def robust_sandwich(fit, kinds=(EstimatorKind.ROBUST,), fg_bound=DEFAULT_FG_BOUN
     bad = [k for k in kinds if k not in MULTIPLICATIVE_KINDS]
     if bad:
         raise UsageError(f"robust_sandwich handles {MULTIPLICATIVE_KINDS}, got {bad}")
-    Binv = _bread_inverse(fit)
     ctx = correction_context(fit, fg_bound)
 
     out = []
     for kind in kinds:
-        meat = np.zeros_like(Binv)
-        for w, cell in zip(fit.clusters, ctx.cells):
-            t = _corrected_score(kind, w, cell, ctx.r)
-            meat += np.outer(t, t)
-        cov = Binv @ meat @ Binv
+        t = _corrected_scores(kind, fit, ctx)
+        cov = ctx.binv @ (t.T @ t) @ ctx.binv
         cov = (cov + cov.T) / 2.0
         out.append(VarianceEstimate(kind=kind, cov=cov, diagnostics={"q_max": ctx.q_max}))
     return out
@@ -202,14 +181,13 @@ def mbn(fit):
     N = fit.n_clusters
     if N <= 2:
         raise UnsupportedDesignError(f"MBN needs more than 2 clusters, got {N}")
-    total_obs = sum(w.m for w in fit.clusters)
+    total_obs = int(fit.m.sum())
     c = ((total_obs - 1) / (total_obs - 2)) * (N / (N - 1))
     delta = min(0.5, 2.0 / (N - 2))
 
     Binv = _bread_inverse(fit)
-    meat = np.zeros_like(Binv)
-    for w in fit.clusters:
-        meat += np.outer(w.score, w.score)
+    scores = fit.scores
+    meat = scores.T @ scores
     v_robust = Binv @ meat @ Binv
     p = fit.n_params
     phi_mbn = max(1.0, float(np.trace(c * (Binv @ meat))) / p)

@@ -20,6 +20,7 @@ from crtgee import (
     robust_sandwich,
     wald_inference,
 )
+import crtgee.cli
 from crtgee.cli import main, read_trial_csv, parse_grid_config, THREADS_ENV_VAR
 
 
@@ -183,18 +184,16 @@ def test_analyze_nonconvergence_exit_2_with_report(tmp_path):
 
 
 def test_analyze_writes_saturated_limit_as_null(tmp_path):
-    # a zero-event control arm under poisson-log: the model-based upper
-    # limit of the risk ratio is past the float range
+    # three clusters leave one degree of freedom; at level 0.9999 its t
+    # critical value (about 6366) puts the model-based upper limit of the
+    # risk ratio past the float range
     trial = [
-        ("a1", 0, [0] * 8),
-        ("a2", 0, [0] * 8),
-        ("a3", 0, [0] * 6),
-        ("b1", 1, [1, 1] + [0] * 16),
-        ("b2", 1, [0] * 25),
-        ("b3", 1, [1] + [0] * 16),
+        ("a1", 0, [1, 1] + [0] * 8),
+        ("a2", 0, [1, 1, 1] + [0] * 9),
+        ("b1", 1, [1, 1, 1, 1] + [0] * 6),
     ]
     code, _ = run_analyze(tmp_path, trial=trial, family="poisson",
-                          extra=("--corrections", "mb"))
+                          extra=("--corrections", "mb", "--level", "0.9999"))
     assert code == 0
 
     def reject_constant(name):
@@ -332,6 +331,42 @@ def test_simulate_resume_reproduces_full_run(tmp_path):
     lines = full.decode().splitlines()
     torn = lines[: 1 + 6] + [lines[7][: len(lines[7]) // 2]]
     out.write_text("\n".join(torn) + "\n")
+    assert main(["simulate", "--config", str(config), "--resume"]) == 0
+    assert out.read_bytes() == full
+
+
+def test_simulate_interrupted_resume_keeps_finished_scenarios(tmp_path, monkeypatch):
+    config, _ = base_config(tmp_path)
+    out = tmp_path / "results.csv"
+    assert main(["simulate", "--config", str(config)]) == 0
+    full = out.read_bytes()
+
+    # scenarios 2 and 3 finished; a resumed run computes scenario 0, then
+    # crashes before scenario 1
+    lines = full.decode().splitlines()
+    finished = lines[1 + 2 * 6:]
+    out.write_text("\n".join([lines[0], *finished]) + "\n")
+
+    real_run_grid = crtgee.cli.run_grid
+
+    def crash_after_first(*args, **kwargs):
+        results = real_run_grid(*args, **kwargs)
+        yield next(results)
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(crtgee.cli, "run_grid", crash_after_first)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(["simulate", "--config", str(config), "--resume"])
+    on_disk = out.read_text().splitlines()
+    assert set(finished) <= set(on_disk)
+    assert set(lines[1:7]) <= set(on_disk)   # scenario 0, computed before the crash
+
+    # a write torn inside the last field still splits into a full row;
+    # without its newline it must not count as finished
+    text = out.read_text()
+    out.write_text(text[: text.rstrip("\n").rfind(",") + 1])
+
+    monkeypatch.setattr(crtgee.cli, "run_grid", real_run_grid)
     assert main(["simulate", "--config", str(config), "--resume"]) == 0
     assert out.read_bytes() == full
 

@@ -12,7 +12,6 @@ from crtgee import (
     GammaSize,
     Scenario,
     gamma_cluster_sizes,
-    generate_cluster,
     generate_clusters,
     generate_trial,
     qaqish_coeff,
@@ -112,14 +111,6 @@ def test_generator_domain_checks():
         generate_clusters(1.0, 0.1, 3, 1, rng)
     with pytest.raises(DomainError):
         generate_clusters(0.3, -0.01, 3, 1, rng)
-
-
-def test_single_cluster_wrapper():
-    a = generate_cluster(0.4, 0.1, 6, substream(7, 0, 0))
-    b = generate_clusters(0.4, 0.1, 6, 1, substream(7, 0, 0))[0]
-    assert np.array_equal(a, b)
-    assert a.shape == (6,)
-    assert set(np.unique(a)) <= {0, 1}
 
 
 def test_gamma_parameterization_cv():

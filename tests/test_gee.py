@@ -23,8 +23,8 @@ from crtgee import (
     Scenario,
     substream,
 )
-from crtgee.families import link_apply, link_inverse, variance_function
-from crtgee.gee import exch_rinv_apply, initialize_beta
+from crtgee.families import link_apply, link_inverse, link_mu_deriv, variance_function
+from crtgee.gee import initialize_beta
 
 ALL_SPECS = [
     ModelSpec(Family.BINOMIAL, Link.LOG),
@@ -48,14 +48,6 @@ def dataset(arm_outcomes):
 def simulated(n_clusters=10, m=20, pi0=0.3, pi1=0.3, icc=0.05, seed=7, rep=0):
     sc = Scenario(n_clusters=n_clusters, sizes=FixedSize(m), pi0=pi0, pi1=pi1, icc=icc, seed=seed)
     return generate_trial(sc, rep)
-
-
-def test_exch_rinv_apply_matches_dense_inverse():
-    rng = np.random.default_rng(3)
-    for m, alpha in [(1, 0.4), (2, 0.3), (5, 0.15), (9, -0.05)]:
-        x = rng.normal(size=m)
-        r = alpha * np.ones((m, m)) + (1 - alpha) * np.eye(m)
-        assert np.allclose(exch_rinv_apply(x, alpha), np.linalg.solve(r, x), atol=1e-12)
 
 
 def test_weighted_mean_solution_with_fixed_alpha():
@@ -121,27 +113,29 @@ def test_singleton_clusters_match_independence_fit():
 
 
 def test_estimate_alpha_phi_hand_oracle():
-    # residual clusters [1, -1] and [2, 0, 1] with p = 2:
+    # residual clusters [1, -1] and [2, 0, 1] with p = 2, passed as their
+    # (sum, sum of squares) pairs (0, 2) and (3, 5):
     # phi = (1 + 1 + 4 + 0 + 1) / (5 - 2) = 7/3
     # pairwise cross-products: (1)(-1) = -1; (2*0 + 2*1 + 0*1) = 2; total 1
     # pairs = 1 + 3 = 4, so alpha = (1 / (4 - 2)) / phi = 0.5 / (7/3) = 3/14
-    est = estimate_alpha_phi([np.array([1.0, -1.0]), np.array([2.0, 0.0, 1.0])], n_params=2)
+    est = estimate_alpha_phi([0.0, 3.0], [2.0, 5.0], [2, 3], n_params=2)
     assert est.phi == pytest.approx(7.0 / 3.0, abs=1e-15)
     assert est.alpha == pytest.approx(3.0 / 14.0, abs=1e-15)
     assert not est.clamped
 
 
 def test_estimate_alpha_phi_clamps_at_upper_bound():
-    # identical residuals within each cluster push the raw alpha past 1
-    resids = [np.array([2.0, 2.0, 2.0]), np.array([-1.5, -1.5, -1.5])]
-    est = estimate_alpha_phi(resids, n_params=1)
+    # identical residuals within each cluster, [2, 2, 2] and
+    # [-1.5, -1.5, -1.5], push the raw alpha past 1
+    est = estimate_alpha_phi([6.0, -4.5], [12.0, 6.75], [3, 3], n_params=1)
     lo, hi = alpha_bounds(3)
     assert est.clamped
     assert est.alpha == hi
 
 
 def test_estimate_alpha_phi_all_singletons():
-    est = estimate_alpha_phi([np.array([1.0]), np.array([-2.0])], n_params=1)
+    # residual clusters [1] and [-2]
+    est = estimate_alpha_phi([1.0, -2.0], [1.0, 4.0], [1, 1], n_params=1)
     assert est.alpha == 0.0
     assert est.phi == pytest.approx(5.0, abs=1e-15)
 
@@ -157,7 +151,10 @@ def test_alpha_bounds_shrink_with_cluster_size():
 def test_initialize_beta_floors_zero_event_arm():
     data = dataset([(0, [0, 0, 0]), (0, [0, 0]), (1, [1, 0, 1]), (1, [1, 1])])
     spec = ModelSpec(Family.BINOMIAL, Link.LOG)
-    beta = initialize_beta(data, spec)
+    arm = np.array([c.arm for c in data.clusters])
+    m = np.array([c.size for c in data.clusters])
+    s = np.array([c.outcomes.sum() for c in data.clusters])
+    beta = initialize_beta(arm, m, s, spec)
     floor = 0.5 / data.n_obs
     assert beta[0] == pytest.approx(math.log(floor), abs=1e-12)
     assert np.all(np.isfinite(beta))
@@ -206,6 +203,35 @@ def test_nonconvergence_iteration_budget():
     assert exc.value.iterations == 1
 
 
+def test_exact_cycle_is_cut_short_with_the_full_budget_outcome(monkeypatch):
+    # (arm, events, size): under gaussian-identity alpha alternates between
+    # its negative clamp and about -0.066, and beta after iteration 9
+    # equals beta after iteration 7 bit for bit
+    trial = [(0, 6, 14), (0, 5, 10), (0, 4, 7), (1, 2, 13), (1, 1, 5), (1, 4, 15)]
+    data = dataset([(arm, [1] * s + [0] * (m - s)) for arm, s, m in trial])
+    spec = ModelSpec(Family.GAUSSIAN, Link.IDENTITY)
+
+    def last_beta(max_iter):
+        with pytest.raises(NonConvergenceError) as exc:
+            fit_gee(data, spec, max_iter=max_iter)
+        assert exc.value.reason == "max_iterations"
+        assert exc.value.iterations == max_iter
+        return exc.value.last_beta
+
+    # budgets below 9 compute every iterate; larger ones must report the
+    # iterate that continues the period-2 cycle those iterates trace out
+    betas = {k: last_beta(k) for k in range(1, 51)}
+    assert betas[7] != betas[8]
+    for k in range(9, 51):
+        assert betas[k] == betas[k - 2]
+
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda B, U: solves.append(B) or solve(B, U))
+    last_beta(50)
+    assert len(solves) == 9
+
+
 def test_converged_fit_satisfies_estimating_equation():
     data = simulated(n_clusters=12, m=9, pi0=0.25, icc=0.1, seed=5)
     for spec in ALL_SPECS:
@@ -213,32 +239,40 @@ def test_converged_fit_satisfies_estimating_equation():
         assert fit.converged
         # rebuild the score densely from raw data at the solution
         score = np.zeros(2)
-        for c, w in zip(data.clusters, fit.clusters):
+        for c in data.clusters:
             x = np.array([1.0, float(c.arm)])
             eta = float(x @ fit.beta)
             mu = float(link_inverse(spec.link, eta))
             v = float(variance_function(spec.family, np.array([mu]))[0])
             r = np.ones((c.size, c.size)) * fit.alpha_hat + (1 - fit.alpha_hat) * np.eye(c.size)
             vinv = np.linalg.inv(np.sqrt(v) * r * np.sqrt(v))
-            d = w.deriv * np.outer(np.ones(c.size), x)
+            d = float(link_mu_deriv(spec.link, eta)) * np.outer(np.ones(c.size), x)
             score += d.T @ vinv @ (c.outcomes - mu)
         assert np.max(np.abs(score)) < 1e-4
 
 
 def test_cluster_caches_match_dense_algebra():
+    # the per-cluster weight w_i and score u_i are the scalar forms of the
+    # dense D_i' V_i^{-1} D_i = w_i x_i x_i' and D_i' V_i^{-1} (y_i - mu_i) = u_i x_i
     data = simulated(n_clusters=8, m=6, seed=19)
-    fit = fit_gee(data, ModelSpec(Family.BINOMIAL, Link.LOGIT))
+    spec = ModelSpec(Family.BINOMIAL, Link.LOGIT)
+    fit = fit_gee(data, spec)
     total = np.zeros((2, 2))
-    for c, w in zip(data.clusters, fit.clusters):
-        assert w.m == c.size
-        r = np.ones((w.m, w.m)) * fit.alpha_hat + (1 - fit.alpha_hat) * np.eye(w.m)
-        v = w.a_sqrt * r * w.a_sqrt
-        vinv = np.linalg.inv(v)
-        assert np.allclose(w.info, w.D.T @ vinv @ w.D, atol=1e-10)
-        assert np.allclose(w.score, w.D.T @ vinv @ w.resid, atol=1e-10)
-        total += w.info
+    for i, c in enumerate(data.clusters):
+        m = c.size
+        assert (fit.arm[i], fit.m[i], fit.s[i]) == (c.arm, m, c.outcomes.sum())
+        x = np.array([1.0, float(c.arm)])
+        eta = float(x @ fit.beta)
+        mu = float(link_inverse(spec.link, eta))
+        v = float(variance_function(spec.family, np.array([mu]))[0])
+        r = np.ones((m, m)) * fit.alpha_hat + (1 - fit.alpha_hat) * np.eye(m)
+        vinv = np.linalg.inv(np.sqrt(v) * r * np.sqrt(v))
+        d = float(link_mu_deriv(spec.link, eta)) * np.outer(np.ones(m), x)
+        info = d.T @ vinv @ d
+        assert np.allclose(fit.w[i] * np.outer(x, x), info, atol=1e-10)
+        assert np.allclose(fit.u[i] * x, d.T @ vinv @ (c.outcomes - mu), atol=1e-10)
+        total += info
     assert np.allclose(fit.info_sum, total, atol=1e-10)
-    assert np.allclose(fit.sigma1(), total / fit.n_clusters, atol=1e-12)
 
 
 def test_alpha_recovery_on_simulated_data():

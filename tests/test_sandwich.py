@@ -27,6 +27,8 @@ from crtgee import (
     robust_sandwich,
 )
 
+from crtgee.families import link_inverse, link_mu_deriv, variance_function
+
 from _dense_oracle import dense_estimates, rel_err
 
 KIND_NAMES = {
@@ -94,9 +96,34 @@ def test_leverage_factors_sum_to_identity():
     ctx = correction_context(fit)
     assert np.max(np.abs(ctx.identity_gap())) < 1e-10
     assert 0.0 < ctx.q_max < 1.0
-    for cell in ctx.cells:
-        assert np.all(cell.vals > -1e-12)
-        assert np.all(cell.vals < 1.0 + 1e-12)
+    assert np.all(ctx.h > 0.0)
+    assert np.all(ctx.h < 1.0)
+    # each arm's leverages are its clusters' shares of the arm's information
+    for arm in (0, 1):
+        assert float(np.sum(ctx.h[fit.arm == arm])) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_leverage_is_the_nonzero_eigenvalue_of_dense_q():
+    # Q_i = B_i B^{-1} built densely from each cluster's m x m working
+    # covariance has rank one; its nonzero eigenvalue is the closed-form h_i
+    data = simulated(n_clusters=8, m=6, seed=7)
+    for spec in ALL_SPECS:
+        fit = fit_gee(data, spec)
+        pieces = []
+        for c in data.clusters:
+            m = c.size
+            x = np.array([1.0, float(c.arm)])
+            eta = float(x @ fit.beta)
+            mu = float(link_inverse(spec.link, eta))
+            v = float(variance_function(spec.family, np.array([mu]))[0])
+            r = np.ones((m, m)) * fit.alpha_hat + (1 - fit.alpha_hat) * np.eye(m)
+            d = float(link_mu_deriv(spec.link, eta)) * np.outer(np.ones(m), x)
+            pieces.append(d.T @ np.linalg.inv(v * r) @ d)
+        binv = np.linalg.inv(sum(pieces))
+        for bi, h in zip(pieces, fit.h):
+            vals = np.sort(np.linalg.eigvals(bi @ binv).real)
+            assert abs(vals[0]) < 1e-12
+            assert vals[1] == pytest.approx(h, rel=1e-10)
 
 
 def test_intercept_only_scalar_identities():
@@ -136,7 +163,7 @@ def test_fg_cap_engages_on_dominant_cluster():
     )
     fit = fit_gee(data, ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
     ctx = correction_context(fit)
-    assert max(float(np.max(cell.diag)) for cell in ctx.cells) > 0.75
+    assert float(np.max(ctx.h)) > 0.75
     capped = robust_sandwich(fit, (EstimatorKind.FG,), fg_bound=0.75)[0]
     loose = robust_sandwich(fit, (EstimatorKind.FG,), fg_bound=0.999999)[0]
     assert capped.cov[1, 1] < loose.cov[1, 1]
@@ -194,7 +221,7 @@ def test_mbn_arithmetic_pieces():
     c = (99.0 / 98.0) * (10.0 / 9.0)
     delta = 0.25
     binv = np.linalg.inv(fit.info_sum)
-    meat = sum(np.outer(w.score, w.score) for w in fit.clusters)
+    meat = sum(np.outer(s, s) for s in fit.u[:, None] * fit.x)
     phi_mbn = max(1.0, float(np.trace(c * (binv @ meat))) / 2.0)
     want = c * (binv @ meat @ binv) + delta * phi_mbn * binv
     assert est.diagnostics["mbn_phi"] == pytest.approx(phi_mbn, rel=1e-12)
@@ -207,8 +234,8 @@ def test_mbn_delta_saturates_at_half_for_small_n():
     fit = fit_gee(data, ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
     est = mbn(fit)
     binv = np.linalg.inv(fit.info_sum)
-    meat = sum(np.outer(w.score, w.score) for w in fit.clusters)
-    total_obs = sum(w.m for w in fit.clusters)
+    meat = sum(np.outer(s, s) for s in fit.u[:, None] * fit.x)
+    total_obs = data.n_obs
     c = ((total_obs - 1) / (total_obs - 2)) * (4.0 / 3.0)
     phi_mbn = est.diagnostics["mbn_phi"]
     # N = 4 puts 2/(N-2) = 1 above the 0.5 ceiling
