@@ -26,24 +26,24 @@ import os
 import sys
 
 from .data import Cluster, TrialDataset
-from .errors import (
-    CrtGeeError,
-    DataError,
-    DegenerateVarianceError,
-    NonConvergenceError,
-    SingularityError,
-    UsageError,
-)
+from .errors import CrtGeeError, DataError, NonConvergenceError, UsageError
 from .families import ModelSpec, parse_family, parse_link
 from .gee import fit_gee
 from .inference import default_measure, wald_inference
-from .sandwich import ALL_KINDS, DEFAULT_FG_BOUND, EstimatorKind, compute_estimates
+from .sandwich import (
+    ALL_KINDS,
+    DEFAULT_FG_BOUND,
+    EstimatorKind,
+    VarianceEstimate,
+    estimate_block,
+)
 from .simulate import (
     ALL_MODELS,
     ALPHA_LEVEL,
     RESULT_COLUMNS,
     TYPE1_BAND,
     FactorialGrid,
+    design_row,
     result_rows,
     run_grid,
 )
@@ -196,11 +196,18 @@ def cmd_analyze(args):
     }
     estimates = {}
     failures = {}
+    covs, _, errors = estimate_block(
+        fit.block, kinds, DEFAULT_FG_BOUND, cluster_ids=[c.id for c in data.clusters]
+    )
     for kind in kinds:
-        try:
-            est = compute_estimates(fit, (kind,), fg_bound=DEFAULT_FG_BOUND)[kind]
-            inf = wald_inference(fit, est, alpha_level=alpha_level)
-        except (SingularityError, DegenerateVarianceError, CrtGeeError) as err:
+        err = errors[kind].get(0)
+        if err is None:
+            try:
+                inf = wald_inference(fit, VarianceEstimate(kind, covs[kind][0]),
+                                     alpha_level=alpha_level)
+            except CrtGeeError as raised:
+                err = raised
+        if err is not None:
             failures[kind.value] = f"{type(err).__name__}: {err}"
             continue
         entry = {
@@ -404,8 +411,14 @@ def _resolve_threads(flag_value, config_value):
     return 1
 
 
-def _load_resume_lines(path, rows_per_scenario):
-    """Map scenario_id -> verbatim result lines for scenarios already complete."""
+def _load_resume_lines(path, expected):
+    """Map scenario_id -> verbatim result lines for scenarios already complete.
+
+    `expected` maps each scenario_id of this grid to the design columns
+    (scenario_id through n_rep) of the rows it writes, in order. Rows on
+    disk must repeat them, in order, or the file belongs to another grid
+    and DataError names the first scenario that differs.
+    """
     if not os.path.exists(path):
         return {}
     by_scenario = {}
@@ -426,9 +439,17 @@ def _load_resume_lines(path, rows_per_scenario):
                 sid = int(fields[0])
             except ValueError:
                 raise DataError(f"{path}: bad scenario_id '{fields[0]}'") from None
-            by_scenario.setdefault(sid, []).append(line)
+            rows = by_scenario.setdefault(sid, [])
+            want, n = expected.get(sid, ()), len(rows)
+            if n >= len(want) or tuple(fields[: len(want[n])]) != want[n]:
+                raise DataError(
+                    f"{path}: scenario {sid} was written by a different grid "
+                    f"(its row {n + 1} does not match this config); "
+                    "use another output path or remove the file"
+                )
+            rows.append(line)
     return {sid: lines for sid, lines in by_scenario.items()
-            if len(lines) == rows_per_scenario}
+            if len(lines) == len(expected[sid])}
 
 
 def _replace_lines(path, lines):
@@ -452,8 +473,15 @@ def cmd_simulate(args):
     grid, out_path, config_threads = parse_grid_config(doc)
     threads = _resolve_threads(args.threads, config_threads)
 
-    rows_per_scenario = len(grid.models) * len(grid.estimators)
-    cached = _load_resume_lines(out_path, rows_per_scenario) if args.resume else {}
+    scenarios = grid.scenarios()
+    cached = {}
+    if args.resume:
+        expected = {
+            sc.index: [tuple(_cell(v) for v in design_row(sc, model, kind).values())
+                       for model in grid.models for kind in grid.estimators]
+            for sc in scenarios
+        }
+        cached = _load_resume_lines(out_path, expected)
 
     def progress(done, total, idx):
         sys.stderr.write(f"scenario {idx} done ({done}/{total} computed)\n")
@@ -464,7 +492,6 @@ def cmd_simulate(args):
     # nothing to lose, so a fresh run just truncates the file (no fsync on
     # the common path).
     header = ",".join(RESULT_COLUMNS)
-    scenarios = grid.scenarios()
     lines = {sc.index: cached[sc.index] for sc in scenarios if sc.index in cached}
     if cached:
         _replace_lines(out_path, [header, *(line for rows in lines.values() for line in rows)])

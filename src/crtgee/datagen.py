@@ -13,23 +13,21 @@ Cluster sizes are fixed or gamma-drawn; substreams keyed by
 (seed, scenario, replicate) make every dataset reproducible bit-for-bit
 regardless of execution order.
 
-A whole trial is generated in one pass over columns rather than cluster by
-cluster. Its uniforms come from one flat draw of sum(m_i) values, cut in
-cluster order into one segment of m_i per cluster. The generator's stream
-is a sequence of doubles that any split into calls consumes in order, so
-the flat draw holds exactly the values that one draw of m_i per cluster,
-in cluster order, would give. The segments are laid out as the heads of
-the rows of an (N, max m_i) array whose rows are sorted by size, longest
-first, so the clusters still drawing at column j are a prefix of the rows.
-Each column updates only that prefix, each row with its own arm's mu, by
-the same floating-point operations as a cluster-by-cluster loop, so the
-outcomes are bit-identical to it.
+A block of replicates is generated in one pass over columns. Each
+replicate draws its cluster sizes and then one flat run of sum(m_i)
+uniforms from its own substream; the generator's stream is a sequence of
+doubles that any split into calls consumes in order, so the flat run holds
+exactly what one draw of m_i per cluster, in cluster order, would give.
+The runs of all replicates are laid end to end, one row per cluster, and
+the rows are visited longest first, so the rows still drawing at column j
+are a prefix. Each column updates only that prefix, each row with its own
+arm's mu, by the same floating-point operations as a cluster-by-cluster
+loop, so the outcomes are bit-identical to it and do not depend on which
+replicates share the block. A single trial is a block of one.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,32 +121,45 @@ def qaqish_coeff(rho, j):
     return rho / (1.0 + (j - 2) * rho)
 
 
-def _draw_columns(u, mu, rho, active):
-    """Run the conditional-linear recurrence over the columns of `u`.
+def _draw_rows(flat, sizes, mu, rho, outcomes=None):
+    """Run the conditional-linear recurrence over rows laid end to end in `flat`.
 
-    `u` is a (rows, m_max) array of uniforms and `mu` holds each row's
-    marginal mean. Rows are sorted by size, longest first: column j-1 is
-    drawn for rows [:active[j-1]] only, and the rest of a row is left 0.
-    The conditional means are kept and checked once, after the last column.
+    Row i owns the next `sizes[i]` uniforms of `flat` and draws with marginal
+    mean `mu[i]`. Column j is drawn for the rows with at least j members,
+    longest first (a stable order), and the conditional means of each column
+    are checked against [0, 1] before it is drawn. Returns every row's event
+    count; when `outcomes` (an array shaped like `flat`) is given, each draw
+    is also written at its uniform's position.
     """
-    y = np.zeros(u.shape, dtype=np.int8)
-    lam = np.zeros(u.shape)
-    y[:, 0] = u[:, 0] < mu
-    centered = y[:, 0] - mu
-    for j in range(2, u.shape[1] + 1):
+    starts = np.zeros(sizes.size, dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    order = np.argsort(-sizes, kind="stable")
+    base = starts[order]
+    mu = mu[order]
+    # active[j-1]: the rows with sizes >= j, a prefix of `order`
+    active = np.cumsum(np.bincount(sizes)[::-1])[::-1][1:]
+    draw = flat[base] < mu
+    centered = draw - mu
+    events = draw.astype(np.intp)
+    if outcomes is not None:
+        outcomes[base] = draw
+    for j in range(2, active.size + 1):
         k = active[j - 1]
-        lam_j = mu[:k] + qaqish_coeff(rho, j) * centered[:k]
-        lam[:k, j - 1] = lam_j
-        draw = u[:k, j - 1] < lam_j
-        y[:k, j - 1] = draw
+        lam = mu[:k] + qaqish_coeff(rho, j) * centered[:k]
+        if lam.min() < 0.0 or lam.max() > 1.0:
+            row = int(np.flatnonzero((lam < 0.0) | (lam > 1.0))[0])
+            raise GeneratorInvalidError(
+                f"conditional mean left [0, 1] at draw {j} (mu={mu[row]}, rho={rho})"
+            )
+        idx = base[:k] + (j - 1)
+        draw = flat[idx] < lam
         centered[:k] += draw - mu[:k]
-    bad = (lam < 0.0) | (lam > 1.0)
-    if bad.any():
-        col, row = np.argwhere(bad.T)[0]
-        raise GeneratorInvalidError(
-            f"conditional mean left [0, 1] at draw {col + 1} (mu={mu[row]}, rho={rho})"
-        )
-    return y
+        events[:k] += draw
+        if outcomes is not None:
+            outcomes[idx] = draw
+    counts = np.empty_like(events)
+    counts[order] = events
+    return counts
 
 
 def generate_clusters(mu, rho, m, count, rng):
@@ -161,8 +172,10 @@ def generate_clusters(mu, rho, m, count, rng):
         raise DomainError(f"marginal mean must lie in (0, 1), got {mu}")
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    u = rng.random((count, m))
-    return _draw_columns(u, np.full(count, mu, dtype=float), rho, [count] * m)
+    flat = rng.random(count * m)
+    y = np.zeros(flat.size, dtype=np.int8)
+    _draw_rows(flat, np.full(count, m), np.full(count, mu, dtype=float), rho, y)
+    return y.reshape(count, m)
 
 
 def gamma_cluster_sizes(mean_size, cv, n, rng):
@@ -177,27 +190,48 @@ def gamma_cluster_sizes(mean_size, cv, n, rng):
     return np.maximum(np.rint(draws).astype(int), 2)
 
 
+def trial_arms(n_clusters):
+    """Arm labels of a simulated trial: N/2 control clusters, then N/2 intervention."""
+    return np.repeat([0, 1], n_clusters // 2)
+
+
+def _block_uniforms(scenario, replicate_indices):
+    """Sizes (R, N) and the replicates' uniforms end to end, each from its substream."""
+    sizes, runs = [], []
+    for rep in replicate_indices:
+        rng = substream(scenario.seed, scenario.index, rep)
+        m = scenario.sizes.draw(scenario.n_clusters, rng)
+        sizes.append(m)
+        runs.append(rng.random(int(m.sum())))
+    return np.array(sizes), np.concatenate(runs)
+
+
+def _row_means(scenario, n_replicates):
+    mu = np.where(trial_arms(scenario.n_clusters) == 0, scenario.pi0, scenario.pi1)
+    return np.tile(mu, n_replicates)
+
+
+def generate_block(scenario, replicate_indices):
+    """Cluster sizes m and event counts s of a block of replicates, each (R, N).
+
+    Row r is replicate `replicate_indices[r]`, its columns the clusters in
+    trial order (arms from `trial_arms`); the counts are those of
+    `generate_trial` for the same replicate.
+    """
+    m, flat = _block_uniforms(scenario, replicate_indices)
+    s = _draw_rows(flat, m.ravel(), _row_means(scenario, len(m)), scenario.icc)
+    return m, s.reshape(m.shape)
+
+
 def generate_trial(scenario, replicate_index):
     """One simulated trial: N/2 control clusters then N/2 intervention clusters."""
-    rng = substream(scenario.seed, scenario.index, replicate_index)
-    n = scenario.n_clusters
-    sizes = scenario.sizes.draw(n, rng).tolist()
-    half = n // 2
-    flat = rng.random(sum(sizes))
-    starts = list(itertools.accumulate(sizes, initial=0))
-    # rows sorted by size, longest first (stable); active[j-1] counts the
-    # rows with m_i >= j, which form a prefix
-    order = sorted(range(n), key=sizes.__getitem__, reverse=True)
-    ascending = sorted(sizes)
-    m_max = ascending[-1]
-    active = [n - bisect.bisect_left(ascending, j) for j in range(1, m_max + 1)]
-    u = np.zeros((n, m_max))
-    for row, i in enumerate(order):
-        u[row, : sizes[i]] = flat[starts[i] : starts[i + 1]]
-    mu = np.array([scenario.pi0 if i < half else scenario.pi1 for i in order])
-    y = _draw_columns(u, mu, scenario.icc, active)
-    outcomes = {i: y[row, : sizes[i]] for row, i in enumerate(order)}
+    m, flat = _block_uniforms(scenario, (replicate_index,))
+    sizes = m[0]
+    y = np.zeros(flat.size, dtype=np.int8)
+    _draw_rows(flat, sizes, _row_means(scenario, 1), scenario.icc, y)
+    ends = np.cumsum(sizes).tolist()
     clusters = tuple(
-        Cluster(id=i, arm=0 if i < half else 1, outcomes=outcomes[i]) for i in range(n)
+        Cluster(id=i, arm=int(arm), outcomes=y[end - size : end])
+        for i, (arm, size, end) in enumerate(zip(trial_arms(len(sizes)), sizes.tolist(), ends))
     )
     return TrialDataset(clusters=clusters)

@@ -140,16 +140,22 @@ def variance_function(family, mu):
     raise UsageError(f"unknown family {family!r}")
 
 
-def mean_in_range(family, mu):
-    """True when every entry of mu is a valid mean for the family."""
+def mean_in_range(family, mu, axis=None):
+    """True when every entry of mu is a valid (finite) mean for the family.
+
+    With `axis`, one answer per slice along it (per replicate for an (R, G)
+    array of group means with axis=1).
+    """
     mu = np.asarray(mu, dtype=float)
-    if not np.isfinite(mu).all():
-        return False
     if family is Family.BINOMIAL:
-        return bool((mu > 0.0).all() and (mu < 1.0).all())
-    if family is Family.POISSON:
-        return bool((mu > 0.0).all())
-    return True
+        ok = (mu > 0.0) & (mu < 1.0)
+    elif family is Family.POISSON:
+        ok = (mu > 0.0) & (mu < np.inf)
+    else:
+        ok = np.isfinite(mu)
+    if axis is None:
+        return bool(ok.all())
+    return ok.all(axis=axis)
 
 
 def parse_family(name):

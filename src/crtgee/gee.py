@@ -29,6 +29,15 @@ bit (the alpha/beta alternation can lock into such a cycle), the fit can
 neither converge nor fail otherwise before max_iter, so it stops at once and
 reports max_iterations with the iterate the cycle would hold at max_iter:
 the same outcome as running the budget out.
+
+fit_block scores a block of R replicates that share their clusters' arms
+at once, on (R, N) arrays: each iteration is one vectorized pass over the
+replicates still iterating, with a stacked solve of their p x p systems.
+Every replicate keeps its own iteration count, step halving, cycle cut and
+outcome, and leaves the stacked arrays when it converges or fails; the
+operations on a replicate's row do not depend on the other rows, so each
+fit is bit for bit the fit of that replicate alone. fit_gee is a block of
+one.
 """
 
 from __future__ import annotations
@@ -89,6 +98,11 @@ def alpha_bounds(max_cluster_size):
     return (-1.0 / (max_cluster_size - 1) + ALPHA_MARGIN, 1.0 - ALPHA_MARGIN)
 
 
+def _alpha_lower(max_sizes):
+    """Lower alpha bound per replicate (alpha_bounds' first entry), vectorized."""
+    return -1.0 / (np.maximum(max_sizes, 2) - 1) + ALPHA_MARGIN
+
+
 @dataclass
 class AlphaPhiEstimate:
     alpha: float
@@ -117,30 +131,63 @@ def estimate_alpha_phi(resid_sums, resid_sq_sums, sizes, n_params, max_cluster_s
     if max_cluster_size is None:
         max_cluster_size = int(sizes.max())
     # sum_{j<k} e_ij e_ik = ((sum_j e_ij)^2 - sum_j e_ij^2) / 2
-    return _alpha_phi(
-        float(squares.sum()),
-        float((sums * sums - squares).sum()) / 2.0,
-        int(sizes.sum()),
-        int((sizes * (sizes - 1) // 2).sum()),
-        n_params,
-        alpha_bounds(max_cluster_size),
+    alpha, phi, clamped = _alpha_phi(
+        squares.sum(keepdims=True),
+        (sums * sums - squares).sum(keepdims=True) / 2.0,
+        *_moment_terms(sizes[None], n_params),
+        _alpha_lower(np.array([max_cluster_size])),
     )
+    return AlphaPhiEstimate(alpha=float(alpha[0]), phi=float(phi[0]), clamped=bool(clamped[0]))
 
 
-def _alpha_phi(square_sum, cross_sum, n_obs, n_pairs, n_params, bounds):
-    """(alpha, phi) from sum_ij e_ij^2 and sum_i sum_{j<k} e_ij e_ik."""
-    phi = square_sum / (n_obs - n_params)
-    if n_pairs == 0:
-        return AlphaPhiEstimate(alpha=0.0, phi=phi)
-    pair_denom = n_pairs - n_params
-    if pair_denom <= 0 or phi <= 0.0:
-        # too few within-cluster pairs to identify alpha
-        return AlphaPhiEstimate(alpha=0.0, phi=phi, clamped=True)
+def _moment_terms(m, n_params):
+    """Per replicate, the constants of the moment estimators from the sizes (R, N).
 
-    alpha_raw = (cross_sum / pair_denom) / phi
-    lo, hi = bounds
-    alpha = min(max(alpha_raw, lo), hi)
-    return AlphaPhiEstimate(alpha=alpha, phi=phi, clamped=(alpha != alpha_raw))
+    Returns (obs_df, pair_df, pairs_ok, has_pairs): the denominators
+    sum m_i - p and sum m_i (m_i - 1)/2 - p (the second 1 where it is not
+    positive, so that dividing by it is safe), whether alpha is
+    identifiable from the pairs, and whether there are pairs at all.
+    """
+    obs_df = m.sum(axis=1) - n_params
+    pair_df = (m * (m - 1) // 2).sum(axis=1) - n_params
+    pairs_ok = pair_df > 0
+    return obs_df, np.where(pairs_ok, pair_df, 1), pairs_ok, pair_df > -n_params
+
+
+def _alpha_phi(square_sum, cross_sum, obs_df, pair_df, pairs_ok, has_pairs, lower):
+    """Per replicate (alpha, phi, clamped) from sum_ij e_ij^2 and sum_i sum_{j<k} e_ij e_ik.
+
+    Without within-cluster pairs alpha is 0; with too few pairs to identify
+    it (or no spread, phi <= 0) alpha is 0 and counts as clamped.
+    """
+    phi = square_sum / obs_df
+    ok = pairs_ok & ~(phi <= 0.0)
+    identified = ok.all()
+    alpha_raw = cross_sum / pair_df / (phi if identified else np.where(ok, phi, 1.0))
+    alpha = np.minimum(np.maximum(alpha_raw, lower), 1.0 - ALPHA_MARGIN)
+    clamped = alpha != alpha_raw
+    if identified:
+        return alpha, phi, clamped
+    return np.where(ok, alpha, 0.0), phi, (clamped | ~ok) & has_pairs
+
+
+def _initial_beta(arm, m, s, spec):
+    """Starting coefficients per replicate, (R, p); see initialize_beta."""
+    events = _group_sums(s, arm, 2)
+    n_arm = _group_sums(m, arm, 2)
+    n_obs = m.sum(axis=1)
+    props = events / n_arm
+    pooled = (events[:, 0] + events[:, 1]) / n_obs
+
+    if spec.family is not Family.GAUSSIAN:
+        floor = 0.5 / n_obs
+        props = np.minimum(np.maximum(props, floor[:, None]), 1.0 - floor[:, None])
+        pooled = np.minimum(np.maximum(pooled, floor), 1.0 - floor)
+
+    if spec.mean_model is MeanModel.INTERCEPT_ONLY:
+        return link_apply(spec.link, pooled)[:, None]
+    g = link_apply(spec.link, props)
+    return np.stack([g[:, 0], g[:, 1] - g[:, 0]], axis=1)
 
 
 def initialize_beta(arm, m, s, spec):
@@ -151,23 +198,8 @@ def initialize_beta(arm, m, s, spec):
     zero (or all) events; the Gaussian family starts from the raw
     proportions.
     """
-    events = np.bincount(arm, weights=s, minlength=2)
-    n_arm = np.bincount(arm, weights=m, minlength=2)
-    n_obs = int(m.sum())
-    p0 = float(events[0]) / float(n_arm[0])
-    p1 = float(events[1]) / float(n_arm[1])
-    pooled = float(events[0] + events[1]) / n_obs
-
-    if spec.family is not Family.GAUSSIAN:
-        floor = 0.5 / n_obs
-        clamp = lambda x: min(max(x, floor), 1.0 - floor)
-        p0, p1, pooled = clamp(p0), clamp(p1), clamp(pooled)
-
-    if spec.mean_model is MeanModel.INTERCEPT_ONLY:
-        return np.array([float(link_apply(spec.link, pooled))])
-    g0 = float(link_apply(spec.link, p0))
-    g1 = float(link_apply(spec.link, p1))
-    return np.array([g0, g1 - g0])
+    return _initial_beta(np.asarray(arm), np.asarray(m)[None], np.asarray(s, dtype=float)[None],
+                         spec)[0]
 
 
 def _design_rows(arm, n_params):
@@ -178,31 +210,326 @@ def _design_rows(arm, n_params):
     return x
 
 
+def _group_eta(beta):
+    """Group linear predictors x_g' beta, (R, G), for x_g = (1, 0), (1, 1), or (1,)."""
+    eta = beta.copy()
+    if eta.shape[1] == 2:
+        eta[:, 1] += beta[:, 0]
+    return eta
+
+
+def _group_sums(values, group, n_groups):
+    """Per row of `values` (R, N), the sums over the clusters of each group, (R, G).
+
+    One bincount over row-major keys adds each bin's entries in cluster
+    order, as a bincount of the row alone would.
+    """
+    n_rep = len(values)
+    keys = (n_groups * np.arange(n_rep)[:, None] + group).ravel()
+    sums = np.bincount(keys, weights=values.ravel(), minlength=n_groups * n_rep)
+    return sums.reshape(n_rep, n_groups)
+
+
+def _solve(B, U):
+    """Stacked Newton steps B_r^{-1} U_r and the rows whose B_r LAPACK finds singular.
+
+    One stacked solve; only when it raises is each matrix solved alone, so
+    that a singular matrix fails its own replicate and no other.
+    """
+    try:
+        return np.linalg.solve(B, U[..., None])[..., 0], np.zeros(len(B), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    delta = np.zeros_like(U)
+    singular = np.zeros(len(B), dtype=bool)
+    for k in range(len(B)):
+        try:
+            delta[k] = np.linalg.solve(B[k], U[k])
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return delta, singular
+
+
+@dataclass
+class FitBlock:
+    """Converged fits of one working model to a block of replicates.
+
+    A block shares its clusters' arms; `rows` lists the replicates (their
+    positions in the block) whose fit converged, and `errors` maps every
+    other position to its NonConvergenceError. Per-replicate arrays have
+    one entry (or row) per converged replicate, in `rows` order, and the
+    per-cluster arrays one column per cluster, in trial order.
+    """
+
+    spec: ModelSpec
+    arm: np.ndarray          # (N,) arm label
+    x: np.ndarray            # (N, p) covariate rows x_i
+    rows: np.ndarray         # (R,) positions of the converged replicates
+    errors: dict             # position -> NonConvergenceError
+    beta: np.ndarray         # (R, p)
+    alpha: np.ndarray        # (R,)
+    phi: np.ndarray          # (R,)
+    clamped: np.ndarray      # (R,) alpha was clamped at some iteration
+    iterations: np.ndarray   # (R,)
+    score_norm: np.ndarray   # (R,)
+    m: np.ndarray            # (R, N) cluster sizes m_i
+    s: np.ndarray            # (R, N) event counts s_i
+    w: np.ndarray            # (R, N) working weights
+    u: np.ndarray            # (R, N) scores
+    h: np.ndarray            # (R, N) leverages w_i / W_arm(i)
+    info_sum: np.ndarray     # (R, p, p) bread B
+
+    @property
+    def n_params(self):
+        return self.x.shape[1]
+
+
+def fit_block(
+    arm,
+    m,
+    s,
+    spec,
+    corr=None,
+    *,
+    max_iter=50,
+    beta_tol=1e-8,
+    score_tol=1e-4,
+    max_step_halvings=10,
+):
+    """Fit the marginal model by Fisher scoring to every replicate of a block.
+
+    `arm` (N,) holds the clusters' arms, shared by the block; `m` and `s`
+    (R, N) hold each replicate's cluster sizes and event counts. Each
+    replicate keeps its own iteration count, step halving, cycle cut and
+    outcome; a replicate that leaves the loop (converged or failed) drops
+    out of the stacked arrays, and no replicate's arithmetic depends on
+    the others, so every fit equals the fit of its replicate alone.
+
+    A replicate fails (an entry in `errors`) when the iteration or
+    step-halving budget is exhausted, the information matrix is singular
+    or not finite, or the final score fails the first-order condition; the
+    error carries the iteration count, the last coefficient vector and a
+    reason tag, which simulation code counts as the convergence outcome.
+    """
+    if corr is None:
+        corr = WorkingCorrelation.exchangeable()
+    arm = np.asarray(arm, dtype=int)
+    m = np.asarray(m)
+    s = np.asarray(s, dtype=float)
+    n_rep = len(m)
+    lower = _alpha_lower(m.max(axis=1))
+    estimate_corr = corr.kind is CorrelationKind.EXCHANGEABLE and corr.alpha is None
+    if corr.alpha is not None and corr.alpha != 0.0:
+        outside = (corr.alpha < lower) | (corr.alpha > 1.0 - ALPHA_MARGIN)
+        if outside.any():
+            lo = lower[np.flatnonzero(outside)[0]]
+            raise UsageError(
+                f"fixed alpha {corr.alpha} outside the valid range "
+                f"[{lo:.6g}, {1.0 - ALPHA_MARGIN:.6g}]"
+            )
+
+    link, family = spec.link, spec.family
+    p = spec.n_params
+    x = _design_rows(arm, p)
+    xt = x.T
+    # mu, d and v are constant within a group (an arm; the whole trial for
+    # the intercept-only model): they are computed per group and read per
+    # cluster through `group`
+    group = arm if p == 2 else np.zeros_like(arm)
+    sizes = m
+    m = m.astype(float)
+    # per-replicate constants: sizes, m_i - 1, events, moment terms, alpha bound
+    consts = [m, m - 1.0, s, *_moment_terms(sizes, p), lower]
+
+    def alpha_phi(mu, v, mu_c, m_mu, resid, m, m1, s, *terms):
+        # per cluster: e_i = sum_j e_ij and q_i = sum_j e_ij^2
+        e = resid / np.sqrt(v)[:, group]
+        q = (s * (1.0 - 2.0 * mu)[:, group] + m_mu * mu_c) / v[:, group]
+        return _alpha_phi(q.sum(axis=1), (e * e - q).sum(axis=1) / 2.0, *terms)
+
+    def weights_scores(d, v, resid, alpha, m, m1):
+        denom = 1.0 + m1 * alpha[:, None]
+        return (d * d / v)[:, group] * (m / denom), (d / v)[:, group] * (resid / denom)
+
+    errors = {}
+    done_at = np.zeros(n_rep, dtype=int)
+    # beta, eta, alpha and clamped of each replicate when it converged
+    final = [np.zeros((n_rep, p)), np.zeros((n_rep, p)), np.zeros(n_rep), np.zeros(n_rep, bool)]
+
+    # the replicates still iterating (`live`) and their state, compacted as
+    # replicates leave
+    live = np.arange(n_rep)
+    beta = _initial_beta(arm, m, s, spec)
+    eta = _group_eta(beta)
+    mu = link_inverse(link, eta)
+    alpha = np.full(n_rep, 0.0 if corr.alpha is None else float(corr.alpha))
+    clamped = np.zeros(n_rep, dtype=bool)
+    # each step is a function of beta alone, so an iterate that repeats
+    # bit for bit starts a cycle that can neither converge nor fail
+    # differently: it is cut short, reporting the iterate the cycle holds at
+    # max_iter. history[k, i] holds the bits of live replicate k's iterate i.
+    history = np.zeros((n_rep, max_iter + 1, p), dtype=np.int64)
+    history[:, 0] = beta.view(np.int64)
+
+    def leave(rows, reason, betas, iterations):
+        for k in rows:
+            errors[int(live[k])] = NonConvergenceError(reason, iterations, betas[k])
+        staying[rows] = False
+
+    for it in range(1, max_iter + 1):
+        if live.size == 0:
+            break
+        staying = np.ones(live.size, dtype=bool)
+        lm, lm1, ls = consts[:3]
+        d = link_mu_deriv(link, eta)
+        v = variance_function(family, mu)
+        mu_c = mu[:, group]
+        m_mu = lm * mu_c
+        resid = ls - m_mu
+        if estimate_corr:
+            alpha, _, now_clamped = alpha_phi(mu, v, mu_c, m_mu, resid, *consts)
+            clamped = clamped | now_clamped
+
+        w, u = weights_scores(d, v, resid, alpha, lm, lm1)
+        B = np.matmul(xt, w[:, :, None] * x)
+        U = np.matmul(xt, u[:, :, None])[:, :, 0]
+        if np.isfinite(B).all() and np.isfinite(U).all():
+            step, singular = _solve(B, U)
+        else:
+            finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(U).all(axis=1)
+            leave(np.flatnonzero(~finite), "numerical_breakdown", beta, it)
+            step = np.zeros_like(beta)
+            singular = np.zeros(live.size, dtype=bool)
+            step[finite], singular[finite] = _solve(B[finite], U[finite])
+        if singular.any():
+            leave(np.flatnonzero(singular), "singular_information", beta, it)
+
+        # step halving, per replicate, until its means are valid
+        trial_eta = _group_eta(beta + step)
+        trial_mu = link_inverse(link, trial_eta)
+        todo = staying & ~mean_in_range(family, trial_mu, axis=1)
+        eta, mu = trial_eta, trial_mu
+        if todo.any():
+            todo = np.flatnonzero(todo)
+            for _ in range(max_step_halvings):
+                step[todo] = step[todo] / 2.0
+                trial_eta = _group_eta(beta[todo] + step[todo])
+                trial_mu = link_inverse(link, trial_eta)
+                ok = mean_in_range(family, trial_mu, axis=1)
+                eta[todo[ok]], mu[todo[ok]] = trial_eta[ok], trial_mu[ok]
+                todo = todo[~ok]
+                if todo.size == 0:
+                    break
+            leave(todo, "step_halving_exhausted", beta, it)
+
+        beta = beta + step
+        if not np.isfinite(beta).all():
+            leave(np.flatnonzero(staying & ~np.isfinite(beta).all(axis=1)),
+                  "numerical_breakdown", beta, it)
+        converged = staying & (np.abs(step).max(axis=1) < beta_tol)
+        bits = beta.view(np.int64)
+        seen = (history[:, :it] == bits[:, None, :]).all(axis=2)
+        history[:, it] = bits
+        repeated = seen.any(axis=1)
+        if repeated.any():
+            for k in np.flatnonzero(staying & ~converged & repeated):
+                first = int(seen[k].argmax())
+                cycle = history[k, first + (max_iter - first) % (it - first)]
+                leave([k], "max_iterations", {k: cycle.view(float)}, max_iter)
+        if converged.any():
+            rows = live[converged]
+            done_at[rows] = it
+            for out, value in zip(final, (beta, eta, alpha, clamped)):
+                out[rows] = value[converged]
+            staying &= ~converged
+
+        if not staying.all():
+            live, beta, eta, mu = live[staying], beta[staying], eta[staying], mu[staying]
+            alpha, clamped, history = alpha[staying], clamped[staying], history[staying]
+            consts = [c[staying] for c in consts]
+
+    for k, r in enumerate(live):
+        errors[int(r)] = NonConvergenceError("max_iterations", max_iter, beta[k])
+
+    # at each converged beta: refresh (alpha, phi), then verify the
+    # first-order condition
+    rows = np.flatnonzero(done_at)
+    beta, eta, alpha, clamped = (f[rows] for f in final)
+    consts = [c[rows] for c in (m, m - 1.0, s, *_moment_terms(sizes, p), lower)]
+    mu = link_inverse(link, eta)
+    d = link_mu_deriv(link, eta)
+    v = variance_function(family, mu)
+    mu_c = mu[:, group]
+    m_mu = consts[0] * mu_c
+    resid = consts[2] - m_mu
+    est_alpha, phi, now_clamped = alpha_phi(mu, v, mu_c, m_mu, resid, *consts)
+    if estimate_corr:
+        alpha = est_alpha
+        clamped = clamped | now_clamped
+    w, u = weights_scores(d, v, resid, alpha, *consts[:2])
+    score_norm = np.abs(np.matmul(xt, u[:, :, None])[:, :, 0]).max(axis=1)
+    failed = score_norm >= score_tol
+    for k in np.flatnonzero(failed):
+        r = int(rows[k])
+        errors[r] = NonConvergenceError("score_condition_failed", int(done_at[r]), beta[k])
+    keep = ~failed
+    rows, w = rows[keep], w[keep]
+    return FitBlock(
+        spec=spec,
+        arm=arm,
+        x=x,
+        rows=rows,
+        errors=errors,
+        beta=beta[keep],
+        alpha=alpha[keep],
+        phi=phi[keep],
+        clamped=clamped[keep],
+        iterations=done_at[rows],
+        score_norm=score_norm[keep],
+        m=sizes[rows],
+        s=s[rows],
+        w=w,
+        u=u[keep],
+        h=w / _group_sums(w, group, p)[:, group],
+        info_sum=np.matmul(xt, w[:, :, None] * x),
+    )
+
+
+def _first_row(name, convert=None, doc=None):
+    """A GeeFit property reading the first (only) replicate of its block."""
+    def get(self):
+        value = getattr(self.block, name)[0]
+        return value if convert is None else convert(value)
+    return property(get, doc=doc)
+
+
 @dataclass
 class GeeFit:
-    """A converged GEE fit and the per-cluster arrays every estimator reads.
+    """A converged GEE fit: a FitBlock of one replicate and the trial it fits.
 
-    Arrays hold one entry (or row) per cluster, in dataset order.
+    Per-cluster arrays hold one entry (or row) per cluster, in dataset order.
     """
 
     data: TrialDataset
-    spec: ModelSpec
     corr: WorkingCorrelation
-    beta: np.ndarray
-    alpha_hat: float
-    phi_hat: float
-    converged: bool
-    iterations: int
-    score_norm: float
-    alpha_clamped: bool
-    arm: np.ndarray        # arm label
-    m: np.ndarray          # cluster size m_i
-    s: np.ndarray          # event count s_i = sum_j y_ij
-    x: np.ndarray          # covariate rows x_i, (N, p)
-    w: np.ndarray          # working weight: D_i' V_i^{-1} D_i = w_i x_i x_i'
-    u: np.ndarray          # score: D_i' V_i^{-1} (y_i - mu_i) = u_i x_i
-    h: np.ndarray          # leverage w_i / W_arm(i)
-    info_sum: np.ndarray   # B = sum_i w_i x_i x_i'
+    block: FitBlock
+
+    spec = property(lambda self: self.block.spec)
+    x = property(lambda self: self.block.x, doc="covariate rows x_i, (N, p)")
+    arm = property(lambda self: self.block.arm, doc="arm label")
+    beta = _first_row("beta")
+    alpha_hat = _first_row("alpha", float)
+    phi_hat = _first_row("phi", float)
+    iterations = _first_row("iterations", int)
+    score_norm = _first_row("score_norm", float)
+    alpha_clamped = _first_row("clamped", bool)
+    m = _first_row("m", doc="cluster size m_i")
+    s = _first_row("s", doc="event count s_i = sum_j y_ij")
+    w = _first_row("w", doc="working weight: D_i' V_i^{-1} D_i = w_i x_i x_i'")
+    u = _first_row("u", doc="score: D_i' V_i^{-1} (y_i - mu_i) = u_i x_i")
+    h = _first_row("h", doc="leverage w_i / W_arm(i)")
+    info_sum = _first_row("info_sum", doc="B = sum_i w_i x_i x_i'")
+    converged = True
 
     @property
     def n_clusters(self):
@@ -233,7 +560,7 @@ def fit_gee(
     score_tol=1e-4,
     max_step_halvings=10,
 ):
-    """Fit the marginal model by Fisher scoring.
+    """Fit the marginal model by Fisher scoring: a block of one replicate.
 
     Raises
     ------
@@ -247,135 +574,10 @@ def fit_gee(
     if corr is None:
         corr = WorkingCorrelation.exchangeable()
     arm = np.array([c.arm for c in data.clusters], dtype=int)
-    m = np.array([c.size for c in data.clusters])
-    s = np.array([c.outcomes.sum() for c in data.clusters])
-    m_max = int(m.max())
-    estimate_corr = corr.kind is CorrelationKind.EXCHANGEABLE and corr.alpha is None
-    if corr.alpha is not None and corr.alpha != 0.0:
-        lo, hi = alpha_bounds(m_max)
-        if not lo <= corr.alpha <= hi:
-            raise UsageError(
-                f"fixed alpha {corr.alpha} outside the valid range [{lo:.6g}, {hi:.6g}]"
-            )
-
-    p = spec.n_params
-    x = _design_rows(arm, p)
-    beta = initialize_beta(arm, m, s, spec)
-    alpha = 0.0 if corr.alpha is None else float(corr.alpha)
-    clamped_any = False
-
-    # mu, d and v are constant within a group (an arm; the whole trial for
-    # the intercept-only model): they are computed per group, xg holding
-    # each group's covariate row, and read per cluster through `group`
-    group = arm if p == 2 else np.zeros_like(arm)
-    xg = _design_rows(np.arange(p), p)
-    n_obs, n_pairs = int(m.sum()), int((m * (m - 1) // 2).sum())
-    bounds = alpha_bounds(m_max)
-    m_minus_1 = m - 1
-
-    def residuals(mu):
-        """Per cluster: mu_i, m_i mu_i and the residual total s_i - m_i mu_i."""
-        mu_c = mu[group]
-        m_mu = m * mu_c
-        return mu_c, m_mu, s - m_mu
-
-    def alpha_phi(mu, v, mu_c, m_mu, resid):
-        # per cluster: e_i = sum_j e_ij and q_i = sum_j e_ij^2
-        e = resid / np.sqrt(v)[group]
-        q = (s * (1.0 - 2.0 * mu)[group] + m_mu * mu_c) / v[group]
-        return _alpha_phi(float(q.sum()), float((e * e - q).sum()) / 2.0, n_obs, n_pairs, p,
-                          bounds)
-
-    def weights_scores(d, v, resid, alpha):
-        denom = 1.0 + m_minus_1 * alpha
-        return (d * d / v)[group] * (m / denom), (d / v)[group] * (resid / denom)
-
-    eta = xg @ beta
-    mu = link_inverse(spec.link, eta)
-    # each step is a function of beta alone, so an iterate that repeats
-    # exactly starts a cycle that can neither converge nor fail differently:
-    # it is cut short, reporting the iterate the cycle holds at max_iter
-    iterates = [beta]
-    first_seen = {beta.tobytes(): 0}
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        d = link_mu_deriv(spec.link, eta)
-        v = variance_function(spec.family, mu)
-        mu_c, m_mu, resid = residuals(mu)
-        if estimate_corr:
-            est = alpha_phi(mu, v, mu_c, m_mu, resid)
-            alpha = est.alpha
-            clamped_any = clamped_any or est.clamped
-
-        w, u = weights_scores(d, v, resid, alpha)
-        B = x.T @ (w[:, None] * x)
-        U = x.T @ u
-        if not (np.isfinite(B).all() and np.isfinite(U).all()):
-            raise NonConvergenceError("numerical_breakdown", iterations, beta)
-        try:
-            delta = np.linalg.solve(B, U)
-        except np.linalg.LinAlgError:
-            raise NonConvergenceError("singular_information", iterations, beta) from None
-
-        step = delta
-        halvings = 0
-        while True:
-            eta = xg @ (beta + step)
-            mu = link_inverse(spec.link, eta)
-            if mean_in_range(spec.family, mu):
-                break
-            if halvings >= max_step_halvings:
-                raise NonConvergenceError("step_halving_exhausted", iterations, beta)
-            step = step / 2.0
-            halvings += 1
-        beta = beta + step
-        if not np.isfinite(beta).all():
-            raise NonConvergenceError("numerical_breakdown", iterations, beta)
-        if float(np.abs(step).max()) < beta_tol:
-            converged = True
-            break
-        first = first_seen.setdefault(beta.tobytes(), iterations)
-        if first < iterations:
-            beta = iterates[first + (max_iter - first) % (iterations - first)]
-            iterations = max_iter
-            break
-        iterates.append(beta)
-
-    if not converged:
-        raise NonConvergenceError("max_iterations", iterations, beta)
-
-    # at the converged beta: refresh (alpha, phi), then verify the
-    # first-order condition
-    d = link_mu_deriv(spec.link, eta)
-    v = variance_function(spec.family, mu)
-    mu_c, m_mu, resid = residuals(mu)
-    est = alpha_phi(mu, v, mu_c, m_mu, resid)
-    if estimate_corr:
-        alpha = est.alpha
-        clamped_any = clamped_any or est.clamped
-    w, u = weights_scores(d, v, resid, alpha)
-    score_norm = float(np.max(np.abs(x.T @ u)))
-    if score_norm >= score_tol:
-        raise NonConvergenceError("score_condition_failed", iterations, beta)
-
-    return GeeFit(
-        data=data,
-        spec=spec,
-        corr=corr,
-        beta=beta,
-        alpha_hat=float(alpha),
-        phi_hat=float(est.phi),
-        converged=True,
-        iterations=iterations,
-        score_norm=score_norm,
-        alpha_clamped=clamped_any,
-        arm=arm,
-        m=m,
-        s=s,
-        x=x,
-        w=w,
-        u=u,
-        h=w / np.bincount(group, weights=w)[group],
-        info_sum=x.T @ (w[:, None] * x),
-    )
+    m = np.array([[c.size for c in data.clusters]])
+    s = np.array([[c.outcomes.sum() for c in data.clusters]])
+    block = fit_block(arm, m, s, spec, corr, max_iter=max_iter, beta_tol=beta_tol,
+                      score_tol=score_tol, max_step_halvings=max_step_halvings)
+    if block.errors:
+        raise block.errors[0]
+    return GeeFit(data=data, corr=corr, block=block)

@@ -1,10 +1,19 @@
-"""Wald t-inference for the arm effect on link and effect-measure scales."""
+"""Wald t-inference for the arm effect on link and effect-measure scales.
+
+`wald_inference` reports one fit in full (t, p-value, intervals on both
+scales). The Monte Carlo path needs only each fit's standard error and
+test decision: `wald_reject` forms both for a block of fits, rejecting
+where |t| exceeds the cached t_{N-p} critical value, and computes no
+p-values.
+"""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateVarianceError, UsageError
 from .families import Link, MeanModel
@@ -112,3 +121,20 @@ def wald_inference(fit, var, measure=None, alpha_level=0.05):
         alpha_level=alpha_level,
         estimator_kind=var.kind,
     )
+
+
+def wald_reject(beta1, cov11, df, alpha_level=0.05):
+    """Standard errors and two-sided Wald t decisions for a block of fits.
+
+    `beta1` and `cov11` hold each fit's arm coefficient and its variance.
+    A fit rejects where |beta1 / se| > t_crit, the upper alpha_level/2
+    quantile of t with `df` degrees of freedom. Returns (se, reject,
+    degenerate): `degenerate` marks variances that are not positive, where
+    Wald inference is undefined, se is NaN and the fit does not reject.
+    """
+    if not 0.0 < alpha_level < 1.0:
+        raise UsageError(f"alpha_level must lie in (0, 1), got {alpha_level}")
+    t_crit = student_t_quantile(alpha_level / 2.0, df)
+    degenerate = ~(cov11 > 0.0)
+    se = np.sqrt(np.where(degenerate, np.nan, cov11))
+    return se, np.abs(beta1 / se) > t_crit, degenerate

@@ -21,6 +21,11 @@ s_i by sqrt(1 - min(r, h_i)). MBN (Morel, Bokossa & Neerchal, Biom. J.
 2003) adds an inflation term to the robust matrix instead. Sums are kept
 unnormalized; the N-normalized textbook writing differs only by
 cancelling factors of N.
+
+estimate_block forms every requested kind for a block of converged fits at
+once, as (R, p, p) stacks, and records each replicate's failure (a
+singular bread, a leverage at 1) without stopping the others;
+compute_estimates is a block of one that raises the failure instead.
 """
 
 from __future__ import annotations
@@ -91,55 +96,162 @@ class CorrectionContext:
         return total - np.eye(total.shape[0])
 
 
-def _bread_inverse(fit):
-    B = fit.info_sum
+def _bread_inverses(info_sum):
+    """B^{-1} per replicate, (R, p, p), and each failing replicate's SingularityError."""
+    errors = {}
     try:
-        Binv = np.linalg.inv(B)
+        binv = np.linalg.inv(info_sum)
     except np.linalg.LinAlgError:
-        raise SingularityError("bread matrix sum_i D'V^{-1}D is singular") from None
-    if not np.all(np.isfinite(Binv)):
-        raise SingularityError("bread matrix inverse is not finite")
-    return Binv
+        binv = np.full_like(info_sum, np.nan)
+        for k, B in enumerate(info_sum):
+            try:
+                binv[k] = np.linalg.inv(B)
+            except np.linalg.LinAlgError:
+                errors[k] = SingularityError("bread matrix sum_i D'V^{-1}D is singular")
+    for k in np.flatnonzero(~np.isfinite(binv).all(axis=(1, 2))):
+        errors.setdefault(int(k), SingularityError("bread matrix inverse is not finite"))
+    return binv, errors
 
 
 def correction_context(fit, fg_bound=DEFAULT_FG_BOUND):
     """Collect the fit's leverages and the inverse bread for the corrections."""
     if not 0.0 < fg_bound <= 1.0:
         raise UsageError(f"FG bound must lie in (0, 1], got {fg_bound}")
-    return CorrectionContext(
-        h=fit.h, x=fit.x, binv=_bread_inverse(fit), r=fg_bound, q_max=float(fit.h.max())
+    binv, errors = _bread_inverses(fit.info_sum[None])
+    if errors:
+        raise errors[0]
+    return CorrectionContext(h=fit.h, x=fit.x, binv=binv[0], r=fg_bound, q_max=float(fit.h.max()))
+
+
+def _sym(cov):
+    return (cov + np.swapaxes(cov, -1, -2)) / 2.0
+
+
+def _first_bad(bad, cluster_ids):
+    """Per replicate with a bad cluster: (its position, the first bad cluster's id)."""
+    for k in np.flatnonzero(bad.any(axis=1)):
+        i = int(np.flatnonzero(bad[k])[0])
+        yield int(k), i if cluster_ids is None else cluster_ids[i]
+
+
+def _sandwich(binv, scores):
+    """B^{-1} (sum_i t_i t_i') B^{-1}, symmetrized, for stacked scores t (R, N, p)."""
+    return _sym(binv @ (np.swapaxes(scores, -1, -2) @ scores) @ binv)
+
+
+def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids=None):
+    """Covariance estimates of every requested kind for a block of converged fits.
+
+    `fits` is a gee.FitBlock. Returns (covs, diagnostics, errors), each a
+    dict keyed by kind: covs[kind] is (R, p, p) with NaN rows where the
+    estimate failed, diagnostics[kind] maps a diagnostic name to an (R,)
+    array, and errors[kind] maps a failing replicate's position among the
+    fits to its exception (a CorrectionSingularityError names the first
+    offending cluster by its id in `cluster_ids`, or its position). AVG
+    implies KC and MD, which are returned when requested or implied.
+    """
+    want = set(kinds)
+    sandwich_kinds = [k for k in MULTIPLICATIVE_KINDS if k in want]
+    if EstimatorKind.AVG in want:
+        sandwich_kinds += [k for k in (EstimatorKind.KC, EstimatorKind.MD)
+                           if k not in sandwich_kinds]
+    if sandwich_kinds and not 0.0 < fg_bound <= 1.0:
+        raise UsageError(f"FG bound must lie in (0, 1], got {fg_bound}")
+
+    n_clusters = fits.x.shape[0]
+    binv, bread_errors = _bread_inverses(fits.info_sum)
+    scores = fits.u[:, :, None] * fits.x
+    covs, diagnostics, errors = {}, {}, {}
+    q_max = fits.h.max(axis=1)
+
+    for kind in sandwich_kinds:
+        errs = dict(bread_errors)
+        t = scores
+        if kind in (EstimatorKind.KC, EstimatorKind.MD):
+            gaps = 1.0 - fits.h                    # eigenvalue of I - Q_i along x_i
+            bad = gaps <= 1e-14
+            if bad.any():
+                for k, cid in _first_bad(bad, cluster_ids):
+                    errs.setdefault(k, CorrectionSingularityError(
+                        cid, kind.name, f"I - Q_i eigenvalue {float(gaps[k].min()):.3g}"))
+                gaps = np.where(bad, 1.0, gaps)
+            power = -0.5 if kind is EstimatorKind.KC else -1.0
+            t = scores * (gaps ** power)[:, :, None]
+        elif kind is EstimatorKind.FG:
+            factors = 1.0 - np.minimum(fg_bound, fits.h)
+            bad = factors <= 0.0
+            if bad.any():
+                for k, cid in _first_bad(bad, cluster_ids):
+                    errs.setdefault(k, CorrectionSingularityError(
+                        cid, "FG", "capped diagonal reached 1"))
+                factors = np.where(bad, 1.0, factors)
+            # diag(Q_i) is h_i at the coordinate of the cluster's arm, 0 elsewhere
+            col = fits.arm if fits.n_params == 2 else 0
+            t = scores.copy()
+            t[:, np.arange(n_clusters), col] /= np.sqrt(factors)
+        covs[kind] = _sandwich(binv, t)
+        diagnostics[kind] = {"q_max": q_max}
+        errors[kind] = errs
+
+    if EstimatorKind.MB in want:
+        covs[EstimatorKind.MB] = _sym(fits.phi[:, None, None] * binv)
+        diagnostics[EstimatorKind.MB] = {}
+        errors[EstimatorKind.MB] = dict(bread_errors)
+
+    if EstimatorKind.MBN in want:
+        # cov = c V_robust + delta_N phi_mbn B^{-1}, with
+        # c = ((sum m_i - 1)/(sum m_i - 2)) (N/(N-1)), delta_N = min(0.5, 2/(N-2))
+        # and phi_mbn = max(1, trace(c B^{-1} sum_i s_i s_i') / p)
+        kind = EstimatorKind.MBN
+        if n_clusters <= 2:
+            err = UnsupportedDesignError(f"MBN needs more than 2 clusters, got {n_clusters}")
+            errors[kind] = {k: err for k in range(len(binv))}
+            covs[kind] = np.full_like(binv, np.nan)
+            diagnostics[kind] = {}
+        else:
+            total_obs = fits.m.sum(axis=1)
+            c = (((total_obs - 1) / (total_obs - 2)) * (n_clusters / (n_clusters - 1)))
+            c = c[:, None, None]
+            delta = min(0.5, 2.0 / (n_clusters - 2))
+            meat = np.swapaxes(scores, -1, -2) @ scores
+            v_robust = binv @ meat @ binv
+            trace = np.trace(c * (binv @ meat), axis1=1, axis2=2)
+            phi_mbn = np.fmax(1.0, trace / fits.n_params)
+            covs[kind] = _sym(c * v_robust + (delta * phi_mbn)[:, None, None] * binv)
+            diagnostics[kind] = {"mbn_phi": phi_mbn}
+            errors[kind] = dict(bread_errors)
+
+    if EstimatorKind.AVG in want:
+        kc, md = EstimatorKind.KC, EstimatorKind.MD
+        covs[EstimatorKind.AVG] = (covs[kc] + covs[md]) / 2.0
+        diagnostics[EstimatorKind.AVG] = diagnostics[kc]
+        errors[EstimatorKind.AVG] = {**errors[md], **errors[kc]}
+
+    for kind, errs in errors.items():
+        for k in errs:
+            covs[kind][k] = np.nan
+    return covs, diagnostics, errors
+
+
+def compute_estimates(fit, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND):
+    """All requested estimates keyed by kind, as a block of one; AVG implies KC and MD.
+
+    Raises the first failing estimate's error, in the order the estimates
+    are formed: the sandwich kinds (bread, then KC, MD, FG corrections),
+    MB, MBN, AVG.
+    """
+    kinds = tuple(kinds)
+    covs, diagnostics, errors = estimate_block(
+        fit.block, kinds, fg_bound, cluster_ids=[c.id for c in fit.data.clusters]
     )
-
-
-def _first_cluster_id(fit, bad):
-    return fit.data.clusters[int(np.flatnonzero(bad)[0])].id
-
-
-def _corrected_scores(kind, fit, ctx):
-    """The scores u_i x_i scaled by the kind's leverage factor, (N, p)."""
-    scores = fit.scores
-    if kind is EstimatorKind.ROBUST:
-        return scores
-    if kind in (EstimatorKind.KC, EstimatorKind.MD):
-        gaps = 1.0 - ctx.h                             # eigenvalue of I - Q_i along x_i
-        if np.any(gaps <= 1e-14):
-            raise CorrectionSingularityError(
-                _first_cluster_id(fit, gaps <= 1e-14), kind.name,
-                f"I - Q_i eigenvalue {float(gaps.min()):.3g}",
-            )
-        power = -0.5 if kind is EstimatorKind.KC else -1.0
-        return scores * (gaps ** power)[:, None]
-    if kind is EstimatorKind.FG:
-        factors = 1.0 - np.minimum(ctx.r, ctx.h)
-        if np.any(factors <= 0.0):
-            raise CorrectionSingularityError(
-                _first_cluster_id(fit, factors <= 0.0), "FG", "capped diagonal reached 1"
-            )
-        # diag(Q_i) is h_i at the coordinate of the cluster's arm, 0 elsewhere
-        col = fit.arm if fit.n_params == 2 else 0
-        scores[np.arange(len(scores)), col] /= np.sqrt(factors)
-        return scores
-    raise UsageError(f"{kind} is not a sandwich-multiplier kind")
+    for errs in errors.values():
+        if errs:
+            raise errs[0]
+    out = {}
+    for kind in kinds:
+        diag = {name: float(values[0]) for name, values in diagnostics[kind].items()}
+        out[kind] = VarianceEstimate(kind=kind, cov=covs[kind][0], diagnostics=diag)
+    return out
 
 
 def robust_sandwich(fit, kinds=(EstimatorKind.ROBUST,), fg_bound=DEFAULT_FG_BOUND):
@@ -152,49 +264,17 @@ def robust_sandwich(fit, kinds=(EstimatorKind.ROBUST,), fg_bound=DEFAULT_FG_BOUN
     bad = [k for k in kinds if k not in MULTIPLICATIVE_KINDS]
     if bad:
         raise UsageError(f"robust_sandwich handles {MULTIPLICATIVE_KINDS}, got {bad}")
-    ctx = correction_context(fit, fg_bound)
-
-    out = []
-    for kind in kinds:
-        t = _corrected_scores(kind, fit, ctx)
-        cov = ctx.binv @ (t.T @ t) @ ctx.binv
-        cov = (cov + cov.T) / 2.0
-        out.append(VarianceEstimate(kind=kind, cov=cov, diagnostics={"q_max": ctx.q_max}))
-    return out
+    return list(compute_estimates(fit, kinds, fg_bound).values())
 
 
 def model_based(fit):
     """Working-model covariance phi * B^{-1}."""
-    Binv = _bread_inverse(fit)
-    cov = fit.phi_hat * Binv
-    return VarianceEstimate(kind=EstimatorKind.MB, cov=(cov + cov.T) / 2.0)
+    return compute_estimates(fit, (EstimatorKind.MB,))[EstimatorKind.MB]
 
 
 def mbn(fit):
-    """Additive-inflation correction of the robust sandwich.
-
-    cov = c * V_robust + delta_N * phi_mbn * B^{-1}, with
-    c = ((sum m_i - 1)/(sum m_i - 2)) * (N/(N-1)),
-    delta_N = min(0.5, 2/(N-2)), and
-    phi_mbn = max(1, trace(c B^{-1} sum_i s_i s_i') / p).
-    """
-    N = fit.n_clusters
-    if N <= 2:
-        raise UnsupportedDesignError(f"MBN needs more than 2 clusters, got {N}")
-    total_obs = int(fit.m.sum())
-    c = ((total_obs - 1) / (total_obs - 2)) * (N / (N - 1))
-    delta = min(0.5, 2.0 / (N - 2))
-
-    Binv = _bread_inverse(fit)
-    scores = fit.scores
-    meat = scores.T @ scores
-    v_robust = Binv @ meat @ Binv
-    p = fit.n_params
-    phi_mbn = max(1.0, float(np.trace(c * (Binv @ meat))) / p)
-
-    cov = c * v_robust + delta * phi_mbn * Binv
-    cov = (cov + cov.T) / 2.0
-    return VarianceEstimate(kind=EstimatorKind.MBN, cov=cov, diagnostics={"mbn_phi": phi_mbn})
+    """Additive-inflation correction of the robust sandwich (see estimate_block)."""
+    return compute_estimates(fit, (EstimatorKind.MBN,))[EstimatorKind.MBN]
 
 
 def avg(kc, md):
@@ -206,27 +286,3 @@ def avg(kc, md):
     cov = (kc.cov + md.cov) / 2.0
     diag = {"q_max": kc.diagnostics.get("q_max")}
     return VarianceEstimate(kind=EstimatorKind.AVG, cov=cov, diagnostics=diag)
-
-
-def compute_estimates(fit, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND):
-    """All requested estimates keyed by kind; AVG implies KC and MD."""
-    kinds = tuple(kinds)
-    want = set(kinds)
-    sandwich_kinds = [k for k in MULTIPLICATIVE_KINDS if k in want]
-    if EstimatorKind.AVG in want:
-        for k in (EstimatorKind.KC, EstimatorKind.MD):
-            if k not in sandwich_kinds:
-                sandwich_kinds.append(k)
-
-    got = {}
-    if sandwich_kinds:
-        for est in robust_sandwich(fit, sandwich_kinds, fg_bound):
-            got[est.kind] = est
-    if EstimatorKind.MB in want:
-        got[EstimatorKind.MB] = model_based(fit)
-    if EstimatorKind.MBN in want:
-        got[EstimatorKind.MBN] = mbn(fit)
-    if EstimatorKind.AVG in want:
-        got[EstimatorKind.AVG] = avg(got[EstimatorKind.KC], got[EstimatorKind.MD])
-
-    return {k: got[k] for k in kinds}

@@ -9,6 +9,16 @@ grid can run on several processes; results are always emitted in grid order
 and every replicate's RNG substream is keyed by (seed, scenario, replicate),
 which makes output files byte-identical at any parallelism.
 
+A cell's replicates run in blocks of BLOCK_REPLICATES through one engine
+(run_block): the block's cluster sizes and event counts are generated as
+(R, N) arrays, every working model is fit to all of them by one stacked
+Fisher-scoring loop, and every variance estimate is formed as an (R, p, p)
+stack. A fit rejects the null when |t| = |beta1 / SE| exceeds the upper
+alpha_level/2 quantile of t with N - 2 degrees of freedom, computed once
+per cell; no p-values are computed. Each replicate's outcome is bit for bit
+the one it has alone, so results depend on neither the block size nor the
+number of processes.
+
 Summaries are computed over converged replicates only: the empirical SD of
 the effect estimate (ddof=1), each estimator's mean SE and its percent bias
 against that SD, and the type I error rate at the 5% level with the
@@ -20,22 +30,22 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Scenario, generate_trial
-from .errors import (
-    CorrectionSingularityError,
-    DegenerateVarianceError,
-    NonConvergenceError,
-    SingularityError,
-    UnsupportedDesignError,
+from .datagen import Scenario, generate_block, trial_arms
+from .errors import UsageError
+from .families import Family, Link, MeanModel, ModelSpec
+from .gee import fit_block
+from .inference import wald_reject
+from .sandwich import (
+    ALL_KINDS,
+    DEFAULT_FG_BOUND,
+    MULTIPLICATIVE_KINDS,
+    EstimatorKind,
+    estimate_block,
 )
-from .families import Family, Link, ModelSpec
-from .gee import fit_gee
-from .inference import wald_inference
-from .sandwich import ALL_KINDS, DEFAULT_FG_BOUND, EstimatorKind, compute_estimates
 
 #: nominal test level and the acceptance band around it
 ALPHA_LEVEL = 0.05
@@ -50,6 +60,15 @@ ALL_MODELS = (
     ModelSpec(Family.POISSON, Link.IDENTITY),
     ModelSpec(Family.GAUSSIAN, Link.IDENTITY),
 )
+
+#: replicates generated and fit together by run_scenario; each replicate's
+#: outcome is the same in any block, so results do not depend on it. A block
+#: holds all its replicates' uniforms at once (8 bytes per observation), so
+#: the constant also bounds generation memory.
+BLOCK_REPLICATES = 100
+
+#: estimates whose diagnostics carry the largest leverage q_max
+_LEVERAGE_KINDS = frozenset((*MULTIPLICATIVE_KINDS, EstimatorKind.AVG))
 
 RESULT_COLUMNS = (
     "scenario_id",
@@ -110,17 +129,46 @@ class FactorialGrid:
 
 
 @dataclass
-class ModelReplicate:
-    """Outcome of one replicate under one working model."""
+class ModelBlock:
+    """One working model's outcomes on a block of replicates, one entry per replicate.
 
-    converged: bool
-    reason: str = None
-    beta1: float = None
-    alpha_clamped: bool = False
-    q_max: float = None
-    se: dict = field(default_factory=dict)
-    p: dict = field(default_factory=dict)
-    failures: dict = field(default_factory=dict)
+    A replicate whose fit failed has its reason, failing iteration and last
+    coefficients, NaN alpha and phi, and no estimates.
+    """
+
+    reason: tuple            # non-convergence reason; None for a converged fit
+    iterations: np.ndarray   # scoring iterations
+    beta: np.ndarray         # (R, p) coefficients (the last iterate of a failed fit)
+    alpha: np.ndarray        # working correlation
+    phi: np.ndarray          # dispersion
+    alpha_clamped: np.ndarray
+    q_max: np.ndarray        # largest leverage; NaN unless a leverage-based SE was evaluated
+    se: dict                 # kind -> (R,) arm-effect SE; NaN where not evaluated
+    reject: dict             # kind -> (R,) |t| > t_crit
+    failures: dict           # kind -> tuple of the estimate's error name, None if it has none
+
+    @property
+    def converged(self):
+        return np.array([r is None for r in self.reason], dtype=bool)
+
+    @classmethod
+    def concat(cls, blocks):
+        """The blocks' replicates in order, as one block."""
+        first = blocks[0]
+        if len(blocks) == 1:
+            return first
+        return cls(
+            reason=tuple(r for b in blocks for r in b.reason),
+            iterations=np.concatenate([b.iterations for b in blocks]),
+            beta=np.concatenate([b.beta for b in blocks]),
+            alpha=np.concatenate([b.alpha for b in blocks]),
+            phi=np.concatenate([b.phi for b in blocks]),
+            alpha_clamped=np.concatenate([b.alpha_clamped for b in blocks]),
+            q_max=np.concatenate([b.q_max for b in blocks]),
+            se={k: np.concatenate([b.se[k] for b in blocks]) for k in first.se},
+            reject={k: np.concatenate([b.reject[k] for b in blocks]) for k in first.reject},
+            failures={k: tuple(n for b in blocks for n in b.failures[k]) for k in first.failures},
+        )
 
 
 @dataclass(frozen=True)
@@ -150,67 +198,93 @@ class ScenarioResult:
     diagnostics: dict
 
 
+def _model_block(arm, m, s, model, kinds, fg_bound, alpha_level):
+    """Fit one working model to a block's (m, s), estimate and test: a ModelBlock."""
+    if model.mean_model is not MeanModel.INTERCEPT_PLUS_ARM:
+        raise UsageError("arm-effect inference needs the intercept + arm mean model")
+    n_rep = len(m)
+    fits = fit_block(arm, m, s, model)
+    rows = fits.rows
+    reason = [None] * n_rep
+    iterations = np.zeros(n_rep, dtype=int)
+    beta = np.zeros((n_rep, model.n_params))
+    for r, err in fits.errors.items():
+        reason[r], iterations[r], beta[r] = err.reason, err.iterations, err.last_beta
+    iterations[rows], beta[rows] = fits.iterations, fits.beta
+    alpha, phi, q_max = (np.full(n_rep, np.nan) for _ in range(3))
+    alpha[rows], phi[rows] = fits.alpha, fits.phi
+    clamped = np.zeros(n_rep, dtype=bool)
+    clamped[rows] = fits.clamped
+
+    covs, _, errors = estimate_block(fits, kinds, fg_bound)
+    df = len(arm) - model.n_params
+    leverage_evaluated = np.zeros(len(rows), dtype=bool)
+    se, reject, failures = {}, {}, {}
+    for kind in kinds:
+        kind_se, kind_reject, degenerate = wald_reject(
+            fits.beta[:, 1], covs[kind][:, 1, 1], df, alpha_level)
+        names = [None] * n_rep
+        for k in np.flatnonzero(degenerate):
+            err = errors[kind].get(k)
+            names[rows[k]] = "DegenerateVarianceError" if err is None else type(err).__name__
+        if kind in _LEVERAGE_KINDS:
+            leverage_evaluated |= ~degenerate
+        se[kind] = np.full(n_rep, np.nan)
+        se[kind][rows] = kind_se
+        reject[kind] = np.zeros(n_rep, dtype=bool)
+        reject[kind][rows] = kind_reject
+        failures[kind] = tuple(names)
+    q_max[rows[leverage_evaluated]] = fits.h[leverage_evaluated].max(axis=1)
+    return ModelBlock(reason=tuple(reason), iterations=iterations, beta=beta, alpha=alpha,
+                      phi=phi, alpha_clamped=clamped, q_max=q_max, se=se, reject=reject,
+                      failures=failures)
+
+
+def run_block(scenario, replicate_indices, models=ALL_MODELS, kinds=ALL_KINDS,
+              fg_bound=DEFAULT_FG_BOUND, alpha_level=ALPHA_LEVEL):
+    """Generate a block of replicates and fit every working model to all of them.
+
+    Returns {model label: ModelBlock}, entries in the order of
+    `replicate_indices`. Every replicate's outcome equals that of a block
+    holding it alone.
+    """
+    m, s = generate_block(scenario, replicate_indices)
+    arm = trial_arms(scenario.n_clusters)
+    return {model.label(): _model_block(arm, m, s, model, kinds, fg_bound, alpha_level)
+            for model in models}
+
+
 def run_replicate(scenario, replicate_index, models=ALL_MODELS, kinds=ALL_KINDS,
                   fg_bound=DEFAULT_FG_BOUND, alpha_level=ALPHA_LEVEL):
-    """Generate one dataset and fit every working model to it."""
-    data = generate_trial(scenario, replicate_index)
-    out = {}
-    for model in models:
-        try:
-            fit = fit_gee(data, model)
-        except NonConvergenceError as err:
-            out[model.label()] = ModelReplicate(converged=False, reason=err.reason)
-            continue
-        except SingularityError:
-            out[model.label()] = ModelReplicate(converged=False, reason="singular_information")
-            continue
-        rec = ModelReplicate(
-            converged=True,
-            beta1=float(fit.beta[-1]),
-            alpha_clamped=fit.alpha_clamped,
-        )
-        for kind in kinds:
-            try:
-                est = compute_estimates(fit, (kind,), fg_bound=fg_bound)[kind]
-                inf = wald_inference(fit, est, alpha_level=alpha_level)
-            except (CorrectionSingularityError, DegenerateVarianceError,
-                    UnsupportedDesignError, SingularityError) as err:
-                rec.failures[kind] = type(err).__name__
-                continue
-            rec.se[kind] = inf.se
-            rec.p[kind] = inf.p_value
-            q = est.diagnostics.get("q_max")
-            if q is not None:
-                rec.q_max = q if rec.q_max is None else max(rec.q_max, q)
-        out[model.label()] = rec
-    return out
+    """One dataset fit by every working model: a block of one replicate."""
+    return run_block(scenario, (replicate_index,), models, kinds, fg_bound, alpha_level)
 
 
-def aggregate(scenario, model, records, kinds=ALL_KINDS, alpha_level=ALPHA_LEVEL):
-    """Summarize one model's replicates in one cell; converged-only denominators."""
-    n_rep = len(records)
-    conv = [r for r in records if r.converged]
-    n_conv = len(conv)
+def aggregate(scenario, model, block, kinds=ALL_KINDS):
+    """Summarize one model's replicates (a ModelBlock) in one cell; converged-only denominators."""
+    n_rep = len(block.reason)
+    conv = block.converged
+    n_conv = int(conv.sum())
     esd = None
     if n_conv >= 2:
-        esd = float(np.std([r.beta1 for r in conv], ddof=1))
+        esd = float(np.std(block.beta[conv, -1], ddof=1))
 
     summaries = {}
     for kind in kinds:
-        ses = [r.se[kind] for r in conv if kind in r.se]
-        pvals = [r.p[kind] for r in conv if kind in r.p]
-        mean_se = float(np.mean(ses)) if ses else None
+        ses = block.se[kind][conv]
+        ses = ses[~np.isnan(ses)]
+        mean_se = float(np.mean(ses)) if ses.size else None
         pct_bias = None
-        if ses and esd is not None and esd > 0.0:
-            pct_bias = float(np.mean([(s - esd) / esd * 100.0 for s in ses]))
-        rejections = sum(1 for p in pvals if p < alpha_level)
-        type1 = rejections / n_conv if n_conv > 0 and pvals else None
+        if ses.size and esd is not None and esd > 0.0:
+            pct_bias = float(np.mean((ses - esd) / esd * 100.0))
+        rejections = int(block.reject[kind][conv].sum())
+        type1 = rejections / n_conv if n_conv > 0 and ses.size else None
         acceptable = None
         if type1 is not None:
             acceptable = TYPE1_BAND[0] <= type1 <= TYPE1_BAND[1]
         summaries[kind] = EstimatorSummary(
             kind=kind,
-            n_eval=len(ses),
+            n_eval=int(ses.size),
             mean_se=mean_se,
             percent_bias=pct_bias,
             rejections=rejections,
@@ -218,18 +292,21 @@ def aggregate(scenario, model, records, kinds=ALL_KINDS, alpha_level=ALPHA_LEVEL
             acceptable=acceptable,
         )
 
+    conv_rows = np.flatnonzero(conv)
     diagnostics = {
-        "nonconvergence": dict(Counter(r.reason for r in records if not r.converged)),
-        "alpha_clamped": sum(1 for r in conv if r.alpha_clamped),
+        "nonconvergence": dict(Counter(r for r in block.reason if r is not None)),
+        "alpha_clamped": int(block.alpha_clamped[conv].sum()),
         "estimator_failures": dict(
             Counter(
-                (k.value, name) for r in conv for k, name in r.failures.items()
+                (k.value, block.failures[k][i])
+                for i in conv_rows for k in kinds if block.failures[k][i] is not None
             )
         ),
     }
-    q_values = [r.q_max for r in conv if r.q_max is not None]
-    if q_values:
-        diagnostics["q_max"] = max(q_values)
+    q_values = block.q_max[conv]
+    q_values = q_values[~np.isnan(q_values)]
+    if q_values.size:
+        diagnostics["q_max"] = float(q_values.max())
     ordered = [
         summaries.get(k)
         for k in (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD)
@@ -251,14 +328,14 @@ def aggregate(scenario, model, records, kinds=ALL_KINDS, alpha_level=ALPHA_LEVEL
 
 def run_scenario(scenario, models=ALL_MODELS, kinds=ALL_KINDS,
                  fg_bound=DEFAULT_FG_BOUND, alpha_level=ALPHA_LEVEL):
-    """All replicates of one grid cell; one ScenarioResult per working model."""
-    per_model = {m.label(): [] for m in models}
-    for rep in range(scenario.replicates):
-        outcome = run_replicate(scenario, rep, models, kinds, fg_bound, alpha_level)
-        for label, rec in outcome.items():
-            per_model[label].append(rec)
+    """All replicates of one grid cell, in blocks; one ScenarioResult per working model."""
+    reps = range(scenario.replicates)
+    blocks = [
+        run_block(scenario, reps[i : i + BLOCK_REPLICATES], models, kinds, fg_bound, alpha_level)
+        for i in range(0, scenario.replicates, BLOCK_REPLICATES)
+    ]
     return [
-        aggregate(scenario, m, per_model[m.label()], kinds, alpha_level)
+        aggregate(scenario, m, ModelBlock.concat([b[m.label()] for b in blocks]), kinds)
         for m in models
     ]
 
@@ -303,30 +380,34 @@ def run_grid(grid, threads=1, progress=None, skip=()):
                 next_pos += 1
 
 
+def design_row(scenario, model, kind):
+    """The columns of a result row fixed by the grid alone (scenario_id through n_rep)."""
+    return {
+        "scenario_id": scenario.index,
+        "n_clusters": scenario.n_clusters,
+        "cluster_size": scenario.sizes.mean,
+        "cv": scenario.sizes.cv,
+        "pi0": scenario.pi0,
+        "icc": scenario.icc,
+        "family": model.family.value,
+        "link": model.link.value,
+        "estimator": kind.value,
+        "n_rep": scenario.replicates,
+    }
+
+
 def result_rows(result):
     """Flatten one ScenarioResult into per-estimator rows for the results table."""
-    sc = result.scenario
-    rows = []
-    for kind, summ in result.estimators.items():
-        rows.append(
-            {
-                "scenario_id": sc.index,
-                "n_clusters": sc.n_clusters,
-                "cluster_size": sc.sizes.mean,
-                "cv": sc.sizes.cv,
-                "pi0": sc.pi0,
-                "icc": sc.icc,
-                "family": result.model.family.value,
-                "link": result.model.link.value,
-                "estimator": kind.value,
-                "n_rep": result.n_replicates,
-                "n_conv": result.n_converged,
-                "conv_rate": result.convergence_rate,
-                "esd": result.esd,
-                "mean_se": summ.mean_se,
-                "pct_bias": summ.percent_bias,
-                "type1": summ.type1_error,
-                "acceptable": summ.acceptable,
-            }
-        )
-    return rows
+    return [
+        {
+            **design_row(result.scenario, result.model, kind),
+            "n_conv": result.n_converged,
+            "conv_rate": result.convergence_rate,
+            "esd": result.esd,
+            "mean_se": summ.mean_se,
+            "pct_bias": summ.percent_bias,
+            "type1": summ.type1_error,
+            "acceptable": summ.acceptable,
+        }
+        for kind, summ in result.estimators.items()
+    ]

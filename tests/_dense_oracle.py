@@ -1,10 +1,11 @@
 """Dense reference implementation of every variance estimator.
 
-Deliberately naive: builds each cluster's full m x m working covariance,
-inverts it with scipy, and evaluates the KC and MD multipliers with
-scipy.linalg.sqrtm / inv on the non-symmetric (I - Q_i), plus the
-classical observation-space leverage form as a second route. Shares no
-linear algebra with the package beyond numpy primitives.
+Deliberately naive: builds each cluster's full m x m inverse working
+covariance from the closed form of R(alpha)^{-1}, and evaluates the KC
+and MD multipliers with scipy.linalg.sqrtm / inv on the non-symmetric
+(I - Q_i), plus the classical observation-space leverage form as a
+second route. Shares no linear algebra with the package beyond numpy
+primitives.
 """
 
 import numpy as np
@@ -62,9 +63,10 @@ def dense_estimates(data, family, link, beta, alpha, phi, fg_bound=0.75):
         mu = float(_inv_link(link, eta))
         d = float(_mu_deriv(link, eta))
         v = float(_variance(family, np.array([mu]))[0])
-        R = alpha * np.ones((m, m)) + (1.0 - alpha) * np.eye(m)
-        V = v * R
-        Vinv = sla.inv(V)
+        # R(alpha)^{-1} = (I - alpha / (1 + (m - 1) alpha) 11') / (1 - alpha),
+        # exact even where R(alpha) is nearly singular (alpha at its lower bound)
+        Rinv = (np.eye(m) - alpha / (1.0 + (m - 1) * alpha) * np.ones((m, m))) / (1.0 - alpha)
+        Vinv = Rinv / v
         D = d * np.outer(np.ones(m), x)
         r = np.asarray(c.outcomes, dtype=float) - mu
         Bi = D.T @ Vinv @ D

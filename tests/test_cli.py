@@ -532,3 +532,29 @@ def test_report_stdout_default(tmp_path, capsys):
     assert main(["report", "--results", str(results)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("estimator,")
+
+
+def test_simulate_resume_rejects_rows_of_another_grid(tmp_path, capsys):
+    # same schema and row count per scenario, different design: the old
+    # pi0 = 0.3, n_rep = 2 rows must not be kept for a pi0 = 0.1 grid
+    out = tmp_path / "results.csv"
+    doc = {"seed": 5, "replicates": 2, "n_clusters": [6], "cluster_sizes": [5], "pi0": [0.3],
+           "icc": [0.05], "models": ["gaussian-identity"], "estimators": ["robust"],
+           "output": str(out)}
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == 0
+    before = out.read_bytes()
+
+    config.write_text(json.dumps({**doc, "pi0": [0.1], "replicates": 5}))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config), "--resume"]) == 1
+    assert "scenario 0" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+    # a scenario id the grid does not have is another grid's too
+    config.write_text(json.dumps(doc))
+    lines = before.decode().splitlines()
+    out.write_text("\n".join([lines[0], "7" + lines[1][1:]]) + "\n")
+    assert main(["simulate", "--config", str(config), "--resume"]) == 1
+    assert "scenario 7" in capsys.readouterr().err

@@ -288,3 +288,19 @@ def test_guard_fires_when_conditional_mean_leaves_unit_interval(monkeypatch):
     sc = Scenario(n_clusters=10, sizes=GammaSize(10.0, 0.5), pi0=0.5, pi1=0.5, icc=0.1, seed=3)
     with pytest.raises(GeneratorInvalidError, match="at draw 2"):
         generate_trial(sc, 0)
+
+
+@pytest.mark.parametrize("design", sorted(REFERENCE_DESIGNS))
+def test_block_counts_equal_generate_trial(design):
+    # the stacked generator draws every replicate from its own substream,
+    # so its (m, s) are generate_trial's whatever block a replicate is in
+    sc = REFERENCE_DESIGNS[design]
+    reps = [3, 0, 11, 7, 24]
+    m, s = crtgee.datagen.generate_block(sc, reps)
+    assert m.shape == s.shape == (len(reps), sc.n_clusters)
+    for row, rep in enumerate(reps):
+        trial = generate_trial(sc, rep)
+        assert m[row].tolist() == [c.size for c in trial.clusters]
+        assert s[row].tolist() == [int(c.outcomes.sum()) for c in trial.clusters]
+        alone_m, alone_s = crtgee.datagen.generate_block(sc, [rep])
+        assert np.array_equal(alone_m[0], m[row]) and np.array_equal(alone_s[0], s[row])

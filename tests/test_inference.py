@@ -25,6 +25,7 @@ from crtgee import (
     generate_trial,
     robust_sandwich,
     wald_inference,
+    wald_reject,
 )
 
 SPECS = {
@@ -187,3 +188,36 @@ def test_effect_scale_limit_saturates_instead_of_overflowing():
     assert res.ci_effect == (math.exp(lo), math.inf)
     assert res.estimate_effect == math.exp(res.estimate_link)
     assert not res.reject
+
+
+@pytest.mark.parametrize("alpha_level", [0.05, 0.2, 0.5])
+def test_wald_reject_matches_the_p_value_decision(alpha_level):
+    # the Monte Carlo rule |t| > t_crit gives the same SE and the same
+    # decision as p < alpha_level on every fit, rejections included
+    spec, _ = SPECS["binomial-identity"]
+    sc = Scenario(n_clusters=8, sizes=FixedSize(12), pi0=0.25, pi1=0.4, icc=0.05, seed=61)
+    beta1, cov11, want_se, want_reject = [], [], [], []
+    for rep in range(80):
+        fit = fit_gee(generate_trial(sc, rep), spec)
+        for var in compute_estimates(fit, kinds=(EstimatorKind.ROBUST, EstimatorKind.MD)).values():
+            res = wald_inference(fit, var, alpha_level=alpha_level)
+            beta1.append(fit.beta[1])
+            cov11.append(var.cov[1, 1])
+            want_se.append(res.se)
+            want_reject.append(res.p_value < alpha_level)
+    se, reject, degenerate = wald_reject(np.array(beta1), np.array(cov11), sc.n_clusters - 2,
+                                         alpha_level)
+    assert not degenerate.any()
+    assert se.tolist() == want_se
+    assert reject.tolist() == want_reject
+    assert 0 < sum(want_reject) < len(want_reject)
+
+
+def test_wald_reject_marks_degenerate_variances():
+    se, reject, degenerate = wald_reject(np.array([0.3, 0.3, 0.3]), np.array([0.0, -1.0, np.nan]),
+                                         6)
+    assert degenerate.tolist() == [True, True, True]
+    assert not reject.any()
+    assert np.isnan(se).all()
+    with pytest.raises(UsageError):
+        wald_reject(np.array([0.3]), np.array([0.01]), 6, alpha_level=1.0)

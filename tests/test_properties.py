@@ -84,13 +84,15 @@ def both_arms_mixed(clusters):
 def check_against_oracle(data, spec):
     """Fit, then compare every defined estimator with the dense oracle.
 
-    The oracle inverts each cluster's m x m working covariance, the bread
-    B and, for KC and MD, I - Q_i, so it is good to a few eps times
-    cond R(alpha) + cond B / (1 - q_max). That is below 1e-10 until alpha
-    nears a bound or a leverage nears 1; the tolerance is the larger of
-    the two. At the lower bound of alpha, 1 + (m - 1) alpha is only
-    1e-6 (m - 1) and the oracle's KC and MD lose up to five digits more
-    than that scale, so such fits are not compared.
+    The oracle sums each cluster's closed-form R(alpha)^{-1}, whose entries
+    grow as alpha nears a bound, and inverts the bread B and, for KC and
+    MD, I - Q_i, so it is good to a few eps times cond R(alpha) +
+    cond B / (1 - q_max). That is below 1e-10 until alpha nears a bound or
+    a leverage nears 1; the tolerance is the larger of the two. At the
+    lower bound of alpha the largest cluster's leverage comes within about
+    1e-6 of 1, and the oracle's double-precision inverse of I - Q_i then
+    misses MD by up to 7e-5 where the core is within 1e-10 of a 60-digit
+    evaluation, so such fits are not compared.
     """
     try:
         fit = fit_gee(data, spec)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import crtgee.simulate
+
 from crtgee import (
     ALL_KINDS,
     ALL_MODELS,
@@ -12,12 +14,13 @@ from crtgee import (
     FixedSize,
     GammaSize,
     Link,
-    ModelReplicate,
+    ModelBlock,
     ModelSpec,
     Scenario,
     TYPE1_BAND,
     aggregate,
     result_rows,
+    run_block,
     run_grid,
     run_replicate,
     run_scenario,
@@ -32,19 +35,40 @@ def scenario(replicates=10, **kw):
     return Scenario(replicates=replicates, **base)
 
 
+def block(records, kinds):
+    """A ModelBlock from per-replicate (reason, beta1, {kind: (se, reject) or failure name})."""
+    nan = float("nan")
+    n = len(records)
+    return ModelBlock(
+        reason=tuple(reason for reason, _, _ in records),
+        iterations=np.ones(n, dtype=int),
+        beta=np.array([[0.0, nan if b is None else b] for _, b, _ in records]),
+        alpha=np.zeros(n),
+        phi=np.ones(n),
+        alpha_clamped=np.zeros(n, dtype=bool),
+        q_max=np.full(n, nan),
+        se={k: np.array([e[k][0] if isinstance(e.get(k), tuple) else nan
+                         for _, _, e in records]) for k in kinds},
+        reject={k: np.array([isinstance(e.get(k), tuple) and e[k][1] for _, _, e in records])
+                for k in kinds},
+        failures={k: tuple(e[k] if isinstance(e.get(k), str) else None for _, _, e in records)
+                  for k in kinds},
+    )
+
+
 def test_aggregate_hand_fixture():
     # five replicates, one non-converged; by hand:
     # beta1 of the converged: 0.2, -0.1, 0.4, 0.1 -> ESD = sd(ddof=1)
     # robust se: 0.3, 0.2, 0.5, 0.2 -> mean 0.3
-    # robust p: 0.01, 0.20, 0.04, 0.80 -> 2 rejections / 4 converged = 0.5
+    # robust rejects 2 of the 4 converged -> 0.5
     kind = EstimatorKind.ROBUST
-    records = [
-        ModelReplicate(converged=True, beta1=0.2, se={kind: 0.3}, p={kind: 0.01}),
-        ModelReplicate(converged=True, beta1=-0.1, se={kind: 0.2}, p={kind: 0.20}),
-        ModelReplicate(converged=True, beta1=0.4, se={kind: 0.5}, p={kind: 0.04}),
-        ModelReplicate(converged=True, beta1=0.1, se={kind: 0.2}, p={kind: 0.80}),
-        ModelReplicate(converged=False, reason="max_iterations"),
-    ]
+    records = block([
+        (None, 0.2, {kind: (0.3, True)}),
+        (None, -0.1, {kind: (0.2, False)}),
+        (None, 0.4, {kind: (0.5, True)}),
+        (None, 0.1, {kind: (0.2, False)}),
+        ("max_iterations", None, {}),
+    ], (kind,))
     res = aggregate(scenario(), ALL_MODELS[0], records, kinds=(kind,))
 
     beta = np.array([0.2, -0.1, 0.4, 0.1])
@@ -70,16 +94,13 @@ def test_percent_bias_is_plus_ten_when_se_is_inflated_ten_percent():
     rng = np.random.default_rng(8)
     beta = rng.normal(size=50)
     esd = float(np.std(beta, ddof=1))
-    records = [
-        ModelReplicate(converged=True, beta1=float(b), se={kind: 1.1 * esd}, p={kind: 0.5})
-        for b in beta
-    ]
+    records = block([(None, float(b), {kind: (1.1 * esd, False)}) for b in beta], (kind,))
     res = aggregate(scenario(replicates=50), ALL_MODELS[0], records, kinds=(kind,))
     assert res.estimators[kind].percent_bias == pytest.approx(10.0, abs=1e-9)
 
 
 def test_aggregate_handles_zero_convergence():
-    records = [ModelReplicate(converged=False, reason="max_iterations") for _ in range(3)]
+    records = block([("max_iterations", None, {}) for _ in range(3)], KINDS3)
     res = aggregate(scenario(replicates=3), ALL_MODELS[0], records, kinds=KINDS3)
     assert res.n_converged == 0
     assert res.esd is None
@@ -94,12 +115,10 @@ def test_estimator_failures_counted_as_non_rejections():
     # a converged replicate whose KC computation failed contributes to the
     # denominator but cannot reject
     kind = EstimatorKind.KC
-    records = [
-        ModelReplicate(converged=True, beta1=0.1, se={kind: 0.2}, p={kind: 0.01}),
-        ModelReplicate(
-            converged=True, beta1=0.2, failures={kind: "CorrectionSingularityError"}
-        ),
-    ]
+    records = block([
+        (None, 0.1, {kind: (0.2, True)}),
+        (None, 0.2, {kind: "CorrectionSingularityError"}),
+    ], (kind,))
     res = aggregate(scenario(replicates=2), ALL_MODELS[0], records, kinds=(kind,))
     summ = res.estimators[kind]
     assert summ.n_eval == 1
@@ -114,16 +133,16 @@ def test_run_replicate_shares_one_dataset_across_models():
     assert set(out) == {m.label() for m in ALL_MODELS}
     again = run_replicate(sc, 0, models=ALL_MODELS, kinds=KINDS3)
     for label in out:
-        assert out[label].converged == again[label].converged
-        if out[label].converged:
-            assert out[label].beta1 == again[label].beta1
-            assert out[label].se == again[label].se
+        assert np.array_equal(out[label].converged, again[label].converged)
+        assert np.array_equal(out[label].beta, again[label].beta)
+        for kind in KINDS3:
+            assert np.array_equal(out[label].se[kind], again[label].se[kind], equal_nan=True)
     # identity-link and log-link fits of the same balanced dataset agree
     # on the fitted arm means, so their beta1 differ but derive from one draw
     bl = out["binomial-log"]
     bi = out["binomial-identity"]
-    if bl.converged and bi.converged:
-        assert bl.beta1 != bi.beta1
+    if bl.converged[0] and bi.converged[0]:
+        assert bl.beta[0, 1] != bi.beta[0, 1]
 
 
 def test_nonconvergence_recorded_without_aborting():
@@ -139,10 +158,10 @@ def test_nonconvergence_recorded_without_aborting():
     for rep in range(40):
         out = run_replicate(sc, rep, models=models, kinds=KINDS3)
         rec = out["binomial-log"]
-        if not rec.converged:
+        if not rec.converged[0]:
             saw_failure = True
-            assert rec.reason
-            assert out["gaussian-identity"].converged
+            assert rec.reason[0]
+            assert out["gaussian-identity"].converged[0]
     assert saw_failure
 
 
@@ -258,3 +277,65 @@ def test_progress_callback_reports_in_order():
     for _ in run_grid(grid, threads=2, progress=lambda done, total, idx: seen.append((done, total, idx))):
         pass
     assert seen == [(1, 3, 0), (2, 3, 1), (3, 3, 2)]
+
+
+# --- batch invariance: a block of replicates equals each replicate alone ---
+
+BATCH_DESIGNS = {
+    "zero-event-arms": (Scenario(n_clusters=6, sizes=FixedSize(10), pi0=0.1, pi1=0.1, icc=0.05,
+                                 seed=7), range(30)),
+    "size-1-clusters": (Scenario(n_clusters=12, sizes=FixedSize(1), pi0=0.3, pi1=0.3, icc=0.05,
+                                 seed=3), range(30)),
+    "criterion-9": (Scenario(n_clusters=20, sizes=GammaSize(30, 1.0), pi0=0.3, pi1=0.3,
+                             icc=0.05, seed=20260821), range(20)),
+    # replicates 10 and 91 end through the exact-repeat cut, 154 runs the
+    # full budget in most models; the others converge
+    "alpha-cycle": (Scenario(n_clusters=12, sizes=GammaSize(20, 0.8), pi0=0.3, pi1=0.3,
+                             icc=0.05, seed=7), [*range(12), 91, 154]),
+}
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("design", sorted(BATCH_DESIGNS))
+def test_block_equals_each_replicate_alone(design):
+    sc, reps = BATCH_DESIGNS[design]
+    reps = list(reps)
+    block = run_block(sc, reps, models=ALL_MODELS, kinds=ALL_KINDS)
+    reasons = set()
+    for model in ALL_MODELS:
+        got = block[model.label()]
+        reasons.update(got.reason)
+        for row, rep in enumerate(reps):
+            alone = run_block(sc, [rep], models=(model,), kinds=ALL_KINDS)[model.label()]
+            where = (design, model.label(), rep)
+            assert got.reason[row] == alone.reason[0], where
+            assert got.iterations[row] == alone.iterations[0], where
+            assert bits(got.beta[row]) == bits(alone.beta[0]), where
+            assert bits(got.alpha[row]) == bits(alone.alpha[0]), where
+            assert bits(got.phi[row]) == bits(alone.phi[0]), where
+            assert got.alpha_clamped[row] == alone.alpha_clamped[0], where
+            assert bits(got.q_max[row]) == bits(alone.q_max[0]), where
+            for kind in ALL_KINDS:
+                assert bits(got.se[kind][row]) == bits(alone.se[kind][0]), (where, kind)
+                assert got.reject[kind][row] == alone.reject[kind][0], (where, kind)
+                assert got.failures[kind][row] == alone.failures[kind][0], (where, kind)
+    assert None in reasons
+    if design == "alpha-cycle":
+        assert "max_iterations" in reasons
+        cycle = block["gaussian-identity"]
+        assert [cycle.reason[reps.index(r)] for r in (10, 91)] == ["max_iterations"] * 2
+    if design == "zero-event-arms":
+        assert len(reasons) > 2
+
+
+def test_scenario_results_do_not_depend_on_the_block_size(monkeypatch):
+    sc = Scenario(n_clusters=6, sizes=FixedSize(10), pi0=0.1, pi1=0.1, icc=0.05, seed=7,
+                  replicates=23)
+    want = [result_rows(r) for r in run_scenario(sc, models=ALL_MODELS, kinds=ALL_KINDS)]
+    for size in (1, 4, 23):
+        monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", size)
+        got = [result_rows(r) for r in run_scenario(sc, models=ALL_MODELS, kinds=ALL_KINDS)]
+        assert got == want, size
