@@ -20,10 +20,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
+from operator import itemgetter
+
+import numpy as np
 
 from .data import Cluster, TrialDataset
 from .errors import CrtGeeError, DataError, NonConvergenceError, UsageError
@@ -54,6 +58,10 @@ THREADS_ENV_VAR = "CRTGEE_THREADS"
 
 TRIAL_CSV_HEADER = ("cluster_id", "arm", "outcome")
 
+#: trial CSV records tokenised and checked together; bounds the reader's
+#: working memory at any file length, and does not change what it returns
+CSV_CHUNK_ROWS = 1024
+
 #: results columns holding numbers (parsed for grouping and averaging)
 _NUMERIC_COLUMNS = {
     "scenario_id", "n_clusters", "cluster_size", "cv", "pi0", "icc",
@@ -68,15 +76,19 @@ _GROUPABLE_COLUMNS = (
 def read_trial_csv(path):
     """Parse an individual-level trial CSV into a TrialDataset.
 
-    Errors carry the 1-based line number of the offending row.
+    Records are tokenised by `csv.reader` and checked CSV_CHUNK_ROWS at a
+    time, column by column. Errors carry the 1-based record number of the
+    earliest offending row (the header is record 1; blank rows count but
+    are skipped). Each cluster keeps its outcomes in row order, and the
+    clusters come in order of first appearance.
     """
-    order = []
-    arms = {}
-    outcomes = {}
     try:
         handle = open(path, newline="")
     except OSError as err:
         raise DataError(f"cannot read {path}: {err.strerror}") from err
+    ids = {}                                # cluster id -> index, in first-appearance order
+    arm_of = np.zeros(0, dtype=np.uint8)    # each cluster's arm, by index
+    index_chunks, outcome_chunks = [], []
     with handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -87,32 +99,81 @@ def read_trial_csv(path):
                 f"{path}: line 1: header must be exactly "
                 f"'{','.join(TRIAL_CSV_HEADER)}', got '{','.join(header)}'"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            cid, arm_s, out_s = (cell.strip() for cell in row)
-            if not cid:
-                raise DataError(f"{path}: line {lineno}: empty cluster_id")
-            if arm_s not in ("0", "1"):
-                raise DataError(f"{path}: line {lineno}: arm must be 0 or 1, got '{arm_s}'")
-            if out_s not in ("0", "1"):
-                raise DataError(f"{path}: line {lineno}: outcome must be 0 or 1, got '{out_s}'")
-            arm = int(arm_s)
-            if cid in arms and arms[cid] != arm:
-                raise DataError(
-                    f"{path}: line {lineno}: cluster '{cid}' appears in both arms"
-                )
-            if cid not in arms:
-                arms[cid] = arm
-                order.append(cid)
-                outcomes[cid] = []
-            outcomes[cid].append(int(out_s))
-    if not order:
+        next_record = 2
+        while rows := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
+            records = range(next_record, next_record + len(rows))
+            next_record += len(rows)
+            # candidate errors as (position, check order, message); the
+            # earliest row wins, and within a row the first check that fails
+            errors = []
+            if list(map(len, rows)).count(3) != len(rows):
+                keep = [k for k, row in enumerate(rows) if not _is_blank(row)]
+                rows, records = [rows[k] for k in keep], [records[k] for k in keep]
+                bad = next((k for k, row in enumerate(rows) if len(row) != 3), None)
+                if bad is not None:
+                    errors.append((bad, 0, f"expected 3 fields, got {len(rows[bad])}"))
+                    rows = rows[:bad]
+            cids = list(map(str.strip, map(itemgetter(0), rows)))
+            arm_cells = list(map(str.strip, map(itemgetter(1), rows)))
+            outcome_cells = list(map(str.strip, map(itemgetter(2), rows)))
+            arms, bad_arm = _binary_codes(arm_cells)
+            outcomes, bad_outcome = _binary_codes(outcome_cells)
+            if "" in cids:
+                errors.append((cids.index(""), 1, "empty cluster_id"))
+            if bad_arm is not None:
+                errors.append((bad_arm, 2, f"arm must be 0 or 1, got '{arm_cells[bad_arm]}'"))
+            if bad_outcome is not None:
+                errors.append((bad_outcome, 3,
+                               f"outcome must be 0 or 1, got '{outcome_cells[bad_outcome]}'"))
+            stop = min(errors)[0] if errors else len(rows)
+            cids, arms = cids[:stop], arms[:stop]
+
+            # a cluster new to this chunk takes the arm of its first row
+            known = len(ids)
+            for cid in dict.fromkeys(cids):
+                ids.setdefault(cid, len(ids))
+            index = np.fromiter(map(ids.__getitem__, cids), dtype=np.intp, count=len(cids))
+            if len(ids) > known:
+                found, first = np.unique(index, return_index=True)
+                arm_of = np.concatenate([arm_of, arms[first[found >= known]]])
+            conflict = np.flatnonzero(arms != arm_of[index])
+            if conflict.size:
+                k = int(conflict[0])
+                errors.append((k, 4, f"cluster '{cids[k]}' appears in both arms"))
+            if errors:
+                k, _, message = min(errors)
+                raise DataError(f"{path}: line {records[k]}: {message}")
+            index_chunks.append(index)
+            outcome_chunks.append(outcomes)
+    if not ids:
         raise DataError(f"{path}: no data rows")
-    clusters = tuple(Cluster(id=cid, arm=arms[cid], outcomes=outcomes[cid]) for cid in order)
+    index = np.concatenate(index_chunks)
+    y = np.concatenate(outcome_chunks)[np.argsort(index, kind="stable")].astype(float)
+    ends = np.cumsum(np.bincount(index, minlength=len(ids))).tolist()
+    starts = [0, *ends[:-1]]
+    clusters = tuple(
+        Cluster(id=cid, arm=int(arm), outcomes=y[start:end])
+        for cid, arm, start, end in zip(ids, arm_of.tolist(), starts, ends)
+    )
     return TrialDataset(clusters=clusters)
+
+
+def _is_blank(row):
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _binary_codes(cells):
+    """The cells as a uint8 array of 0/1 codes, up to the first cell that is
+    not "0" or "1": (codes, that cell's position, or None when all are)."""
+    # Each cell followed by a newline: n cells are all "0" or "1" exactly when
+    # the 2n bytes hold a 0 or 1 at every even position. The n newlines then
+    # fill the n odd positions, so no cell is longer or shorter than one byte.
+    raw = np.frombuffer("\n".join([*cells, ""]).encode(), dtype=np.uint8)
+    codes = raw[::2] - np.uint8(ord("0"))
+    if raw.size == 2 * len(cells) and not (codes > 1).any():
+        return codes, None
+    bad = next(k for k, cell in enumerate(cells) if cell not in ("0", "1"))
+    return _binary_codes(cells[:bad])[0], bad
 
 
 def _parse_kinds(text):

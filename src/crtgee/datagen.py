@@ -126,10 +126,12 @@ def _draw_rows(flat, sizes, mu, rho, outcomes=None):
 
     Row i owns the next `sizes[i]` uniforms of `flat` and draws with marginal
     mean `mu[i]`. Column j is drawn for the rows with at least j members,
-    longest first (a stable order), and the conditional means of each column
-    are checked against [0, 1] before it is drawn. Returns every row's event
-    count; when `outcomes` (an array shaped like `flat`) is given, each draw
-    is also written at its uniform's position.
+    longest first (a stable order). Before it is drawn, the conditional mean
+    mu + b_j * (sum of the j - 1 centered draws) is checked against [0, 1]
+    at its extremes, the all-zero and all-one histories, for each distinct
+    mean. Returns every row's event count; when `outcomes` (an array shaped
+    like `flat`) is given, each draw is also written at its uniform's
+    position.
     """
     starts = np.zeros(sizes.size, dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
@@ -143,14 +145,18 @@ def _draw_rows(flat, sizes, mu, rho, outcomes=None):
     events = draw.astype(np.intp)
     if outcomes is not None:
         outcomes[base] = draw
+    means = sorted(set(mu.tolist()))
     for j in range(2, active.size + 1):
         k = active[j - 1]
-        lam = mu[:k] + qaqish_coeff(rho, j) * centered[:k]
-        if lam.min() < 0.0 or lam.max() > 1.0:
-            row = int(np.flatnonzero((lam < 0.0) | (lam > 1.0))[0])
-            raise GeneratorInvalidError(
-                f"conditional mean left [0, 1] at draw {j} (mu={mu[row]}, rho={rho})"
-            )
+        b = qaqish_coeff(rho, j)
+        for m in means:
+            # lam at its extremes: every earlier draw a 0, or every one a 1
+            low, high = m - (j - 1) * b * m, m + (j - 1) * b * (1.0 - m)
+            if not (0.0 <= low <= 1.0 and 0.0 <= high <= 1.0):
+                raise GeneratorInvalidError(
+                    f"conditional mean left [0, 1] at draw {j} (mu={m}, rho={rho})"
+                )
+        lam = mu[:k] + b * centered[:k]
         idx = base[:k] + (j - 1)
         draw = flat[idx] < lam
         centered[:k] += draw - mu[:k]

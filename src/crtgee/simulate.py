@@ -28,14 +28,13 @@ against that SD, and the type I error rate at the 5% level with the
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import Scenario, generate_block, trial_arms
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .families import Family, Link, MeanModel, ModelSpec
 from .gee import fit_block
 from .inference import wald_reject
@@ -105,6 +104,15 @@ class FactorialGrid:
     seed: int = 0
     fg_bound: float = DEFAULT_FG_BOUND
     alpha_level: float = ALPHA_LEVEL
+
+    def __post_init__(self):
+        # the t reference has N - 2 degrees of freedom; reject here, before
+        # any cell is generated and fit, rather than at its first quantile
+        for n in self.n_clusters:
+            if n < 4:
+                raise DomainError(
+                    f"n_clusters must be >= 4 (t with N - 2 degrees of freedom), got {n}"
+                )
 
     def scenarios(self):
         """Grid cells in deterministic order; the index keys each cell's RNG."""
@@ -260,6 +268,15 @@ def run_replicate(scenario, replicate_index, models=ALL_MODELS, kinds=ALL_KINDS,
     return run_block(scenario, (replicate_index,), models, kinds, fg_bound, alpha_level)
 
 
+def _tally(names, rows):
+    """{name: count} over the rows of a boolean mask, from one name or None per replicate."""
+    if names.count(None) == len(names):
+        return {}
+    names = np.fromiter(names, dtype=object, count=len(names))[rows]
+    found, counts = np.unique(names[np.not_equal(names, None)].astype(str), return_counts=True)
+    return dict(zip(found.tolist(), counts.tolist()))
+
+
 def aggregate(scenario, model, block, kinds=ALL_KINDS):
     """Summarize one model's replicates (a ModelBlock) in one cell; converged-only denominators."""
     n_rep = len(block.reason)
@@ -292,16 +309,13 @@ def aggregate(scenario, model, block, kinds=ALL_KINDS):
             acceptable=acceptable,
         )
 
-    conv_rows = np.flatnonzero(conv)
     diagnostics = {
-        "nonconvergence": dict(Counter(r for r in block.reason if r is not None)),
+        "nonconvergence": _tally(block.reason, ~conv),
         "alpha_clamped": int(block.alpha_clamped[conv].sum()),
-        "estimator_failures": dict(
-            Counter(
-                (k.value, block.failures[k][i])
-                for i in conv_rows for k in kinds if block.failures[k][i] is not None
-            )
-        ),
+        "estimator_failures": {
+            (kind.value, name): count
+            for kind in kinds for name, count in _tally(block.failures[kind], conv).items()
+        },
     }
     q_values = block.q_max[conv]
     q_values = q_values[~np.isnan(q_values)]

@@ -21,6 +21,7 @@ from crtgee import (
     wald_inference,
 )
 import crtgee.cli
+import crtgee.simulate
 from crtgee.cli import main, read_trial_csv, parse_grid_config, THREADS_ENV_VAR
 
 
@@ -402,6 +403,20 @@ def test_simulate_invalid_values_named(tmp_path, capsys):
     config, _ = base_config(tmp_path, replicates=0)
     assert main(["simulate", "--config", str(config)]) == 1
     assert "replicates" in capsys.readouterr().err
+
+
+def test_simulate_rejects_fewer_than_4_clusters_before_any_work(tmp_path, capsys, monkeypatch):
+    # N = 2 leaves t with 0 degrees of freedom: the grid must be refused
+    # when it is built, not after a cell has been generated and fit
+    def never(*args, **kwargs):
+        raise AssertionError("run_scenario called for a grid that should be rejected")
+
+    monkeypatch.setattr(crtgee.simulate, "run_scenario", never)
+    config, _ = base_config(tmp_path, n_clusters=[6, 2])
+    assert main(["simulate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "n_clusters" in err and "got 2" in err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_simulate_config_missing_required_key(tmp_path, capsys):

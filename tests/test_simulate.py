@@ -8,6 +8,7 @@ import crtgee.simulate
 from crtgee import (
     ALL_KINDS,
     ALL_MODELS,
+    DomainError,
     EstimatorKind,
     Family,
     FactorialGrid,
@@ -180,6 +181,15 @@ def test_factorial_grid_layout():
     # last factor varies fastest
     assert cells[0].icc == 0.01 and cells[1].icc == 0.05 and cells[2].icc == 0.1
     assert cells[0].n_clusters == 6 and cells[-1].n_clusters == 100
+
+
+def test_grid_rejects_fewer_than_4_clusters():
+    with pytest.raises(DomainError, match="n_clusters must be >= 4.*got 2"):
+        FactorialGrid(n_clusters=(6, 2), sizes=(FixedSize(8),), pi0=(0.3,), icc=(0.05,))
+    assert FactorialGrid(n_clusters=(4,), sizes=(FixedSize(8),), pi0=(0.3,),
+                         icc=(0.05,)).n_scenarios == 1
+    # a single trial of 2 clusters stays valid input for the generator
+    assert Scenario(n_clusters=2, sizes=FixedSize(8), pi0=0.3, pi1=0.3, icc=0.05).n_clusters == 2
 
 
 def test_run_scenario_counts():

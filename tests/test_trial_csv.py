@@ -1,0 +1,269 @@
+"""The column-wise trial CSV reader against the per-row parser it replaced.
+
+`reference_read_trial_csv` is that parser, kept here as an independent
+reference: every input must give an equal TrialDataset (ids in
+first-appearance order, arms, each cluster's outcomes in row order), or the
+same DataError message with the same record number.
+"""
+
+import csv
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import crtgee.cli
+from crtgee import Cluster, DataError, TrialDataset
+from crtgee.cli import CSV_CHUNK_ROWS, TRIAL_CSV_HEADER, read_trial_csv
+
+HEADER = ",".join(TRIAL_CSV_HEADER)
+
+
+def reference_read_trial_csv(path):
+    """The per-row parser: one csv record at a time, checked cell by cell."""
+    order = []
+    arms = {}
+    outcomes = {}
+    try:
+        handle = open(path, newline="")
+    except OSError as err:
+        raise DataError(f"cannot read {path}: {err.strerror}") from err
+    with handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: file is empty")
+        if tuple(cell.strip() for cell in header) != TRIAL_CSV_HEADER:
+            raise DataError(
+                f"{path}: line 1: header must be exactly "
+                f"'{','.join(TRIAL_CSV_HEADER)}', got '{','.join(header)}'"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+            cid, arm_s, out_s = (cell.strip() for cell in row)
+            if not cid:
+                raise DataError(f"{path}: line {lineno}: empty cluster_id")
+            if arm_s not in ("0", "1"):
+                raise DataError(f"{path}: line {lineno}: arm must be 0 or 1, got '{arm_s}'")
+            if out_s not in ("0", "1"):
+                raise DataError(f"{path}: line {lineno}: outcome must be 0 or 1, got '{out_s}'")
+            arm = int(arm_s)
+            if cid in arms and arms[cid] != arm:
+                raise DataError(
+                    f"{path}: line {lineno}: cluster '{cid}' appears in both arms"
+                )
+            if cid not in arms:
+                arms[cid] = arm
+                order.append(cid)
+                outcomes[cid] = []
+            outcomes[cid].append(int(out_s))
+    if not order:
+        raise DataError(f"{path}: no data rows")
+    clusters = tuple(Cluster(id=cid, arm=arms[cid], outcomes=outcomes[cid]) for cid in order)
+    return TrialDataset(clusters=clusters)
+
+
+def parse_both(path):
+    """(outcome, value) of each parser: ("ok", dataset) or ("error", message)."""
+    results = []
+    for parse in (read_trial_csv, reference_read_trial_csv):
+        try:
+            results.append(("ok", parse(str(path))))
+        except DataError as err:
+            results.append(("error", str(err)))
+    return results
+
+
+def assert_same(path):
+    """Both parsers accept the file with equal datasets, or reject it alike.
+
+    Returns the reader's dataset, or its error message.
+    """
+    (kind, got), (ref_kind, want) = parse_both(path)
+    assert kind == ref_kind, (got, want)
+    if kind == "error":
+        assert got == want
+        return got
+    assert [c.id for c in got.clusters] == [c.id for c in want.clusters]
+    assert [c.arm for c in got.clusters] == [c.arm for c in want.clusters]
+    for a, b in zip(got.clusters, want.clusters):
+        assert a.outcomes.dtype == b.outcomes.dtype
+        np.testing.assert_array_equal(a.outcomes, b.outcomes)
+    return got
+
+
+def write(tmp_path, lines, name="trial.csv", newline="\n"):
+    path = tmp_path / name
+    path.write_bytes("".join(line + newline for line in lines).encode())
+    return path
+
+
+def trial_rows(n_clusters, seed, mean_size=8):
+    """Data rows (id, arm, outcome) of a random trial, clusters in order."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n_clusters):
+        for y in rng.integers(0, 2, size=int(rng.integers(1, 2 * mean_size))):
+            rows.append((f"c{i}", i % 2, int(y)))
+    return rows
+
+
+def csv_lines(rows):
+    return [HEADER, *(f"{cid},{arm},{y}" for cid, arm, y in rows)]
+
+
+# --- accepted inputs -----------------------------------------------------
+
+
+def test_shuffled_and_interleaved_clusters(tmp_path):
+    rows = trial_rows(12, seed=1)
+    shuffled = [rows[k] for k in np.random.default_rng(2).permutation(len(rows))]
+    data = assert_same(write(tmp_path, csv_lines(shuffled)))
+    # first-appearance order, not sorted order
+    first = list(dict.fromkeys(cid for cid, _, _ in shuffled))
+    assert [c.id for c in data.clusters] == first
+
+
+def test_whitespace_padded_cells(tmp_path):
+    lines = [" cluster_id , arm ,outcome ", "  a ,0, 1", "b\t, 1 ,0 ", " a,0 ,0", "b,1,1"]
+    data = assert_same(write(tmp_path, lines))
+    assert [c.id for c in data.clusters] == ["a", "b"]
+    np.testing.assert_array_equal(data.clusters[0].outcomes, [1.0, 0.0])
+
+
+def test_quoted_ids_with_commas(tmp_path):
+    lines = [HEADER, '"site 1, ward A",0,1', '"site 1, ward B",1,0', '"site 1, ward A",0,0',
+             '"site ""2""",1,1', '"site 1, ward B","1","1"']
+    data = assert_same(write(tmp_path, lines))
+    assert [c.id for c in data.clusters] == ["site 1, ward A", "site 1, ward B", 'site "2"']
+
+
+def test_crlf_line_endings(tmp_path):
+    lines = csv_lines(trial_rows(6, seed=3))
+    data = assert_same(write(tmp_path, lines, newline="\r\n"))
+    assert data.n_clusters == 6
+
+
+def test_blank_and_whitespace_only_rows(tmp_path):
+    rows = csv_lines(trial_rows(4, seed=4))
+    lines = [rows[0], "", rows[1], "   ", "\t", '""', rows[2], *rows[3:], "", " "]
+    data = assert_same(write(tmp_path, lines))
+    assert data.n_obs == len(rows) - 1
+
+
+def test_file_longer_than_two_chunks_with_a_cluster_across_a_boundary(tmp_path):
+    rows = trial_rows(6, seed=5, mean_size=CSV_CHUNK_ROWS // 2)
+    # one cluster's rows straddle the end of the first chunk (record 1 is the header)
+    straddle = [("wide", 1, k % 2) for k in range(40)]
+    at = CSV_CHUNK_ROWS - 20
+    rows = rows[:at] + straddle + rows[at:]
+    rows += trial_rows(3, seed=6, mean_size=CSV_CHUNK_ROWS // 2)
+    assert len(rows) > 2 * CSV_CHUNK_ROWS
+    lines = csv_lines(rows)
+    lines.insert(CSV_CHUNK_ROWS + 5, "")     # a blank row shifts the later records
+    data = assert_same(write(tmp_path, lines))
+    wide = next(c for c in data.clusters if c.id == "wide")
+    np.testing.assert_array_equal(wide.outcomes, [k % 2 for k in range(40)])
+
+
+# --- rejected inputs -----------------------------------------------------
+
+
+ERROR_CASES = {
+    "empty-file": [],
+    "bad-header": ["cluster,arm,outcome", "c1,0,1"],
+    "blank-header": ["", HEADER, "c1,0,1"],
+    "too-few-fields": [HEADER, "c1,0,1", "c1,0"],
+    "too-many-fields": [HEADER, "c1,0,1", "c2,1,0,0"],
+    "padded-blank-fields": [HEADER, "c1,0,1", "  ,  "],
+    "empty-cluster-id": [HEADER, "c1,0,1", " ,1,0"],
+    "arm-not-binary": [HEADER, "c1,0,1", "c1,2,0"],
+    "arm-empty": [HEADER, "c1,0,1", "c2,,0"],
+    "arm-two-characters": [HEADER, "c1,0,1", "c2,01,0"],
+    "arm-non-ascii-digit": [HEADER, "c1,0,1", "c2,１,0"],
+    # "" then "01": one join of the cells is "01", two characters for two rows
+    "arm-empty-then-two-characters": [HEADER, "c1,,1", "c2,01,0"],
+    "outcome-not-binary": [HEADER, "c1,0,1", "c1,0,yes"],
+    "outcome-float": [HEADER, "c1,0,1.0"],
+    "outcome-inner-space": [HEADER, "c1,0,0", "c2,1,1 0"],
+    "both-arms": [HEADER, "c1,0,1", "c2,1,0", "c1,1,1"],
+    "both-arms-within-new-cluster": [HEADER, "c9,1,1", "c9,0,1", "c2,0,0"],
+    "error-after-blank-rows": [HEADER, "c1,0,1", "", "  ", "c2,1,0", "", "c2,x,0"],
+    "no-data-rows": [HEADER, "", "   "],
+    "one-cluster": [HEADER, "c1,0,1", "c1,0,0"],
+    "one-arm": [HEADER, "c1,0,1", "c2,0,0"],
+    # several problems in one row: field count, empty id, arm, outcome, both arms
+    "fields-before-empty-id": [HEADER, "c1,0,1", ",2"],
+    "empty-id-before-arm": [HEADER, "c1,0,1", ",2,5"],
+    "arm-before-outcome": [HEADER, "c1,0,1", "c1,2,5"],
+    "outcome-before-both-arms": [HEADER, "c1,0,1", "c1,1,5"],
+    # problems in different rows: the earliest row wins
+    "both-arms-before-bad-arm": [HEADER, "c1,0,1", "c1,1,1", "c2,7,0"],
+    "bad-outcome-before-both-arms": [HEADER, "c1,0,1", "c2,1,2", "c1,1,1"],
+    "both-arms-before-field-count": [HEADER, "c1,0,1", "c1,1,1", "c2,1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_errors_carry_the_same_message_and_record(tmp_path, name):
+    message = assert_same(write(tmp_path, ERROR_CASES[name]))
+    assert isinstance(message, str)
+
+
+def test_missing_file_is_a_data_error(tmp_path):
+    message = assert_same(tmp_path / "nope.csv")
+    assert "cannot read" in message
+
+
+def test_conflicting_arm_first_seen_in_a_later_chunk(tmp_path):
+    rows = trial_rows(8, seed=7, mean_size=CSV_CHUNK_ROWS // 3)
+    assert len(rows) > 2 * CSV_CHUNK_ROWS
+    cid, arm, _ = rows[0]
+    lines = csv_lines(rows)
+    at = 2 * CSV_CHUNK_ROWS + 10
+    lines.insert(at, f"{cid},{1 - arm},1")
+    message = assert_same(write(tmp_path, lines))
+    assert f"line {at + 1}: cluster '{cid}' appears in both arms" in message
+
+
+def test_error_in_a_later_chunk_after_blank_rows(tmp_path):
+    lines = csv_lines(trial_rows(6, seed=8, mean_size=CSV_CHUNK_ROWS // 2))
+    lines[CSV_CHUNK_ROWS - 3 : CSV_CHUNK_ROWS - 3] = ["", "  ", ""]
+    at = CSV_CHUNK_ROWS + 40
+    lines[at] = "c0,0,2"
+    message = assert_same(write(tmp_path, lines))
+    assert f"line {at + 1}: outcome must be 0 or 1" in message
+
+
+# --- every mix of cells across chunk boundaries ----------------------------
+
+
+@st.composite
+def csv_rows(draw):
+    """Mostly valid records, some with padded or bad cells, blank rows or wrong widths."""
+    code = st.sampled_from(["0", "1", " 1", "0 ", "", "2", "01", "000", "x"])
+    valid = st.tuples(st.sampled_from(["a", "b", "c,d", "e"]), st.sampled_from(["0", "1"]),
+                      st.sampled_from(["0", "1"]))
+    noisy = st.tuples(st.sampled_from(["a", "b", " a ", "c,d", "", "  "]), code, code)
+    row = st.one_of(
+        valid.map(list), valid.map(list), valid.map(list),
+        noisy.map(list),
+        st.sampled_from([[], [""], ["   "], ["a", "0"], ["a", "0", "1", "1"]]),
+    )
+    return draw(st.lists(row, max_size=14))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(rows=csv_rows(), chunk=st.integers(1, 4))
+def test_any_rows_at_any_chunk_size_match_the_reference(tmp_path_factory, rows, chunk):
+    path = tmp_path_factory.getbasetemp() / "chunked.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIAL_CSV_HEADER)
+        writer.writerows(rows)
+    with mock.patch.object(crtgee.cli, "CSV_CHUNK_ROWS", chunk):
+        assert_same(path)
