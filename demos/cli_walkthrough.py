@@ -52,7 +52,7 @@ for name, est in report["estimates"].items():
     )
 
 # --- simulate: a 2 x 2 null grid ----------------------------------------------
-# The config crosses cluster counts with ICCs; pi1 defaults to pi0 (null).
+# The config crosses cluster counts with ICCs; grids are null-only (pi1 = pi0).
 results_path = workdir / "results.csv"
 config = {
     "seed": 20260821,

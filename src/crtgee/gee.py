@@ -19,10 +19,16 @@ m / (1 + (m-1) alpha):
 so that D_i' V_i^{-1} D_i = w_i x_i x_i' and D_i' V_i^{-1} (y_i - mu_i) =
 u_i x_i. Forming s costs O(total observations) once per fit; every scoring
 iteration then costs O(N), with mu, d and v evaluated once per arm and read
-per cluster. The converged fit keeps these arrays, the bread
-B = sum_i w_i x_i x_i', and each cluster's leverage
-h_i = w_i x_i' B^{-1} x_i = w_i / W_arm(i), its share of its arm's working
-information (of the total for the intercept-only model).
+per cluster.
+
+On the scale of the group means' linear predictors eta_g = x_g' beta (the
+two arms; the whole trial for the intercept-only model) the information
+is diag(W_g), W_g = sum_{i in g} w_i, and the score is U_g = sum_{i in g}
+u_i. A scoring step is one scalar per group, delta eta_g = U_g / W_g, and
+(delta eta_0, delta eta_1 - delta eta_0) in beta; the information is
+singular exactly when some W_g is 0. The converged fit keeps w, u, W and
+each cluster's leverage h_i = w_i / W_g(i), its share of its group's
+working information.
 
 A scoring step is a function of beta alone. When an iterate repeats bit for
 bit (the alpha/beta alternation can lock into such a cycle), the fit can
@@ -32,12 +38,11 @@ the same outcome as running the budget out.
 
 fit_block scores a block of R replicates that share their clusters' arms
 at once, on (R, N) arrays: each iteration is one vectorized pass over the
-replicates still iterating, with a stacked solve of their p x p systems.
-Every replicate keeps its own iteration count, step halving, cycle cut and
-outcome, and leaves the stacked arrays when it converges or fails; the
-operations on a replicate's row do not depend on the other rows, so each
-fit is bit for bit the fit of that replicate alone. fit_gee is a block of
-one.
+replicates still iterating. Every replicate keeps its own iteration count,
+step halving, cycle cut and outcome, and leaves the stacked arrays when it
+converges or fails; the operations on a replicate's row do not depend on
+the other rows, so each fit is bit for bit the fit of that replicate alone.
+fit_gee is a block of one.
 """
 
 from __future__ import annotations
@@ -62,6 +67,15 @@ from .families import (
 
 #: margin keeping R(alpha) positive definite after clamping
 ALPHA_MARGIN = 1e-6
+
+#: a fit converges when no coefficient moves by this much in one step
+BETA_TOL = 1e-8
+
+#: largest entry of the score X'u accepted at a converged beta
+SCORE_TOL = 1e-4
+
+#: halvings of a step whose fitted means leave the family's range
+MAX_STEP_HALVINGS = 10
 
 
 class CorrelationKind(enum.Enum):
@@ -202,14 +216,6 @@ def initialize_beta(arm, m, s, spec):
                          spec)[0]
 
 
-def _design_rows(arm, n_params):
-    """Covariate rows x_i as an (N, p) array: (1, arm_i), or (1,) intercept-only."""
-    x = np.ones((len(arm), n_params))
-    if n_params == 2:
-        x[:, 1] = arm
-    return x
-
-
 def _group_eta(beta):
     """Group linear predictors x_g' beta, (R, G), for x_g = (1, 0), (1, 1), or (1,)."""
     eta = beta.copy()
@@ -230,26 +236,6 @@ def _group_sums(values, group, n_groups):
     return sums.reshape(n_rep, n_groups)
 
 
-def _solve(B, U):
-    """Stacked Newton steps B_r^{-1} U_r and the rows whose B_r LAPACK finds singular.
-
-    One stacked solve; only when it raises is each matrix solved alone, so
-    that a singular matrix fails its own replicate and no other.
-    """
-    try:
-        return np.linalg.solve(B, U[..., None])[..., 0], np.zeros(len(B), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    delta = np.zeros_like(U)
-    singular = np.zeros(len(B), dtype=bool)
-    for k in range(len(B)):
-        try:
-            delta[k] = np.linalg.solve(B[k], U[k])
-        except np.linalg.LinAlgError:
-            singular[k] = True
-    return delta, singular
-
-
 @dataclass
 class FitBlock:
     """Converged fits of one working model to a block of replicates.
@@ -263,7 +249,6 @@ class FitBlock:
 
     spec: ModelSpec
     arm: np.ndarray          # (N,) arm label
-    x: np.ndarray            # (N, p) covariate rows x_i
     rows: np.ndarray         # (R,) positions of the converged replicates
     errors: dict             # position -> NonConvergenceError
     beta: np.ndarray         # (R, p)
@@ -276,26 +261,15 @@ class FitBlock:
     s: np.ndarray            # (R, N) event counts s_i
     w: np.ndarray            # (R, N) working weights
     u: np.ndarray            # (R, N) scores
-    h: np.ndarray            # (R, N) leverages w_i / W_arm(i)
-    info_sum: np.ndarray     # (R, p, p) bread B
+    h: np.ndarray            # (R, N) leverages w_i / W_g(i)
+    W: np.ndarray            # (R, G) working information W_g = sum_{i in g} w_i
 
     @property
     def n_params(self):
-        return self.x.shape[1]
+        return self.W.shape[1]
 
 
-def fit_block(
-    arm,
-    m,
-    s,
-    spec,
-    corr=None,
-    *,
-    max_iter=50,
-    beta_tol=1e-8,
-    score_tol=1e-4,
-    max_step_halvings=10,
-):
+def fit_block(arm, m, s, spec, corr=None, *, max_iter=50):
     """Fit the marginal model by Fisher scoring to every replicate of a block.
 
     `arm` (N,) holds the clusters' arms, shared by the block; `m` and `s`
@@ -306,10 +280,11 @@ def fit_block(
     the others, so every fit equals the fit of its replicate alone.
 
     A replicate fails (an entry in `errors`) when the iteration or
-    step-halving budget is exhausted, the information matrix is singular
-    or not finite, or the final score fails the first-order condition; the
-    error carries the iteration count, the last coefficient vector and a
-    reason tag, which simulation code counts as the convergence outcome.
+    step-halving budget is exhausted, a group's working information W_g
+    is 0 or not finite, or the final score fails the first-order
+    condition; the error carries the iteration count, the last coefficient
+    vector and a reason tag, which simulation code counts as the
+    convergence outcome.
     """
     if corr is None:
         corr = WorkingCorrelation.exchangeable()
@@ -330,8 +305,6 @@ def fit_block(
 
     link, family = spec.link, spec.family
     p = spec.n_params
-    x = _design_rows(arm, p)
-    xt = x.T
     # mu, d and v are constant within a group (an arm; the whole trial for
     # the intercept-only model): they are computed per group and read per
     # cluster through `group`
@@ -391,18 +364,17 @@ def fit_block(
             clamped = clamped | now_clamped
 
         w, u = weights_scores(d, v, resid, alpha, lm, lm1)
-        B = np.matmul(xt, w[:, :, None] * x)
-        U = np.matmul(xt, u[:, :, None])[:, :, 0]
-        if np.isfinite(B).all() and np.isfinite(U).all():
-            step, singular = _solve(B, U)
-        else:
-            finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(U).all(axis=1)
+        W, U = _group_sums(w, group, p), _group_sums(u, group, p)
+        if not (np.isfinite(W).all() and np.isfinite(U).all() and W.all()):
+            finite = np.isfinite(W).all(axis=1) & np.isfinite(U).all(axis=1)
+            singular = finite & ~W.all(axis=1)
             leave(np.flatnonzero(~finite), "numerical_breakdown", beta, it)
-            step = np.zeros_like(beta)
-            singular = np.zeros(live.size, dtype=bool)
-            step[finite], singular[finite] = _solve(B[finite], U[finite])
-        if singular.any():
             leave(np.flatnonzero(singular), "singular_information", beta, it)
+            W, U = np.where(staying[:, None], W, 1.0), np.where(staying[:, None], U, 0.0)
+        # the group means' steps delta eta_g = U_g / W_g, then on the beta scale
+        step = U / W
+        if p == 2:
+            step[:, 1] -= step[:, 0]
 
         # step halving, per replicate, until its means are valid
         trial_eta = _group_eta(beta + step)
@@ -411,7 +383,7 @@ def fit_block(
         eta, mu = trial_eta, trial_mu
         if todo.any():
             todo = np.flatnonzero(todo)
-            for _ in range(max_step_halvings):
+            for _ in range(MAX_STEP_HALVINGS):
                 step[todo] = step[todo] / 2.0
                 trial_eta = _group_eta(beta[todo] + step[todo])
                 trial_mu = link_inverse(link, trial_eta)
@@ -426,7 +398,7 @@ def fit_block(
         if not np.isfinite(beta).all():
             leave(np.flatnonzero(staying & ~np.isfinite(beta).all(axis=1)),
                   "numerical_breakdown", beta, it)
-        converged = staying & (np.abs(step).max(axis=1) < beta_tol)
+        converged = staying & (np.abs(step).max(axis=1) < BETA_TOL)
         bits = beta.view(np.int64)
         seen = (history[:, :it] == bits[:, None, :]).all(axis=2)
         history[:, it] = bits
@@ -467,17 +439,20 @@ def fit_block(
         alpha = est_alpha
         clamped = clamped | now_clamped
     w, u = weights_scores(d, v, resid, alpha, *consts[:2])
-    score_norm = np.abs(np.matmul(xt, u[:, :, None])[:, :, 0]).max(axis=1)
-    failed = score_norm >= score_tol
+    W, U = _group_sums(w, group, p), _group_sums(u, group, p)
+    # X'u = (U_0 + U_1, U_1), or U_0 for the intercept-only model
+    if p == 2:
+        U[:, 0] += U[:, 1]
+    score_norm = np.abs(U).max(axis=1)
+    failed = score_norm >= SCORE_TOL
     for k in np.flatnonzero(failed):
         r = int(rows[k])
         errors[r] = NonConvergenceError("score_condition_failed", int(done_at[r]), beta[k])
     keep = ~failed
-    rows, w = rows[keep], w[keep]
+    rows, w, W = rows[keep], w[keep], W[keep]
     return FitBlock(
         spec=spec,
         arm=arm,
-        x=x,
         rows=rows,
         errors=errors,
         beta=beta[keep],
@@ -490,8 +465,8 @@ def fit_block(
         s=s[rows],
         w=w,
         u=u[keep],
-        h=w / _group_sums(w, group, p)[:, group],
-        info_sum=np.matmul(xt, w[:, :, None] * x),
+        h=w / W[:, group],
+        W=W,
     )
 
 
@@ -515,7 +490,6 @@ class GeeFit:
     block: FitBlock
 
     spec = property(lambda self: self.block.spec)
-    x = property(lambda self: self.block.x, doc="covariate rows x_i, (N, p)")
     arm = property(lambda self: self.block.arm, doc="arm label")
     beta = _first_row("beta")
     alpha_hat = _first_row("alpha", float)
@@ -527,8 +501,8 @@ class GeeFit:
     s = _first_row("s", doc="event count s_i = sum_j y_ij")
     w = _first_row("w", doc="working weight: D_i' V_i^{-1} D_i = w_i x_i x_i'")
     u = _first_row("u", doc="score: D_i' V_i^{-1} (y_i - mu_i) = u_i x_i")
-    h = _first_row("h", doc="leverage w_i / W_arm(i)")
-    info_sum = _first_row("info_sum", doc="B = sum_i w_i x_i x_i'")
+    h = _first_row("h", doc="leverage w_i / W_g(i)")
+    W = _first_row("W", doc="working information W_g = sum_{i in g} w_i per group")
     converged = True
 
     @property
@@ -540,33 +514,40 @@ class GeeFit:
         return self.beta.size
 
     @property
+    def x(self):
+        """Covariate rows x_i, (N, p): (1, arm_i), or (1,) for the intercept-only model."""
+        x = np.ones((len(self.arm), self.n_params))
+        if self.n_params == 2:
+            x[:, 1] = self.arm
+        return x
+
+    @property
+    def info_sum(self):
+        """The information B = sum_i w_i x_i x_i', from the group totals W_g."""
+        W = self.W
+        if W.size == 1:
+            return np.array([[W[0]]])
+        return np.array([[W[0] + W[1], W[1]], [W[1], W[1]]])
+
+    @property
     def scores(self):
         """Per-cluster score vectors u_i x_i as an (N, p) array."""
         return self.u[:, None] * self.x
 
     def fitted_arm_means(self):
         """Fitted mean per arm (identical across clusters of an arm)."""
-        mu = link_inverse(self.spec.link, _design_rows([0, 1], self.n_params) @ self.beta)
-        return {0: float(mu[0]), 1: float(mu[1])}
+        mu = link_inverse(self.spec.link, _group_eta(self.beta[None])[0])
+        return {0: float(mu[0]), 1: float(mu[-1])}
 
 
-def fit_gee(
-    data,
-    spec,
-    corr=None,
-    *,
-    max_iter=50,
-    beta_tol=1e-8,
-    score_tol=1e-4,
-    max_step_halvings=10,
-):
+def fit_gee(data, spec, corr=None, *, max_iter=50):
     """Fit the marginal model by Fisher scoring: a block of one replicate.
 
     Raises
     ------
     NonConvergenceError
-        When the iteration or step-halving budget is exhausted, the
-        information matrix is singular, or the final score fails the
+        When the iteration or step-halving budget is exhausted, a group's
+        working information is 0 or not finite, or the final score fails the
         first-order condition. The exception carries the iteration count,
         the last coefficient vector, and a reason tag; simulation code
         counts these events as the convergence-rate outcome.
@@ -576,8 +557,7 @@ def fit_gee(
     arm = np.array([c.arm for c in data.clusters], dtype=int)
     m = np.array([[c.size for c in data.clusters]])
     s = np.array([[c.outcomes.sum() for c in data.clusters]])
-    block = fit_block(arm, m, s, spec, corr, max_iter=max_iter, beta_tol=beta_tol,
-                      score_tol=score_tol, max_step_halvings=max_step_halvings)
+    block = fit_block(arm, m, s, spec, corr, max_iter=max_iter)
     if block.errors:
         raise block.errors[0]
     return GeeFit(data=data, corr=corr, block=block)

@@ -1,31 +1,38 @@
 """Model-based, robust, and bias-corrected sandwich covariance estimators.
 
 Every estimator reads the converged fit's per-cluster arrays (see
-crtgee.gee): the score s_i = u_i x_i, the bread B = sum_i w_i x_i x_i',
-and the leverage h_i = w_i / W_arm(i). The sandwich kinds scale each
-score by a per-cluster factor:
+crtgee.gee): the score u_i, the leverage h_i = w_i / W_g(i) and the group
+totals W_g. On the scale of the group means' linear predictors eta_g the
+bread is diag(W_g) and cluster i's score is u_i on its group's
+coordinate, so each kind is formed from per-group sums on that scale and
+mapped once to beta = (eta_0, eta_1 - eta_0) as cov_beta = A cov_eta A',
+A = [[1, 0], [-1, 1]]:
 
-    cov = B^{-1} [ sum_i c_i^2 s_i s_i' ] B^{-1}
+    MB              phi diag(1 / W_g)
+    robust, KC, MD  diag(T_g / W_g^2),  T_g = sum_{i in g} c_i^2 u_i^2
 
 with c_i = 1 (robust), (1 - h_i)^{-1/2} (KC; Kauermann & Carroll, JASA
-2001) or (1 - h_i)^{-1} (MD; Mancl & DeRouen, Biometrics 2001). Both are
-defined as (I - Q_i)^{-1/2} s_i and (I - Q_i)^{-1} s_i with the cluster
-leverage Q_i = w_i x_i x_i' B^{-1}. Q_i has rank one and, because the
-mean model is saturated, x_i' B^{-1} x_i = 1 / W_arm(i), so
-Q_i x_i = h_i x_i: the score is an eigenvector of Q_i with eigenvalue
-h_i, and the matrix functions reduce to these scalars. FG (Fay &
-Graubard, Biometrics 2001) caps the diagonal of Q_i at r; that diagonal
-is h_i at the coordinate of the cluster's arm (coordinate 0 for the
-intercept-only model) and 0 elsewhere, so FG divides that coordinate of
-s_i by sqrt(1 - min(r, h_i)). MBN (Morel, Bokossa & Neerchal, Biom. J.
-2003) adds an inflation term to the robust matrix instead. Sums are kept
-unnormalized; the N-normalized textbook writing differs only by
-cancelling factors of N.
+2001) or (1 - h_i)^{-1} (MD; Mancl & DeRouen, Biometrics 2001). These are
+defined as (I - Q_i)^{-1/2} s_i and (I - Q_i)^{-1} s_i for the score
+s_i = u_i x_i and the cluster leverage Q_i = w_i x_i x_i' B^{-1}, which has
+rank one; the mean model is saturated, so x_i' B^{-1} x_i = 1 / W_g(i) and
+Q_i x_i = h_i x_i: the score is an eigenvector of Q_i with eigenvalue h_i,
+and the matrix functions reduce to these scalars. FG (Fay & Graubard,
+Biometrics 2001) caps the diagonal of Q_i at r; in beta that diagonal is
+h_i at the coordinate of the cluster's arm (coordinate 0 for the
+intercept-only model) and 0 elsewhere, so FG multiplies that coordinate
+of s_i by c_i = (1 - min(r, h_i))^{-1/2}: a control cluster's influence on
+eta is (c_i u_i / W_0, 0), a treated cluster's (u_i (1 - c_i) / W_0,
+c_i u_i / W_1). MBN (Morel, Bokossa & Neerchal, Biom. J. 2003) adds an
+inflation term to the robust matrix; its trace term is sum_g T_g / W_g
+(c_i = 1) in any parametrization. Sums are kept unnormalized; the
+N-normalized textbook writing differs only by cancelling factors of N.
 
 estimate_block forms every requested kind for a block of converged fits at
-once, as (R, p, p) stacks, and records each replicate's failure (a
-singular bread, a leverage at 1) without stopping the others;
-compute_estimates is a block of one that raises the failure instead.
+once, as (R, p, p) arrays, and records each replicate's failure (a group
+without working information, a leverage at 1) without stopping the
+others; compute_estimates is a block of one that raises the failure
+instead.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .errors import (
     UnsupportedDesignError,
     UsageError,
 )
+from .gee import _group_sums
 
 
 class EstimatorKind(enum.Enum):
@@ -78,53 +86,28 @@ class VarianceEstimate:
 class CorrectionContext:
     """Per-cluster leverages shared by the corrections."""
 
-    h: np.ndarray           # h_i = w_i / W_arm(i), the nonzero eigenvalue of Q_i
-    x: np.ndarray           # covariate rows x_i, (N, p)
-    binv: np.ndarray        # B^{-1}
+    h: np.ndarray           # h_i = w_i / W_g(i), the nonzero eigenvalue of Q_i
     r: float                # FG diagonal cap
     q_max: float            # largest h_i
 
-    def identity_gap(self):
-        """sum_i Q_i - I, an algebraic zero up to rounding.
 
-        Q_i = w_i x_i x_i' B^{-1} = h_i x_i x_i' B^{-1} / (x_i' B^{-1} x_i)
-        is rebuilt from the closed-form h_i, so the gap also checks that
-        h_i is the cluster's share of its arm's information.
-        """
-        lev = np.sum((self.x @ self.binv) * self.x, axis=1)       # x_i' B^{-1} x_i
-        total = (self.x * (self.h / lev)[:, None]).T @ self.x @ self.binv
-        return total - np.eye(total.shape[0])
-
-
-def _bread_inverses(info_sum):
-    """B^{-1} per replicate, (R, p, p), and each failing replicate's SingularityError."""
+def _bread_errors(W):
+    """Each replicate's SingularityError where some group's W_g is 0 or not finite."""
     errors = {}
-    try:
-        binv = np.linalg.inv(info_sum)
-    except np.linalg.LinAlgError:
-        binv = np.full_like(info_sum, np.nan)
-        for k, B in enumerate(info_sum):
-            try:
-                binv[k] = np.linalg.inv(B)
-            except np.linalg.LinAlgError:
-                errors[k] = SingularityError("bread matrix sum_i D'V^{-1}D is singular")
-    for k in np.flatnonzero(~np.isfinite(binv).all(axis=(1, 2))):
-        errors.setdefault(int(k), SingularityError("bread matrix inverse is not finite"))
-    return binv, errors
+    for k in np.flatnonzero(~(np.isfinite(W) & (W != 0.0)).all(axis=1)):
+        problem = "singular" if (W[k] == 0.0).any() else "not finite"
+        errors[int(k)] = SingularityError(f"bread matrix sum_i D'V^{{-1}}D is {problem}")
+    return errors
 
 
 def correction_context(fit, fg_bound=DEFAULT_FG_BOUND):
-    """Collect the fit's leverages and the inverse bread for the corrections."""
+    """Collect the fit's leverages for the corrections."""
     if not 0.0 < fg_bound <= 1.0:
         raise UsageError(f"FG bound must lie in (0, 1], got {fg_bound}")
-    binv, errors = _bread_inverses(fit.info_sum[None])
+    errors = _bread_errors(fit.W[None])
     if errors:
         raise errors[0]
-    return CorrectionContext(h=fit.h, x=fit.x, binv=binv[0], r=fg_bound, q_max=float(fit.h.max()))
-
-
-def _sym(cov):
-    return (cov + np.swapaxes(cov, -1, -2)) / 2.0
+    return CorrectionContext(h=fit.h, r=fg_bound, q_max=float(fit.h.max()))
 
 
 def _first_bad(bad, cluster_ids):
@@ -134,9 +117,20 @@ def _first_bad(bad, cluster_ids):
         yield int(k), i if cluster_ids is None else cluster_ids[i]
 
 
-def _sandwich(binv, scores):
-    """B^{-1} (sum_i t_i t_i') B^{-1}, symmetrized, for stacked scores t (R, N, p)."""
-    return _sym(binv @ (np.swapaxes(scores, -1, -2) @ scores) @ binv)
+def _beta_cov(var, cross=0.0):
+    """cov_beta = A cov_eta A', (R, p, p), for cov_eta = [[a, c], [c, b]].
+
+    `var` (R, G) holds the group variances (a, b), or (a,) for the
+    intercept-only model, and `cross` (R,) their covariance c.
+    """
+    if var.shape[1] == 1:
+        return var.reshape(-1, 1, 1)
+    a, b = var[:, 0], var[:, 1]
+    cov = np.empty((len(var), 2, 2))
+    cov[:, 0, 0] = a
+    cov[:, 0, 1] = cov[:, 1, 0] = cross - a
+    cov[:, 1, 1] = a + b - 2.0 * cross
+    return cov
 
 
 def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids=None):
@@ -158,66 +152,76 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
     if sandwich_kinds and not 0.0 < fg_bound <= 1.0:
         raise UsageError(f"FG bound must lie in (0, 1], got {fg_bound}")
 
-    n_clusters = fits.x.shape[0]
-    binv, bread_errors = _bread_inverses(fits.info_sum)
-    scores = fits.u[:, :, None] * fits.x
+    p = fits.n_params
+    group = fits.arm if p == 2 else np.zeros_like(fits.arm)
+    n_clusters = len(group)
+    u, h, W = fits.u, fits.h, fits.W
+    bread_errors = _bread_errors(W)
+    if bread_errors:
+        W = W.copy()
+        W[list(bread_errors)] = np.nan
+    WW = W * W
+    # T_g = sum_{i in g} u_i^2, the robust meat on the eta scale
+    T = _group_sums(u * u, group, p)
     covs, diagnostics, errors = {}, {}, {}
-    q_max = fits.h.max(axis=1)
+    q_max = h.max(axis=1)
 
     for kind in sandwich_kinds:
         errs = dict(bread_errors)
-        t = scores
-        if kind in (EstimatorKind.KC, EstimatorKind.MD):
-            gaps = 1.0 - fits.h                    # eigenvalue of I - Q_i along x_i
+        if kind is EstimatorKind.ROBUST:
+            covs[kind] = _beta_cov(T / WW)
+        elif kind in (EstimatorKind.KC, EstimatorKind.MD):
+            gaps = 1.0 - h                         # eigenvalue of I - Q_i along x_i
             bad = gaps <= 1e-14
             if bad.any():
                 for k, cid in _first_bad(bad, cluster_ids):
                     errs.setdefault(k, CorrectionSingularityError(
                         cid, kind.name, f"I - Q_i eigenvalue {float(gaps[k].min()):.3g}"))
                 gaps = np.where(bad, 1.0, gaps)
-            power = -0.5 if kind is EstimatorKind.KC else -1.0
-            t = scores * (gaps ** power)[:, :, None]
-        elif kind is EstimatorKind.FG:
-            factors = 1.0 - np.minimum(fg_bound, fits.h)
+            cu = u * gaps ** (-0.5 if kind is EstimatorKind.KC else -1.0)
+            covs[kind] = _beta_cov(_group_sums(cu * cu, group, p) / WW)
+        else:
+            factors = 1.0 - np.minimum(fg_bound, h)
             bad = factors <= 0.0
             if bad.any():
                 for k, cid in _first_bad(bad, cluster_ids):
                     errs.setdefault(k, CorrectionSingularityError(
                         cid, "FG", "capped diagonal reached 1"))
                 factors = np.where(bad, 1.0, factors)
-            # diag(Q_i) is h_i at the coordinate of the cluster's arm, 0 elsewhere
-            col = fits.arm if fits.n_params == 2 else 0
-            t = scores.copy()
-            t[:, np.arange(n_clusters), col] /= np.sqrt(factors)
-        covs[kind] = _sandwich(binv, t)
+            # the FG factor c_i scales the score's coordinate of the
+            # cluster's arm; f0 and f1 are W_0 and W_1 times the influence
+            # on eta_0 and eta_1
+            c = 1.0 / np.sqrt(factors)
+            treated = group == 1
+            f0 = np.where(treated, 1.0 - c, c) * u
+            f1 = np.where(treated, c, 0.0) * u
+            var = np.stack([(f0 * f0).sum(axis=1), (f1 * f1).sum(axis=1)], axis=1)[:, :p]
+            covs[kind] = _beta_cov(var / WW, (f0 * f1).sum(axis=1) / (W[:, 0] * W[:, -1]))
         diagnostics[kind] = {"q_max": q_max}
         errors[kind] = errs
 
     if EstimatorKind.MB in want:
-        covs[EstimatorKind.MB] = _sym(fits.phi[:, None, None] * binv)
+        covs[EstimatorKind.MB] = _beta_cov(fits.phi[:, None] / W)
         diagnostics[EstimatorKind.MB] = {}
         errors[EstimatorKind.MB] = dict(bread_errors)
 
     if EstimatorKind.MBN in want:
         # cov = c V_robust + delta_N phi_mbn B^{-1}, with
         # c = ((sum m_i - 1)/(sum m_i - 2)) (N/(N-1)), delta_N = min(0.5, 2/(N-2))
-        # and phi_mbn = max(1, trace(c B^{-1} sum_i s_i s_i') / p)
+        # and phi_mbn = max(1, c trace(B^{-1} sum_i s_i s_i') / p), where
+        # trace(B^{-1} sum_i s_i s_i') = sum_g T_g / W_g
         kind = EstimatorKind.MBN
         if n_clusters <= 2:
             err = UnsupportedDesignError(f"MBN needs more than 2 clusters, got {n_clusters}")
-            errors[kind] = {k: err for k in range(len(binv))}
-            covs[kind] = np.full_like(binv, np.nan)
+            errors[kind] = {k: err for k in range(len(W))}
+            covs[kind] = np.full((len(W), p, p), np.nan)
             diagnostics[kind] = {}
         else:
             total_obs = fits.m.sum(axis=1)
-            c = (((total_obs - 1) / (total_obs - 2)) * (n_clusters / (n_clusters - 1)))
-            c = c[:, None, None]
+            c = (((total_obs - 1) / (total_obs - 2)) * (n_clusters / (n_clusters - 1)))[:, None]
             delta = min(0.5, 2.0 / (n_clusters - 2))
-            meat = np.swapaxes(scores, -1, -2) @ scores
-            v_robust = binv @ meat @ binv
-            trace = np.trace(c * (binv @ meat), axis1=1, axis2=2)
-            phi_mbn = np.fmax(1.0, trace / fits.n_params)
-            covs[kind] = _sym(c * v_robust + (delta * phi_mbn)[:, None, None] * binv)
+            phi_mbn = np.fmax(1.0, (c * T / W).sum(axis=1) / p)
+            covs[kind] = _beta_cov(c * T / WW + (delta * phi_mbn)[:, None] / W)
             diagnostics[kind] = {"mbn_phi": phi_mbn}
             errors[kind] = dict(bread_errors)
 
@@ -258,7 +262,7 @@ def robust_sandwich(fit, kinds=(EstimatorKind.ROBUST,), fg_bound=DEFAULT_FG_BOUN
     """Sandwich estimates for the requested multiplicative kinds.
 
     Returns a list of VarianceEstimate in the order requested. Every
-    output is exactly symmetrized as (A + A')/2.
+    output is symmetric by construction.
     """
     kinds = tuple(kinds)
     bad = [k for k in kinds if k not in MULTIPLICATIVE_KINDS]

@@ -11,9 +11,9 @@ which makes output files byte-identical at any parallelism.
 
 A cell's replicates run in blocks of BLOCK_REPLICATES through one engine
 (run_block): the block's cluster sizes and event counts are generated as
-(R, N) arrays, every working model is fit to all of them by one stacked
-Fisher-scoring loop, and every variance estimate is formed as an (R, p, p)
-stack. A fit rejects the null when |t| = |beta1 / SE| exceeds the upper
+(R, N) arrays, every working model is fit to all of them by one vectorized
+Fisher-scoring loop whose step is one scalar U_g / W_g per arm, and every
+variance estimate is formed from per-arm sums as an (R, p, p) array. A fit rejects the null when |t| = |beta1 / SE| exceeds the upper
 alpha_level/2 quantile of t with N - 2 degrees of freedom, computed once
 per cell; no p-values are computed. Each replicate's outcome is bit for bit
 the one it has alone, so results depend on neither the block size nor the

@@ -5,9 +5,13 @@ covariance from the closed form of R(alpha)^{-1}, and evaluates the KC
 and MD multipliers with scipy.linalg.sqrtm / inv on the non-symmetric
 (I - Q_i), plus the classical observation-space leverage form as a
 second route. Shares no linear algebra with the package beyond numpy
-primitives.
+primitives. Also holds the sum Q_i = I reconstruction of criterion 2 and
+a 60-digit mpmath evaluation of the robust, KC and MD matrices, the
+reference where alpha sits at its lower bound and the m x m inverses
+above lose digits.
 """
 
+import mpmath
 import numpy as np
 import scipy.linalg as sla
 
@@ -125,6 +129,57 @@ def dense_estimates(data, family, link, beta, alpha, phi, fg_bound=0.75):
     out["mbn"] = (mbn + mbn.T) / 2.0
 
     out["avg"] = (out["kc"] + out["md"]) / 2.0
+    return out
+
+
+def identity_gap(fit):
+    """sum_i Q_i - I for a fit, an algebraic zero up to rounding.
+
+    Q_i = w_i x_i x_i' B^{-1} = h_i x_i x_i' B^{-1} / (x_i' B^{-1} x_i)
+    is rebuilt from the fit's closed-form h_i, so the gap also checks that
+    h_i is the cluster's share of its arm's information.
+    """
+    x, binv = fit.x, np.linalg.inv(fit.info_sum)
+    lev = np.sum((x @ binv) * x, axis=1)       # x_i' B^{-1} x_i
+    total = (x * (fit.h / lev)[:, None]).T @ x @ binv
+    return total - np.eye(total.shape[0])
+
+
+def mp_sandwiches(data, family, link, beta, alpha, digits=60):
+    """Robust, KC and MD matrices B^{-1} (sum_i c_i^2 u_i^2 x_i x_i') B^{-1} in mpmath.
+
+    Evaluated at `digits` significant digits from raw cluster sums and the
+    given (beta, alpha), with p x p algebra throughout: B = sum_i w_i x_i x_i'
+    is inverted as a matrix and each leverage is h_i = w_i x_i' B^{-1} x_i,
+    so the reference shares no per-arm shortcut with the package. Returns
+    float arrays keyed by robust / kc / md.
+    """
+    with mpmath.workdps(digits):
+        beta = [mpmath.mpf(float(b)) for b in beta]
+        alpha = mpmath.mpf(float(alpha))
+        p = len(beta)
+        rows = []
+        for c in data.clusters:
+            m, s = c.size, mpmath.mpf(float(np.sum(c.outcomes)))
+            x = mpmath.matrix([1, c.arm][:p])
+            eta = sum(xj * bj for xj, bj in zip(x, beta))
+            mu = {"log": mpmath.exp(eta), "logit": 1 / (1 + mpmath.exp(-eta))}.get(link, eta)
+            d = {"log": mu, "logit": mu * (1 - mu)}.get(link, mpmath.mpf(1))
+            v = {"binomial": mu * (1 - mu), "poisson": mu}.get(family, mpmath.mpf(1))
+            denom = 1 + (m - 1) * alpha
+            rows.append((x, d * d / v * m / denom, d / v * (s - m * mu) / denom))
+        B = mpmath.zeros(p, p)
+        for x, w, _ in rows:
+            B += w * x * x.T
+        Binv = B ** -1
+        out = {}
+        for name, power in (("robust", 0), ("kc", 1), ("md", 2)):
+            meat = mpmath.zeros(p, p)
+            for x, w, u in rows:
+                h = w * (x.T * Binv * x)[0]
+                meat += u * u / (1 - h) ** power * x * x.T
+            cov = Binv * meat * Binv
+            out[name] = np.array([[float(cov[i, j]) for j in range(p)] for i in range(p)])
     return out
 
 

@@ -4,6 +4,8 @@ Each design family is drawn by hypothesis (derandomized, so every run sees
 the same examples) and every estimator the fit supports must match the
 dense scipy evaluation in tests/_dense_oracle.py to 1e-10, or to the
 oracle's own accuracy where its m x m inverse of R(alpha) is ill conditioned.
+Where alpha sits at its lower bound, robust, KC, MD and AVG are compared
+with the oracle's 60-digit mpmath evaluation instead, to 1e-9.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ from crtgee import (
     fit_gee,
 )
 
-from _dense_oracle import dense_estimates, rel_err
+from _dense_oracle import dense_estimates, mp_sandwiches, rel_err
 
 ALL_SPECS = [
     ModelSpec(Family.BINOMIAL, Link.LOG),
@@ -90,33 +92,37 @@ def check_against_oracle(data, spec):
     cond B / (1 - q_max). That is below 1e-10 until alpha nears a bound or
     a leverage nears 1; the tolerance is the larger of the two. At the
     lower bound of alpha the largest cluster's leverage comes within about
-    1e-6 of 1, and the oracle's double-precision inverse of I - Q_i then
-    misses MD by up to 7e-5 where the core is within 1e-10 of a 60-digit
-    evaluation, so such fits are not compared.
+    1e-5 of 1, and the oracle's double-precision inverse of I - Q_i then
+    misses MD by up to 7e-5, so there the sandwich kinds are held to the
+    60-digit evaluation, to 1e-9.
     """
     try:
         fit = fit_gee(data, spec)
     except NonConvergenceError:
         assume(False)
-    lower, _ = alpha_bounds(int(fit.m.max()))
-    assume(fit.alpha_hat > lower)
     scale = working_condition(fit) + np.linalg.cond(fit.info_sum) / (1.0 - np.max(fit.h))
     tol = max(1e-10, 4.0 * np.finfo(float).eps * scale)
     want = dense_estimates(
         data, spec.family.value, spec.link.value, fit.beta, fit.alpha_hat, fit.phi_hat
     )
+    precise = {}
+    if fit.alpha_hat == alpha_bounds(int(fit.m.max()))[0]:
+        precise = mp_sandwiches(data, spec.family.value, spec.link.value, fit.beta,
+                                fit.alpha_hat)
+        precise["avg"] = (precise["kc"] + precise["md"]) / 2.0
     compared = 0
     for kind in ALL_KINDS:
         try:
             est = compute_estimates(fit, (kind,))[kind]
         except CorrectionSingularityError:
             continue
-        reference = want[kind.value]
+        reference = precise.get(kind.value, want[kind.value])
         if np.max(np.abs(reference)) < 1e-20:
             # every residual is zero: both sides are zero matrices
             assert np.max(np.abs(est.cov)) < 1e-20, kind
         else:
-            assert rel_err(est.cov, reference) < tol, (kind, spec.label())
+            limit = 1e-9 if kind.value in precise else tol
+            assert rel_err(est.cov, reference) < limit, (kind, spec.label())
         compared += 1
     assert compared >= 3
     return fit

@@ -9,14 +9,17 @@ from crtgee import (
     EstimatorKind,
     Family,
     FixedSize,
+    GammaSize,
     Link,
     MeanModel,
     ModelSpec,
+    NonConvergenceError,
     Scenario,
     TrialDataset,
     UnsupportedDesignError,
     UsageError,
     WorkingCorrelation,
+    alpha_bounds,
     avg,
     compute_estimates,
     correction_context,
@@ -29,7 +32,7 @@ from crtgee import (
 
 from crtgee.families import link_inverse, link_mu_deriv, variance_function
 
-from _dense_oracle import dense_estimates, rel_err
+from _dense_oracle import dense_estimates, identity_gap, mp_sandwiches, rel_err
 
 KIND_NAMES = {
     EstimatorKind.MB: "mb",
@@ -77,6 +80,31 @@ def test_all_estimators_match_dense_oracle(spec):
         assert rel_err(est.cov, want[KIND_NAMES[kind]]) < 1e-10, kind
 
 
+def test_sandwiches_at_the_lower_alpha_clamp_match_mpmath():
+    # at the lower alpha bound the largest cluster's leverage is within
+    # about 1e-5 of 1; robust, KC and MD must still match a 60-digit
+    # evaluation of B^{-1} (sum_i c_i^2 u_i^2 x_i x_i') B^{-1} to 1e-9
+    sc = Scenario(n_clusters=6, sizes=GammaSize(10, 0.5), pi0=0.1, pi1=0.1, icc=0.05, seed=11)
+    kinds = (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD)
+    compared = 0
+    for rep in range(100):
+        data = generate_trial(sc, rep)
+        lower, _ = alpha_bounds(max(c.size for c in data.clusters))
+        for spec in ALL_SPECS:
+            try:
+                fit = fit_gee(data, spec)
+            except NonConvergenceError:
+                continue
+            if fit.alpha_hat != lower:
+                continue
+            want = mp_sandwiches(data, spec.family.value, spec.link.value, fit.beta,
+                                 fit.alpha_hat)
+            for kind, est in compute_estimates(fit, kinds).items():
+                assert rel_err(est.cov, want[kind.value]) < 1e-9, (rep, spec.label(), kind)
+            compared += 1
+    assert compared >= 40
+
+
 def test_kc_md_match_observation_space_leverage_form():
     # the score-space multipliers must agree with the classical
     # D'V^{-1}(I - H_i)^{-1/2}(y - mu) residual form, cluster by cluster
@@ -94,7 +122,7 @@ def test_leverage_factors_sum_to_identity():
     data = simulated(n_clusters=12, m=4, seed=3)
     fit = fit_gee(data, ModelSpec(Family.POISSON, Link.LOG))
     ctx = correction_context(fit)
-    assert np.max(np.abs(ctx.identity_gap())) < 1e-10
+    assert np.max(np.abs(identity_gap(fit))) < 1e-10
     assert 0.0 < ctx.q_max < 1.0
     assert np.all(ctx.h > 0.0)
     assert np.all(ctx.h < 1.0)
