@@ -52,16 +52,10 @@ from .sandwich import (
     ALL_KINDS,
     DEFAULT_FG_BOUND,
     MULTIPLICATIVE_KINDS,
-    CorrectionContext,
     EstimatorKind,
     VarianceEstimate,
-    avg,
     compute_estimates,
-    correction_context,
     estimate_block,
-    mbn,
-    model_based,
-    robust_sandwich,
 )
 from .simulate import (
     ALL_MODELS,
@@ -75,7 +69,6 @@ from .simulate import (
     result_rows,
     run_block,
     run_grid,
-    run_replicate,
     run_scenario,
 )
 from .tdist import betainc, student_t_quantile, student_t_sf, student_t_two_sided_p
@@ -131,20 +124,13 @@ __all__ = [
     "generate_block",
     "generate_clusters",
     "generate_trial",
-    "mbn",
-    "avg",
-    "correction_context",
-    "CorrectionContext",
     "MULTIPLICATIVE_KINDS",
-    "model_based",
     "parse_family",
     "parse_link",
     "qaqish_coeff",
     "result_rows",
-    "robust_sandwich",
     "run_block",
     "run_grid",
-    "run_replicate",
     "run_scenario",
     "student_t_quantile",
     "student_t_sf",

@@ -77,10 +77,11 @@ def read_trial_csv(path):
     """Parse an individual-level trial CSV into a TrialDataset.
 
     Records are tokenised by `csv.reader` and checked CSV_CHUNK_ROWS at a
-    time, column by column. Errors carry the 1-based record number of the
-    earliest offending row (the header is record 1; blank rows count but
-    are skipped). Each cluster keeps its outcomes in row order, and the
-    clusters come in order of first appearance.
+    time, column by column. Errors carry the 1-based line on which the
+    earliest offending row starts (the header is line 1; blank rows count
+    but are skipped, and a quoted cell may span lines). Each cluster keeps
+    its outcomes in row order, and the clusters come in order of first
+    appearance.
     """
     try:
         handle = open(path, newline="")
@@ -142,7 +143,7 @@ def read_trial_csv(path):
                 errors.append((k, 4, f"cluster '{cids[k]}' appears in both arms"))
             if errors:
                 k, _, message = min(errors)
-                raise DataError(f"{path}: line {records[k]}: {message}")
+                raise DataError(f"{path}: line {_start_line(path, records[k])}: {message}")
             index_chunks.append(index)
             outcome_chunks.append(outcomes)
     if not ids:
@@ -156,6 +157,18 @@ def read_trial_csv(path):
         for cid, arm, start, end in zip(ids, arm_of.tolist(), starts, ends)
     )
     return TrialDataset(clusters=clusters)
+
+
+def _start_line(path, record):
+    """The physical line on which the file's 1-based CSV record `record` starts;
+    a pipe cannot be read twice, so there it is the record number."""
+    if not os.path.isfile(path):
+        return record
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        for _ in itertools.islice(reader, record - 1):
+            pass
+        return reader.line_num + 1
 
 
 def _is_blank(row):

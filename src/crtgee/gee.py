@@ -36,13 +36,13 @@ neither converge nor fail otherwise before max_iter, so it stops at once and
 reports max_iterations with the iterate the cycle would hold at max_iter:
 the same outcome as running the budget out.
 
-fit_block scores a block of R replicates that share their clusters' arms
-at once, on (R, N) arrays: each iteration is one vectorized pass over the
-replicates still iterating. Every replicate keeps its own iteration count,
-step halving, cycle cut and outcome, and leaves the stacked arrays when it
-converges or fails; the operations on a replicate's row do not depend on
-the other rows, so each fit is bit for bit the fit of that replicate alone.
-fit_gee is a block of one.
+fit_block, the entry point, scores a block of R replicates that share their
+clusters' arms at once, on (R, N) arrays. Each iteration is one vectorized
+pass over the replicates still iterating; one more pass at each converged
+beta refreshes (alpha, phi), the weights, scores and leverages. Every
+replicate keeps its own iteration count, step halving, cycle cut and
+outcome, and no row's arithmetic depends on the others, so each fit is bit
+for bit the fit of its replicate alone. fit_gee is a block of one.
 """
 
 from __future__ import annotations
@@ -105,16 +105,14 @@ class WorkingCorrelation:
         return cls(CorrelationKind.INDEPENDENCE)
 
 
+def _alpha_lower(max_sizes):
+    """Lower alpha bound for the largest cluster sizes, elementwise."""
+    return -1.0 / (np.maximum(max_sizes, 2) - 1) + ALPHA_MARGIN
+
+
 def alpha_bounds(max_cluster_size):
     """Valid exchangeable-correlation interval for the largest cluster."""
-    if max_cluster_size < 2:
-        return (-1.0 + ALPHA_MARGIN, 1.0 - ALPHA_MARGIN)
-    return (-1.0 / (max_cluster_size - 1) + ALPHA_MARGIN, 1.0 - ALPHA_MARGIN)
-
-
-def _alpha_lower(max_sizes):
-    """Lower alpha bound per replicate (alpha_bounds' first entry), vectorized."""
-    return -1.0 / (np.maximum(max_sizes, 2) - 1) + ALPHA_MARGIN
+    return (float(_alpha_lower(max_cluster_size)), 1.0 - ALPHA_MARGIN)
 
 
 @dataclass
@@ -186,7 +184,13 @@ def _alpha_phi(square_sum, cross_sum, obs_df, pair_df, pairs_ok, has_pairs, lowe
 
 
 def _initial_beta(arm, m, s, spec):
-    """Starting coefficients per replicate, (R, p); see initialize_beta."""
+    """Starting coefficients per replicate, (R, p): arm proportions on the link scale.
+
+    `arm` (N,) holds the clusters' arms and `m`, `s` (R, N) their sizes and
+    event counts. A clamp to [0.5 / n, 1 - 0.5 / n] (n observations) keeps log
+    and logit links defined when an arm has zero (or all) events; the
+    Gaussian family starts from the raw proportions.
+    """
     events = _group_sums(s, arm, 2)
     n_arm = _group_sums(m, arm, 2)
     n_obs = m.sum(axis=1)
@@ -202,18 +206,6 @@ def _initial_beta(arm, m, s, spec):
         return link_apply(spec.link, pooled)[:, None]
     g = link_apply(spec.link, props)
     return np.stack([g[:, 0], g[:, 1] - g[:, 0]], axis=1)
-
-
-def initialize_beta(arm, m, s, spec):
-    """Starting coefficients from (clamped) arm proportions on the link scale.
-
-    `arm`, `m` and `s` are the per-cluster arm labels, sizes and event
-    counts. The clamp keeps log and logit links defined when an arm has
-    zero (or all) events; the Gaussian family starts from the raw
-    proportions.
-    """
-    return _initial_beta(np.asarray(arm), np.asarray(m)[None], np.asarray(s, dtype=float)[None],
-                         spec)[0]
 
 
 def _group_eta(beta):
@@ -256,7 +248,6 @@ class FitBlock:
     phi: np.ndarray          # (R,)
     clamped: np.ndarray      # (R,) alpha was clamped at some iteration
     iterations: np.ndarray   # (R,)
-    score_norm: np.ndarray   # (R,)
     m: np.ndarray            # (R, N) cluster sizes m_i
     s: np.ndarray            # (R, N) event counts s_i
     w: np.ndarray            # (R, N) working weights
@@ -314,15 +305,24 @@ def fit_block(arm, m, s, spec, corr=None, *, max_iter=50):
     # per-replicate constants: sizes, m_i - 1, events, moment terms, alpha bound
     consts = [m, m - 1.0, s, *_moment_terms(sizes, p), lower]
 
-    def alpha_phi(mu, v, mu_c, m_mu, resid, m, m1, s, *terms):
+    def scoring_pass(eta, mu, alpha, clamped, m, m1, s, *terms):
+        """(alpha, phi, clamped, w, u, W, U) at the group means; a fixed alpha is kept."""
+        d = link_mu_deriv(link, eta)
+        v = variance_function(family, mu)
+        mu_c = mu[:, group]
+        m_mu = m * mu_c
+        resid = s - m_mu
         # per cluster: e_i = sum_j e_ij and q_i = sum_j e_ij^2
         e = resid / np.sqrt(v)[:, group]
         q = (s * (1.0 - 2.0 * mu)[:, group] + m_mu * mu_c) / v[:, group]
-        return _alpha_phi(q.sum(axis=1), (e * e - q).sum(axis=1) / 2.0, *terms)
-
-    def weights_scores(d, v, resid, alpha, m, m1):
+        est_alpha, phi, now_clamped = _alpha_phi(
+            q.sum(axis=1), (e * e - q).sum(axis=1) / 2.0, *terms)
+        if estimate_corr:
+            alpha, clamped = est_alpha, clamped | now_clamped
         denom = 1.0 + m1 * alpha[:, None]
-        return (d * d / v)[:, group] * (m / denom), (d / v)[:, group] * (resid / denom)
+        w = (d * d / v)[:, group] * (m / denom)
+        u = (d / v)[:, group] * (resid / denom)
+        return alpha, phi, clamped, w, u, _group_sums(w, group, p), _group_sums(u, group, p)
 
     errors = {}
     done_at = np.zeros(n_rep, dtype=int)
@@ -353,18 +353,7 @@ def fit_block(arm, m, s, spec, corr=None, *, max_iter=50):
         if live.size == 0:
             break
         staying = np.ones(live.size, dtype=bool)
-        lm, lm1, ls = consts[:3]
-        d = link_mu_deriv(link, eta)
-        v = variance_function(family, mu)
-        mu_c = mu[:, group]
-        m_mu = lm * mu_c
-        resid = ls - m_mu
-        if estimate_corr:
-            alpha, _, now_clamped = alpha_phi(mu, v, mu_c, m_mu, resid, *consts)
-            clamped = clamped | now_clamped
-
-        w, u = weights_scores(d, v, resid, alpha, lm, lm1)
-        W, U = _group_sums(w, group, p), _group_sums(u, group, p)
+        alpha, _, clamped, _, _, W, U = scoring_pass(eta, mu, alpha, clamped, *consts)
         if not (np.isfinite(W).all() and np.isfinite(U).all() and W.all()):
             finite = np.isfinite(W).all(axis=1) & np.isfinite(U).all(axis=1)
             singular = finite & ~W.all(axis=1)
@@ -428,18 +417,8 @@ def fit_block(arm, m, s, spec, corr=None, *, max_iter=50):
     rows = np.flatnonzero(done_at)
     beta, eta, alpha, clamped = (f[rows] for f in final)
     consts = [c[rows] for c in (m, m - 1.0, s, *_moment_terms(sizes, p), lower)]
-    mu = link_inverse(link, eta)
-    d = link_mu_deriv(link, eta)
-    v = variance_function(family, mu)
-    mu_c = mu[:, group]
-    m_mu = consts[0] * mu_c
-    resid = consts[2] - m_mu
-    est_alpha, phi, now_clamped = alpha_phi(mu, v, mu_c, m_mu, resid, *consts)
-    if estimate_corr:
-        alpha = est_alpha
-        clamped = clamped | now_clamped
-    w, u = weights_scores(d, v, resid, alpha, *consts[:2])
-    W, U = _group_sums(w, group, p), _group_sums(u, group, p)
+    alpha, phi, clamped, w, u, W, U = scoring_pass(
+        eta, link_inverse(link, eta), alpha, clamped, *consts)
     # X'u = (U_0 + U_1, U_1), or U_0 for the intercept-only model
     if p == 2:
         U[:, 0] += U[:, 1]
@@ -460,7 +439,6 @@ def fit_block(arm, m, s, spec, corr=None, *, max_iter=50):
         phi=phi[keep],
         clamped=clamped[keep],
         iterations=done_at[rows],
-        score_norm=score_norm[keep],
         m=sizes[rows],
         s=s[rows],
         w=w,
@@ -495,7 +473,6 @@ class GeeFit:
     alpha_hat = _first_row("alpha", float)
     phi_hat = _first_row("phi", float)
     iterations = _first_row("iterations", int)
-    score_norm = _first_row("score_norm", float)
     alpha_clamped = _first_row("clamped", bool)
     m = _first_row("m", doc="cluster size m_i")
     s = _first_row("s", doc="event count s_i = sum_j y_ij")
@@ -528,11 +505,6 @@ class GeeFit:
         if W.size == 1:
             return np.array([[W[0]]])
         return np.array([[W[0] + W[1], W[1]], [W[1], W[1]]])
-
-    @property
-    def scores(self):
-        """Per-cluster score vectors u_i x_i as an (N, p) array."""
-        return self.u[:, None] * self.x
 
     def fitted_arm_means(self):
         """Fitted mean per arm (identical across clusters of an arm)."""

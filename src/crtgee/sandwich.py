@@ -28,11 +28,12 @@ inflation term to the robust matrix; its trace term is sum_g T_g / W_g
 (c_i = 1) in any parametrization. Sums are kept unnormalized; the
 N-normalized textbook writing differs only by cancelling factors of N.
 
-estimate_block forms every requested kind for a block of converged fits at
-once, as (R, p, p) arrays, and records each replicate's failure (a group
-without working information, a leverage at 1) without stopping the
-others; compute_estimates is a block of one that raises the failure
-instead.
+The module has two entry points. estimate_block forms every requested
+kind for a block of converged fits at once, as (R, p, p) arrays, and
+records each replicate's failure (a group without working information, a
+leverage at 1) without stopping the others; AVG is formed there, once, as
+(KC + MD) / 2. compute_estimates is a block of one (a fit_gee fit) that
+raises the failure instead.
 """
 
 from __future__ import annotations
@@ -82,15 +83,6 @@ class VarianceEstimate:
         return float(np.sqrt(self.cov[j, j]))
 
 
-@dataclass
-class CorrectionContext:
-    """Per-cluster leverages shared by the corrections."""
-
-    h: np.ndarray           # h_i = w_i / W_g(i), the nonzero eigenvalue of Q_i
-    r: float                # FG diagonal cap
-    q_max: float            # largest h_i
-
-
 def _bread_errors(W):
     """Each replicate's SingularityError where some group's W_g is 0 or not finite."""
     errors = {}
@@ -98,16 +90,6 @@ def _bread_errors(W):
         problem = "singular" if (W[k] == 0.0).any() else "not finite"
         errors[int(k)] = SingularityError(f"bread matrix sum_i D'V^{{-1}}D is {problem}")
     return errors
-
-
-def correction_context(fit, fg_bound=DEFAULT_FG_BOUND):
-    """Collect the fit's leverages for the corrections."""
-    if not 0.0 < fg_bound <= 1.0:
-        raise UsageError(f"FG bound must lie in (0, 1], got {fg_bound}")
-    errors = _bread_errors(fit.W[None])
-    if errors:
-        raise errors[0]
-    return CorrectionContext(h=fit.h, r=fg_bound, q_max=float(fit.h.max()))
 
 
 def _first_bad(bad, cluster_ids):
@@ -256,37 +238,3 @@ def compute_estimates(fit, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND):
         diag = {name: float(values[0]) for name, values in diagnostics[kind].items()}
         out[kind] = VarianceEstimate(kind=kind, cov=covs[kind][0], diagnostics=diag)
     return out
-
-
-def robust_sandwich(fit, kinds=(EstimatorKind.ROBUST,), fg_bound=DEFAULT_FG_BOUND):
-    """Sandwich estimates for the requested multiplicative kinds.
-
-    Returns a list of VarianceEstimate in the order requested. Every
-    output is symmetric by construction.
-    """
-    kinds = tuple(kinds)
-    bad = [k for k in kinds if k not in MULTIPLICATIVE_KINDS]
-    if bad:
-        raise UsageError(f"robust_sandwich handles {MULTIPLICATIVE_KINDS}, got {bad}")
-    return list(compute_estimates(fit, kinds, fg_bound).values())
-
-
-def model_based(fit):
-    """Working-model covariance phi * B^{-1}."""
-    return compute_estimates(fit, (EstimatorKind.MB,))[EstimatorKind.MB]
-
-
-def mbn(fit):
-    """Additive-inflation correction of the robust sandwich (see estimate_block)."""
-    return compute_estimates(fit, (EstimatorKind.MBN,))[EstimatorKind.MBN]
-
-
-def avg(kc, md):
-    """Elementwise average of the KC and MD estimates."""
-    if kc.kind is not EstimatorKind.KC or md.kind is not EstimatorKind.MD:
-        raise UsageError(f"avg expects (KC, MD) estimates, got ({kc.kind}, {md.kind})")
-    if kc.cov.shape != md.cov.shape:
-        raise UsageError("KC and MD estimates have mismatched shapes")
-    cov = (kc.cov + md.cov) / 2.0
-    diag = {"q_max": kc.diagnostics.get("q_max")}
-    return VarianceEstimate(kind=EstimatorKind.AVG, cov=cov, diagnostics=diag)

@@ -9,15 +9,16 @@ grid can run on several processes; results are always emitted in grid order
 and every replicate's RNG substream is keyed by (seed, scenario, replicate),
 which makes output files byte-identical at any parallelism.
 
-A cell's replicates run in blocks of BLOCK_REPLICATES through one engine
-(run_block): the block's cluster sizes and event counts are generated as
-(R, N) arrays, every working model is fit to all of them by one vectorized
-Fisher-scoring loop whose step is one scalar U_g / W_g per arm, and every
-variance estimate is formed from per-arm sums as an (R, p, p) array. A fit rejects the null when |t| = |beta1 / SE| exceeds the upper
-alpha_level/2 quantile of t with N - 2 degrees of freedom, computed once
-per cell; no p-values are computed. Each replicate's outcome is bit for bit
-the one it has alone, so results depend on neither the block size nor the
-number of processes.
+run_block, the entry point for any set of replicates, is the engine that
+run_scenario feeds a cell's replicates in blocks of BLOCK_REPLICATES. The
+block's cluster sizes and event counts are generated as (R, N) arrays,
+every working model is fit to all of them by one vectorized Fisher-scoring
+loop whose step is one scalar U_g / W_g per arm, and every variance estimate
+is formed from per-arm sums as an (R, p, p) array. A fit rejects the null
+when |t| = |beta1 / SE| exceeds the upper alpha_level/2 quantile of t with
+N - 2 degrees of freedom, computed once per cell; no p-values are computed.
+Each replicate's outcome is bit for bit the one it has alone, so results
+depend on neither the block size nor the number of processes.
 
 Summaries are computed over converged replicates only: the empirical SD of
 the effect estimate (ddof=1), each estimator's mean SE and its percent bias
@@ -27,8 +28,10 @@ against that SD, and the type I error rate at the 5% level with the
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,12 +265,6 @@ def run_block(scenario, replicate_indices, models=ALL_MODELS, kinds=ALL_KINDS,
             for model in models}
 
 
-def run_replicate(scenario, replicate_index, models=ALL_MODELS, kinds=ALL_KINDS,
-                  fg_bound=DEFAULT_FG_BOUND, alpha_level=ALPHA_LEVEL):
-    """One dataset fit by every working model: a block of one replicate."""
-    return run_block(scenario, (replicate_index,), models, kinds, fg_bound, alpha_level)
-
-
 def _tally(names, rows):
     """{name: count} over the rows of a boolean mask, from one name or None per replicate."""
     if names.count(None) == len(names):
@@ -358,40 +355,21 @@ def run_grid(grid, threads=1, progress=None, skip=()):
     """Yield ScenarioResult lists per cell, in grid order at any parallelism.
 
     `skip` holds scenario indices already on disk (resumed runs); their cells
-    are neither recomputed nor re-emitted.
+    are neither recomputed nor re-emitted. A cell that raises ends the run
+    after every earlier cell has been yielded.
     """
     skip = set(skip)
     scenarios = [s for s in grid.scenarios() if s.index not in skip]
-    args = (grid.models, grid.estimators, grid.fg_bound, grid.alpha_level)
-    done = 0
-    total = len(scenarios)
-    if threads <= 1:
-        for sc in scenarios:
-            results = run_scenario(sc, *args)
-            done += 1
+    cell = functools.partial(run_scenario, models=grid.models, kinds=grid.estimators,
+                             fg_bound=grid.fg_bound, alpha_level=grid.alpha_level)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if threads > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=threads)).map
+        for done, (sc, results) in enumerate(zip(scenarios, mapper(cell, scenarios)), 1):
             if progress is not None:
-                progress(done, total, sc.index)
+                progress(done, len(scenarios), sc.index)
             yield results
-        return
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(run_scenario, sc, *args): sc.index for sc in scenarios}
-        finished = {}
-        order = [sc.index for sc in scenarios]
-        next_pos = 0
-        pending = set(futures)
-        while pending or next_pos < len(order):
-            if pending:
-                ready, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in ready:
-                    finished[futures[fut]] = fut.result()
-            while next_pos < len(order) and order[next_pos] in finished:
-                idx = order[next_pos]
-                done += 1
-                if progress is not None:
-                    progress(done, total, idx)
-                yield finished.pop(idx)
-                next_pos += 1
 
 
 def design_row(scenario, model, kind):

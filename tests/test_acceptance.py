@@ -32,11 +32,9 @@ from crtgee import (
     SingularityError,
     TrialDataset,
     compute_estimates,
-    correction_context,
     fit_gee,
     generate_clusters,
     generate_trial,
-    robust_sandwich,
     run_scenario,
     substream,
     wald_inference,
@@ -113,7 +111,7 @@ def test_criterion_1_dense_oracle_equivalence():
             fit = fit_gee(data, spec)
             # keep I - Q_i well conditioned: at q_max near 1 the dense
             # sqrtm reference itself loses more than the 1e-10 budget
-            if correction_context(fit).q_max > 0.9:
+            if fit.h.max() > 0.9:
                 continue
             got = compute_estimates(fit)
         except (NonConvergenceError, SingularityError, CorrectionSingularityError):
@@ -270,7 +268,8 @@ def test_criterion_7_inference_engine():
         )
         try:
             fit = fit_gee(generate_trial(sc, 0), ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
-            res = wald_inference(fit, robust_sandwich(fit)[0])
+            var = compute_estimates(fit, (EstimatorKind.ROBUST,))[EstimatorKind.ROBUST]
+            res = wald_inference(fit, var)
         except DegenerateVarianceError:
             # constant-outcome draws carry no usable variance
             continue

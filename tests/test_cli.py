@@ -17,7 +17,6 @@ from crtgee import (
     compute_estimates,
     fit_gee,
     generate_trial,
-    robust_sandwich,
     wald_inference,
 )
 import crtgee.cli
@@ -85,7 +84,7 @@ def test_analyze_matches_library_exactly(tmp_path):
     assert doc["fit"]["beta"] == [float(b) for b in fit.beta]
     assert doc["fit"]["icc"] == fit.alpha_hat
     assert doc["fit"]["dispersion"] == fit.phi_hat
-    var = robust_sandwich(fit)[0]
+    var = compute_estimates(fit, (EstimatorKind.ROBUST,))[EstimatorKind.ROBUST]
     res = wald_inference(fit, var, alpha_level=0.05)
     rob = doc["estimates"]["robust"]
     assert rob["se"] == res.se

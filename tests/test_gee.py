@@ -27,7 +27,7 @@ from crtgee import (
 )
 from crtgee.datagen import generate_block, trial_arms
 from crtgee.families import link_apply, link_inverse, link_mu_deriv, variance_function
-from crtgee.gee import fit_block, initialize_beta
+from crtgee.gee import _initial_beta, fit_block
 
 ALL_SPECS = [
     ModelSpec(Family.BINOMIAL, Link.LOG),
@@ -155,9 +155,9 @@ def test_initialize_beta_floors_zero_event_arm():
     data = dataset([(0, [0, 0, 0]), (0, [0, 0]), (1, [1, 0, 1]), (1, [1, 1])])
     spec = ModelSpec(Family.BINOMIAL, Link.LOG)
     arm = np.array([c.arm for c in data.clusters])
-    m = np.array([c.size for c in data.clusters])
-    s = np.array([c.outcomes.sum() for c in data.clusters])
-    beta = initialize_beta(arm, m, s, spec)
+    m = np.array([[c.size for c in data.clusters]])
+    s = np.array([[c.outcomes.sum() for c in data.clusters]])
+    beta = _initial_beta(arm, m, s, spec)[0]
     floor = 0.5 / data.n_obs
     assert beta[0] == pytest.approx(math.log(floor), abs=1e-12)
     assert np.all(np.isfinite(beta))

@@ -23,7 +23,6 @@ from crtgee import (
     default_measure,
     fit_gee,
     generate_trial,
-    robust_sandwich,
     wald_inference,
     wald_reject,
 )
@@ -54,7 +53,7 @@ def test_result_internal_consistency(label):
     spec, measure = SPECS[label]
     sc = Scenario(n_clusters=12, sizes=FixedSize(9), pi0=0.35, pi1=0.35, icc=0.1, seed=47)
     fit = fit_gee(generate_trial(sc, 1), spec)
-    var = robust_sandwich(fit)[0]
+    var = compute_estimates(fit, (EstimatorKind.ROBUST,))[EstimatorKind.ROBUST]
     res = wald_inference(fit, var)
 
     assert res.effect_measure is measure
@@ -120,7 +119,7 @@ def test_balanced_identical_arms_give_zero_effect_and_p_one():
     for label, (spec, _) in SPECS.items():
         fit = fit_gee(data, spec)
         assert fit.beta[1] == pytest.approx(0.0, abs=1e-10)
-        var = robust_sandwich(fit)[0]
+        var = compute_estimates(fit, (EstimatorKind.ROBUST,))[EstimatorKind.ROBUST]
         res = wald_inference(fit, var)
         assert res.p_value == pytest.approx(1.0, abs=1e-9)
         assert res.estimate_effect == pytest.approx(
@@ -130,7 +129,7 @@ def test_balanced_identical_arms_give_zero_effect_and_p_one():
 
 def test_alpha_level_changes_interval_width():
     fit = fitted(seed=71)
-    var = robust_sandwich(fit)[0]
+    var = compute_estimates(fit, (EstimatorKind.ROBUST,))[EstimatorKind.ROBUST]
     narrow = wald_inference(fit, var, alpha_level=0.10)
     wide = wald_inference(fit, var, alpha_level=0.01)
     assert wide.ci_link[0] < narrow.ci_link[0]
@@ -141,7 +140,7 @@ def test_alpha_level_changes_interval_width():
 
 def test_measure_mismatch_rejected():
     fit = fitted(seed=81, label="binomial-log")
-    var = robust_sandwich(fit)[0]
+    var = compute_estimates(fit, (EstimatorKind.ROBUST,))[EstimatorKind.ROBUST]
     res = wald_inference(fit, var, measure=EffectMeasure.RR)
     assert res.effect_measure is EffectMeasure.RR
     with pytest.raises(UsageError):
@@ -152,7 +151,7 @@ def test_intercept_only_fit_rejected():
     sc = Scenario(n_clusters=8, sizes=FixedSize(6), pi0=0.4, pi1=0.4, icc=0.0, seed=97)
     spec = ModelSpec(Family.BINOMIAL, Link.LOGIT, MeanModel.INTERCEPT_ONLY)
     fit = fit_gee(generate_trial(sc, 0), spec)
-    var = robust_sandwich(fit)[0]
+    var = compute_estimates(fit, (EstimatorKind.ROBUST,))[EstimatorKind.ROBUST]
     with pytest.raises(UsageError):
         wald_inference(fit, var)
 

@@ -20,14 +20,9 @@ from crtgee import (
     UsageError,
     WorkingCorrelation,
     alpha_bounds,
-    avg,
     compute_estimates,
-    correction_context,
     fit_gee,
     generate_trial,
-    mbn,
-    model_based,
-    robust_sandwich,
 )
 
 from crtgee.families import link_inverse, link_mu_deriv, variance_function
@@ -121,14 +116,13 @@ def test_kc_md_match_observation_space_leverage_form():
 def test_leverage_factors_sum_to_identity():
     data = simulated(n_clusters=12, m=4, seed=3)
     fit = fit_gee(data, ModelSpec(Family.POISSON, Link.LOG))
-    ctx = correction_context(fit)
     assert np.max(np.abs(identity_gap(fit))) < 1e-10
-    assert 0.0 < ctx.q_max < 1.0
-    assert np.all(ctx.h > 0.0)
-    assert np.all(ctx.h < 1.0)
+    assert 0.0 < fit.h.max() < 1.0
+    assert np.all(fit.h > 0.0)
+    assert np.all(fit.h < 1.0)
     # each arm's leverages are its clusters' shares of the arm's information
     for arm in (0, 1):
-        assert float(np.sum(ctx.h[fit.arm == arm])) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(fit.h[fit.arm == arm])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_leverage_is_the_nonzero_eigenvalue_of_dense_q():
@@ -173,8 +167,8 @@ def test_intercept_only_fg_with_unit_bound_equals_kc():
     data = simulated(n_clusters=8, m=5, seed=67)
     spec = ModelSpec(Family.POISSON, Link.LOG, MeanModel.INTERCEPT_ONLY)
     fit = fit_gee(data, spec)
-    kc = robust_sandwich(fit, (EstimatorKind.KC,))[0]
-    fg = robust_sandwich(fit, (EstimatorKind.FG,), fg_bound=1.0)[0]
+    kc = compute_estimates(fit, (EstimatorKind.KC,))[EstimatorKind.KC]
+    fg = compute_estimates(fit, (EstimatorKind.FG,), fg_bound=1.0)[EstimatorKind.FG]
     assert rel_err(fg.cov, kc.cov) < 1e-12
 
 
@@ -190,10 +184,9 @@ def test_fg_cap_engages_on_dominant_cluster():
         )
     )
     fit = fit_gee(data, ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
-    ctx = correction_context(fit)
-    assert float(np.max(ctx.h)) > 0.75
-    capped = robust_sandwich(fit, (EstimatorKind.FG,), fg_bound=0.75)[0]
-    loose = robust_sandwich(fit, (EstimatorKind.FG,), fg_bound=0.999999)[0]
+    assert float(np.max(fit.h)) > 0.75
+    capped = compute_estimates(fit, (EstimatorKind.FG,), fg_bound=0.75)[EstimatorKind.FG]
+    loose = compute_estimates(fit, (EstimatorKind.FG,), fg_bound=0.999999)[EstimatorKind.FG]
     assert capped.cov[1, 1] < loose.cov[1, 1]
 
 
@@ -202,7 +195,7 @@ def test_fg_bound_validation():
     fit = fit_gee(data, ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(UsageError):
-            robust_sandwich(fit, (EstimatorKind.FG,), fg_bound=bad)
+            compute_estimates(fit, (EstimatorKind.FG,), fg_bound=bad)
 
 
 def test_hc0_reduction_with_singleton_clusters():
@@ -220,7 +213,7 @@ def test_hc0_reduction_with_singleton_clusters():
     resid = y - X @ fit.beta
     bread = np.linalg.inv(X.T @ X)
     hc0 = bread @ (X.T * resid**2) @ X @ bread
-    rob = robust_sandwich(fit)[0]
+    rob = compute_estimates(fit, (EstimatorKind.ROBUST,))[EstimatorKind.ROBUST]
     assert rel_err(rob.cov, hc0) < 1e-10
 
 
@@ -237,7 +230,7 @@ def test_model_based_matches_ols_covariance():
     resid = y - X @ fit.beta
     sigma2 = float(resid @ resid) / (len(y) - 2)
     ols = sigma2 * np.linalg.inv(X.T @ X)
-    mb = model_based(fit)
+    mb = compute_estimates(fit, (EstimatorKind.MB,))[EstimatorKind.MB]
     assert rel_err(mb.cov, ols) < 1e-10
 
 
@@ -245,7 +238,7 @@ def test_mbn_arithmetic_pieces():
     # N = 10 clusters of 10 observations: c = (99/98)(10/9), delta = 0.25
     data = simulated(n_clusters=10, m=10, seed=91)
     fit = fit_gee(data, ModelSpec(Family.BINOMIAL, Link.LOGIT))
-    est = mbn(fit)
+    est = compute_estimates(fit, (EstimatorKind.MBN,))[EstimatorKind.MBN]
     c = (99.0 / 98.0) * (10.0 / 9.0)
     delta = 0.25
     binv = np.linalg.inv(fit.info_sum)
@@ -260,7 +253,7 @@ def test_mbn_arithmetic_pieces():
 def test_mbn_delta_saturates_at_half_for_small_n():
     data = simulated(n_clusters=4, m=8, seed=29)
     fit = fit_gee(data, ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
-    est = mbn(fit)
+    est = compute_estimates(fit, (EstimatorKind.MBN,))[EstimatorKind.MBN]
     binv = np.linalg.inv(fit.info_sum)
     meat = sum(np.outer(s, s) for s in fit.u[:, None] * fit.x)
     total_obs = data.n_obs
@@ -274,20 +267,19 @@ def test_mbn_delta_saturates_at_half_for_small_n():
 def test_mbn_rejects_two_clusters():
     fit = fit_gee(two_cluster_trial(), ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
     with pytest.raises(UnsupportedDesignError):
-        mbn(fit)
+        compute_estimates(fit, (EstimatorKind.MBN,))
 
 
 def test_two_clusters_make_kc_and_md_singular():
     # with one cluster per arm the two leverage matrices are
     # complementary projections, so I - Q_i is exactly singular
     fit = fit_gee(two_cluster_trial(), ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
-    ctx = correction_context(fit)
-    assert ctx.q_max == pytest.approx(1.0, abs=1e-10)
+    assert fit.h.max() == pytest.approx(1.0, abs=1e-10)
     for kind in (EstimatorKind.KC, EstimatorKind.MD):
         with pytest.raises(CorrectionSingularityError):
-            robust_sandwich(fit, (kind,))
+            compute_estimates(fit, (kind,))
     # robust and FG remain computable
-    robust_sandwich(fit, (EstimatorKind.ROBUST, EstimatorKind.FG))
+    compute_estimates(fit, (EstimatorKind.ROBUST, EstimatorKind.FG))
 
 
 def test_se_ordering_robust_kc_md():
@@ -323,25 +315,23 @@ def test_duplicating_clusters_halves_robust_covariance():
     )
     fit2 = fit_gee(doubled, spec, corr)
     assert np.allclose(fit.beta, fit2.beta, atol=1e-9)
-    rob1 = robust_sandwich(fit)[0]
-    rob2 = robust_sandwich(fit2)[0]
+    kinds = (EstimatorKind.ROBUST, EstimatorKind.MB)
+    rob1, mb1 = compute_estimates(fit, kinds).values()
+    rob2, mb2 = compute_estimates(fit2, kinds).values()
     assert rel_err(rob2.cov, rob1.cov / 2.0) < 1e-8
     # model-based: bread doubles; the dispersion denominator shifts by p
-    mb1 = model_based(fit)
-    mb2 = model_based(fit2)
     n_obs = data.n_obs
     assert rel_err(mb2.cov * 2.0 * fit.phi_hat / fit2.phi_hat, mb1.cov) < 1e-8
     assert fit2.phi_hat == pytest.approx(fit.phi_hat * (n_obs - 2) * 2 / (2 * n_obs - 2), rel=1e-9)
 
 
-def test_avg_requires_kc_and_md_kinds():
+def test_avg_is_the_mean_of_kc_and_md():
     data = simulated(seed=121)
     fit = fit_gee(data, ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
-    kc, md = robust_sandwich(fit, (EstimatorKind.KC, EstimatorKind.MD))
-    est = avg(kc, md)
-    assert np.allclose(est.cov, (kc.cov + md.cov) / 2.0, atol=0)
-    with pytest.raises(UsageError):
-        avg(md, kc)
+    kc, md, est = compute_estimates(
+        fit, (EstimatorKind.KC, EstimatorKind.MD, EstimatorKind.AVG)).values()
+    assert np.array_equal(est.cov, (kc.cov + md.cov) / 2.0)
+    assert est.diagnostics == kc.diagnostics
 
 
 def test_compute_estimates_preserves_request_order():
@@ -352,13 +342,6 @@ def test_compute_estimates_preserves_request_order():
     assert tuple(got.keys()) == kinds
     # AVG pulled in KC internally without emitting it
     assert EstimatorKind.KC not in got
-
-
-def test_robust_sandwich_rejects_non_multiplicative_kinds():
-    data = simulated(seed=141)
-    fit = fit_gee(data, ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
-    with pytest.raises(UsageError):
-        robust_sandwich(fit, (EstimatorKind.MBN,))
 
 
 def test_covariances_are_symmetric_psd():

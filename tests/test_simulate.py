@@ -1,5 +1,8 @@
 """Simulation harness: aggregation arithmetic, grid layout, parallel determinism."""
 
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,6 @@ from crtgee import (
     result_rows,
     run_block,
     run_grid,
-    run_replicate,
     run_scenario,
 )
 
@@ -130,9 +132,9 @@ def test_estimator_failures_counted_as_non_rejections():
 
 def test_run_replicate_shares_one_dataset_across_models():
     sc = scenario()
-    out = run_replicate(sc, 0, models=ALL_MODELS, kinds=KINDS3)
+    out = run_block(sc, (0,), models=ALL_MODELS, kinds=KINDS3)
     assert set(out) == {m.label() for m in ALL_MODELS}
-    again = run_replicate(sc, 0, models=ALL_MODELS, kinds=KINDS3)
+    again = run_block(sc, (0,), models=ALL_MODELS, kinds=KINDS3)
     for label in out:
         assert np.array_equal(out[label].converged, again[label].converged)
         assert np.array_equal(out[label].beta, again[label].beta)
@@ -157,7 +159,7 @@ def test_nonconvergence_recorded_without_aborting():
     models = (ModelSpec(Family.BINOMIAL, Link.LOG), ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
     saw_failure = False
     for rep in range(40):
-        out = run_replicate(sc, rep, models=models, kinds=KINDS3)
+        out = run_block(sc, (rep,), models=models, kinds=KINDS3)
         rec = out["binomial-log"]
         if not rec.converged[0]:
             saw_failure = True
@@ -287,6 +289,29 @@ def test_progress_callback_reports_in_order():
     for _ in run_grid(grid, threads=2, progress=lambda done, total, idx: seen.append((done, total, idx))):
         pass
     assert seen == [(1, 3, 0), (2, 3, 1), (3, 3, 2)]
+
+
+def _slow_first_cell_failing_second(scenario, *_args, **_kwargs):
+    """A run_scenario stand-in: cell 1 fails while cell 0 is still running."""
+    if scenario.index == 0:
+        time.sleep(0.5)
+    elif scenario.index == 1:
+        raise RuntimeError("cell 1 failed")
+    return [scenario.index]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_grid_yields_every_earlier_cell_before_a_failure(monkeypatch, threads):
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched cell reaches the workers only through fork")
+    monkeypatch.setattr(crtgee.simulate, "run_scenario", _slow_first_cell_failing_second)
+    grid = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(6),), pi0=(0.3,),
+                         icc=(0.0, 0.1, 0.2), replicates=1)
+    yielded = []
+    with pytest.raises(RuntimeError, match="cell 1 failed"):
+        for cell in run_grid(grid, threads=threads):
+            yielded.append(cell)
+    assert yielded == [[0]]
 
 
 # --- batch invariance: a block of replicates equals each replicate alone ---

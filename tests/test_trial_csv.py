@@ -3,10 +3,15 @@
 `reference_read_trial_csv` is that parser, kept here as an independent
 reference: every input must give an equal TrialDataset (ids in
 first-appearance order, arms, each cluster's outcomes in row order), or the
-same DataError message with the same record number.
+same DataError message with the same line number: the physical line on
+which the offending record starts.
 """
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,7 +44,11 @@ def reference_read_trial_csv(path):
                 f"{path}: line 1: header must be exactly "
                 f"'{','.join(TRIAL_CSV_HEADER)}', got '{','.join(header)}'"
             )
-        for lineno, row in enumerate(reader, start=2):
+        while True:
+            lineno = reader.line_num + 1       # the line the next record starts on
+            row = next(reader, None)
+            if row is None:
+                break
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
@@ -205,6 +214,8 @@ ERROR_CASES = {
     "both-arms-before-bad-arm": [HEADER, "c1,0,1", "c1,1,1", "c2,7,0"],
     "bad-outcome-before-both-arms": [HEADER, "c1,0,1", "c2,1,2", "c1,1,1"],
     "both-arms-before-field-count": [HEADER, "c1,0,1", "c1,1,1", "c2,1"],
+    # a quoted newline makes record 2 span lines 2-3: the bad arm is on line 6
+    "error-after-a-quoted-newline": [HEADER, '"c\n1",0,1', "a,0,1", "b,1,0", "b,7,1"],
 }
 
 
@@ -212,6 +223,24 @@ ERROR_CASES = {
 def test_errors_carry_the_same_message_and_record(tmp_path, name):
     message = assert_same(write(tmp_path, ERROR_CASES[name]))
     assert isinstance(message, str)
+
+
+def test_error_names_the_physical_line_after_a_quoted_newline(tmp_path):
+    message = assert_same(write(tmp_path, ERROR_CASES["error-after-a-quoted-newline"]))
+    assert message.endswith("line 6: arm must be 0 or 1, got '7'")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_pipe_is_read_once_and_keeps_the_record_number():
+    # a pipe cannot be read again to find the line a record starts on
+    text = "\n".join([HEADER, "a,0,1", "b,1,1", "b,7,1"]) + "\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(crtgee.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", "from crtgee.cli import read_trial_csv; read_trial_csv('/dev/stdin')"],
+        input=text, capture_output=True, text=True, env=env, timeout=120)
+    assert "/dev/stdin: line 4: arm must be 0 or 1, got '7'" in done.stderr
 
 
 def test_missing_file_is_a_data_error(tmp_path):
@@ -246,7 +275,7 @@ def test_error_in_a_later_chunk_after_blank_rows(tmp_path):
 def csv_rows(draw):
     """Mostly valid records, some with padded or bad cells, blank rows or wrong widths."""
     code = st.sampled_from(["0", "1", " 1", "0 ", "", "2", "01", "000", "x"])
-    valid = st.tuples(st.sampled_from(["a", "b", "c,d", "e"]), st.sampled_from(["0", "1"]),
+    valid = st.tuples(st.sampled_from(["a", "b", "c,d", "e\nf"]), st.sampled_from(["0", "1"]),
                       st.sampled_from(["0", "1"]))
     noisy = st.tuples(st.sampled_from(["a", "b", " a ", "c,d", "", "  "]), code, code)
     row = st.one_of(
