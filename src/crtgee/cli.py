@@ -334,7 +334,7 @@ def _config_list(doc, key, kind, convert):
     try:
         return tuple(convert(v) for v in value)
     except (TypeError, ValueError) as err:
-        raise UsageError(f"config key '{key}': {err}") from None
+        raise UsageError(f"invalid config: config key '{key}': {err}") from None
 
 
 def _as_number(v):
@@ -351,33 +351,30 @@ def _as_int(v):
 
 def _parse_size_entry(entry):
     if isinstance(entry, bool):
-        raise UsageError(f"config key 'cluster_sizes': invalid entry {entry!r}")
+        raise ValueError(f"invalid entry {entry!r}")
     if isinstance(entry, (int, float)):
+        # 8.7 must not run as 8; inf and nan are not integers either
+        if isinstance(entry, float) and not entry.is_integer():
+            raise ValueError(f"a fixed size must be a finite integer, got {entry!r}")
         return FixedSize(int(entry))
     if isinstance(entry, dict):
         kind = entry.get("type")
         if kind == "fixed":
             extra = set(entry) - {"type", "m"}
             if extra:
-                raise UsageError(
-                    f"config key 'cluster_sizes': unknown key '{sorted(extra)[0]}'"
-                )
+                raise ValueError(f"unknown key '{sorted(extra)[0]}'")
             if "m" not in entry:
-                raise UsageError("config key 'cluster_sizes': fixed entry needs 'm'")
+                raise ValueError("fixed entry needs 'm'")
             return FixedSize(_as_int(entry["m"]))
         if kind == "gamma":
             extra = set(entry) - {"type", "mean", "cv"}
             if extra:
-                raise UsageError(
-                    f"config key 'cluster_sizes': unknown key '{sorted(extra)[0]}'"
-                )
+                raise ValueError(f"unknown key '{sorted(extra)[0]}'")
             if "mean" not in entry or "cv" not in entry:
-                raise UsageError("config key 'cluster_sizes': gamma entry needs 'mean' and 'cv'")
+                raise ValueError("gamma entry needs 'mean' and 'cv'")
             return GammaSize(_as_number(entry["mean"]), _as_number(entry["cv"]))
-        raise UsageError(
-            f"config key 'cluster_sizes': entry type must be 'fixed' or 'gamma', got {kind!r}"
-        )
-    raise UsageError(f"config key 'cluster_sizes': invalid entry {entry!r}")
+        raise ValueError(f"entry type must be 'fixed' or 'gamma', got {kind!r}")
+    raise ValueError(f"invalid entry {entry!r}")
 
 
 def _parse_model_label(label):

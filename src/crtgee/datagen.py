@@ -28,6 +28,7 @@ replicates share the block. A single trial is a block of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,7 @@ class GammaSize:
     cv: float
 
     def __post_init__(self):
-        if self.mean_size < 2:
-            raise DomainError(f"mean cluster size must be >= 2, got {self.mean_size}")
-        if self.cv <= 0:
-            raise DomainError(f"cluster-size CV must be positive, got {self.cv}")
+        _check_gamma(self.mean_size, self.cv)
 
     def draw(self, n, rng):
         return gamma_cluster_sizes(self.mean_size, self.cv, n, rng)
@@ -184,12 +182,16 @@ def generate_clusters(mu, rho, m, count, rng):
     return y.reshape(count, m)
 
 
+def _check_gamma(mean_size, cv):
+    if not (math.isfinite(mean_size) and mean_size >= 2):
+        raise DomainError(f"mean cluster size must be finite and >= 2, got {mean_size}")
+    if not (math.isfinite(cv) and cv > 0):
+        raise DomainError(f"cluster-size CV must be finite and positive, got {cv}")
+
+
 def gamma_cluster_sizes(mean_size, cv, n, rng):
     """Integer cluster sizes from Gamma(1/cv^2, mean*cv^2), floored at 2."""
-    if mean_size < 2:
-        raise DomainError(f"mean cluster size must be >= 2, got {mean_size}")
-    if cv <= 0:
-        raise DomainError(f"cv must be positive, got {cv}")
+    _check_gamma(mean_size, cv)
     shape = 1.0 / (cv * cv)
     scale = mean_size * cv * cv
     draws = rng.gamma(shape, scale, size=n)

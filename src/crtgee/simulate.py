@@ -4,21 +4,26 @@ A factorial grid crosses design factors (number of clusters, cluster-size
 distribution, marginal prevalence, within-cluster correlation); every cell is
 replicated under the null of no intervention effect. Each replicate is fit
 with every requested working model and each fitted model is summarized by
-every requested variance estimator. Scenario cells are independent, so the
-grid can run on several processes; results are always emitted in grid order
+every requested variance estimator. Results are always emitted in grid order
 and every replicate's RNG substream is keyed by (seed, scenario, replicate),
 which makes output files byte-identical at any parallelism.
 
-run_block, the entry point for any set of replicates, is the engine that
-run_scenario feeds a cell's replicates in blocks of BLOCK_REPLICATES. The
-block's cluster sizes and event counts are generated as (R, N) arrays,
-every working model is fit to all of them by one vectorized Fisher-scoring
-loop whose step is one scalar U_g / W_g per arm, and every variance estimate
-is formed from per-arm sums as an (R, p, p) array. A fit rejects the null
-when |t| = |beta1 / SE| exceeds the upper alpha_level/2 quantile of t with
-N - 2 degrees of freedom, computed once per cell; no p-values are computed.
-Each replicate's outcome is bit for bit the one it has alone, so results
-depend on neither the block size nor the number of processes.
+The unit of work is a block: consecutive cells of the grid, in grid order,
+that share the number of clusters N, cut into pieces (a cell and a range of
+its replicates) of at most BLOCK_REPLICATES replicates in all. A cell with
+more replicates is split across blocks, and its last piece may share a block
+with the next cell. Cells sharing N share their arms and the t reference's
+N - 2 degrees of freedom, so a block generates each piece's cluster sizes and
+event counts as (R, N) arrays, stacks them, and fits every working model to
+all of them at once: one vectorized Fisher-scoring loop whose step is one
+scalar U_g / W_g per arm, and every variance estimate formed from per-arm
+sums as an (R, p, p) array. A fit rejects the null when |t| = |beta1 / SE|
+exceeds the upper alpha_level/2 quantile of t, computed once per N; no
+p-values are computed. Each replicate's outcome is bit for bit the one it
+has alone, so results depend on neither the packing nor the number of
+processes. Blocks are independent, so the grid can run them on several
+processes. run_grid, run_scenario (a grid of one cell) and run_block (a
+block of one piece) all go through this one block loop.
 
 Summaries are computed over converged replicates only: the empirical SD of
 the effect estimate (ddof=1), each estimator's mean SE and its percent bias
@@ -63,10 +68,10 @@ ALL_MODELS = (
     ModelSpec(Family.GAUSSIAN, Link.IDENTITY),
 )
 
-#: replicates generated and fit together by run_scenario; each replicate's
-#: outcome is the same in any block, so results do not depend on it. A block
-#: holds all its replicates' uniforms at once (8 bytes per observation), so
-#: the constant also bounds generation memory.
+#: most replicates generated and fit together in one block; each replicate's
+#: outcome is the same in any block, so results do not depend on it. Each
+#: piece of a block holds all its replicates' uniforms at once (8 bytes per
+#: observation), so the constant also bounds generation memory.
 BLOCK_REPLICATES = 100
 
 #: estimates whose diagnostics carry the largest leverage q_max
@@ -181,6 +186,21 @@ class ModelBlock:
             failures={k: tuple(n for b in blocks for n in b.failures[k]) for k in first.failures},
         )
 
+    def take(self, rows):
+        """The replicates in the slice `rows`, as one block."""
+        return ModelBlock(
+            reason=self.reason[rows],
+            iterations=self.iterations[rows],
+            beta=self.beta[rows],
+            alpha=self.alpha[rows],
+            phi=self.phi[rows],
+            alpha_clamped=self.alpha_clamped[rows],
+            q_max=self.q_max[rows],
+            se={k: v[rows] for k, v in self.se.items()},
+            reject={k: v[rows] for k, v in self.reject.items()},
+            failures={k: v[rows] for k, v in self.failures.items()},
+        )
+
 
 @dataclass(frozen=True)
 class EstimatorSummary:
@@ -259,10 +279,62 @@ def run_block(scenario, replicate_indices, models=ALL_MODELS, kinds=ALL_KINDS,
     `replicate_indices`. Every replicate's outcome equals that of a block
     holding it alone.
     """
-    m, s = generate_block(scenario, replicate_indices)
-    arm = trial_arms(scenario.n_clusters)
-    return {model.label(): _model_block(arm, m, s, model, kinds, fg_bound, alpha_level)
-            for model in models}
+    fitted, error = _fit_pieces([(scenario, replicate_indices)], models, kinds, fg_bound,
+                                alpha_level)
+    if error is not None:
+        raise error
+    return fitted[0]
+
+
+def _fit_pieces(pieces, models, kinds, fg_bound, alpha_level):
+    """Generate a block's (scenario, replicate_indices) pieces, which share N, and fit them.
+
+    Returns ([{model label: ModelBlock} per piece], error). If generating a
+    piece raises, the pieces before it are still fit and returned, with that
+    exception as `error` (None otherwise), so every cell they finish can be
+    reported before the run ends.
+    """
+    ms, ss, error = [], [], None
+    for scenario, reps in pieces:
+        try:
+            m, s = generate_block(scenario, reps)
+        except Exception as err:
+            error = err
+            break
+        ms.append(m)
+        ss.append(s)
+    if not ms:
+        return [], error
+    arm = trial_arms(pieces[0][0].n_clusters)
+    m, s = np.concatenate(ms), np.concatenate(ss)
+    fitted = {model.label(): _model_block(arm, m, s, model, kinds, fg_bound, alpha_level)
+              for model in models}
+    ends = itertools.accumulate(len(piece) for piece in ms)
+    return [{label: block.take(slice(end - len(piece), end)) for label, block in fitted.items()}
+            for piece, end in zip(ms, ends)], error
+
+
+def pack_blocks(scenarios, block_replicates):
+    """Cut the cells' replicates into blocks, in order: lists of (scenario, range) pieces.
+
+    A block holds consecutive cells that share n_clusters and at most
+    `block_replicates` replicates; a cell is split where a block fills, so
+    its pieces cover its replicates once, in order.
+    """
+    blocks, room = [], 0
+    for sc in scenarios:
+        if blocks and sc.n_clusters != blocks[-1][0][0].n_clusters:
+            room = 0
+        start = 0
+        while start < sc.replicates:
+            if room == 0:
+                blocks.append([])
+                room = block_replicates
+            stop = min(sc.replicates, start + room)
+            blocks[-1].append((sc, range(start, stop)))
+            room -= stop - start
+            start = stop
+    return blocks
 
 
 def _tally(names, rows):
@@ -340,15 +412,8 @@ def aggregate(scenario, model, block, kinds=ALL_KINDS):
 def run_scenario(scenario, models=ALL_MODELS, kinds=ALL_KINDS,
                  fg_bound=DEFAULT_FG_BOUND, alpha_level=ALPHA_LEVEL):
     """All replicates of one grid cell, in blocks; one ScenarioResult per working model."""
-    reps = range(scenario.replicates)
-    blocks = [
-        run_block(scenario, reps[i : i + BLOCK_REPLICATES], models, kinds, fg_bound, alpha_level)
-        for i in range(0, scenario.replicates, BLOCK_REPLICATES)
-    ]
-    return [
-        aggregate(scenario, m, ModelBlock.concat([b[m.label()] for b in blocks]), kinds)
-        for m in models
-    ]
+    (results,) = _run_cells([scenario], models, kinds, fg_bound, alpha_level)
+    return results
 
 
 def run_grid(grid, threads=1, progress=None, skip=()):
@@ -360,16 +425,38 @@ def run_grid(grid, threads=1, progress=None, skip=()):
     """
     skip = set(skip)
     scenarios = [s for s in grid.scenarios() if s.index not in skip]
-    cell = functools.partial(run_scenario, models=grid.models, kinds=grid.estimators,
-                             fg_bound=grid.fg_bound, alpha_level=grid.alpha_level)
+    yield from _run_cells(scenarios, grid.models, grid.estimators, grid.fg_bound,
+                          grid.alpha_level, threads, progress)
+
+
+def _run_cells(scenarios, models, kinds, fg_bound, alpha_level, threads=1, progress=None):
+    """The block loop: yield each cell's ScenarioResult list, in order, once its last piece is fit.
+
+    The cells are packed into blocks (`pack_blocks`), run by `map` or, with
+    threads > 1, by a process pool's `map`. Cells sharing a block finish
+    together; a block's error is raised after every cell it finished.
+    """
+    blocks = pack_blocks(scenarios, BLOCK_REPLICATES)
+    task = functools.partial(_fit_pieces, models=models, kinds=kinds, fg_bound=fg_bound,
+                             alpha_level=alpha_level)
     with contextlib.ExitStack() as stack:
         mapper = map
         if threads > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=threads)).map
-        for done, (sc, results) in enumerate(zip(scenarios, mapper(cell, scenarios)), 1):
-            if progress is not None:
-                progress(done, len(scenarios), sc.index)
-            yield results
+        done, pieces = 0, []
+        for block, (fitted, error) in zip(blocks, mapper(task, blocks)):
+            for (sc, reps), piece in zip(block, fitted):
+                pieces.append(piece)
+                if reps.stop < sc.replicates:
+                    continue
+                results = [aggregate(sc, m, ModelBlock.concat([p[m.label()] for p in pieces]),
+                                     kinds) for m in models]
+                done, pieces = done + 1, []
+                if progress is not None:
+                    progress(done, len(scenarios), sc.index)
+                yield results
+            if error is not None:
+                raise error
 
 
 def design_row(scenario, model, kind):

@@ -408,9 +408,9 @@ def test_simulate_rejects_fewer_than_4_clusters_before_any_work(tmp_path, capsys
     # N = 2 leaves t with 0 degrees of freedom: the grid must be refused
     # when it is built, not after a cell has been generated and fit
     def never(*args, **kwargs):
-        raise AssertionError("run_scenario called for a grid that should be rejected")
+        raise AssertionError("generate_block called for a grid that should be rejected")
 
-    monkeypatch.setattr(crtgee.simulate, "run_scenario", never)
+    monkeypatch.setattr(crtgee.simulate, "generate_block", never)
     config, _ = base_config(tmp_path, n_clusters=[6, 2])
     assert main(["simulate", "--config", str(config)]) == 1
     err = capsys.readouterr().err
@@ -449,6 +449,32 @@ def test_config_size_entries(tmp_path):
     with pytest.raises(Exception) as exc:
         parse_grid_config(json.loads(config2.read_text()))
     assert "bogus" in str(exc.value)
+
+
+@pytest.mark.parametrize("entry", [
+    8.7,
+    float("inf"),
+    float("-inf"),
+    float("nan"),
+    {"type": "gamma", "mean": float("nan"), "cv": 0.5},
+    {"type": "gamma", "mean": float("inf"), "cv": 0.5},
+    {"type": "gamma", "mean": 10, "cv": float("nan")},
+    {"type": "gamma", "mean": 10, "cv": float("inf")},
+], ids=["fractional", "inf", "minus-inf", "nan", "gamma-nan-mean", "gamma-inf-mean",
+        "gamma-nan-cv", "gamma-inf-cv"])
+def test_simulate_rejects_a_non_integral_or_non_finite_size(tmp_path, capsys, entry):
+    # json writes and reads NaN and Infinity; none may run as a truncated size
+    config, _ = base_config(tmp_path, cluster_sizes=[entry])
+    assert main(["simulate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and "cluster_sizes" in err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_config_fixed_size_may_be_written_as_an_integral_float(tmp_path):
+    config, _ = base_config(tmp_path, cluster_sizes=[8.0])
+    grid, _, _ = parse_grid_config(json.loads(config.read_text()))
+    assert grid.sizes == (FixedSize(8),)
 
 
 def simulated_results(tmp_path, **overrides):

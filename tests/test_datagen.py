@@ -152,6 +152,17 @@ def test_size_models():
         GammaSize(30.0, -0.1)
 
 
+@pytest.mark.parametrize("mean_size, cv", [
+    (float("nan"), 0.5), (float("inf"), 0.5), (30.0, float("nan")), (30.0, float("inf")),
+])
+def test_gamma_size_rejects_non_finite_parameters(mean_size, cv):
+    # NaN < 2 is False, so a plain range check lets NaN through
+    with pytest.raises(DomainError, match="finite"):
+        GammaSize(mean_size, cv)
+    with pytest.raises(DomainError, match="finite"):
+        gamma_cluster_sizes(mean_size, cv, 4, substream(0, 0, 0))
+
+
 def test_scenario_validation():
     ok = dict(sizes=FixedSize(5), pi0=0.3, pi1=0.3, icc=0.05)
     Scenario(n_clusters=6, **ok)

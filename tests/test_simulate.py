@@ -291,27 +291,89 @@ def test_progress_callback_reports_in_order():
     assert seen == [(1, 3, 0), (2, 3, 1), (3, 3, 2)]
 
 
-def _slow_first_cell_failing_second(scenario, *_args, **_kwargs):
-    """A run_scenario stand-in: cell 1 fails while cell 0 is still running."""
+def _slow_first_cell_failing_second(scenario, replicate_indices):
+    """A generate_block stand-in: cell 1 fails while cell 0 is still being generated."""
+    if scenario.index == 1:
+        raise RuntimeError("cell 1 failed")
     if scenario.index == 0:
         time.sleep(0.5)
-    elif scenario.index == 1:
+    return crtgee.datagen.generate_block(scenario, replicate_indices)
+
+
+def _failing_second_cell(scenario, replicate_indices):
+    """A generate_block stand-in that fails for cell 1 only."""
+    if scenario.index == 1:
         raise RuntimeError("cell 1 failed")
-    return [scenario.index]
+    return crtgee.datagen.generate_block(scenario, replicate_indices)
+
+
+FAILING_GRID = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(6),), pi0=(0.3,),
+                             icc=(0.0, 0.1, 0.2), models=(ALL_MODELS[-1],),
+                             estimators=(EstimatorKind.ROBUST,), replicates=1, seed=2026)
+
+
+def _first_cell_rows():
+    sc = FAILING_GRID.scenarios()[0]
+    return [result_rows(r) for r in run_scenario(sc, FAILING_GRID.models, FAILING_GRID.estimators)]
+
+
+def _yielded_before_failure(threads):
+    yielded = []
+    with pytest.raises(RuntimeError, match="cell 1 failed"):
+        for cell in run_grid(FAILING_GRID, threads=threads):
+            yielded.append([result_rows(r) for r in cell])
+    return yielded
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_grid_yields_every_earlier_cell_before_a_failure(monkeypatch, threads):
+    # one block per cell: cell 1's block fails while cell 0's is still running
     if threads > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched cell reaches the workers only through fork")
-    monkeypatch.setattr(crtgee.simulate, "run_scenario", _slow_first_cell_failing_second)
-    grid = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(6),), pi0=(0.3,),
-                         icc=(0.0, 0.1, 0.2), replicates=1)
-    yielded = []
-    with pytest.raises(RuntimeError, match="cell 1 failed"):
-        for cell in run_grid(grid, threads=threads):
-            yielded.append(cell)
-    assert yielded == [[0]]
+        pytest.skip("the patched generator reaches the workers only through fork")
+    cell0 = _first_cell_rows()
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
+    monkeypatch.setattr(crtgee.simulate, "generate_block", _slow_first_cell_failing_second)
+    assert _yielded_before_failure(threads) == [cell0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_piece_leaves_the_earlier_cells_of_its_block(monkeypatch, threads):
+    # all three cells share one block: cell 0 is still fit and yielded
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched generator reaches the workers only through fork")
+    cell0 = _first_cell_rows()
+    assert len(crtgee.simulate.pack_blocks(FAILING_GRID.scenarios(),
+                                           crtgee.simulate.BLOCK_REPLICATES)) == 1
+    monkeypatch.setattr(crtgee.simulate, "generate_block", _failing_second_cell)
+    assert _yielded_before_failure(threads) == [cell0]
+
+
+PACKED_GRID = FactorialGrid(n_clusters=(6, 10, 6), sizes=(FixedSize(4), GammaSize(8, 0.5)),
+                            pi0=(0.1, 0.3), icc=(0.05,), replicates=5, seed=11)
+
+
+def test_pack_blocks_fills_bounded_single_n_blocks_in_grid_order():
+    # cells 0-3 and 8-11 have N = 6, cells 4-7 N = 10; two cells are skipped
+    scenarios = [sc for sc in PACKED_GRID.scenarios() if sc.index not in (1, 6)]
+    blocks = crtgee.simulate.pack_blocks(scenarios, 7)
+    assert all(sum(len(reps) for _, reps in b) <= 7 for b in blocks)
+    assert all(len({sc.n_clusters for sc, _ in b}) == 1 for b in blocks)
+    pieces = [(sc.index, rep) for b in blocks for sc, reps in b for rep in reps]
+    assert pieces == [(sc.index, rep) for sc in scenarios for rep in range(sc.replicates)]
+    # each run of same-N cells fills its blocks: 15, 15 and 20 replicates
+    assert [sum(len(reps) for _, reps in b) for b in blocks] == [7, 7, 1, 7, 7, 1, 7, 7, 6]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_packing_cells_into_shared_blocks_does_not_change_results(monkeypatch, threads):
+    skip = (2, 7)
+    cells = [sc for sc in PACKED_GRID.scenarios() if sc.index not in skip]
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
+    want = [[result_rows(r) for r in run_scenario(sc, ALL_MODELS, ALL_KINDS)] for sc in cells]
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 7)
+    got = [[result_rows(r) for r in cell]
+           for cell in run_grid(PACKED_GRID, threads=threads, skip=skip)]
+    assert got == want
 
 
 # --- batch invariance: a block of replicates equals each replicate alone ---
