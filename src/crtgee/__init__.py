@@ -31,11 +31,10 @@ from .errors import (
     UnsupportedDesignError,
     UsageError,
 )
-from .families import Family, Link, MeanModel, ModelSpec, parse_family, parse_link
+from .families import Family, Link, ModelSpec, parse_family, parse_link
 from .gee import (
     FitBlock,
     GeeFit,
-    WorkingCorrelation,
     alpha_bounds,
     estimate_alpha_phi,
     fit_block,
@@ -100,7 +99,6 @@ __all__ = [
     "GeneratorInvalidError",
     "InferenceResult",
     "Link",
-    "MeanModel",
     "ModelSpec",
     "NonConvergenceError",
     "Scenario",
@@ -110,7 +108,6 @@ __all__ = [
     "UnsupportedDesignError",
     "UsageError",
     "VarianceEstimate",
-    "WorkingCorrelation",
     "aggregate",
     "alpha_bounds",
     "betainc",

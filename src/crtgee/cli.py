@@ -12,8 +12,9 @@ Three subcommands:
 * ``report``   groups an existing results table into plot-ready summaries.
   It never re-runs simulations.
 
-Exit codes: 0 success; 1 invalid data, config, or usage; 2 the model did not
-converge (the analyze report is still written, with diagnostics).
+Exit codes: 0 success; 1 invalid data, config, or usage, or too little
+memory for the run; 2 the model did not converge (the analyze report is
+still written, with diagnostics).
 """
 
 from __future__ import annotations
@@ -726,6 +727,9 @@ def main(argv=None):
         return 1
     except CrtGeeError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
 
 

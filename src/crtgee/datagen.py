@@ -46,6 +46,8 @@ class FixedSize:
     def __post_init__(self):
         if self.m < 1:
             raise DomainError(f"cluster size must be >= 1, got {self.m}")
+        if self.m > np.iinfo(np.int64).max:
+            raise DomainError(f"cluster size must fit in a 64-bit integer, got {self.m}")
 
     def draw(self, n, rng):
         return np.full(n, self.m, dtype=int)

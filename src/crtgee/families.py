@@ -4,7 +4,8 @@ The analysis models are deliberately allowed to misspecify the outcome
 distribution (Poisson or Gaussian working families for binary data); the
 sandwich variance downstream repairs the misspecification. Only six
 family/link pairs are meaningful for two-arm binary-outcome trials and
-``ModelSpec`` rejects everything else.
+``ModelSpec`` rejects everything else. Every model has the same mean
+structure, an intercept and the arm indicator, g(mu_ij) = beta_0 + beta_1 arm_i.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ class Link(enum.Enum):
     LOGIT = "logit"
 
 
-class MeanModel(enum.Enum):
-    """Regression structure: intercept + arm indicator, or intercept only."""
-
-    INTERCEPT_PLUS_ARM = "intercept_plus_arm"
-    INTERCEPT_ONLY = "intercept_only"
-
-    @property
-    def n_params(self):
-        return 2 if self is MeanModel.INTERCEPT_PLUS_ARM else 1
-
-
 #: family/link pairs accepted by ModelSpec
 VALID_PAIRS = frozenset(
     {
@@ -55,21 +45,16 @@ VALID_PAIRS = frozenset(
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One analysis model: working family x link x mean structure."""
+    """One analysis model: working family x link, for the mean model intercept + arm."""
 
     family: Family
     link: Link
-    mean_model: MeanModel = MeanModel.INTERCEPT_PLUS_ARM
 
     def __post_init__(self):
         if (self.family, self.link) not in VALID_PAIRS:
             raise UsageError(
                 f"unsupported family/link pair: {self.family.value}/{self.link.value}"
             )
-
-    @property
-    def n_params(self):
-        return self.mean_model.n_params
 
     def label(self):
         return f"{self.family.value}-{self.link.value}"
@@ -143,8 +128,8 @@ def variance_function(family, mu):
 def mean_in_range(family, mu, axis=None):
     """True when every entry of mu is a valid (finite) mean for the family.
 
-    With `axis`, one answer per slice along it (per replicate for an (R, G)
-    array of group means with axis=1).
+    With `axis`, one answer per slice along it (per replicate for an (R, 2)
+    array of arm means with axis=1).
     """
     mu = np.asarray(mu, dtype=float)
     if family is Family.BINOMIAL:

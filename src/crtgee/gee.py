@@ -1,14 +1,14 @@
-"""GEE fitting with an exchangeable working correlation.
+"""GEE fitting of the two-arm model with an exchangeable working correlation.
 
-Fisher scoring on the marginal mean model g(mu_ij) = x_i' beta, alternating
-each iteration with moment re-estimation of the exchangeable correlation
-alpha and the dispersion phi.
+Fisher scoring on the marginal mean model g(mu_ij) = beta_0 + beta_1 arm_i,
+alternating each iteration with moment re-estimation of the exchangeable
+correlation alpha and the dispersion phi.
 
-Treatment is cluster-level and the mean model (an intercept, plus the arm
-indicator) is saturated, so the covariate row x_i and the mean mu_i are
-constant within a cluster. With 0/1 outcomes (sum_j y_ij^2 = s_i) a cluster
-enters every sum only through (arm_i, m_i, s_i = sum_j y_ij). Writing
-d_i = dmu/deta, v_i = V(mu_i) and using 1' R(alpha)^{-1} 1 =
+Treatment is cluster-level and the mean model (an intercept and the arm
+indicator) is saturated, so the covariate row x_i = (1, arm_i) and the mean
+mu_i are constant within a cluster. With 0/1 outcomes (sum_j y_ij^2 = s_i) a
+cluster enters every sum only through (arm_i, m_i, s_i = sum_j y_ij).
+Writing d_i = dmu/deta, v_i = V(mu_i) and using 1' R(alpha)^{-1} 1 =
 m / (1 + (m-1) alpha):
 
     Pearson residual sum      e_i = (s_i - m_i mu_i) / sqrt(v_i)
@@ -21,42 +21,39 @@ u_i x_i. Forming s costs O(total observations) once per fit; every scoring
 iteration then costs O(N), with mu, d and v evaluated once per arm and read
 per cluster.
 
-On the scale of the group means' linear predictors eta_g = x_g' beta (the
-two arms; the whole trial for the intercept-only model) the information
-is diag(W_g), W_g = sum_{i in g} w_i, and the score is U_g = sum_{i in g}
-u_i. A scoring step is one scalar per group, delta eta_g = U_g / W_g, and
-(delta eta_0, delta eta_1 - delta eta_0) in beta; the information is
-singular exactly when some W_g is 0. The converged fit keeps w, u, W and
-each cluster's leverage h_i = w_i / W_g(i), its share of its group's
-working information.
+On the scale of the arm means' linear predictors eta_a = beta_0 + a beta_1
+the information is diag(W_a), W_a = sum_{i in a} w_i, and the score is
+U_a = sum_{i in a} u_i. A scoring step is one scalar per arm, delta eta_a =
+U_a / W_a, and (delta eta_0, delta eta_1 - delta eta_0) in beta; the
+information is singular exactly when some W_a is 0. The converged fit keeps
+w, u, W and each cluster's leverage h_i = w_i / W_a(i), its share of its
+arm's working information.
 
-A scoring step is a function of beta alone. When an iterate repeats bit for
-bit (the alpha/beta alternation can lock into such a cycle), the fit can
-neither converge nor fail otherwise before max_iter, so it stops at once and
-reports max_iterations with the iterate the cycle would hold at max_iter:
-the same outcome as running the budget out.
+An arm without events (binomial or Poisson), or with only events
+(binomial), puts its mean where the family's variance or the link is
+undefined, so its estimating equation has no solution: such a replicate
+fails at once with reason empty_arm, before any scoring pass, under every
+link of the family. The Gaussian family fits it.
 
 fit_block, the entry point, scores a block of R replicates that share their
 clusters' arms at once, on (R, N) arrays. Each iteration is one vectorized
 pass over the replicates still iterating; one more pass at each converged
 beta refreshes (alpha, phi), the weights, scores and leverages. Every
-replicate keeps its own iteration count, step halving, cycle cut and
-outcome, and no row's arithmetic depends on the others, so each fit is bit
-for bit the fit of its replicate alone. fit_gee is a block of one.
+replicate keeps its own iteration count, step halving and outcome, and no
+row's arithmetic depends on the others, so each fit is bit for bit the fit
+of its replicate alone. fit_gee is a block of one.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import TrialDataset
-from .errors import NonConvergenceError, UsageError
+from .errors import NonConvergenceError
 from .families import (
     Family,
-    MeanModel,
     ModelSpec,
     link_apply,
     link_inverse,
@@ -77,32 +74,8 @@ SCORE_TOL = 1e-4
 #: halvings of a step whose fitted means leave the family's range
 MAX_STEP_HALVINGS = 10
 
-
-class CorrelationKind(enum.Enum):
-    EXCHANGEABLE = "exchangeable"
-    INDEPENDENCE = "independence"
-
-
-@dataclass(frozen=True)
-class WorkingCorrelation:
-    """Working correlation choice; ``alpha=None`` means moment-estimated."""
-
-    kind: CorrelationKind = CorrelationKind.EXCHANGEABLE
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.kind is CorrelationKind.INDEPENDENCE:
-            if self.alpha not in (None, 0.0):
-                raise UsageError("independence working correlation fixes alpha = 0")
-            object.__setattr__(self, "alpha", 0.0)
-
-    @classmethod
-    def exchangeable(cls, alpha=None):
-        return cls(CorrelationKind.EXCHANGEABLE, alpha)
-
-    @classmethod
-    def independence(cls):
-        return cls(CorrelationKind.INDEPENDENCE)
+#: scoring passes a fit may take before it fails with max_iterations
+MAX_ITERATIONS = 50
 
 
 def _alpha_lower(max_sizes):
@@ -183,49 +156,23 @@ def _alpha_phi(square_sum, cross_sum, obs_df, pair_df, pairs_ok, has_pairs, lowe
     return np.where(ok, alpha, 0.0), phi, (clamped | ~ok) & has_pairs
 
 
-def _initial_beta(arm, m, s, spec):
-    """Starting coefficients per replicate, (R, p): arm proportions on the link scale.
-
-    `arm` (N,) holds the clusters' arms and `m`, `s` (R, N) their sizes and
-    event counts. A clamp to [0.5 / n, 1 - 0.5 / n] (n observations) keeps log
-    and logit links defined when an arm has zero (or all) events; the
-    Gaussian family starts from the raw proportions.
-    """
-    events = _group_sums(s, arm, 2)
-    n_arm = _group_sums(m, arm, 2)
-    n_obs = m.sum(axis=1)
-    props = events / n_arm
-    pooled = (events[:, 0] + events[:, 1]) / n_obs
-
-    if spec.family is not Family.GAUSSIAN:
-        floor = 0.5 / n_obs
-        props = np.minimum(np.maximum(props, floor[:, None]), 1.0 - floor[:, None])
-        pooled = np.minimum(np.maximum(pooled, floor), 1.0 - floor)
-
-    if spec.mean_model is MeanModel.INTERCEPT_ONLY:
-        return link_apply(spec.link, pooled)[:, None]
-    g = link_apply(spec.link, props)
-    return np.stack([g[:, 0], g[:, 1] - g[:, 0]], axis=1)
-
-
-def _group_eta(beta):
-    """Group linear predictors x_g' beta, (R, G), for x_g = (1, 0), (1, 1), or (1,)."""
+def _arm_eta(beta):
+    """The arms' linear predictors (beta_0, beta_0 + beta_1), (R, 2)."""
     eta = beta.copy()
-    if eta.shape[1] == 2:
-        eta[:, 1] += beta[:, 0]
+    eta[:, 1] += beta[:, 0]
     return eta
 
 
-def _group_sums(values, group, n_groups):
-    """Per row of `values` (R, N), the sums over the clusters of each group, (R, G).
+def _arm_sums(values, arm):
+    """Per row of `values` (R, N), the sums over each arm's clusters, (R, 2).
 
     One bincount over row-major keys adds each bin's entries in cluster
     order, as a bincount of the row alone would.
     """
     n_rep = len(values)
-    keys = (n_groups * np.arange(n_rep)[:, None] + group).ravel()
-    sums = np.bincount(keys, weights=values.ravel(), minlength=n_groups * n_rep)
-    return sums.reshape(n_rep, n_groups)
+    keys = (2 * np.arange(n_rep)[:, None] + arm).ravel()
+    sums = np.bincount(keys, weights=values.ravel(), minlength=2 * n_rep)
+    return sums.reshape(n_rep, 2)
 
 
 @dataclass
@@ -243,7 +190,7 @@ class FitBlock:
     arm: np.ndarray          # (N,) arm label
     rows: np.ndarray         # (R,) positions of the converged replicates
     errors: dict             # position -> NonConvergenceError
-    beta: np.ndarray         # (R, p)
+    beta: np.ndarray         # (R, 2)
     alpha: np.ndarray        # (R,)
     phi: np.ndarray          # (R,)
     clamped: np.ndarray      # (R,) alpha was clamped at some iteration
@@ -252,121 +199,104 @@ class FitBlock:
     s: np.ndarray            # (R, N) event counts s_i
     w: np.ndarray            # (R, N) working weights
     u: np.ndarray            # (R, N) scores
-    h: np.ndarray            # (R, N) leverages w_i / W_g(i)
-    W: np.ndarray            # (R, G) working information W_g = sum_{i in g} w_i
-
-    @property
-    def n_params(self):
-        return self.W.shape[1]
+    h: np.ndarray            # (R, N) leverages w_i / W_a(i)
+    W: np.ndarray            # (R, 2) working information W_a = sum_{i in a} w_i
 
 
-def fit_block(arm, m, s, spec, corr=None, *, max_iter=50):
+def fit_block(arm, m, s, spec):
     """Fit the marginal model by Fisher scoring to every replicate of a block.
 
     `arm` (N,) holds the clusters' arms, shared by the block; `m` and `s`
     (R, N) hold each replicate's cluster sizes and event counts. Each
-    replicate keeps its own iteration count, step halving, cycle cut and
-    outcome; a replicate that leaves the loop (converged or failed) drops
-    out of the stacked arrays, and no replicate's arithmetic depends on
-    the others, so every fit equals the fit of its replicate alone.
+    replicate keeps its own iteration count, step halving and outcome; a
+    replicate that leaves the loop (converged or failed) drops out of the
+    stacked arrays, and no replicate's arithmetic depends on the others,
+    so every fit equals the fit of its replicate alone.
 
-    A replicate fails (an entry in `errors`) when the iteration or
-    step-halving budget is exhausted, a group's working information W_g
-    is 0 or not finite, or the final score fails the first-order
-    condition; the error carries the iteration count, the last coefficient
-    vector and a reason tag, which simulation code counts as the
-    convergence outcome.
+    A replicate fails (an entry in `errors`) when an arm's mean has no
+    solution (empty_arm, after 0 iterations and with no coefficients), the
+    MAX_ITERATIONS or step-halving budget is exhausted, an arm's working
+    information W_a is 0 or not finite, or the final score fails the
+    first-order condition; the error carries the iteration count, the last
+    coefficient vector and a reason tag, which simulation code counts as
+    the convergence outcome.
     """
-    if corr is None:
-        corr = WorkingCorrelation.exchangeable()
     arm = np.asarray(arm, dtype=int)
-    m = np.asarray(m)
+    sizes = np.asarray(m)
     s = np.asarray(s, dtype=float)
-    n_rep = len(m)
-    lower = _alpha_lower(m.max(axis=1))
-    estimate_corr = corr.kind is CorrelationKind.EXCHANGEABLE and corr.alpha is None
-    if corr.alpha is not None and corr.alpha != 0.0:
-        outside = (corr.alpha < lower) | (corr.alpha > 1.0 - ALPHA_MARGIN)
-        if outside.any():
-            lo = lower[np.flatnonzero(outside)[0]]
-            raise UsageError(
-                f"fixed alpha {corr.alpha} outside the valid range "
-                f"[{lo:.6g}, {1.0 - ALPHA_MARGIN:.6g}]"
-            )
-
+    n_rep = len(sizes)
     link, family = spec.link, spec.family
-    p = spec.n_params
-    # mu, d and v are constant within a group (an arm; the whole trial for
-    # the intercept-only model): they are computed per group and read per
-    # cluster through `group`
-    group = arm if p == 2 else np.zeros_like(arm)
-    sizes = m
-    m = m.astype(float)
-    # per-replicate constants: sizes, m_i - 1, events, moment terms, alpha bound
-    consts = [m, m - 1.0, s, *_moment_terms(sizes, p), lower]
+    m = sizes.astype(float)
+    events, n_arm = _arm_sums(s, arm), _arm_sums(m, arm)
 
-    def scoring_pass(eta, mu, alpha, clamped, m, m1, s, *terms):
-        """(alpha, phi, clamped, w, u, W, U) at the group means; a fixed alpha is kept."""
+    # an arm whose mean has no solution: no events (binomial, Poisson) or
+    # only events (binomial)
+    empty = np.zeros(n_rep, dtype=bool)
+    if family is not Family.GAUSSIAN:
+        empty = (events == 0.0).any(axis=1)
+    if family is Family.BINOMIAL:
+        empty |= (events == n_arm).any(axis=1)
+    errors = {int(r): NonConvergenceError("empty_arm", 0) for r in np.flatnonzero(empty)}
+    # per-replicate constants: sizes, m_i - 1, events, moment terms, alpha bound
+    all_consts = [m, m - 1.0, s, *_moment_terms(sizes, 2), _alpha_lower(sizes.max(axis=1))]
+
+    def scoring_pass(eta, mu, clamped, m, m1, s, *terms):
+        """(alpha, phi, clamped, w, u, W, U) at the arm means."""
         d = link_mu_deriv(link, eta)
         v = variance_function(family, mu)
-        mu_c = mu[:, group]
+        mu_c = mu[:, arm]
         m_mu = m * mu_c
         resid = s - m_mu
         # per cluster: e_i = sum_j e_ij and q_i = sum_j e_ij^2
-        e = resid / np.sqrt(v)[:, group]
-        q = (s * (1.0 - 2.0 * mu)[:, group] + m_mu * mu_c) / v[:, group]
-        est_alpha, phi, now_clamped = _alpha_phi(
+        e = resid / np.sqrt(v)[:, arm]
+        q = (s * (1.0 - 2.0 * mu)[:, arm] + m_mu * mu_c) / v[:, arm]
+        alpha, phi, now_clamped = _alpha_phi(
             q.sum(axis=1), (e * e - q).sum(axis=1) / 2.0, *terms)
-        if estimate_corr:
-            alpha, clamped = est_alpha, clamped | now_clamped
         denom = 1.0 + m1 * alpha[:, None]
-        w = (d * d / v)[:, group] * (m / denom)
-        u = (d / v)[:, group] * (resid / denom)
-        return alpha, phi, clamped, w, u, _group_sums(w, group, p), _group_sums(u, group, p)
+        w = (d * d / v)[:, arm] * (m / denom)
+        u = (d / v)[:, arm] * (resid / denom)
+        return alpha, phi, clamped | now_clamped, w, u, _arm_sums(w, arm), _arm_sums(u, arm)
 
-    errors = {}
     done_at = np.zeros(n_rep, dtype=int)
-    # beta, eta, alpha and clamped of each replicate when it converged
-    final = [np.zeros((n_rep, p)), np.zeros((n_rep, p)), np.zeros(n_rep), np.zeros(n_rep, bool)]
+    # beta, eta and clamped of each replicate when it converged
+    final = [np.zeros((n_rep, 2)), np.zeros((n_rep, 2)), np.zeros(n_rep, bool)]
 
     # the replicates still iterating (`live`) and their state, compacted as
-    # replicates leave
-    live = np.arange(n_rep)
-    beta = _initial_beta(arm, m, s, spec)
-    eta = _group_eta(beta)
+    # replicates leave; each starts from its arm proportions on the link
+    # scale, a Poisson arm with only events at 1 - 0.5 / n (n observations)
+    live = np.flatnonzero(~empty)
+    consts = [c[live] for c in all_consts]
+    props = events[live] / n_arm[live]
+    if family is Family.POISSON:
+        props = np.minimum(props, 1.0 - 0.5 / m[live].sum(axis=1)[:, None])
+    g = link_apply(link, props)
+    beta = np.stack([g[:, 0], g[:, 1] - g[:, 0]], axis=1)
+    eta = _arm_eta(beta)
     mu = link_inverse(link, eta)
-    alpha = np.full(n_rep, 0.0 if corr.alpha is None else float(corr.alpha))
-    clamped = np.zeros(n_rep, dtype=bool)
-    # each step is a function of beta alone, so an iterate that repeats
-    # bit for bit starts a cycle that can neither converge nor fail
-    # differently: it is cut short, reporting the iterate the cycle holds at
-    # max_iter. history[k, i] holds the bits of live replicate k's iterate i.
-    history = np.zeros((n_rep, max_iter + 1, p), dtype=np.int64)
-    history[:, 0] = beta.view(np.int64)
+    clamped = np.zeros(live.size, dtype=bool)
 
-    def leave(rows, reason, betas, iterations):
+    def leave(rows, reason, iterations):
         for k in rows:
-            errors[int(live[k])] = NonConvergenceError(reason, iterations, betas[k])
+            errors[int(live[k])] = NonConvergenceError(reason, iterations, beta[k])
         staying[rows] = False
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if live.size == 0:
             break
         staying = np.ones(live.size, dtype=bool)
-        alpha, _, clamped, _, _, W, U = scoring_pass(eta, mu, alpha, clamped, *consts)
+        _, _, clamped, _, _, W, U = scoring_pass(eta, mu, clamped, *consts)
         if not (np.isfinite(W).all() and np.isfinite(U).all() and W.all()):
             finite = np.isfinite(W).all(axis=1) & np.isfinite(U).all(axis=1)
             singular = finite & ~W.all(axis=1)
-            leave(np.flatnonzero(~finite), "numerical_breakdown", beta, it)
-            leave(np.flatnonzero(singular), "singular_information", beta, it)
+            leave(np.flatnonzero(~finite), "numerical_breakdown", it)
+            leave(np.flatnonzero(singular), "singular_information", it)
             W, U = np.where(staying[:, None], W, 1.0), np.where(staying[:, None], U, 0.0)
-        # the group means' steps delta eta_g = U_g / W_g, then on the beta scale
+        # the arm means' steps delta eta_a = U_a / W_a, then on the beta scale
         step = U / W
-        if p == 2:
-            step[:, 1] -= step[:, 0]
+        step[:, 1] -= step[:, 0]
 
         # step halving, per replicate, until its means are valid
-        trial_eta = _group_eta(beta + step)
+        trial_eta = _arm_eta(beta + step)
         trial_mu = link_inverse(link, trial_eta)
         todo = staying & ~mean_in_range(family, trial_mu, axis=1)
         eta, mu = trial_eta, trial_mu
@@ -374,56 +304,44 @@ def fit_block(arm, m, s, spec, corr=None, *, max_iter=50):
             todo = np.flatnonzero(todo)
             for _ in range(MAX_STEP_HALVINGS):
                 step[todo] = step[todo] / 2.0
-                trial_eta = _group_eta(beta[todo] + step[todo])
+                trial_eta = _arm_eta(beta[todo] + step[todo])
                 trial_mu = link_inverse(link, trial_eta)
                 ok = mean_in_range(family, trial_mu, axis=1)
                 eta[todo[ok]], mu[todo[ok]] = trial_eta[ok], trial_mu[ok]
                 todo = todo[~ok]
                 if todo.size == 0:
                     break
-            leave(todo, "step_halving_exhausted", beta, it)
+            leave(todo, "step_halving_exhausted", it)
 
         beta = beta + step
         if not np.isfinite(beta).all():
             leave(np.flatnonzero(staying & ~np.isfinite(beta).all(axis=1)),
-                  "numerical_breakdown", beta, it)
+                  "numerical_breakdown", it)
         converged = staying & (np.abs(step).max(axis=1) < BETA_TOL)
-        bits = beta.view(np.int64)
-        seen = (history[:, :it] == bits[:, None, :]).all(axis=2)
-        history[:, it] = bits
-        repeated = seen.any(axis=1)
-        if repeated.any():
-            for k in np.flatnonzero(staying & ~converged & repeated):
-                first = int(seen[k].argmax())
-                cycle = history[k, first + (max_iter - first) % (it - first)]
-                leave([k], "max_iterations", {k: cycle.view(float)}, max_iter)
         if converged.any():
             rows = live[converged]
             done_at[rows] = it
-            for out, value in zip(final, (beta, eta, alpha, clamped)):
+            for out, value in zip(final, (beta, eta, clamped)):
                 out[rows] = value[converged]
             staying &= ~converged
 
         if not staying.all():
             live, beta, eta, mu = live[staying], beta[staying], eta[staying], mu[staying]
-            alpha, clamped, history = alpha[staying], clamped[staying], history[staying]
+            clamped = clamped[staying]
             consts = [c[staying] for c in consts]
 
     for k, r in enumerate(live):
-        errors[int(r)] = NonConvergenceError("max_iterations", max_iter, beta[k])
+        errors[int(r)] = NonConvergenceError("max_iterations", MAX_ITERATIONS, beta[k])
 
     # at each converged beta: refresh (alpha, phi), then verify the
     # first-order condition
     rows = np.flatnonzero(done_at)
-    beta, eta, alpha, clamped = (f[rows] for f in final)
-    consts = [c[rows] for c in (m, m - 1.0, s, *_moment_terms(sizes, p), lower)]
+    beta, eta, clamped = (f[rows] for f in final)
     alpha, phi, clamped, w, u, W, U = scoring_pass(
-        eta, link_inverse(link, eta), alpha, clamped, *consts)
-    # X'u = (U_0 + U_1, U_1), or U_0 for the intercept-only model
-    if p == 2:
-        U[:, 0] += U[:, 1]
-    score_norm = np.abs(U).max(axis=1)
-    failed = score_norm >= SCORE_TOL
+        eta, link_inverse(link, eta), clamped, *(c[rows] for c in all_consts))
+    # X'u = (U_0 + U_1, U_1)
+    U[:, 0] += U[:, 1]
+    failed = np.abs(U).max(axis=1) >= SCORE_TOL
     for k in np.flatnonzero(failed):
         r = int(rows[k])
         errors[r] = NonConvergenceError("score_condition_failed", int(done_at[r]), beta[k])
@@ -443,7 +361,7 @@ def fit_block(arm, m, s, spec, corr=None, *, max_iter=50):
         s=s[rows],
         w=w,
         u=u[keep],
-        h=w / W[:, group],
+        h=w / W[:, arm],
         W=W,
     )
 
@@ -464,7 +382,6 @@ class GeeFit:
     """
 
     data: TrialDataset
-    corr: WorkingCorrelation
     block: FitBlock
 
     spec = property(lambda self: self.block.spec)
@@ -478,8 +395,8 @@ class GeeFit:
     s = _first_row("s", doc="event count s_i = sum_j y_ij")
     w = _first_row("w", doc="working weight: D_i' V_i^{-1} D_i = w_i x_i x_i'")
     u = _first_row("u", doc="score: D_i' V_i^{-1} (y_i - mu_i) = u_i x_i")
-    h = _first_row("h", doc="leverage w_i / W_g(i)")
-    W = _first_row("W", doc="working information W_g = sum_{i in g} w_i per group")
+    h = _first_row("h", doc="leverage w_i / W_a(i)")
+    W = _first_row("W", doc="working information W_a = sum_{i in a} w_i per arm")
     converged = True
 
     @property
@@ -487,49 +404,39 @@ class GeeFit:
         return self.data.n_clusters
 
     @property
-    def n_params(self):
-        return self.beta.size
-
-    @property
     def x(self):
-        """Covariate rows x_i, (N, p): (1, arm_i), or (1,) for the intercept-only model."""
-        x = np.ones((len(self.arm), self.n_params))
-        if self.n_params == 2:
-            x[:, 1] = self.arm
-        return x
+        """Covariate rows x_i = (1, arm_i), (N, 2)."""
+        return np.stack([np.ones(len(self.arm)), self.arm], axis=1)
 
     @property
     def info_sum(self):
-        """The information B = sum_i w_i x_i x_i', from the group totals W_g."""
+        """The information B = sum_i w_i x_i x_i', from the arm totals W_a."""
         W = self.W
-        if W.size == 1:
-            return np.array([[W[0]]])
         return np.array([[W[0] + W[1], W[1]], [W[1], W[1]]])
 
     def fitted_arm_means(self):
         """Fitted mean per arm (identical across clusters of an arm)."""
-        mu = link_inverse(self.spec.link, _group_eta(self.beta[None])[0])
-        return {0: float(mu[0]), 1: float(mu[-1])}
+        mu = link_inverse(self.spec.link, _arm_eta(self.beta[None])[0])
+        return {0: float(mu[0]), 1: float(mu[1])}
 
 
-def fit_gee(data, spec, corr=None, *, max_iter=50):
+def fit_gee(data, spec):
     """Fit the marginal model by Fisher scoring: a block of one replicate.
 
     Raises
     ------
     NonConvergenceError
-        When the iteration or step-halving budget is exhausted, a group's
-        working information is 0 or not finite, or the final score fails the
-        first-order condition. The exception carries the iteration count,
-        the last coefficient vector, and a reason tag; simulation code
-        counts these events as the convergence-rate outcome.
+        When an arm's mean has no solution, the iteration or step-halving
+        budget is exhausted, an arm's working information is 0 or not
+        finite, or the final score fails the first-order condition. The
+        exception carries the iteration count, the last coefficient vector
+        (None for empty_arm), and a reason tag; simulation code counts these
+        events as the convergence-rate outcome.
     """
-    if corr is None:
-        corr = WorkingCorrelation.exchangeable()
     arm = np.array([c.arm for c in data.clusters], dtype=int)
     m = np.array([[c.size for c in data.clusters]])
     s = np.array([[c.outcomes.sum() for c in data.clusters]])
-    block = fit_block(arm, m, s, spec, corr, max_iter=max_iter)
+    block = fit_block(arm, m, s, spec)
     if block.errors:
         raise block.errors[0]
-    return GeeFit(data=data, corr=corr, block=block)
+    return GeeFit(data=data, block=block)

@@ -3,7 +3,7 @@
 `wald_inference` reports one fit in full (t, p-value, intervals on both
 scales). The Monte Carlo path needs only each fit's standard error and
 test decision: `wald_reject` forms both for a block of fits, rejecting
-where |t| exceeds the cached t_{N-p} critical value, and computes no
+where |t| exceeds the cached t_{N-2} critical value, and computes no
 p-values.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError, UsageError
-from .families import Link, MeanModel
+from .families import Link
 from .tdist import student_t_quantile, student_t_two_sided_p
 
 
@@ -68,13 +68,11 @@ def _exp(x):
 def wald_inference(fit, var, measure=None, alpha_level=0.05):
     """Wald t-test and CI for the arm effect using one variance estimate.
 
-    Degrees of freedom are N - p for N clusters and p mean parameters.
+    Degrees of freedom are N - 2 for N clusters and the two mean parameters.
     The effect-scale interval exponentiates the link-scale interval for
     log and logit links and is the identity for the identity link; an
     exponentiated value past the float range is inf.
     """
-    if fit.spec.mean_model is not MeanModel.INTERCEPT_PLUS_ARM:
-        raise UsageError("arm-effect inference needs the intercept + arm mean model")
     link_measure = default_measure(fit.spec.link)
     if measure is None:
         measure = link_measure
@@ -93,7 +91,7 @@ def wald_inference(fit, var, measure=None, alpha_level=0.05):
         )
     se = math.sqrt(cov11)
     beta1 = float(fit.beta[1])
-    df = fit.n_clusters - fit.n_params
+    df = fit.n_clusters - 2
 
     t_stat = beta1 / se
     p_value = student_t_two_sided_p(t_stat, df)

@@ -1,36 +1,36 @@
 """Model-based, robust, and bias-corrected sandwich covariance estimators.
 
 Every estimator reads the converged fit's per-cluster arrays (see
-crtgee.gee): the score u_i, the leverage h_i = w_i / W_g(i) and the group
-totals W_g. On the scale of the group means' linear predictors eta_g the
-bread is diag(W_g) and cluster i's score is u_i on its group's
-coordinate, so each kind is formed from per-group sums on that scale and
-mapped once to beta = (eta_0, eta_1 - eta_0) as cov_beta = A cov_eta A',
+crtgee.gee): the score u_i, the leverage h_i = w_i / W_a(i) and the arm
+totals W_a. On the scale of the arm means' linear predictors eta_a the
+bread is diag(W_a) and cluster i's score is u_i on its arm's coordinate,
+so each kind is formed from per-arm sums on that scale and mapped once to
+beta = (eta_0, eta_1 - eta_0) as cov_beta = A cov_eta A',
 A = [[1, 0], [-1, 1]]:
 
-    MB              phi diag(1 / W_g)
-    robust, KC, MD  diag(T_g / W_g^2),  T_g = sum_{i in g} c_i^2 u_i^2
+    MB              phi diag(1 / W_a)
+    robust, KC, MD  diag(T_a / W_a^2),  T_a = sum_{i in a} c_i^2 u_i^2
 
 with c_i = 1 (robust), (1 - h_i)^{-1/2} (KC; Kauermann & Carroll, JASA
 2001) or (1 - h_i)^{-1} (MD; Mancl & DeRouen, Biometrics 2001). These are
 defined as (I - Q_i)^{-1/2} s_i and (I - Q_i)^{-1} s_i for the score
 s_i = u_i x_i and the cluster leverage Q_i = w_i x_i x_i' B^{-1}, which has
-rank one; the mean model is saturated, so x_i' B^{-1} x_i = 1 / W_g(i) and
+rank one; the mean model is saturated, so x_i' B^{-1} x_i = 1 / W_a(i) and
 Q_i x_i = h_i x_i: the score is an eigenvector of Q_i with eigenvalue h_i,
 and the matrix functions reduce to these scalars. FG (Fay & Graubard,
 Biometrics 2001) caps the diagonal of Q_i at r; in beta that diagonal is
-h_i at the coordinate of the cluster's arm (coordinate 0 for the
-intercept-only model) and 0 elsewhere, so FG multiplies that coordinate
-of s_i by c_i = (1 - min(r, h_i))^{-1/2}: a control cluster's influence on
-eta is (c_i u_i / W_0, 0), a treated cluster's (u_i (1 - c_i) / W_0,
-c_i u_i / W_1). MBN (Morel, Bokossa & Neerchal, Biom. J. 2003) adds an
-inflation term to the robust matrix; its trace term is sum_g T_g / W_g
-(c_i = 1) in any parametrization. Sums are kept unnormalized; the
-N-normalized textbook writing differs only by cancelling factors of N.
+h_i at the coordinate of the cluster's arm and 0 elsewhere, so FG
+multiplies that coordinate of s_i by c_i = (1 - min(r, h_i))^{-1/2}: a
+control cluster's influence on eta is (c_i u_i / W_0, 0), a treated
+cluster's (u_i (1 - c_i) / W_0, c_i u_i / W_1). MBN (Morel, Bokossa &
+Neerchal, Biom. J. 2003) adds an inflation term to the robust matrix; its
+trace term is sum_a T_a / W_a (c_i = 1) in any parametrization. Sums are
+kept unnormalized; the N-normalized textbook writing differs only by
+cancelling factors of N.
 
 The module has two entry points. estimate_block forms every requested
-kind for a block of converged fits at once, as (R, p, p) arrays, and
-records each replicate's failure (a group without working information, a
+kind for a block of converged fits at once, as (R, 2, 2) arrays, and
+records each replicate's failure (an arm without working information, a
 leverage at 1) without stopping the others; AVG is formed there, once, as
 (KC + MD) / 2. compute_estimates is a block of one (a fit_gee fit) that
 raises the failure instead.
@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedDesignError,
     UsageError,
 )
-from .gee import _group_sums
+from .gee import _arm_sums
 
 
 class EstimatorKind(enum.Enum):
@@ -72,7 +72,7 @@ DEFAULT_FG_BOUND = 0.75
 
 @dataclass
 class VarianceEstimate:
-    """One p x p coefficient covariance matrix, tagged by estimator kind."""
+    """One 2 x 2 coefficient covariance matrix, tagged by estimator kind."""
 
     kind: EstimatorKind
     cov: np.ndarray
@@ -84,7 +84,7 @@ class VarianceEstimate:
 
 
 def _bread_errors(W):
-    """Each replicate's SingularityError where some group's W_g is 0 or not finite."""
+    """Each replicate's SingularityError where some arm's W_a is 0 or not finite."""
     errors = {}
     for k in np.flatnonzero(~(np.isfinite(W) & (W != 0.0)).all(axis=1)):
         problem = "singular" if (W[k] == 0.0).any() else "not finite"
@@ -100,13 +100,11 @@ def _first_bad(bad, cluster_ids):
 
 
 def _beta_cov(var, cross=0.0):
-    """cov_beta = A cov_eta A', (R, p, p), for cov_eta = [[a, c], [c, b]].
+    """cov_beta = A cov_eta A', (R, 2, 2), for cov_eta = [[a, c], [c, b]].
 
-    `var` (R, G) holds the group variances (a, b), or (a,) for the
-    intercept-only model, and `cross` (R,) their covariance c.
+    `var` (R, 2) holds the arm variances (a, b) and `cross` (R,) their
+    covariance c.
     """
-    if var.shape[1] == 1:
-        return var.reshape(-1, 1, 1)
     a, b = var[:, 0], var[:, 1]
     cov = np.empty((len(var), 2, 2))
     cov[:, 0, 0] = a
@@ -119,7 +117,7 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
     """Covariance estimates of every requested kind for a block of converged fits.
 
     `fits` is a gee.FitBlock. Returns (covs, diagnostics, errors), each a
-    dict keyed by kind: covs[kind] is (R, p, p) with NaN rows where the
+    dict keyed by kind: covs[kind] is (R, 2, 2) with NaN rows where the
     estimate failed, diagnostics[kind] maps a diagnostic name to an (R,)
     array, and errors[kind] maps a failing replicate's position among the
     fits to its exception (a CorrectionSingularityError names the first
@@ -134,17 +132,16 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
     if sandwich_kinds and not 0.0 < fg_bound <= 1.0:
         raise UsageError(f"FG bound must lie in (0, 1], got {fg_bound}")
 
-    p = fits.n_params
-    group = fits.arm if p == 2 else np.zeros_like(fits.arm)
-    n_clusters = len(group)
+    arm = fits.arm
+    n_clusters = len(arm)
     u, h, W = fits.u, fits.h, fits.W
     bread_errors = _bread_errors(W)
     if bread_errors:
         W = W.copy()
         W[list(bread_errors)] = np.nan
     WW = W * W
-    # T_g = sum_{i in g} u_i^2, the robust meat on the eta scale
-    T = _group_sums(u * u, group, p)
+    # T_a = sum_{i in a} u_i^2, the robust meat on the eta scale
+    T = _arm_sums(u * u, arm)
     covs, diagnostics, errors = {}, {}, {}
     q_max = h.max(axis=1)
 
@@ -161,7 +158,7 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
                         cid, kind.name, f"I - Q_i eigenvalue {float(gaps[k].min()):.3g}"))
                 gaps = np.where(bad, 1.0, gaps)
             cu = u * gaps ** (-0.5 if kind is EstimatorKind.KC else -1.0)
-            covs[kind] = _beta_cov(_group_sums(cu * cu, group, p) / WW)
+            covs[kind] = _beta_cov(_arm_sums(cu * cu, arm) / WW)
         else:
             factors = 1.0 - np.minimum(fg_bound, h)
             bad = factors <= 0.0
@@ -174,11 +171,11 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
             # cluster's arm; f0 and f1 are W_0 and W_1 times the influence
             # on eta_0 and eta_1
             c = 1.0 / np.sqrt(factors)
-            treated = group == 1
+            treated = arm == 1
             f0 = np.where(treated, 1.0 - c, c) * u
             f1 = np.where(treated, c, 0.0) * u
-            var = np.stack([(f0 * f0).sum(axis=1), (f1 * f1).sum(axis=1)], axis=1)[:, :p]
-            covs[kind] = _beta_cov(var / WW, (f0 * f1).sum(axis=1) / (W[:, 0] * W[:, -1]))
+            var = np.stack([(f0 * f0).sum(axis=1), (f1 * f1).sum(axis=1)], axis=1)
+            covs[kind] = _beta_cov(var / WW, (f0 * f1).sum(axis=1) / (W[:, 0] * W[:, 1]))
         diagnostics[kind] = {"q_max": q_max}
         errors[kind] = errs
 
@@ -190,19 +187,19 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
     if EstimatorKind.MBN in want:
         # cov = c V_robust + delta_N phi_mbn B^{-1}, with
         # c = ((sum m_i - 1)/(sum m_i - 2)) (N/(N-1)), delta_N = min(0.5, 2/(N-2))
-        # and phi_mbn = max(1, c trace(B^{-1} sum_i s_i s_i') / p), where
-        # trace(B^{-1} sum_i s_i s_i') = sum_g T_g / W_g
+        # and phi_mbn = max(1, c trace(B^{-1} sum_i s_i s_i') / 2), where
+        # trace(B^{-1} sum_i s_i s_i') = sum_a T_a / W_a
         kind = EstimatorKind.MBN
         if n_clusters <= 2:
             err = UnsupportedDesignError(f"MBN needs more than 2 clusters, got {n_clusters}")
             errors[kind] = {k: err for k in range(len(W))}
-            covs[kind] = np.full((len(W), p, p), np.nan)
+            covs[kind] = np.full((len(W), 2, 2), np.nan)
             diagnostics[kind] = {}
         else:
             total_obs = fits.m.sum(axis=1)
             c = (((total_obs - 1) / (total_obs - 2)) * (n_clusters / (n_clusters - 1)))[:, None]
             delta = min(0.5, 2.0 / (n_clusters - 2))
-            phi_mbn = np.fmax(1.0, (c * T / W).sum(axis=1) / p)
+            phi_mbn = np.fmax(1.0, (c * T / W).sum(axis=1) / 2)
             covs[kind] = _beta_cov(c * T / WW + (delta * phi_mbn)[:, None] / W)
             diagnostics[kind] = {"mbn_phi": phi_mbn}
             errors[kind] = dict(bread_errors)

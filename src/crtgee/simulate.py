@@ -16,8 +16,8 @@ with the next cell. Cells sharing N share their arms and the t reference's
 N - 2 degrees of freedom, so a block generates each piece's cluster sizes and
 event counts as (R, N) arrays, stacks them, and fits every working model to
 all of them at once: one vectorized Fisher-scoring loop whose step is one
-scalar U_g / W_g per arm, and every variance estimate formed from per-arm
-sums as an (R, p, p) array. A fit rejects the null when |t| = |beta1 / SE|
+scalar U_a / W_a per arm, and every variance estimate formed from per-arm
+sums as an (R, 2, 2) array. A fit rejects the null when |t| = |beta1 / SE|
 exceeds the upper alpha_level/2 quantile of t, computed once per N; no
 p-values are computed. Each replicate's outcome is bit for bit the one it
 has alone, so results depend on neither the packing nor the number of
@@ -28,7 +28,9 @@ block of one piece) all go through this one block loop.
 Summaries are computed over converged replicates only: the empirical SD of
 the effect estimate (ddof=1), each estimator's mean SE and its percent bias
 against that SD, and the type I error rate at the 5% level with the
-[0.036, 0.064] acceptance band.
+[0.036, 0.064] acceptance band. A replicate whose arm has no events (or,
+under the binomial family, only events) fails as empty_arm before any
+scoring pass, so rare-outcome cells keep only part of their replicates.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Scenario, generate_block, trial_arms
-from .errors import DomainError, UsageError
-from .families import Family, Link, MeanModel, ModelSpec
+from .errors import DomainError
+from .families import Family, Link, ModelSpec
 from .gee import fit_block
 from .inference import wald_reject
 from .sandwich import (
@@ -154,7 +156,7 @@ class ModelBlock:
 
     reason: tuple            # non-convergence reason; None for a converged fit
     iterations: np.ndarray   # scoring iterations
-    beta: np.ndarray         # (R, p) coefficients (the last iterate of a failed fit)
+    beta: np.ndarray         # (R, 2) coefficients (a failed fit's last iterate, or NaN)
     alpha: np.ndarray        # working correlation
     phi: np.ndarray          # dispersion
     alpha_clamped: np.ndarray
@@ -231,16 +233,16 @@ class ScenarioResult:
 
 def _model_block(arm, m, s, model, kinds, fg_bound, alpha_level):
     """Fit one working model to a block's (m, s), estimate and test: a ModelBlock."""
-    if model.mean_model is not MeanModel.INTERCEPT_PLUS_ARM:
-        raise UsageError("arm-effect inference needs the intercept + arm mean model")
     n_rep = len(m)
     fits = fit_block(arm, m, s, model)
     rows = fits.rows
     reason = [None] * n_rep
     iterations = np.zeros(n_rep, dtype=int)
-    beta = np.zeros((n_rep, model.n_params))
+    beta = np.full((n_rep, 2), np.nan)
     for r, err in fits.errors.items():
-        reason[r], iterations[r], beta[r] = err.reason, err.iterations, err.last_beta
+        reason[r], iterations[r] = err.reason, err.iterations
+        if err.last_beta is not None:
+            beta[r] = err.last_beta
     iterations[rows], beta[rows] = fits.iterations, fits.beta
     alpha, phi, q_max = (np.full(n_rep, np.nan) for _ in range(3))
     alpha[rows], phi[rows] = fits.alpha, fits.phi
@@ -248,7 +250,7 @@ def _model_block(arm, m, s, model, kinds, fg_bound, alpha_level):
     clamped[rows] = fits.clamped
 
     covs, _, errors = estimate_block(fits, kinds, fg_bound)
-    df = len(arm) - model.n_params
+    df = len(arm) - 2
     leverage_evaluated = np.zeros(len(rows), dtype=bool)
     se, reject, failures = {}, {}, {}
     for kind in kinds:

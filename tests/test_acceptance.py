@@ -25,7 +25,6 @@ from crtgee import (
     FixedSize,
     GammaSize,
     Link,
-    MeanModel,
     ModelSpec,
     NonConvergenceError,
     Scenario,
@@ -152,19 +151,22 @@ def test_criterion_2_algebraic_identities():
         (got[EstimatorKind.KC].cov + got[EstimatorKind.MD].cov) / 2.0,
     )
 
-    ispec = ModelSpec(Family.BINOMIAL, Link.LOGIT, MeanModel.INTERCEPT_ONLY)
-    ifit = fit_gee(data, ispec)
-    n = ifit.n_clusters
-    its = compute_estimates(ifit, kinds=KINDS3)
-    v_rob = its[EstimatorKind.ROBUST].cov[0, 0]
-    kc_err = abs(its[EstimatorKind.KC].cov[0, 0] - v_rob * n / (n - 1)) / v_rob
-    md_err = abs(its[EstimatorKind.MD].cov[0, 0] - v_rob * (n / (n - 1)) ** 2) / v_rob
+    # equal cluster sizes give every cluster the leverage h_i = 2/N, so KC
+    # and MD are the robust matrix times N/(N-2) and (N/(N-2))^2
+    kc_err = md_err = 0.0
+    for spec in ALL_MODELS:
+        sfit = fit_gee(data, spec)
+        n = sfit.n_clusters
+        its = compute_estimates(sfit, kinds=KINDS3)
+        v_rob = its[EstimatorKind.ROBUST].cov
+        kc_err = max(kc_err, rel_err(its[EstimatorKind.KC].cov, v_rob * n / (n - 2)))
+        md_err = max(md_err, rel_err(its[EstimatorKind.MD].cov, v_rob * (n / (n - 2)) ** 2))
 
     ok = gap < 1e-10 and avg_exact and kc_err < 1e-10 and md_err < 1e-10
     assert announce(
         2, ok,
         f"sum Q_i - I max {gap:.1e}, AVG exact {avg_exact}, "
-        f"intercept-only KC/MD scalar errors {kc_err:.1e}/{md_err:.1e}",
+        f"equal-size KC/MD scalar errors {kc_err:.1e}/{md_err:.1e} on 6 models",
     )
 
 

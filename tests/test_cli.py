@@ -167,8 +167,8 @@ def test_analyze_shuffled_rows_equal_estimates(tmp_path):
 
 
 def test_analyze_nonconvergence_exit_2_with_report(tmp_path):
-    # zero events in one arm break the log link; the report must still be
-    # written, flagged unconverged, with exit code 2
+    # zero events in one arm leave the log link no solution; the report
+    # must still be written, flagged unconverged, with exit code 2
     trial = [
         ("a1", 0, [0, 0, 0, 0]),
         ("a2", 0, [0, 0, 0]),
@@ -178,8 +178,9 @@ def test_analyze_nonconvergence_exit_2_with_report(tmp_path):
     code, doc = run_analyze(tmp_path, trial=trial)
     assert code == 2
     assert doc["fit"]["converged"] is False
-    assert doc["fit"]["reason"]
-    assert doc["fit"]["iterations"] >= 1
+    assert doc["fit"]["reason"] == "empty_arm"
+    assert doc["fit"]["iterations"] == 0
+    assert doc["fit"]["last_beta"] is None
     assert doc["estimates"] == {}
 
 
@@ -469,6 +470,30 @@ def test_simulate_rejects_a_non_integral_or_non_finite_size(tmp_path, capsys, en
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config: ") and "cluster_sizes" in err
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("entry", [1e300, {"type": "fixed", "m": 10**300}, 2**63],
+                         ids=["float", "fixed-entry", "int64-max-plus-1"])
+def test_simulate_rejects_a_size_outside_int64(tmp_path, capsys, entry):
+    config, _ = base_config(tmp_path, cluster_sizes=[entry])
+    assert main(["simulate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and "64-bit" in err
+    assert not (tmp_path / "results.csv").exists()
+    assert FixedSize(2**63 - 1).m == 2**63 - 1
+
+
+def test_simulate_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # a size that fits int64 can still ask for more uniforms than memory
+    # holds; the generator's MemoryError is stood in for, never provoked
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 43.7 TiB for an array")
+
+    monkeypatch.setattr(crtgee.simulate, "generate_block", no_memory)
+    config, _ = base_config(tmp_path, cluster_sizes=[10**12])
+    assert main(["simulate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 43.7 TiB for an array\n"
 
 
 def test_config_fixed_size_may_be_written_as_an_integral_float(tmp_path):

@@ -315,3 +315,58 @@ def test_block_counts_equal_generate_trial(design):
         assert s[row].tolist() == [int(c.outcomes.sum()) for c in trial.clusters]
         alone_m, alone_s = crtgee.datagen.generate_block(sc, [rep])
         assert np.array_equal(alone_m[0], m[row]) and np.array_equal(alone_s[0], s[row])
+
+
+def qaqish_sum_pmf(mu, rho, m):
+    """Exact pmf of a cluster's event count s = y_1 + ... + y_m, (m + 1,).
+
+    The draws form a Markov chain on the partial sum: given k events among
+    the first j - 1 draws, draw j is an event with probability
+    mu + b_j (k - (j - 1) mu), b_j = rho / (1 + (j - 2) rho). The table over
+    (draw, partial sum) is O(m^2).
+    """
+    pmf = np.array([1.0 - mu, mu])
+    for j in range(2, m + 1):
+        k = np.arange(j)
+        lam = mu + rho / (1.0 + (j - 2) * rho) * (k - (j - 1) * mu)
+        nxt = np.zeros(j + 1)
+        nxt[:-1] += pmf * (1.0 - lam)
+        nxt[1:] += pmf * lam
+        pmf = nxt
+    return pmf
+
+
+@pytest.mark.parametrize("m, pi0, pi1, rho", [(8, 0.3, 0.3, 0.1), (20, 0.05, 0.05, 0.05),
+                                              (5, 0.5, 0.2, 0.3)])
+def test_block_event_counts_follow_the_exact_sum_pmf(m, pi0, pi1, rho):
+    counts = np.arange(m + 1)
+    sc = Scenario(n_clusters=10, sizes=FixedSize(m), pi0=pi0, pi1=pi1, icc=rho, seed=41)
+    _, s = crtgee.datagen.generate_block(sc, range(1000))
+    arms = crtgee.datagen.trial_arms(10)
+    for mu, arm in ((pi0, 0), (pi1, 1)):
+        pmf = qaqish_sum_pmf(mu, rho, m)
+        # the table's moments: mean m mu, variance m mu (1 - mu) (1 + (m - 1) rho)
+        mean = float(pmf @ counts)
+        var = float(pmf @ (counts - mean) ** 2)
+        assert abs(pmf.sum() - 1.0) < 1e-12
+        assert abs(mean - m * mu) < 1e-12
+        assert abs(var - m * mu * (1 - mu) * (1 + (m - 1) * rho)) < 1e-12
+
+        draws = s[:, arms == arm].ravel()
+        observed = np.bincount(draws, minlength=m + 1).astype(float)
+        expected = pmf * draws.size
+        # pool adjacent counts, from the low end, until each bin expects >= 5;
+        # a short last bin joins the one before it
+        obs_bins, exp_bins, o, e = [], [], 0.0, 0.0
+        for ok, ek in zip(observed, expected):
+            o, e = o + ok, e + ek
+            if e >= 5.0:
+                obs_bins.append(o)
+                exp_bins.append(e)
+                o = e = 0.0
+        obs_bins[-1] += o
+        exp_bins[-1] += e
+        assert len(obs_bins) >= 3
+        stat = float(((np.array(obs_bins) - exp_bins) ** 2 / exp_bins).sum())
+        p = scipy.stats.chi2.sf(stat, len(obs_bins) - 1)
+        assert p > 1e-3, (mu, rho, m, stat, p)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crtgee import DomainError, Family, Link, MeanModel, ModelSpec, UsageError
+from crtgee import DomainError, Family, Link, ModelSpec, UsageError
 from crtgee.families import (
     VALID_PAIRS,
     link_apply,
@@ -27,13 +27,7 @@ def test_modelspec_rejects_invalid_pair():
     with pytest.raises(UsageError):
         ModelSpec(Family.GAUSSIAN, Link.LOG)
     spec = ModelSpec(Family.BINOMIAL, Link.LOGIT)
-    assert spec.n_params == 2
     assert spec.label() == "binomial-logit"
-
-
-def test_intercept_only_has_one_param():
-    spec = ModelSpec(Family.BINOMIAL, Link.LOGIT, MeanModel.INTERCEPT_ONLY)
-    assert spec.n_params == 1
 
 
 @pytest.mark.parametrize("link", list(Link))

@@ -1,7 +1,6 @@
 """GEE fitting: closed-form solutions, moment estimators, and failure modes."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from crtgee import (
     ModelSpec,
     NonConvergenceError,
     TrialDataset,
-    UsageError,
-    WorkingCorrelation,
     alpha_bounds,
     estimate_alpha_phi,
     fit_gee,
@@ -27,7 +24,7 @@ from crtgee import (
 )
 from crtgee.datagen import generate_block, trial_arms
 from crtgee.families import link_apply, link_inverse, link_mu_deriv, variance_function
-from crtgee.gee import _initial_beta, fit_block
+from crtgee.gee import fit_block
 
 ALL_SPECS = [
     ModelSpec(Family.BINOMIAL, Link.LOG),
@@ -53,10 +50,10 @@ def simulated(n_clusters=10, m=20, pi0=0.3, pi1=0.3, icc=0.05, seed=7, rep=0):
     return generate_trial(sc, rep)
 
 
-def test_weighted_mean_solution_with_fixed_alpha():
-    # with cluster-constant covariates and fixed alpha the estimating
+def test_weighted_mean_solution_at_alpha_hat():
+    # with cluster-constant covariates and a given alpha the estimating
     # equation has the closed form g^{-1}(eta_a) = weighted arm mean with
-    # weights m_i / (1 + (m_i - 1) alpha)
+    # weights m_i / (1 + (m_i - 1) alpha); the fit solves it at its own alpha_hat
     data = dataset(
         [
             (0, [1, 0, 0]),
@@ -65,9 +62,9 @@ def test_weighted_mean_solution_with_fixed_alpha():
             (1, [1, 1, 1, 0]),
         ]
     )
-    alpha = 0.3
     for spec in ALL_SPECS:
-        fit = fit_gee(data, spec, WorkingCorrelation.exchangeable(alpha=alpha))
+        fit = fit_gee(data, spec)
+        alpha = fit.alpha_hat
         means = fit.fitted_arm_means()
         for arm in (0, 1):
             num = den = 0.0
@@ -78,7 +75,6 @@ def test_weighted_mean_solution_with_fixed_alpha():
                 num += w * c.outcomes.mean()
                 den += w
             assert means[arm] == pytest.approx(num / den, abs=1e-9)
-        assert fit.alpha_hat == alpha
 
 
 def test_equal_sizes_recover_arm_proportions_exactly():
@@ -105,14 +101,16 @@ def test_equal_sizes_recover_arm_proportions_exactly():
 
 
 def test_singleton_clusters_match_independence_fit():
-    # size-1 clusters leave no within-cluster pairs, so the exchangeable
-    # fit must coincide with the independence fit
+    # size-1 clusters leave no within-cluster pairs, so alpha_hat is 0 and
+    # the fit is the independence fit: its arm means are the arm proportions
     data = dataset([(0, [1]), (0, [0]), (0, [1]), (1, [1]), (1, [1]), (1, [0])])
-    spec = ModelSpec(Family.BINOMIAL, Link.LOGIT)
-    exch = fit_gee(data, spec)
-    indep = fit_gee(data, spec, WorkingCorrelation.independence())
-    assert np.allclose(exch.beta, indep.beta, atol=1e-10)
-    assert exch.alpha_hat == 0.0
+    summary = data.arm_summary()
+    for spec in ALL_SPECS:
+        fit = fit_gee(data, spec)
+        assert fit.alpha_hat == 0.0
+        means = fit.fitted_arm_means()
+        for arm in (0, 1):
+            assert means[arm] == pytest.approx(summary[arm]["proportion"], abs=1e-10)
 
 
 def test_estimate_alpha_phi_hand_oracle():
@@ -151,28 +149,9 @@ def test_alpha_bounds_shrink_with_cluster_size():
     assert hi < 1.0
 
 
-def test_initialize_beta_floors_zero_event_arm():
-    data = dataset([(0, [0, 0, 0]), (0, [0, 0]), (1, [1, 0, 1]), (1, [1, 1])])
-    spec = ModelSpec(Family.BINOMIAL, Link.LOG)
-    arm = np.array([c.arm for c in data.clusters])
-    m = np.array([[c.size for c in data.clusters]])
-    s = np.array([[c.outcomes.sum() for c in data.clusters]])
-    beta = _initial_beta(arm, m, s, spec)[0]
-    floor = 0.5 / data.n_obs
-    assert beta[0] == pytest.approx(math.log(floor), abs=1e-12)
-    assert np.all(np.isfinite(beta))
-
-
-def test_fixed_alpha_out_of_range_rejected():
-    data = simulated()
-    for bad in (1.01, 0.9999999, -0.5):
-        with pytest.raises(UsageError):
-            fit_gee(data, ModelSpec(Family.BINOMIAL, Link.LOGIT), WorkingCorrelation.exchangeable(alpha=bad))
-
-
 def test_nonconvergence_zero_event_arm_log_link():
-    # a zero-event arm sends the log-link arm mean toward zero; the fit
-    # must raise rather than return a divergent solution
+    # a zero-event arm puts the log-link arm mean at zero, where the link
+    # is undefined; the fit must raise at once rather than iterate toward it
     data = dataset(
         [
             (0, [0, 0, 0, 0]),
@@ -184,47 +163,52 @@ def test_nonconvergence_zero_event_arm_log_link():
     with pytest.raises(NonConvergenceError) as exc:
         fit_gee(data, ModelSpec(Family.BINOMIAL, Link.LOG))
     err = exc.value
-    assert err.reason in {
-        "max_iterations",
-        "step_halving_exhausted",
-        "score_condition_failed",
-        "singular_information",
-        "numerical_breakdown",
-    }
-    assert err.iterations >= 1
-    assert all(math.isfinite(b) for b in err.last_beta)
+    assert (err.reason, err.iterations, err.last_beta) == ("empty_arm", 0, None)
 
 
-def test_nonconvergence_iteration_budget():
+def test_all_event_arm_has_no_binomial_solution_but_a_poisson_one():
+    # an arm with only events puts the binomial variance mu (1 - mu) at 0
+    # under every link; the Poisson and Gaussian variances are positive at
+    # mu = 1, and those fits converge
+    data = dataset([(0, [1, 1, 1]), (0, [1, 1]), (1, [1, 0, 0]), (1, [0, 1, 0, 0])])
+    for spec in ALL_SPECS:
+        if spec.family is Family.BINOMIAL:
+            with pytest.raises(NonConvergenceError) as exc:
+                fit_gee(data, spec)
+            assert (exc.value.reason, exc.value.iterations) == ("empty_arm", 0), spec.label()
+        else:
+            assert fit_gee(data, spec).fitted_arm_means()[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_nonconvergence_iteration_budget(monkeypatch):
     # unequal cluster sizes keep the one-step solution away from the
     # arm-proportion starting values, so a budget of one must fail
     sc = Scenario(n_clusters=10, sizes=GammaSize(10, 0.8), pi0=0.3, pi1=0.3, icc=0.1, seed=11)
     data = generate_trial(sc, 0)
+    monkeypatch.setattr(crtgee.gee, "MAX_ITERATIONS", 1)
     with pytest.raises(NonConvergenceError) as exc:
-        fit_gee(data, ModelSpec(Family.BINOMIAL, Link.LOGIT), max_iter=1)
+        fit_gee(data, ModelSpec(Family.BINOMIAL, Link.LOGIT))
     assert exc.value.reason == "max_iterations"
     assert exc.value.iterations == 1
 
 
 def test_zero_event_arm_fails_alike_in_every_cluster_order():
-    # (arm, events, size): the control arm has no events, so under log and
-    # logit links its mean has no finite solution; each scoring step moves
-    # the arm's linear predictor by about -1, whatever the order in which
-    # the clusters are summed, and every order runs the budget out
+    # (arm, events, size): the control arm has no events, so under every
+    # binomial and Poisson link its mean has no solution; whatever the
+    # order in which the clusters are summed, each order fails at once
     trial = [(0, 0, 8), (0, 0, 8), (0, 0, 6), (1, 2, 18), (1, 0, 25), (1, 1, 17)]
     by_arms = {}
     for order in itertools.permutations(trial):
         arms, events, sizes = zip(*order)
         by_arms.setdefault(arms, []).append((sizes, events))
-    for spec in (ModelSpec(Family.POISSON, Link.LOG), ModelSpec(Family.BINOMIAL, Link.LOG),
-                 ModelSpec(Family.BINOMIAL, Link.LOGIT)):
+    for spec in [spec for spec in ALL_SPECS if spec.family is not Family.GAUSSIAN]:
         reasons = []
         for arms, orders in by_arms.items():
             m, s = (np.array(a) for a in zip(*orders))
             block = fit_block(np.array(arms), m, s, spec)
             assert block.rows.size == 0
-            reasons += [err.reason for err in block.errors.values()]
-        assert reasons == ["max_iterations"] * 720, spec.label()
+            reasons += [(err.reason, err.iterations) for err in block.errors.values()]
+        assert reasons == [("empty_arm", 0)] * 720, spec.label()
 
 
 def test_failing_replicate_leaves_the_rest_of_its_block_alone(monkeypatch):
@@ -253,36 +237,27 @@ def test_failing_replicate_leaves_the_rest_of_its_block_alone(monkeypatch):
     assert np.array_equal(block.iterations, alone.iterations)
 
 
-def test_exact_cycle_is_cut_short_with_the_full_budget_outcome(monkeypatch):
+def test_alpha_cycle_runs_the_budget_out(monkeypatch):
     # (arm, events, size): under gaussian-identity alpha alternates between
     # its negative clamp and about -0.066, and beta after iteration 7
-    # equals beta after iteration 5 bit for bit
+    # equals beta after iteration 5 bit for bit; a scoring step depends on
+    # beta alone, so every budget ends on the period-2 cycle's iterate
     trial = [(0, 6, 14), (0, 5, 10), (0, 4, 7), (1, 2, 13), (1, 1, 5), (1, 4, 15)]
     data = dataset([(arm, [1] * s + [0] * (m - s)) for arm, s, m in trial])
     spec = ModelSpec(Family.GAUSSIAN, Link.IDENTITY)
 
-    def last_beta(max_iter):
+    def last_beta(budget):
+        monkeypatch.setattr(crtgee.gee, "MAX_ITERATIONS", budget)
         with pytest.raises(NonConvergenceError) as exc:
-            fit_gee(data, spec, max_iter=max_iter)
+            fit_gee(data, spec)
         assert exc.value.reason == "max_iterations"
-        assert exc.value.iterations == max_iter
+        assert exc.value.iterations == budget
         return exc.value.last_beta
 
-    # budgets below 7 compute every iterate; larger ones must report the
-    # iterate that continues the period-2 cycle those iterates trace out
     betas = {k: last_beta(k) for k in range(1, 51)}
     assert betas[5] != betas[6]
     for k in range(7, 51):
         assert betas[k] == betas[k - 2]
-
-    # each scoring pass evaluates dmu/deta once at the live iterates; the
-    # converged-fit refresh after the loop sees no rows here
-    passes = []
-    deriv = crtgee.gee.link_mu_deriv
-    monkeypatch.setattr(crtgee.gee, "link_mu_deriv",
-                        lambda link, eta: passes.append(eta.size) or deriv(link, eta))
-    last_beta(50)
-    assert len([n for n in passes if n]) == 7
 
 
 def test_converged_fit_satisfies_estimating_equation():

@@ -13,7 +13,6 @@ from crtgee import (
     Family,
     FixedSize,
     Link,
-    MeanModel,
     ModelSpec,
     Scenario,
     TrialDataset,
@@ -145,15 +144,6 @@ def test_measure_mismatch_rejected():
     assert res.effect_measure is EffectMeasure.RR
     with pytest.raises(UsageError):
         wald_inference(fit, var, measure=EffectMeasure.OR)
-
-
-def test_intercept_only_fit_rejected():
-    sc = Scenario(n_clusters=8, sizes=FixedSize(6), pi0=0.4, pi1=0.4, icc=0.0, seed=97)
-    spec = ModelSpec(Family.BINOMIAL, Link.LOGIT, MeanModel.INTERCEPT_ONLY)
-    fit = fit_gee(generate_trial(sc, 0), spec)
-    var = compute_estimates(fit, (EstimatorKind.ROBUST,))[EstimatorKind.ROBUST]
-    with pytest.raises(UsageError):
-        wald_inference(fit, var)
 
 
 def test_degenerate_variance_rejected():

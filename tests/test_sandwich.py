@@ -1,5 +1,7 @@
 """Variance estimators against dense scipy oracles and closed-form identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,15 @@ from crtgee import (
     FixedSize,
     GammaSize,
     Link,
-    MeanModel,
     ModelSpec,
     NonConvergenceError,
     Scenario,
     TrialDataset,
     UnsupportedDesignError,
     UsageError,
-    WorkingCorrelation,
     alpha_bounds,
     compute_estimates,
+    estimate_block,
     fit_gee,
     generate_trial,
 )
@@ -148,28 +149,20 @@ def test_leverage_is_the_nonzero_eigenvalue_of_dense_q():
             assert vals[1] == pytest.approx(h, rel=1e-10)
 
 
-def test_intercept_only_scalar_identities():
-    # equal cluster sizes give every cluster the same leverage 1/N, so
-    # KC and MD are exact scalar inflations of the robust matrix
+def test_equal_sizes_scalar_identities():
+    # equal cluster sizes give every cluster of an N/2-cluster arm the same
+    # leverage h_i = 2/N, so KC and MD are exact scalar inflations of the
+    # robust matrix, by N/(N-2) and (N/(N-2))^2
     data = simulated(n_clusters=10, m=6, seed=59)
-    spec = ModelSpec(Family.BINOMIAL, Link.LOGIT, MeanModel.INTERCEPT_ONLY)
-    fit = fit_gee(data, spec)
-    n = fit.n_clusters
-    got = compute_estimates(
-        fit, kinds=(EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD)
-    )
-    v_rob = got[EstimatorKind.ROBUST].cov[0, 0]
-    assert got[EstimatorKind.KC].cov[0, 0] == pytest.approx(v_rob * n / (n - 1), rel=1e-12)
-    assert got[EstimatorKind.MD].cov[0, 0] == pytest.approx(v_rob * (n / (n - 1)) ** 2, rel=1e-12)
-
-
-def test_intercept_only_fg_with_unit_bound_equals_kc():
-    data = simulated(n_clusters=8, m=5, seed=67)
-    spec = ModelSpec(Family.POISSON, Link.LOG, MeanModel.INTERCEPT_ONLY)
-    fit = fit_gee(data, spec)
-    kc = compute_estimates(fit, (EstimatorKind.KC,))[EstimatorKind.KC]
-    fg = compute_estimates(fit, (EstimatorKind.FG,), fg_bound=1.0)[EstimatorKind.FG]
-    assert rel_err(fg.cov, kc.cov) < 1e-12
+    for spec in ALL_SPECS:
+        fit = fit_gee(data, spec)
+        n = fit.n_clusters
+        got = compute_estimates(
+            fit, kinds=(EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD)
+        )
+        v_rob = got[EstimatorKind.ROBUST].cov
+        assert rel_err(got[EstimatorKind.KC].cov, v_rob * n / (n - 2)) < 1e-12, spec.label()
+        assert rel_err(got[EstimatorKind.MD].cov, v_rob * (n / (n - 2)) ** 2) < 1e-12, spec.label()
 
 
 def test_fg_cap_engages_on_dominant_cluster():
@@ -302,27 +295,24 @@ def test_se_ordering_robust_kc_md():
 
 
 def test_duplicating_clusters_halves_robust_covariance():
+    # every cluster twice, at the same fit: the scores and weights repeat,
+    # each arm's information W_a doubles and each leverage halves
     data = simulated(n_clusters=6, m=5, seed=111)
-    corr = WorkingCorrelation.exchangeable(alpha=0.2)
-    spec = ModelSpec(Family.BINOMIAL, Link.LOGIT)
-    fit = fit_gee(data, spec, corr)
-    doubled = TrialDataset(
-        tuple(
-            Cluster(id=(c.id, k), arm=c.arm, outcomes=c.outcomes.copy())
-            for k in (0, 1)
-            for c in data.clusters
-        )
+    fit = fit_gee(data, ModelSpec(Family.BINOMIAL, Link.LOGIT))
+    one = fit.block
+    two = dataclasses.replace(
+        one,
+        arm=np.tile(one.arm, 2),
+        **{name: np.tile(getattr(one, name), 2) for name in ("m", "s", "w", "u")},
+        h=np.tile(one.h, 2) / 2.0,
+        W=one.W * 2.0,
     )
-    fit2 = fit_gee(doubled, spec, corr)
-    assert np.allclose(fit.beta, fit2.beta, atol=1e-9)
     kinds = (EstimatorKind.ROBUST, EstimatorKind.MB)
-    rob1, mb1 = compute_estimates(fit, kinds).values()
-    rob2, mb2 = compute_estimates(fit2, kinds).values()
-    assert rel_err(rob2.cov, rob1.cov / 2.0) < 1e-8
-    # model-based: bread doubles; the dispersion denominator shifts by p
-    n_obs = data.n_obs
-    assert rel_err(mb2.cov * 2.0 * fit.phi_hat / fit2.phi_hat, mb1.cov) < 1e-8
-    assert fit2.phi_hat == pytest.approx(fit.phi_hat * (n_obs - 2) * 2 / (2 * n_obs - 2), rel=1e-9)
+    rob1, mb1 = estimate_block(one, kinds)[0].values()
+    rob2, mb2 = estimate_block(two, kinds)[0].values()
+    assert rel_err(rob2, rob1 / 2.0) < 1e-12
+    # model-based: the bread doubles at the same dispersion
+    assert rel_err(mb2, mb1 / 2.0) < 1e-12
 
 
 def test_avg_is_the_mean_of_kc_and_md():

@@ -385,8 +385,8 @@ BATCH_DESIGNS = {
                                  seed=3), range(30)),
     "criterion-9": (Scenario(n_clusters=20, sizes=GammaSize(30, 1.0), pi0=0.3, pi1=0.3,
                              icc=0.05, seed=20260821), range(20)),
-    # replicates 10 and 91 end through the exact-repeat cut, 154 runs the
-    # full budget in most models; the others converge
+    # replicates 10 and 91 run the full budget on an alpha cycle, 154 runs it
+    # in most models; the others converge
     "alpha-cycle": (Scenario(n_clusters=12, sizes=GammaSize(20, 0.8), pi0=0.3, pi1=0.3,
                              icc=0.05, seed=7), [*range(12), 91, 154]),
 }
@@ -425,7 +425,7 @@ def test_block_equals_each_replicate_alone(design):
         cycle = block["gaussian-identity"]
         assert [cycle.reason[reps.index(r)] for r in (10, 91)] == ["max_iterations"] * 2
     if design == "zero-event-arms":
-        assert len(reasons) > 2
+        assert "empty_arm" in reasons
 
 
 def test_scenario_results_do_not_depend_on_the_block_size(monkeypatch):
