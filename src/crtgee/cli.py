@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -63,6 +64,10 @@ TRIAL_CSV_HEADER = ("cluster_id", "arm", "outcome")
 #: working memory at any file length, and does not change what it returns
 CSV_CHUNK_ROWS = 1024
 
+_NEWLINE, _CR = b"\n\r"
+#: _WORD_MASKS[k] keeps the low k bytes of a 64-bit word
+_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
 #: results columns holding numbers (parsed for grouping and averaging)
 _NUMERIC_COLUMNS = {
     "scenario_id", "n_clusters", "cluster_size", "cv", "pi0", "icc",
@@ -77,12 +82,18 @@ _GROUPABLE_COLUMNS = (
 def read_trial_csv(path):
     """Parse an individual-level trial CSV into a TrialDataset.
 
-    Records are tokenised by `csv.reader` and checked CSV_CHUNK_ROWS at a
-    time, column by column. Errors carry the 1-based line on which the
-    earliest offending row starts (the header is line 1; blank rows count
-    but are skipped, and a quoted cell may span lines). Each cluster keeps
-    its outcomes in row order, and the clusters come in order of first
-    appearance.
+    The file is read as text, CSV_CHUNK_ROWS lines at a time, so the
+    reader's working memory does not grow with the file. A block of plain
+    lines (`_scan_plain`: unquoted, every line `id,arm,outcome` with bare
+    0/1 codes and a nonempty id, ending in \n or \r\n) is read in one numpy
+    pass over its UTF-8 bytes. From the first block that is not plain to the
+    end of the file, records are tokenised by `csv.reader` and checked
+    CSV_CHUNK_ROWS at a time, column by column; only that path reports
+    errors, so every file gives the same dataset or the same error either
+    way. Errors carry the 1-based line on which the earliest offending row
+    starts (the header is line 1; blank rows count but are skipped, and a
+    quoted cell may span lines). Each cluster keeps its outcomes in row
+    order, and the clusters come in order of first appearance.
     """
     try:
         handle = open(path, newline="")
@@ -102,6 +113,28 @@ def read_trial_csv(path):
                 f"'{','.join(TRIAL_CSV_HEADER)}', got '{','.join(header)}'"
             )
         next_record = 2
+        pending, at_end = b"", False        # text read but not yet scanned, as UTF-8
+        while True:
+            # a block's lines, unless a lone \r (beyond one that may start a
+            # \r\n) shows that the csv path must take over: its lines may hold no \n
+            while (not at_end and pending.count(b"\n") < CSV_CHUNK_ROWS
+                   and pending.count(b"\r") <= pending.count(b"\r\n") + 1):
+                text = handle.read(io.DEFAULT_BUFFER_SIZE)
+                at_end = not text
+                pending += text.encode()
+            scanned = _scan_plain(pending, ids, arm_of)
+            if scanned is None:
+                break
+            size, arm_of, index, outcomes = scanned
+            pending = pending[size:]
+            index_chunks.append(index)
+            outcome_chunks.append(outcomes)
+            next_record += index.size
+        reader = ()
+        if pending:
+            # the unscanned text, completed to a line end, then the rest of the stream
+            rest = io.StringIO(pending.decode() + handle.readline(), newline="")
+            reader = csv.reader(itertools.chain(rest, handle))
         while rows := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
             records = range(next_record, next_record + len(rows))
             next_record += len(rows)
@@ -158,6 +191,94 @@ def read_trial_csv(path):
         for cid, arm, start, end in zip(ids, arm_of.tolist(), starts, ends)
     )
     return TrialDataset(clusters=clusters)
+
+
+def _scan_plain(pending, ids, arm_of):
+    """Read the first CSV_CHUNK_ROWS whole lines of `pending` (UTF-8 bytes) if they are plain.
+
+    Plain lines hold no quote, NUL or lone \r, and each is `id,arm,outcome`
+    ending in \n or \r\n, with `arm` and `outcome` a bare 0 or 1 and an id
+    that is nonempty after `str.strip` and within the csv field size limit;
+    every cluster's rows also keep one arm. For such lines `csv.reader`
+    yields one record per line with the cells as they stand, so these are
+    rows the csv path would accept as they are. The ids, zero-padded to a
+    common multiple of 8 bytes, must also take at most twice the block's
+    bytes, which keeps the scan's memory that of the block.
+
+    Returns (bytes read, `arm_of` extended by the clusters new to the
+    block, each row's cluster index, its outcome codes), with the new
+    clusters added to `ids`; or None, with nothing changed, when there is
+    no whole line or a line is not plain.
+    """
+    ends = np.flatnonzero(np.frombuffer(pending, dtype=np.uint8) == _NEWLINE)[:CSV_CHUNK_ROWS]
+    n = ends.size
+    if n == 0:
+        return None
+    size = int(ends[-1]) + 1
+    block = pending[:size]
+    if b'"' in block or b"\0" in block or block.count(b",") != 2 * n:
+        return None
+    raw = np.frombuffer(block, dtype=np.uint8)
+    crlf = raw[ends - 1] == _CR
+    tail = ends - crlf                  # each line's ",arm,outcome" ends here
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    widths = tail - 4 - starts
+    if (block.count(b"\r") != np.count_nonzero(crlf) or widths.min() < 1
+            or widths.max() > csv.field_size_limit()):
+        return None
+    words = -(-int(widths.max()) // 8)
+    if 8 * words * n > 2 * size:
+        return None
+    # at[p]: the 8 bytes from p on, as one little-endian word
+    at = np.ndarray(size + 8 * words - 7, dtype="<u8", buffer=block + bytes(8 * words),
+                    strides=(1,))
+    # the four bytes ",a,o" before each line end: commas, and 0 or 1 digits;
+    # with 2n commas in the block, none is left for an id
+    codes = at[tail - 4]
+    if ((codes & 0xFEFFFEFF) != 0x302C302C).any():
+        return None
+    arms = (codes >> 8 & 1).astype(np.uint8)
+    outcomes = (codes >> 24 & 1).astype(np.uint8)
+
+    # each id as a row of words, zero past its end; runs of lines that spell
+    # one id, then the distinct spellings among the runs
+    offsets = 8 * np.arange(words)
+    keys = at[starts[:, None] + offsets] & _WORD_MASKS[
+        np.minimum(np.maximum(widths[:, None] - offsets, 0), 8)]
+    run = np.ones(n, dtype=bool)
+    run[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    run_lines = np.flatnonzero(run)
+    spellings, first, inverse = np.unique(
+        keys[run_lines].astype("<u8", copy=False).view(f"S{8 * words}")[:, 0],
+        return_index=True, return_inverse=True)
+    first_lines = run_lines[first]
+
+    # the spellings in order of first appearance, each to its cluster
+    cluster = np.empty(len(spellings), dtype=np.intp)
+    new, new_lines = {}, []
+    order = np.argsort(first_lines)
+    for k, line, spelling in zip(order.tolist(), first_lines[order].tolist(),
+                                 spellings[order].tolist()):
+        cid = spelling.decode().strip()
+        if not cid:
+            return None
+        code = ids.get(cid, new.get(cid))
+        if code is None:
+            code = new[cid] = len(ids) + len(new)
+            new_lines.append(line)
+        cluster[k] = code
+    run_lengths = np.empty_like(run_lines)
+    run_lengths[:-1] = run_lines[1:] - run_lines[:-1]
+    run_lengths[-1] = n - run_lines[-1]
+    index = np.repeat(cluster[inverse], run_lengths)
+    if new:
+        arm_of = np.concatenate([arm_of, arms[new_lines]])
+    if (arms != arm_of[index]).any():
+        return None
+    ids.update(new)
+    return size, arm_of, index, outcomes
 
 
 def _start_line(path, record):

@@ -36,6 +36,11 @@ import numpy as np
 from .data import Cluster, TrialDataset
 from .errors import DomainError, GeneratorInvalidError
 
+#: the most uniforms one replicate may draw: numpy's largest float64 array
+_MAX_UNIFORMS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+#: 2**63 as a float: every float below it rounds to an int64
+_INT64_BOUND = float(2**63)
+
 
 @dataclass(frozen=True)
 class FixedSize:
@@ -104,6 +109,8 @@ class Scenario:
             raise DomainError(f"icc must lie in [0, 1), got {self.icc}")
         if self.replicates < 1:
             raise DomainError(f"replicates must be >= 1, got {self.replicates}")
+        if isinstance(self.sizes, FixedSize):
+            _check_uniforms(self.n_clusters * self.sizes.m)
 
 
 def substream(seed, scenario_index, replicate_index):
@@ -187,8 +194,17 @@ def generate_clusters(mu, rho, m, count, rng):
 def _check_gamma(mean_size, cv):
     if not (math.isfinite(mean_size) and mean_size >= 2):
         raise DomainError(f"mean cluster size must be finite and >= 2, got {mean_size}")
+    if mean_size >= _INT64_BOUND:
+        raise DomainError(f"mean cluster size must fit in a 64-bit integer, got {mean_size}")
     if not (math.isfinite(cv) and cv > 0):
         raise DomainError(f"cluster-size CV must be finite and positive, got {cv}")
+
+
+def _check_uniforms(total):
+    """One replicate's uniforms, `total` in all (a Python int), must fit in one array."""
+    if total > _MAX_UNIFORMS:
+        raise DomainError(f"a replicate's {total} observations cannot be drawn as one "
+                          f"array (at most {_MAX_UNIFORMS})")
 
 
 def gamma_cluster_sizes(mean_size, cv, n, rng):
@@ -197,6 +213,9 @@ def gamma_cluster_sizes(mean_size, cv, n, rng):
     shape = 1.0 / (cv * cv)
     scale = mean_size * cv * cv
     draws = rng.gamma(shape, scale, size=n)
+    if not (draws < _INT64_BOUND).all():
+        raise DomainError(f"a gamma cluster size of {draws.max()} does not fit in a "
+                          "64-bit integer")
     return np.maximum(np.rint(draws).astype(int), 2)
 
 
@@ -206,13 +225,16 @@ def trial_arms(n_clusters):
 
 
 def _block_uniforms(scenario, replicate_indices):
-    """Sizes (R, N) and the replicates' uniforms end to end, each from its substream."""
-    sizes, runs = [], []
-    for rep in replicate_indices:
-        rng = substream(scenario.seed, scenario.index, rep)
-        m = scenario.sizes.draw(scenario.n_clusters, rng)
-        sizes.append(m)
-        runs.append(rng.random(int(m.sum())))
+    """Sizes (R, N) and the replicates' uniforms end to end, each from its substream.
+
+    Every replicate's sizes are drawn, and their totals checked, before any
+    uniform is; each substream still gives its sizes, then its uniforms.
+    """
+    rngs = [substream(scenario.seed, scenario.index, rep) for rep in replicate_indices]
+    sizes = [scenario.sizes.draw(scenario.n_clusters, rng) for rng in rngs]
+    totals = [sum(m.tolist()) for m in sizes]      # Python ints: N * m may pass int64
+    _check_uniforms(max(totals))
+    runs = [rng.random(total) for rng, total in zip(rngs, totals)]
     return np.array(sizes), np.concatenate(runs)
 
 

@@ -35,6 +35,7 @@ scoring pass, so rare-outcome cells keep only part of their replicates.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -435,18 +436,20 @@ def _run_cells(scenarios, models, kinds, fg_bound, alpha_level, threads=1, progr
     """The block loop: yield each cell's ScenarioResult list, in order, once its last piece is fit.
 
     The cells are packed into blocks (`pack_blocks`), run by `map` or, with
-    threads > 1, by a process pool's `map`. Cells sharing a block finish
-    together; a block's error is raised after every cell it finished.
+    threads > 1, on a process pool by `_pool_map`. Cells sharing a block
+    finish together; a block's error is raised after every cell it finished.
     """
     blocks = pack_blocks(scenarios, BLOCK_REPLICATES)
     task = functools.partial(_fit_pieces, models=models, kinds=kinds, fg_bound=fg_bound,
                              alpha_level=alpha_level)
     with contextlib.ExitStack() as stack:
-        mapper = map
+        fitted_blocks = map(task, blocks)
         if threads > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=threads)).map
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
+            fitted_blocks = stack.enter_context(
+                contextlib.closing(_pool_map(pool, task, blocks, threads)))
         done, pieces = 0, []
-        for block, (fitted, error) in zip(blocks, mapper(task, blocks)):
+        for block, (fitted, error) in zip(blocks, fitted_blocks):
             for (sc, reps), piece in zip(block, fitted):
                 pieces.append(piece)
                 if reps.stop < sc.replicates:
@@ -459,6 +462,22 @@ def _run_cells(scenarios, models, kinds, fg_bound, alpha_level, threads=1, progr
                 yield results
             if error is not None:
                 raise error
+
+
+def _pool_map(pool, task, items, ahead):
+    """Yield task(item) for each item, in order, keeping at most `ahead` submitted to
+    `pool` and not yet yielded, so that a caller who stops early waits for no more
+    than `ahead` tasks (an executor's `map` submits every item at once)."""
+    items = iter(items)
+    futures = collections.deque(pool.submit(task, item) for item in itertools.islice(items, ahead))
+    try:
+        while futures:
+            result = futures.popleft().result()
+            futures.extend(pool.submit(task, item) for item in itertools.islice(items, 1))
+            yield result
+    finally:
+        for future in futures:
+            future.cancel()
 
 
 def design_row(scenario, model, kind):

@@ -20,6 +20,7 @@ from crtgee import (
     wald_inference,
 )
 import crtgee.cli
+import crtgee.datagen
 import crtgee.simulate
 from crtgee.cli import main, read_trial_csv, parse_grid_config, THREADS_ENV_VAR
 
@@ -481,6 +482,39 @@ def test_simulate_rejects_a_size_outside_int64(tmp_path, capsys, entry):
     assert err.startswith("error: invalid config: ") and "64-bit" in err
     assert not (tmp_path / "results.csv").exists()
     assert FixedSize(2**63 - 1).m == 2**63 - 1
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"type": "gamma", "mean": 1e300, "cv": 0.5}, "64-bit"),
+    ({"type": "gamma", "mean": 1e19, "cv": 0.5}, "64-bit"),
+    (1e18, "cannot be drawn as one array"),
+    (4e18, "cannot be drawn as one array"),        # N * m passes int64
+], ids=["gamma-mean-1e300", "gamma-mean-1e19", "fixed-1e18", "fixed-4e18"])
+def test_simulate_rejects_sizes_that_cannot_be_drawn(tmp_path, capsys, entry, message):
+    config, _ = base_config(tmp_path, cluster_sizes=[entry])
+    assert main(["simulate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and message in err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_simulate_stops_at_gamma_draws_that_cannot_form_one_array(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the config cannot show it: the drawn sizes sum past one array's length,
+    # and the run ends on an error line before any uniform is asked for
+    class SizesOnly:
+        def __init__(self, rng):
+            self.gamma = rng.gamma
+
+        def random(self, size):
+            raise AssertionError(f"{size} uniforms asked for")
+
+    substream = crtgee.datagen.substream
+    monkeypatch.setattr(crtgee.datagen, "substream", lambda *key: SizesOnly(substream(*key)))
+    config, _ = base_config(tmp_path, cluster_sizes=[{"type": "gamma", "mean": 5e17, "cv": 0.5}])
+    assert main(["simulate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError: ") and "cannot be drawn as one array" in err
 
 
 def test_simulate_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):

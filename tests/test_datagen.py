@@ -152,6 +152,17 @@ def test_size_models():
         GammaSize(30.0, -0.1)
 
 
+@pytest.mark.parametrize("draws", [[1e19, 3.0], [1e300, 3.0], [float("inf"), 3.0]])
+def test_a_gamma_draw_past_int64_is_an_error_not_a_size(draws):
+    # rint(1e300).astype(int) is INT64_MIN, which the floor at 2 would hide
+    class Draws:
+        def gamma(self, shape, scale, size):
+            return np.array(draws)
+
+    with pytest.raises(DomainError, match="64-bit"):
+        GammaSize(30.0, 0.5).draw(2, Draws())
+
+
 @pytest.mark.parametrize("mean_size, cv", [
     (float("nan"), 0.5), (float("inf"), 0.5), (30.0, float("nan")), (30.0, float("inf")),
 ])

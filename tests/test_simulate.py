@@ -348,6 +348,38 @@ def test_a_failing_piece_leaves_the_earlier_cells_of_its_block(monkeypatch, thre
     assert _yielded_before_failure(threads) == [cell0]
 
 
+#: the directory where _marked_fit_pieces leaves one file per block it starts
+BLOCK_MARKERS = None
+_fit_pieces = crtgee.simulate._fit_pieces
+
+
+def _marked_fit_pieces(pieces, *args, **kwargs):
+    """A _fit_pieces stand-in that leaves a marker file per block and takes 0.3 s."""
+    (BLOCK_MARKERS / f"block-{pieces[0][0].index}").touch()
+    time.sleep(0.3)
+    return _fit_pieces(pieces, *args, **kwargs)
+
+
+def test_stopping_run_grid_early_waits_for_at_most_threads_blocks(monkeypatch, tmp_path):
+    # an executor's map would have queued threads + 1 blocks beyond those running
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched fit reaches the workers only through fork")
+    threads = 2
+    grid = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(4),), pi0=(0.3,),
+                         icc=(0.0, 0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.14),
+                         models=(ALL_MODELS[-1],), estimators=(EstimatorKind.ROBUST,),
+                         replicates=1, seed=2026)
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
+    monkeypatch.setattr(crtgee.simulate, "_fit_pieces", _marked_fit_pieces)
+    monkeypatch.setitem(globals(), "BLOCK_MARKERS", tmp_path)
+    cells = run_grid(grid, threads=threads)
+    next(cells)
+    cells.close()                          # returns once the pool has shut down
+    started = sorted(p.name for p in tmp_path.iterdir())
+    assert "block-0" in started
+    assert len(started) <= 1 + threads, started
+
+
 PACKED_GRID = FactorialGrid(n_clusters=(6, 10, 6), sizes=(FixedSize(4), GammaSize(8, 0.5)),
                             pi0=(0.1, 0.3), icc=(0.05,), replicates=5, seed=11)
 

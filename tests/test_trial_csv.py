@@ -1,4 +1,5 @@
-"""The column-wise trial CSV reader against the per-row parser it replaced.
+"""The trial CSV reader (a numpy scan of plain blocks, then a column-wise csv path)
+against the per-row parser it replaced.
 
 `reference_read_trial_csv` is that parser, kept here as an independent
 reference: every input must give an equal TrialDataset (ids in
@@ -8,6 +9,7 @@ which the offending record starts.
 """
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -77,12 +79,15 @@ def reference_read_trial_csv(path):
 
 
 def parse_both(path):
-    """(outcome, value) of each parser: ("ok", dataset) or ("error", message)."""
+    """(outcome, value) of each parser: ("ok", dataset) or ("error", message).
+
+    A csv.Error (Python 3.10's csv module rejects NUL) counts as an error too.
+    """
     results = []
     for parse in (read_trial_csv, reference_read_trial_csv):
         try:
             results.append(("ok", parse(str(path))))
-        except DataError as err:
+        except (DataError, csv.Error) as err:
             results.append(("error", str(err)))
     return results
 
@@ -157,6 +162,16 @@ def test_crlf_line_endings(tmp_path):
     assert data.n_clusters == 6
 
 
+def test_a_file_without_newlines_is_not_read_whole_before_the_csv_reader(tmp_path):
+    # lines ended by a lone \r hold no \n, so no count of \n can end a block
+    lines = csv_lines(trial_rows(40, seed=14, mean_size=CSV_CHUNK_ROWS // 4))
+    path = write(tmp_path, lines, newline="\r")
+    scan = crtgee.cli._scan_plain
+    with mock.patch.object(crtgee.cli, "_scan_plain", wraps=scan) as scanned:
+        assert_same(path)
+    assert max(len(call.args[0]) for call in scanned.call_args_list) < path.stat().st_size / 4
+
+
 def test_blank_and_whitespace_only_rows(tmp_path):
     rows = csv_lines(trial_rows(4, seed=4))
     lines = [rows[0], "", rows[1], "   ", "\t", '""', rows[2], *rows[3:], "", " "]
@@ -177,6 +192,19 @@ def test_file_longer_than_two_chunks_with_a_cluster_across_a_boundary(tmp_path):
     data = assert_same(write(tmp_path, lines))
     wide = next(c for c in data.clusters if c.id == "wide")
     np.testing.assert_array_equal(wide.outcomes, [k % 2 for k in range(40)])
+
+
+def test_ids_alike_in_their_first_eight_bytes_stay_apart(tmp_path):
+    rows = [("site-0123456789", 1, 0), ("site-0123456780", 1, 1), ("site-0123456789", 1, 1),
+            ("site-01234567", 1, 1), ("b", 0, 1), ("site-0123456789 ", 1, 0)]
+    data = assert_same(write(tmp_path, csv_lines(rows)))
+    assert [c.id for c in data.clusters] == ["site-0123456789", "site-0123456780",
+                                             "site-01234567", "b"]
+
+
+def test_a_nul_byte_is_left_to_the_csv_reader(tmp_path):
+    # Python 3.10's csv rejects it; later versions keep it in the id
+    assert_same(write(tmp_path, [HEADER, "a,0,1", "b\0,1,0", "a\0,0,1", "b,1,1"]))
 
 
 # --- rejected inputs -----------------------------------------------------
@@ -230,17 +258,52 @@ def test_error_names_the_physical_line_after_a_quoted_newline(tmp_path):
     assert message.endswith("line 6: arm must be 0 or 1, got '7'")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
-def test_a_pipe_is_read_once_and_keeps_the_record_number():
-    # a pipe cannot be read again to find the line a record starts on
-    text = "\n".join([HEADER, "a,0,1", "b,1,1", "b,7,1"]) + "\n"
+def read_from_stdin(text, chunk=CSV_CHUNK_ROWS):
+    """Run read_trial_csv('/dev/stdin') on `text` through a pipe, in a fresh interpreter.
+
+    Returns (the dataset as [[id, arm, outcomes]], or None, and stderr).
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(crtgee.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", "from crtgee.cli import read_trial_csv; read_trial_csv('/dev/stdin')"],
-        input=text, capture_output=True, text=True, env=env, timeout=120)
-    assert "/dev/stdin: line 4: arm must be 0 or 1, got '7'" in done.stderr
+    code = (f"import json, crtgee.cli as cli; cli.CSV_CHUNK_ROWS = {chunk}; "
+            "data = cli.read_trial_csv('/dev/stdin'); "
+            "print(json.dumps([[c.id, c.arm, c.outcomes.tolist()] for c in data.clusters]))")
+    done = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True,
+                          text=True, env=env, timeout=120)
+    return (json.loads(done.stdout) if done.returncode == 0 else None), done.stderr
+
+
+needs_stdin = pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+
+
+@needs_stdin
+def test_a_pipe_is_read_once_and_keeps_the_record_number():
+    # a pipe cannot be read again to find the line a record starts on
+    text = "\n".join([HEADER, "a,0,1", "b,1,1", "b,7,1"]) + "\n"
+    _, stderr = read_from_stdin(text)
+    assert "/dev/stdin: line 4: arm must be 0 or 1, got '7'" in stderr
+
+
+@needs_stdin
+def test_a_plain_pipe_gives_the_files_dataset(tmp_path):
+    lines = csv_lines(trial_rows(5, seed=11))
+    got, stderr = read_from_stdin("".join(line + "\n" for line in lines), chunk=4)
+    want = assert_same(write(tmp_path, lines))
+    assert got == [[c.id, c.arm, c.outcomes.tolist()] for c in want.clusters], stderr
+
+
+@needs_stdin
+def test_a_pipe_with_an_error_in_its_third_block_keeps_the_record_number(tmp_path):
+    # blocks of 4 lines after the header: the first two are scanned, then
+    # the csv reader takes the rest of the stream from line 10 on
+    lines = csv_lines(trial_rows(4, seed=12))
+    lines[11] = "c9,1,x"
+    message = assert_same(write(tmp_path, lines))
+    assert message.endswith("line 12: outcome must be 0 or 1, got 'x'")
+    got, stderr = read_from_stdin("".join(line + "\n" for line in lines), chunk=4)
+    assert got is None
+    assert stderr.rstrip().endswith(message.replace(str(tmp_path / "trial.csv"), "/dev/stdin"))
 
 
 def test_missing_file_is_a_data_error(tmp_path):
@@ -296,3 +359,53 @@ def test_any_rows_at_any_chunk_size_match_the_reference(tmp_path_factory, rows, 
         writer.writerows(rows)
     with mock.patch.object(crtgee.cli, "CSV_CHUNK_ROWS", chunk):
         assert_same(path)
+
+
+@st.composite
+def plain_text(draw):
+    """Plain lines, some ending in \\r\\n, with non-ASCII and padded ids and now and then
+    a cluster in both arms; then, at times, one line the csv path must read (quoted,
+    lone \\r, NUL, bad code, blank, blank id, wrong width) and more plain lines."""
+    ids = st.sampled_from(["a", " a", "a ", "b", "é", "x\xa0", "ç1", "site-0123456789",
+                           "site-0123456780", "another-site-name"])
+    # a cluster's arm follows from its stripped id, unless flipped
+    flip = st.sampled_from([0] * 24 + [1])
+    ending = st.sampled_from(["\n", "\n", "\r\n"])
+    line = st.builds(lambda cid, f, y, end: f"{cid},{(ord(cid.strip()[-1]) + f) % 2},{y}{end}",
+                     ids, flip, st.sampled_from(["0", "1"]), ending)
+    odd = st.sampled_from(['"a",1,1\n', "a,1,1\rb,0,0\n", "a\rb,0,1\n", "a,2,1\n",
+                           "a,1, 1\n", "\n", "a,1\n", "a,1,1,1\n", "a,,1\n", ",0,1\n",
+                           " ,0,1\n", "\xa0,0,1\n", "b\0,1,1\n"])
+    text = "".join(draw(st.lists(line, max_size=20)))
+    if draw(st.booleans()):
+        text += draw(odd) + "".join(draw(st.lists(line, max_size=6)))
+    if draw(st.booleans()):
+        text = text.rstrip("\n")                      # no final newline
+    return HEADER + "\n" + text + "\n" * draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(text=plain_text(), chunk=st.integers(1, 4))
+def test_plain_lines_at_any_chunk_size_match_the_reference(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.getbasetemp() / "plain.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(crtgee.cli, "CSV_CHUNK_ROWS", chunk):
+        assert_same(path)
+
+
+def test_a_plain_file_is_scanned_without_the_csv_reader(tmp_path):
+    # written as the benchmark writes its trials: one unquoted row per outcome
+    rows = trial_rows(40, seed=13, mean_size=300)
+    path = write(tmp_path, csv_lines(rows))
+    tokenised, tokenise = [], csv.reader
+
+    def reader(lines):
+        for record in tokenise(lines):
+            tokenised.append(record)
+            yield record
+
+    with mock.patch.object(crtgee.cli.csv, "reader", reader):
+        data = read_trial_csv(str(path))
+    assert tokenised == [list(TRIAL_CSV_HEADER)]
+    assert data.n_obs == len(rows) > 10 * CSV_CHUNK_ROWS
+    assert_same(path)
