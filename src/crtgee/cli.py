@@ -92,8 +92,11 @@ def read_trial_csv(path):
     errors, so every file gives the same dataset or the same error either
     way. Errors carry the 1-based line on which the earliest offending row
     starts (the header is line 1; blank rows count but are skipped, and a
-    quoted cell may span lines). Each cluster keeps its outcomes in row
-    order, and the clusters come in order of first appearance.
+    quoted cell may span lines). A byte the text encoding cannot decode
+    and a cell past `csv.field_size_limit()` are DataErrors too, naming the
+    physical line that holds them (for a byte in a pipe, no line). Each
+    cluster keeps its outcomes in row order, and the clusters come in order
+    of first appearance.
     """
     try:
         handle = open(path, newline="")
@@ -103,83 +106,95 @@ def read_trial_csv(path):
     arm_of = np.zeros(0, dtype=np.uint8)    # each cluster's arm, by index
     index_chunks, outcome_chunks = [], []
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: file is empty")
-        if tuple(cell.strip() for cell in header) != TRIAL_CSV_HEADER:
-            raise DataError(
-                f"{path}: line 1: header must be exactly "
-                f"'{','.join(TRIAL_CSV_HEADER)}', got '{','.join(header)}'"
-            )
-        next_record = 2
-        pending, at_end = b"", False        # text read but not yet scanned, as UTF-8
-        while True:
-            # a block's lines, unless a lone \r (beyond one that may start a
-            # \r\n) shows that the csv path must take over: its lines may hold no \n
-            while (not at_end and pending.count(b"\n") < CSV_CHUNK_ROWS
-                   and pending.count(b"\r") <= pending.count(b"\r\n") + 1):
-                text = handle.read(io.DEFAULT_BUFFER_SIZE)
-                at_end = not text
-                pending += text.encode()
-            scanned = _scan_plain(pending, ids, arm_of)
-            if scanned is None:
-                break
-            size, arm_of, index, outcomes = scanned
-            pending = pending[size:]
-            index_chunks.append(index)
-            outcome_chunks.append(outcomes)
-            next_record += index.size
-        reader = ()
-        if pending:
-            # the unscanned text, completed to a line end, then the rest of the stream
-            rest = io.StringIO(pending.decode() + handle.readline(), newline="")
-            reader = csv.reader(itertools.chain(rest, handle))
-        while rows := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
-            records = range(next_record, next_record + len(rows))
-            next_record += len(rows)
-            # candidate errors as (position, check order, message); the
-            # earliest row wins, and within a row the first check that fails
-            errors = []
-            if list(map(len, rows)).count(3) != len(rows):
-                keep = [k for k, row in enumerate(rows) if not _is_blank(row)]
-                rows, records = [rows[k] for k in keep], [records[k] for k in keep]
-                bad = next((k for k, row in enumerate(rows) if len(row) != 3), None)
-                if bad is not None:
-                    errors.append((bad, 0, f"expected 3 fields, got {len(rows[bad])}"))
-                    rows = rows[:bad]
-            cids = list(map(str.strip, map(itemgetter(0), rows)))
-            arm_cells = list(map(str.strip, map(itemgetter(1), rows)))
-            outcome_cells = list(map(str.strip, map(itemgetter(2), rows)))
-            arms, bad_arm = _binary_codes(arm_cells)
-            outcomes, bad_outcome = _binary_codes(outcome_cells)
-            if "" in cids:
-                errors.append((cids.index(""), 1, "empty cluster_id"))
-            if bad_arm is not None:
-                errors.append((bad_arm, 2, f"arm must be 0 or 1, got '{arm_cells[bad_arm]}'"))
-            if bad_outcome is not None:
-                errors.append((bad_outcome, 3,
-                               f"outcome must be 0 or 1, got '{outcome_cells[bad_outcome]}'"))
-            stop = min(errors)[0] if errors else len(rows)
-            cids, arms = cids[:stop], arms[:stop]
+        first_line = 1                      # the physical line of reader's first line
+        try:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            if tuple(cell.strip() for cell in header) != TRIAL_CSV_HEADER:
+                raise DataError(
+                    f"{path}: line 1: header must be exactly "
+                    f"'{','.join(TRIAL_CSV_HEADER)}', got '{','.join(header)}'"
+                )
+            next_record = 2
+            pending, at_end = b"", False        # text read but not yet scanned, as UTF-8
+            while True:
+                # a block's lines, unless a lone \r (beyond one that may start a
+                # \r\n) shows that the csv path must take over: its lines may hold no \n
+                while (not at_end and pending.count(b"\n") < CSV_CHUNK_ROWS
+                       and pending.count(b"\r") <= pending.count(b"\r\n") + 1):
+                    text = handle.read(io.DEFAULT_BUFFER_SIZE)
+                    at_end = not text
+                    pending += text.encode()
+                scanned = _scan_plain(pending, ids, arm_of)
+                if scanned is None:
+                    break
+                size, arm_of, index, outcomes = scanned
+                pending = pending[size:]
+                index_chunks.append(index)
+                outcome_chunks.append(outcomes)
+                next_record += index.size
+            reader = ()
+            if pending:
+                # the unscanned text, completed to a line end, then the rest of the
+                # stream; every scanned record is one line, so it starts on line
+                # next_record
+                first_line = next_record
+                rest = io.StringIO(pending.decode() + handle.readline(), newline="")
+                reader = csv.reader(itertools.chain(rest, handle))
+            while rows := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
+                records = range(next_record, next_record + len(rows))
+                next_record += len(rows)
+                # candidate errors as (position, check order, message); the
+                # earliest row wins, and within a row the first check that fails
+                errors = []
+                if list(map(len, rows)).count(3) != len(rows):
+                    keep = [k for k, row in enumerate(rows) if not _is_blank(row)]
+                    rows, records = [rows[k] for k in keep], [records[k] for k in keep]
+                    bad = next((k for k, row in enumerate(rows) if len(row) != 3), None)
+                    if bad is not None:
+                        errors.append((bad, 0, f"expected 3 fields, got {len(rows[bad])}"))
+                        rows = rows[:bad]
+                cids = list(map(str.strip, map(itemgetter(0), rows)))
+                arm_cells = list(map(str.strip, map(itemgetter(1), rows)))
+                outcome_cells = list(map(str.strip, map(itemgetter(2), rows)))
+                arms, bad_arm = _binary_codes(arm_cells)
+                outcomes, bad_outcome = _binary_codes(outcome_cells)
+                if "" in cids:
+                    errors.append((cids.index(""), 1, "empty cluster_id"))
+                if bad_arm is not None:
+                    errors.append((bad_arm, 2, f"arm must be 0 or 1, got '{arm_cells[bad_arm]}'"))
+                if bad_outcome is not None:
+                    errors.append((bad_outcome, 3,
+                                   f"outcome must be 0 or 1, got '{outcome_cells[bad_outcome]}'"))
+                stop = min(errors)[0] if errors else len(rows)
+                cids, arms = cids[:stop], arms[:stop]
 
-            # a cluster new to this chunk takes the arm of its first row
-            known = len(ids)
-            for cid in dict.fromkeys(cids):
-                ids.setdefault(cid, len(ids))
-            index = np.fromiter(map(ids.__getitem__, cids), dtype=np.intp, count=len(cids))
-            if len(ids) > known:
-                found, first = np.unique(index, return_index=True)
-                arm_of = np.concatenate([arm_of, arms[first[found >= known]]])
-            conflict = np.flatnonzero(arms != arm_of[index])
-            if conflict.size:
-                k = int(conflict[0])
-                errors.append((k, 4, f"cluster '{cids[k]}' appears in both arms"))
-            if errors:
-                k, _, message = min(errors)
-                raise DataError(f"{path}: line {_start_line(path, records[k])}: {message}")
-            index_chunks.append(index)
-            outcome_chunks.append(outcomes)
+                # a cluster new to this chunk takes the arm of its first row
+                known = len(ids)
+                for cid in dict.fromkeys(cids):
+                    ids.setdefault(cid, len(ids))
+                index = np.fromiter(map(ids.__getitem__, cids), dtype=np.intp, count=len(cids))
+                if len(ids) > known:
+                    found, first = np.unique(index, return_index=True)
+                    arm_of = np.concatenate([arm_of, arms[first[found >= known]]])
+                conflict = np.flatnonzero(arms != arm_of[index])
+                if conflict.size:
+                    k = int(conflict[0])
+                    errors.append((k, 4, f"cluster '{cids[k]}' appears in both arms"))
+                if errors:
+                    k, _, message = min(errors)
+                    raise DataError(f"{path}: line {_start_line(path, records[k])}: {message}")
+                index_chunks.append(index)
+                outcome_chunks.append(outcomes)
+        except UnicodeDecodeError as err:
+            line = _undecodable_line(path, handle.encoding)
+            where = "" if line is None else f"line {line}: "
+            raise DataError(f"{path}: {where}cannot decode byte 0x{err.object[err.start]:02x} "
+                            f"as {handle.encoding}") from None
+        except csv.Error as err:
+            raise DataError(f"{path}: line {first_line + reader.line_num - 1}: {err}") from None
     if not ids:
         raise DataError(f"{path}: no data rows")
     index = np.concatenate(index_chunks)
@@ -279,6 +294,20 @@ def _scan_plain(pending, ids, arm_of):
         return None
     ids.update(new)
     return size, arm_of, index, outcomes
+
+
+def _undecodable_line(path, encoding):
+    """The 1-based physical line of the file's first byte that `encoding` cannot
+    decode; None for a pipe, which cannot be read twice."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, newline="", encoding=encoding, errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.encode(encoding)
+            except UnicodeEncodeError:
+                return number
+    return None
 
 
 def _start_line(path, record):

@@ -21,9 +21,14 @@ sums as an (R, 2, 2) array. A fit rejects the null when |t| = |beta1 / SE|
 exceeds the upper alpha_level/2 quantile of t, computed once per N; no
 p-values are computed. Each replicate's outcome is bit for bit the one it
 has alone, so results depend on neither the packing nor the number of
-processes. Blocks are independent, so the grid can run them on several
-processes. run_grid, run_scenario (a grid of one cell) and run_block (a
-block of one piece) all go through this one block loop.
+processes. Blocks are independent, so the grid can run them on T processes,
+the caller included: block i runs on process i mod T, the caller running
+its own blocks inline and each of the T - 1 worker processes sending its
+results back over a pipe, and the caller takes them in grid order. A
+worker starts its next block only once the caller has taken its previous
+result, so at most T blocks are running or finished and not yet taken.
+run_grid, run_scenario (a grid of one cell) and run_block (a block of one
+piece) all go through this one block loop.
 
 Summaries are computed over converged replicates only: the empirical SD of
 the effect estimate (ddof=1), each estimator's mean SE and its percent bias
@@ -35,11 +40,12 @@ scoring pass, so rare-outcome cells keep only part of their replicates.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -435,21 +441,22 @@ def run_grid(grid, threads=1, progress=None, skip=()):
 def _run_cells(scenarios, models, kinds, fg_bound, alpha_level, threads=1, progress=None):
     """The block loop: yield each cell's ScenarioResult list, in order, once its last piece is fit.
 
-    The cells are packed into blocks (`pack_blocks`), run by `map` or, with
-    threads > 1, on a process pool by `_pool_map`. Cells sharing a block
-    finish together; a block's error is raised after every cell it finished.
+    The cells are packed into blocks (`pack_blocks`) and run on
+    min(threads, number of blocks) processes, the caller included: block i
+    runs on process i mod that number, process 0 being the caller, which
+    fits its blocks here, inline; the others are `_workers`. Blocks are
+    taken in grid order, so cells are yielded in grid order. Cells sharing
+    a block finish together; a block's error is raised after every cell it
+    finished.
     """
     blocks = pack_blocks(scenarios, BLOCK_REPLICATES)
     task = functools.partial(_fit_pieces, models=models, kinds=kinds, fg_bound=fg_bound,
                              alpha_level=alpha_level)
-    with contextlib.ExitStack() as stack:
-        fitted_blocks = map(task, blocks)
-        if threads > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
-            fitted_blocks = stack.enter_context(
-                contextlib.closing(_pool_map(pool, task, blocks, threads)))
+    processes = min(threads, len(blocks))
+    with _workers(task, blocks, processes) as take:
         done, pieces = 0, []
-        for block, (fitted, error) in zip(blocks, fitted_blocks):
+        for i, block in enumerate(blocks):
+            fitted, error = take(i) if i % processes else task(block)
             for (sc, reps), piece in zip(block, fitted):
                 pieces.append(piece)
                 if reps.stop < sc.replicates:
@@ -464,20 +471,80 @@ def _run_cells(scenarios, models, kinds, fg_bound, alpha_level, threads=1, progr
                 raise error
 
 
-def _pool_map(pool, task, items, ahead):
-    """Yield task(item) for each item, in order, keeping at most `ahead` submitted to
-    `pool` and not yet yielded, so that a caller who stops early waits for no more
-    than `ahead` tasks (an executor's `map` submits every item at once)."""
-    items = iter(items)
-    futures = collections.deque(pool.submit(task, item) for item in itertools.islice(items, ahead))
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the cause of the error it sent."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
+@contextlib.contextmanager
+def _workers(task, blocks, processes):
+    """Start processes - 1 worker processes; worker w fits blocks w, w + processes, ...
+
+    Yields take(i), which returns block i's (fitted, error) from its worker
+    and lets that worker start its next block. A worker's error comes back
+    with its traceback as `__cause__`; a worker that exits without sending
+    block i's result makes take(i) raise RuntimeError naming its exit code.
+    On leaving, workers still running are terminated, and all are joined.
+    """
+    context = multiprocessing.get_context()
+    started = []
     try:
-        while futures:
-            result = futures.popleft().result()
-            futures.extend(pool.submit(task, item) for item in itertools.islice(items, 1))
-            yield result
+        for w in range(1, processes):
+            conn, child = context.Pipe()
+            proc = context.Process(target=_work, args=(child, task, blocks[w::processes]))
+            proc.start()
+            child.close()
+            started.append((proc, conn))
+
+        def take(i):
+            proc, conn = started[i % processes - 1]
+            try:
+                fitted, error = conn.recv()
+            except (EOFError, OSError):
+                proc.join()
+                raise RuntimeError(f"worker process {i % processes} exited with code "
+                                   f"{proc.exitcode} before returning block {i}") from None
+            if error is not None:
+                error, text = error
+                error.__cause__ = _RemoteTraceback(text)
+            elif i + processes < len(blocks):
+                # a worker gone since it sent this result shows at its next take
+                with contextlib.suppress(OSError):
+                    conn.send(None)
+            return fitted, error
+
+        yield take
     finally:
-        for future in futures:
-            future.cancel()
+        for proc, _ in started:
+            if proc.exitcode is None:
+                proc.terminate()
+        for proc, conn in started:
+            proc.join()
+            proc.close()
+            conn.close()
+
+
+def _work(conn, task, blocks):
+    """A worker: fit its blocks in order, sending each (fitted, error) and waiting for
+    the caller to take it before starting the next. An error, raised or returned,
+    is sent with its formatted traceback and ends the worker."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller answers Ctrl-C, and stops it
+    for k, block in enumerate(blocks):
+        if k:
+            conn.recv()
+        try:
+            fitted, error = task(block)
+        except Exception as err:
+            fitted, error = [], err
+        if error is not None:
+            error = (error, "".join(traceback.format_exception(type(error), error,
+                                                               error.__traceback__)))
+        conn.send((fitted, error))
+        if error is not None:
+            break
+    conn.close()
 
 
 def design_row(scenario, model, kind):

@@ -1,7 +1,10 @@
 """Command-line interface: analyze, simulate, report, and their failure modes."""
 
+import codecs
+import csv
 import hashlib
 import json
+import locale
 import math
 
 import numpy as np
@@ -229,6 +232,50 @@ def test_analyze_csv_errors_carry_line_numbers(tmp_path, capsys):
     assert main(["analyze", "--data", str(data), "--family", "binomial", "--link", "log"]) == 1
     err = capsys.readouterr().err
     assert "line 4" in err and "both arms" in err
+
+
+def analyze_error(data, capsys):
+    """Run analyze on `data`, which must fail: its one stderr line, without a traceback."""
+    assert main(["analyze", "--data", str(data), "--family", "binomial", "--link", "log"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return err.rstrip("\n")
+
+
+#: files are read in the locale's encoding; in UTF-8 no byte 0xff can be decoded
+ENCODING = locale.getpreferredencoding(False)
+needs_utf8 = pytest.mark.skipif(codecs.lookup(ENCODING).name != "utf-8",
+                                reason="needs a UTF-8 locale")
+
+
+@needs_utf8
+def test_analyze_names_the_line_of_a_byte_it_cannot_decode_in_a_plain_file(tmp_path, capsys):
+    # line 2 outlasts the text reader's first 8 KiB chunk, so the byte on
+    # line 3 is decoded by the scan of plain blocks, not by the header read
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"cluster_id,arm,outcome\n" + b"c" * 9000 + b",0,1\nc\xff,1,0\nc2,1,1\n")
+    assert analyze_error(data, capsys) == (
+        f"error: {data}: line 3: cannot decode byte 0xff as {ENCODING}")
+
+
+@needs_utf8
+def test_analyze_names_the_line_of_a_byte_it_cannot_decode_in_a_quoted_file(tmp_path, capsys):
+    # quoted cells leave the file to csv.reader, which decodes the byte
+    # thousands of lines after the text the scan read
+    lines = [b"cluster_id,arm,outcome", *(b'"c%d",%d,1' % (i % 10, i % 2) for i in range(4000))]
+    lines[3000] = b'"c\xff",1,0'
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"\n".join(lines) + b"\n")
+    assert analyze_error(data, capsys) == (
+        f"error: {data}: line 3001: cannot decode byte 0xff as {ENCODING}")
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+def test_analyze_names_the_line_of_a_cell_past_the_csv_field_limit(tmp_path, capsys, quote):
+    data = tmp_path / "bad.csv"
+    data.write_text(f"cluster_id,arm,outcome\nc1,0,1\n{quote}{'c' * 200_000}{quote},1,0\n")
+    assert analyze_error(data, capsys) == (
+        f"error: {data}: line 3: field larger than field limit ({csv.field_size_limit()})")
 
 
 def test_analyze_single_arm_exit_1(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Simulation harness: aggregation arithmetic, grid layout, parallel determinism."""
 
 import multiprocessing
+import os
+import signal
 import time
 
 import numpy as np
 import pytest
 
+import crtgee.gee
 import crtgee.simulate
 
 from crtgee import (
@@ -378,6 +381,154 @@ def test_stopping_run_grid_early_waits_for_at_most_threads_blocks(monkeypatch, t
     started = sorted(p.name for p in tmp_path.iterdir())
     assert "block-0" in started
     assert len(started) <= 1 + threads, started
+
+
+def _slow_in_the_caller(pieces, *args, **kwargs):
+    """A _fit_pieces stand-in that leaves a marker file per block and takes 0.5 s
+    in the calling process only."""
+    (BLOCK_MARKERS / f"block-{pieces[0][0].index}").touch()
+    if multiprocessing.parent_process() is None:
+        time.sleep(0.5)
+    return _fit_pieces(pieces, *args, **kwargs)
+
+
+def test_a_worker_starts_its_next_block_only_once_its_result_is_taken(monkeypatch, tmp_path):
+    # the worker's block 1 is fit long before the caller's block 0; block 3
+    # must wait until the caller takes block 1's result
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched fit reaches the workers only through fork")
+    grid = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(4),), pi0=(0.3,),
+                         icc=(0.0, 0.02, 0.04, 0.06, 0.08, 0.1), models=(ALL_MODELS[-1],),
+                         estimators=(EstimatorKind.ROBUST,), replicates=1, seed=2026)
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
+    monkeypatch.setattr(crtgee.simulate, "_fit_pieces", _slow_in_the_caller)
+    monkeypatch.setitem(globals(), "BLOCK_MARKERS", tmp_path)
+    cells = run_grid(grid, threads=2)
+    next(cells)
+    started = sorted(p.name for p in tmp_path.iterdir())
+    cells.close()
+    assert started == ["block-0", "block-1"]
+
+
+# --- the process layer: block i on process i mod T, the caller being process 0 ---
+
+#: five cells of 4 replicates in blocks of 3: 7 blocks, cells split across processes
+STRIDE_GRID = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(4),), pi0=(0.3,),
+                            icc=(0.0, 0.05, 0.1, 0.15, 0.2), models=ALL_MODELS[:2],
+                            estimators=KINDS3, replicates=4, seed=2026)
+
+
+def _stride_rows(threads):
+    return [[result_rows(r) for r in cell] for cell in run_grid(STRIDE_GRID, threads=threads)]
+
+
+@pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default", "spawn"])
+def test_more_processes_than_cores_on_an_uneven_stride_change_no_row(monkeypatch,
+                                                                     start_method):
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 3)
+    assert len(crtgee.simulate.pack_blocks(STRIDE_GRID.scenarios(), 3)) == 7
+    want = _stride_rows(threads=1)
+    if start_method is not None:
+        # what macOS and Python 3.14 use: the task and the blocks are pickled
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: get_context(start_method))
+    assert _stride_rows(threads=5) == want
+    assert multiprocessing.active_children() == []
+
+
+#: cell 1's gamma sizes sum past one array: generation fails in the worker
+#: under any start method, before any uniform is drawn
+UNDRAWABLE_GRID = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(4), GammaSize(5e17, 0.5)),
+                                pi0=(0.3,), icc=(0.05,), models=(ALL_MODELS[-1],),
+                                estimators=(EstimatorKind.ROBUST,), replicates=1, seed=2026)
+
+
+def _open_fds():
+    """The number of this process's open file descriptors, or None where not listed."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("stop", ["complete", "close", "raise"])
+def test_no_worker_process_or_pipe_outlives_a_run(monkeypatch, stop):
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
+    # a first run starts what a start method keeps for later runs (spawn's
+    # resource tracker, the forkserver), and its descriptors with it
+    _stride_rows(threads=2)
+    fds = _open_fds()
+    if stop == "complete":
+        assert len(_stride_rows(threads=2)) == 5
+    elif stop == "close":
+        cells = run_grid(STRIDE_GRID, threads=2)
+        next(cells)
+        cells.close()
+    else:
+        cells = run_grid(UNDRAWABLE_GRID, threads=2)
+        next(cells)
+        with pytest.raises(DomainError, match="cannot be drawn as one array") as raised:
+            next(cells)
+        # the worker's frames come back as the cause
+        assert "generate_block" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+    assert _open_fds() == fds
+
+
+def _fails_in_a_worker(*args, **kwargs):
+    """A fit_block stand-in that raises in a worker process only."""
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError("cell 1 failed")
+    return crtgee.gee.fit_block(*args, **kwargs)
+
+
+@pytest.mark.parametrize("target, stand_in", [
+    ("generate_block", _failing_second_cell),       # returned by _fit_pieces
+    ("fit_block", _fails_in_a_worker),              # raised through _fit_pieces
+], ids=["returned", "raised"])
+def test_a_worker_error_carries_the_workers_traceback(monkeypatch, target, stand_in):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched function reaches the workers only through fork")
+    cell0 = _first_cell_rows()
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
+    monkeypatch.setattr(crtgee.simulate, target, stand_in)
+    yielded = []
+    with pytest.raises(RuntimeError, match="cell 1 failed") as raised:
+        for cell in run_grid(FAILING_GRID, threads=2):
+            yielded.append([result_rows(r) for r in cell])
+    assert yielded == [cell0]
+    cause = str(raised.value.__cause__)
+    assert stand_in.__name__ in cause and "Traceback" in cause
+    assert multiprocessing.active_children() == []
+
+
+def _exits_in_a_worker(*args, **kwargs):
+    """A _fit_pieces stand-in with which a worker process exits without a result."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _fit_pieces(*args, **kwargs)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("run_grid still waits for a worker that has exited")
+
+
+def test_a_worker_that_exits_without_a_result_ends_the_run(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched fit reaches the workers only through fork")
+    cell0 = _first_cell_rows()
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
+    monkeypatch.setattr(crtgee.simulate, "_fit_pieces", _exits_in_a_worker)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(60)
+    yielded = []
+    try:
+        with pytest.raises(RuntimeError, match="exited with code 3 before returning block 1"):
+            for cell in run_grid(FAILING_GRID, threads=2):
+                yielded.append([result_rows(r) for r in cell])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert yielded == [cell0]
+    assert multiprocessing.active_children() == []
 
 
 PACKED_GRID = FactorialGrid(n_clusters=(6, 10, 6), sizes=(FixedSize(4), GammaSize(8, 0.5)),

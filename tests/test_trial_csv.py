@@ -8,8 +8,10 @@ same DataError message with the same line number: the physical line on
 which the offending record starts.
 """
 
+import codecs
 import csv
 import json
+import locale
 import os
 import subprocess
 import sys
@@ -48,7 +50,10 @@ def reference_read_trial_csv(path):
             )
         while True:
             lineno = reader.line_num + 1       # the line the next record starts on
-            row = next(reader, None)
+            try:
+                row = next(reader, None)
+            except csv.Error as err:
+                raise DataError(f"{path}: line {reader.line_num}: {err}") from None
             if row is None:
                 break
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -79,15 +84,12 @@ def reference_read_trial_csv(path):
 
 
 def parse_both(path):
-    """(outcome, value) of each parser: ("ok", dataset) or ("error", message).
-
-    A csv.Error (Python 3.10's csv module rejects NUL) counts as an error too.
-    """
+    """(outcome, value) of each parser: ("ok", dataset) or ("error", message)."""
     results = []
     for parse in (read_trial_csv, reference_read_trial_csv):
         try:
             results.append(("ok", parse(str(path))))
-        except (DataError, csv.Error) as err:
+        except DataError as err:
             results.append(("error", str(err)))
     return results
 
@@ -242,6 +244,9 @@ ERROR_CASES = {
     "both-arms-before-bad-arm": [HEADER, "c1,0,1", "c1,1,1", "c2,7,0"],
     "bad-outcome-before-both-arms": [HEADER, "c1,0,1", "c2,1,2", "c1,1,1"],
     "both-arms-before-field-count": [HEADER, "c1,0,1", "c1,1,1", "c2,1"],
+    # csv.reader's limit on a cell (131,072 characters by default)
+    "id-past-the-field-limit": [HEADER, "c1,0,1", "c" * 200_000 + ",1,0"],
+    "quoted-id-past-the-field-limit": [HEADER, "c1,0,1", '"' + "c" * 200_000 + '",1,0'],
     # a quoted newline makes record 2 span lines 2-3: the bad arm is on line 6
     "error-after-a-quoted-newline": [HEADER, '"c\n1",0,1', "a,0,1", "b,1,0", "b,7,1"],
 }
@@ -259,7 +264,8 @@ def test_error_names_the_physical_line_after_a_quoted_newline(tmp_path):
 
 
 def read_from_stdin(text, chunk=CSV_CHUNK_ROWS):
-    """Run read_trial_csv('/dev/stdin') on `text` through a pipe, in a fresh interpreter.
+    """Run read_trial_csv('/dev/stdin') on `text` (str or bytes) through a pipe, in a
+    fresh interpreter.
 
     Returns (the dataset as [[id, arm, outcomes]], or None, and stderr).
     """
@@ -269,9 +275,11 @@ def read_from_stdin(text, chunk=CSV_CHUNK_ROWS):
     code = (f"import json, crtgee.cli as cli; cli.CSV_CHUNK_ROWS = {chunk}; "
             "data = cli.read_trial_csv('/dev/stdin'); "
             "print(json.dumps([[c.id, c.arm, c.outcomes.tolist()] for c in data.clusters]))")
-    done = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True,
-                          text=True, env=env, timeout=120)
-    return (json.loads(done.stdout) if done.returncode == 0 else None), done.stderr
+    data = text if isinstance(text, bytes) else text.encode()
+    done = subprocess.run([sys.executable, "-c", code], input=data, capture_output=True,
+                          env=env, timeout=120)
+    stdout, stderr = done.stdout.decode(), done.stderr.decode()
+    return (json.loads(stdout) if done.returncode == 0 else None), stderr
 
 
 needs_stdin = pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -304,6 +312,26 @@ def test_a_pipe_with_an_error_in_its_third_block_keeps_the_record_number(tmp_pat
     got, stderr = read_from_stdin("".join(line + "\n" for line in lines), chunk=4)
     assert got is None
     assert stderr.rstrip().endswith(message.replace(str(tmp_path / "trial.csv"), "/dev/stdin"))
+
+
+def test_a_cell_past_the_field_limit_after_scanned_blocks_names_its_line(tmp_path):
+    # the scan reads the first block, then csv.reader starts on its own line count
+    lines = csv_lines(trial_rows(12, seed=14, mean_size=CSV_CHUNK_ROWS // 4))
+    at = CSV_CHUNK_ROWS + 300
+    lines[at] = "c" * 200_000 + ",1,0"
+    message = assert_same(write(tmp_path, lines))
+    assert message.endswith(f"line {at + 1}: field larger than field limit "
+                            f"({csv.field_size_limit()})")
+
+
+@needs_stdin
+@pytest.mark.skipif(codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+                    reason="needs a UTF-8 locale")
+def test_a_byte_a_pipe_cannot_decode_is_an_error_without_a_line():
+    # a pipe cannot be read again to find the line that holds the byte
+    got, stderr = read_from_stdin(HEADER.encode() + b"\na,0,1\n\xff,1,0\n")
+    assert got is None
+    assert "DataError: /dev/stdin: cannot decode byte 0xff as " in stderr
 
 
 def test_missing_file_is_a_data_error(tmp_path):
