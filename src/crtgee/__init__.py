@@ -6,7 +6,7 @@ average), t-based Wald inference, a calibrated correlated-binary data
 generator, and a deterministic Monte Carlo harness.
 """
 
-from .data import Cluster, TrialDataset
+from .data import Cluster, ClusterSums, TrialDataset
 from .datagen import (
     FixedSize,
     GammaSize,
@@ -81,6 +81,7 @@ __all__ = [
     "DEFAULT_FG_BOUND",
     "TYPE1_BAND",
     "Cluster",
+    "ClusterSums",
     "CorrectionSingularityError",
     "CrtGeeError",
     "DataError",

@@ -31,7 +31,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .data import Cluster, TrialDataset
+from .data import ClusterSums
 from .errors import CrtGeeError, DataError, NonConvergenceError, UsageError
 from .families import ModelSpec, parse_family, parse_link
 from .gee import fit_gee
@@ -60,9 +60,13 @@ THREADS_ENV_VAR = "CRTGEE_THREADS"
 
 TRIAL_CSV_HEADER = ("cluster_id", "arm", "outcome")
 
-#: trial CSV records tokenised and checked together; bounds the reader's
-#: working memory at any file length, and does not change what it returns
+#: trial CSV records tokenised and checked together once the csv path reads
+#: the file; bounds its working memory, and does not change what it returns
 CSV_CHUNK_ROWS = 1024
+
+#: characters of trial CSV text read and scanned together (64 KiB of ASCII);
+#: bounds the scan's working memory, and does not change what it returns
+SCAN_BLOCK_CHARS = 1 << 16
 
 _NEWLINE, _CR = b"\n\r"
 #: _WORD_MASKS[k] keeps the low k bytes of a 64-bit word
@@ -80,23 +84,28 @@ _GROUPABLE_COLUMNS = (
 
 
 def read_trial_csv(path):
-    """Parse an individual-level trial CSV into a TrialDataset.
+    """Parse an individual-level trial CSV into its per-cluster sums, a ClusterSums.
 
-    The file is read as text, CSV_CHUNK_ROWS lines at a time, so the
-    reader's working memory does not grow with the file. A block of plain
-    lines (`_scan_plain`: unquoted, every line `id,arm,outcome` with bare
-    0/1 codes and a nonempty id, ending in \n or \r\n) is read in one numpy
-    pass over its UTF-8 bytes. From the first block that is not plain to the
-    end of the file, records are tokenised by `csv.reader` and checked
-    CSV_CHUNK_ROWS at a time, column by column; only that path reports
-    errors, so every file gives the same dataset or the same error either
-    way. Errors carry the 1-based line on which the earliest offending row
-    starts (the header is line 1; blank rows count but are skipped, and a
-    quoted cell may span lines). A byte the text encoding cannot decode
-    and a cell past `csv.field_size_limit()` are DataErrors too, naming the
-    physical line that holds them (for a byte in a pipe, no line). Each
-    cluster keeps its outcomes in row order, and the clusters come in order
-    of first appearance.
+    The record holds the cluster ids in order of first appearance, each
+    cluster's arm, its size m_i (rows) and its event count s_i (rows with
+    outcome 1), and raises TrialDataset's DataErrors for fewer than two
+    clusters or a missing arm. Rows are reduced to these counts block by
+    block, so the reader's working memory is one block and the clusters'
+    counts, at any file length.
+
+    The file is read as text, SCAN_BLOCK_CHARS characters at a time. The
+    whole lines of a block, when plain (`_scan_plain`: unquoted, every
+    line `id,arm,outcome` with bare 0/1 codes and a nonempty id, ending in
+    \n or \r\n), are read in one numpy pass over their UTF-8 bytes. From
+    the first block that is not plain to the end of the file, records are
+    tokenised by `csv.reader` and checked CSV_CHUNK_ROWS at a time, column
+    by column; only that path reports errors, so every file gives the same
+    counts or the same error either way. Errors carry the 1-based line on
+    which the earliest offending row starts (the header is line 1; blank
+    rows count but are skipped, and a quoted cell may span lines). A byte
+    the text encoding cannot decode and a cell past
+    `csv.field_size_limit()` are DataErrors too, naming the physical line
+    that holds them (for a byte in a pipe, no line).
     """
     try:
         handle = open(path, newline="")
@@ -104,7 +113,7 @@ def read_trial_csv(path):
         raise DataError(f"cannot read {path}: {err.strerror}") from err
     ids = {}                                # cluster id -> index, in first-appearance order
     arm_of = np.zeros(0, dtype=np.uint8)    # each cluster's arm, by index
-    index_chunks, outcome_chunks = [], []
+    tally = np.zeros(0, dtype=np.intp)      # at 2 i + y: cluster i's rows with outcome y
     with handle:
         first_line = 1                      # the physical line of reader's first line
         try:
@@ -118,22 +127,17 @@ def read_trial_csv(path):
                     f"'{','.join(TRIAL_CSV_HEADER)}', got '{','.join(header)}'"
                 )
             next_record = 2
-            pending, at_end = b"", False        # text read but not yet scanned, as UTF-8
+            pending = b""                   # text read but not yet scanned, as UTF-8
             while True:
-                # a block's lines, unless a lone \r (beyond one that may start a
-                # \r\n) shows that the csv path must take over: its lines may hold no \n
-                while (not at_end and pending.count(b"\n") < CSV_CHUNK_ROWS
-                       and pending.count(b"\r") <= pending.count(b"\r\n") + 1):
-                    text = handle.read(io.DEFAULT_BUFFER_SIZE)
-                    at_end = not text
-                    pending += text.encode()
+                # one block more; a block that is not plain (a lone \r, say, in a
+                # file whose lines hold no \n) hands the rest to the csv path
+                pending += handle.read(SCAN_BLOCK_CHARS).encode()
                 scanned = _scan_plain(pending, ids, arm_of)
                 if scanned is None:
                     break
                 size, arm_of, index, outcomes = scanned
                 pending = pending[size:]
-                index_chunks.append(index)
-                outcome_chunks.append(outcomes)
+                tally = _tally(tally, index, outcomes, len(ids))
                 next_record += index.size
             reader = ()
             if pending:
@@ -186,8 +190,7 @@ def read_trial_csv(path):
                 if errors:
                     k, _, message = min(errors)
                     raise DataError(f"{path}: line {_start_line(path, records[k])}: {message}")
-                index_chunks.append(index)
-                outcome_chunks.append(outcomes)
+                tally = _tally(tally, index, outcomes, len(ids))
         except UnicodeDecodeError as err:
             line = _undecodable_line(path, handle.encoding)
             where = "" if line is None else f"line {line}: "
@@ -197,19 +200,21 @@ def read_trial_csv(path):
             raise DataError(f"{path}: line {first_line + reader.line_num - 1}: {err}") from None
     if not ids:
         raise DataError(f"{path}: no data rows")
-    index = np.concatenate(index_chunks)
-    y = np.concatenate(outcome_chunks)[np.argsort(index, kind="stable")].astype(float)
-    ends = np.cumsum(np.bincount(index, minlength=len(ids))).tolist()
-    starts = [0, *ends[:-1]]
-    clusters = tuple(
-        Cluster(id=cid, arm=int(arm), outcomes=y[start:end])
-        for cid, arm, start, end in zip(ids, arm_of.tolist(), starts, ends)
-    )
-    return TrialDataset(clusters=clusters)
+    counts = tally.reshape(-1, 2)
+    return ClusterSums(ids=tuple(ids), arm=arm_of, m=counts.sum(axis=1), s=counts[:, 1])
+
+
+def _tally(tally, index, outcomes, n_clusters):
+    """The row counts `tally` (at 2 i + y, cluster i's rows with outcome y, for the
+    clusters known before a block) plus the block's rows, each a cluster index and a
+    0/1 outcome, for all `n_clusters` clusters known now."""
+    added = np.bincount(2 * index + outcomes, minlength=2 * n_clusters)
+    added[:tally.size] += tally
+    return added
 
 
 def _scan_plain(pending, ids, arm_of):
-    """Read the first CSV_CHUNK_ROWS whole lines of `pending` (UTF-8 bytes) if they are plain.
+    """Read the whole lines of `pending` (UTF-8 bytes) if they are plain.
 
     Plain lines hold no quote, NUL or lone \r, and each is `id,arm,outcome`
     ending in \n or \r\n, with `arm` and `outcome` a bare 0 or 1 and an id
@@ -217,7 +222,7 @@ def _scan_plain(pending, ids, arm_of):
     every cluster's rows also keep one arm. For such lines `csv.reader`
     yields one record per line with the cells as they stand, so these are
     rows the csv path would accept as they are. The ids, zero-padded to a
-    common multiple of 8 bytes, must also take at most twice the block's
+    common multiple of 8 bytes, must also take at most twice the lines'
     bytes, which keeps the scan's memory that of the block.
 
     Returns (bytes read, `arm_of` extended by the clusters new to the
@@ -225,7 +230,7 @@ def _scan_plain(pending, ids, arm_of):
     clusters added to `ids`; or None, with nothing changed, when there is
     no whole line or a line is not plain.
     """
-    ends = np.flatnonzero(np.frombuffer(pending, dtype=np.uint8) == _NEWLINE)[:CSV_CHUNK_ROWS]
+    ends = np.flatnonzero(np.frombuffer(pending, dtype=np.uint8) == _NEWLINE)
     n = ends.size
     if n == 0:
         return None
@@ -363,32 +368,23 @@ def _normal_two_sided_p(z):
 
 
 def cmd_analyze(args):
-    data = read_trial_csv(args.data)
     spec = ModelSpec(parse_family(args.family), parse_link(args.link))
     kinds = _parse_kinds(args.corrections)
     if not 0.0 < args.level < 1.0:
         raise UsageError(f"--level must lie in (0, 1), got {args.level}")
     alpha_level = 1.0 - args.level
+    if not 0.0 < alpha_level < 1.0:
+        raise UsageError(f"--level {args.level} is too close to 0 or 1: 1 - level "
+                         f"rounds to {alpha_level}")
+    data = read_trial_csv(args.data)
 
-    arm_clusters = {0: 0, 1: 0}
-    for c in data.clusters:
-        arm_clusters[c.arm] += 1
-    summary = data.arm_summary()
     report = {
         "command": "analyze",
         "data": {
             "path": args.data,
             "n_clusters": data.n_clusters,
             "n_obs": data.n_obs,
-            "arms": {
-                str(arm): {
-                    "n_clusters": arm_clusters[arm],
-                    "n_obs": summary[arm]["n_obs"],
-                    "events": summary[arm]["events"],
-                    "proportion": summary[arm]["proportion"],
-                }
-                for arm in (0, 1)
-            },
+            "arms": {str(arm): summary for arm, summary in data.arm_summary().items()},
         },
         "model": {
             "family": spec.family.value,
@@ -421,9 +417,7 @@ def cmd_analyze(args):
     }
     estimates = {}
     failures = {}
-    covs, _, errors = estimate_block(
-        fit.block, kinds, DEFAULT_FG_BOUND, cluster_ids=[c.id for c in data.clusters]
-    )
+    covs, _, errors = estimate_block(fit.block, kinds, DEFAULT_FG_BOUND, fit.cluster_ids)
     for kind in kinds:
         err = errors[kind].get(0)
         if err is None:

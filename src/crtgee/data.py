@@ -1,4 +1,11 @@
-"""Trial data containers: clusters of binary outcomes with an arm label."""
+"""Trial data containers.
+
+`ClusterSums` is a trial as the model sees it: each cluster's arm, size
+m_i and event count s_i. Treatment is cluster-level and the mean model is
+saturated, so these are all a fit, its SEs and the analyze report read.
+`Cluster` and `TrialDataset` hold the observation-level outcomes that the
+generators draw; `fit_gee` reduces a TrialDataset to its ClusterSums.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +14,56 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+
+
+@dataclass(frozen=True)
+class ClusterSums:
+    """A two-arm trial as per-cluster sums: N >= 2 clusters, both arms present.
+
+    `ids` lists the clusters in trial order; `arm`, `m` (sizes) and `s`
+    (event counts s_i = sum_j y_ij) are (N,) integer arrays in that order.
+    """
+
+    ids: tuple
+    arm: np.ndarray
+    m: np.ndarray
+    s: np.ndarray
+
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        arm, m, s = (np.asarray(v, dtype=int) for v in (self.arm, self.m, self.s))
+        if len(ids) < 2:
+            raise DataError("a trial needs at least two clusters")
+        if not arm.shape == m.shape == s.shape == (len(ids),):
+            raise DataError("ids, arm, m and s must hold one entry per cluster")
+        bad = np.flatnonzero(((arm != 0) & (arm != 1)) | (m < 1) | (s < 0) | (s > m))
+        if bad.size:
+            k = bad[0]
+            raise DataError(f"cluster {ids[k]!r}: needs arm 0 or 1, 1 <= m and 0 <= s <= m, "
+                            f"got arm {arm[k]}, m {m[k]}, s {s[k]}")
+        if set(arm.tolist()) != {0, 1}:
+            raise DataError("both arms must be represented (arm effect inestimable)")
+        for name, value in zip(("ids", "arm", "m", "s"), (ids, arm, m, s)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def n_clusters(self):
+        return len(self.ids)
+
+    @property
+    def n_obs(self):
+        return int(self.m.sum())
+
+    def arm_summary(self):
+        """Per-arm (clusters, observations, events, proportion), keyed by arm label."""
+        out = {}
+        for arm in (0, 1):
+            mine = self.arm == arm
+            n = int(self.m[mine].sum())
+            events = float(self.s[mine].sum())
+            out[arm] = {"n_clusters": int(np.count_nonzero(mine)), "n_obs": n,
+                        "events": events, "proportion": events / n}
+        return out
 
 
 @dataclass(frozen=True)
@@ -55,12 +112,16 @@ class TrialDataset:
     def n_obs(self):
         return sum(c.size for c in self.clusters)
 
+    def cluster_sums(self):
+        """The trial as per-cluster sums (arm, m_i, s_i), clusters in order."""
+        clusters = self.clusters
+        return ClusterSums(
+            ids=tuple(c.id for c in clusters),
+            arm=np.array([c.arm for c in clusters], dtype=int),
+            m=np.array([c.size for c in clusters], dtype=int),
+            s=np.array([c.outcomes.sum() for c in clusters]).astype(int),
+        )
+
     def arm_summary(self):
-        """Per-arm (observations, events, proportion), keyed by arm label."""
-        out = {}
-        for arm in (0, 1):
-            ys = [c.outcomes for c in self.clusters if c.arm == arm]
-            n = sum(y.size for y in ys)
-            events = float(sum(y.sum() for y in ys))
-            out[arm] = {"n_obs": n, "events": events, "proportion": events / n}
-        return out
+        """Per-arm (clusters, observations, events, proportion), keyed by arm label."""
+        return self.cluster_sums().arm_summary()

@@ -129,14 +129,16 @@ def _moment_terms(m, n_params):
     """Per replicate, the constants of the moment estimators from the sizes (R, N).
 
     Returns (obs_df, pair_df, pairs_ok, has_pairs): the denominators
-    sum m_i - p and sum m_i (m_i - 1)/2 - p (the second 1 where it is not
+    sum m_i - p (NaN where it is not positive, so that phi is NaN there
+    without a division by 0) and sum m_i (m_i - 1)/2 - p (1 where it is not
     positive, so that dividing by it is safe), whether alpha is
     identifiable from the pairs, and whether there are pairs at all.
     """
     obs_df = m.sum(axis=1) - n_params
     pair_df = (m * (m - 1) // 2).sum(axis=1) - n_params
     pairs_ok = pair_df > 0
-    return obs_df, np.where(pairs_ok, pair_df, 1), pairs_ok, pair_df > -n_params
+    return (np.where(obs_df > 0, obs_df, np.nan), np.where(pairs_ok, pair_df, 1), pairs_ok,
+            pair_df > -n_params)
 
 
 def _alpha_phi(square_sum, cross_sum, obs_df, pair_df, pairs_ok, has_pairs, lower):
@@ -376,12 +378,12 @@ def _first_row(name, convert=None, doc=None):
 
 @dataclass
 class GeeFit:
-    """A converged GEE fit: a FitBlock of one replicate and the trial it fits.
+    """A converged GEE fit: a FitBlock of one replicate and its trial's cluster ids.
 
-    Per-cluster arrays hold one entry (or row) per cluster, in dataset order.
+    Per-cluster arrays hold one entry (or row) per cluster, in `cluster_ids` order.
     """
 
-    data: TrialDataset
+    cluster_ids: tuple
     block: FitBlock
 
     spec = property(lambda self: self.block.spec)
@@ -401,7 +403,7 @@ class GeeFit:
 
     @property
     def n_clusters(self):
-        return self.data.n_clusters
+        return len(self.cluster_ids)
 
     @property
     def x(self):
@@ -421,7 +423,10 @@ class GeeFit:
 
 
 def fit_gee(data, spec):
-    """Fit the marginal model by Fisher scoring: a block of one replicate.
+    """Fit the marginal model by Fisher scoring to one trial: a block of one replicate.
+
+    `data` is the trial's ClusterSums, or a TrialDataset, which is reduced
+    to its ClusterSums first.
 
     Raises
     ------
@@ -433,10 +438,9 @@ def fit_gee(data, spec):
         (None for empty_arm), and a reason tag; simulation code counts these
         events as the convergence-rate outcome.
     """
-    arm = np.array([c.arm for c in data.clusters], dtype=int)
-    m = np.array([[c.size for c in data.clusters]])
-    s = np.array([[c.outcomes.sum() for c in data.clusters]])
-    block = fit_block(arm, m, s, spec)
+    if isinstance(data, TrialDataset):
+        data = data.cluster_sums()
+    block = fit_block(data.arm, data.m[None], data.s[None], spec)
     if block.errors:
         raise block.errors[0]
-    return GeeFit(data=data, block=block)
+    return GeeFit(cluster_ids=data.ids, block=block)

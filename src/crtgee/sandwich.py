@@ -224,9 +224,7 @@ def compute_estimates(fit, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND):
     MB, MBN, AVG.
     """
     kinds = tuple(kinds)
-    covs, diagnostics, errors = estimate_block(
-        fit.block, kinds, fg_bound, cluster_ids=[c.id for c in fit.data.clusters]
-    )
+    covs, diagnostics, errors = estimate_block(fit.block, kinds, fg_bound, fit.cluster_ids)
     for errs in errors.values():
         if errs:
             raise errs[0]

@@ -6,6 +6,11 @@ import hashlib
 import json
 import locale
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -136,6 +141,48 @@ def test_analyze_level_flag(tmp_path):
     assert w99[0] < w95[0] and w95[1] < w99[1]
     code, _ = run_analyze(tmp_path, extra=("--level", "1.5"))
     assert code == 1
+
+
+@pytest.mark.parametrize("level", ["1e-300", "1e-17", "nan", "1", "0"])
+def test_analyze_level_whose_test_level_rounds_away_exit_1(tmp_path, capsys, level):
+    # 1 - 1e-300 rounds to 1.0: no estimator could test at that level
+    code, doc = run_analyze(tmp_path, extra=("--level", level))
+    assert (code, doc) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --level ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ("--family", "binomal"),
+    ("--link", "probit"),
+    ("--corrections", "kc,bogus"),
+    ("--corrections", ","),
+    ("--level", "1.5"),
+    ("--level", "1e-300"),
+])
+def test_analyze_checks_its_flags_before_reading_the_data(tmp_path, capsys, flags):
+    args = {"--family": "binomial", "--link": "log", **dict([flags])}
+    with mock.patch.object(crtgee.cli, "read_trial_csv") as reader:
+        code = main(["analyze", "--data", str(tmp_path / "nope.csv"),
+                     *(token for pair in args.items() for token in pair)])
+    assert code == 1
+    assert reader.call_count == 0
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_analyze_two_observations_write_no_warning(tmp_path):
+    # sum m_i = 2 leaves no degree of freedom for the dispersion
+    data = tmp_path / "two.csv"
+    write_trial_csv(data, [("a", 0, [1]), ("b", 1, [0])])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(crtgee.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "crtgee.cli", "analyze", "--data", str(data),
+         "--family", "gaussian", "--link", "identity"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["fit"]["dispersion"] is None
 
 
 def test_analyze_z_test_flag(tmp_path):

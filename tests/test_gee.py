@@ -8,6 +8,8 @@ import pytest
 import crtgee.gee
 from crtgee import (
     Cluster,
+    ClusterSums,
+    DataError,
     Family,
     Link,
     ModelSpec,
@@ -111,6 +113,29 @@ def test_singleton_clusters_match_independence_fit():
         means = fit.fitted_arm_means()
         for arm in (0, 1):
             assert means[arm] == pytest.approx(summary[arm]["proportion"], abs=1e-10)
+
+
+def test_a_trial_and_its_cluster_sums_fit_alike():
+    data = dataset([(0, [1, 0, 1]), (0, [0]), (1, [1, 1]), (1, [0, 1, 0, 0])])
+    sums = ClusterSums(ids=(0, 1, 2, 3), arm=[0, 0, 1, 1], m=[3, 1, 2, 4], s=[2, 0, 2, 1])
+    assert data.arm_summary() == sums.arm_summary()
+    for spec in ALL_SPECS:
+        got, want = fit_gee(sums, spec), fit_gee(data, spec)
+        assert got.cluster_ids == want.cluster_ids == (0, 1, 2, 3)
+        assert (got.beta.tolist(), got.alpha_hat) == (want.beta.tolist(), want.alpha_hat)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (((0,), [0], [1], [1]), "a trial needs at least two clusters"),
+    (((0, 1), [0, 1], [1], [1, 1]), "one entry per cluster"),
+    (((0, 1), [1, 1], [1, 1], [1, 1]), "both arms must be represented"),
+    (((0, 1), [0, 2], [1, 1], [1, 0]), "cluster 1: needs arm 0 or 1, .* got arm 2"),
+    (((0, 1), [0, 1], [2, 0], [1, 0]), "cluster 1: needs .* got arm 1, m 0, s 0"),
+    ((("a", "b"), [0, 1], [2, 1], [3, 1]), "cluster 'a': needs .* got arm 0, m 2, s 3"),
+])
+def test_cluster_sums_reject_what_no_trial_holds(fields, message):
+    with pytest.raises(DataError, match=message):
+        ClusterSums(*fields)
 
 
 def test_estimate_alpha_phi_hand_oracle():

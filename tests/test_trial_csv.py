@@ -2,10 +2,10 @@
 against the per-row parser it replaced.
 
 `reference_read_trial_csv` is that parser, kept here as an independent
-reference: every input must give an equal TrialDataset (ids in
-first-appearance order, arms, each cluster's outcomes in row order), or the
-same DataError message with the same line number: the physical line on
-which the offending record starts.
+reference: every input must give the same per-cluster (id, arm, m, s) as
+its TrialDataset (ids in first-appearance order, m the cluster's rows and s
+its events), or the same DataError message with the same line number: the
+physical line on which the offending record starts.
 """
 
 import codecs
@@ -15,6 +15,7 @@ import locale
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,8 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crtgee.cli
-from crtgee import Cluster, DataError, TrialDataset
-from crtgee.cli import CSV_CHUNK_ROWS, TRIAL_CSV_HEADER, read_trial_csv
+from crtgee import (ALL_KINDS, ALL_MODELS, Cluster, DataError, GammaSize, Scenario,
+                    TrialDataset, compute_estimates, fit_gee, generate_trial)
+from crtgee.cli import CSV_CHUNK_ROWS, SCAN_BLOCK_CHARS, TRIAL_CSV_HEADER, read_trial_csv
 
 HEADER = ",".join(TRIAL_CSV_HEADER)
 
@@ -83,8 +85,15 @@ def reference_read_trial_csv(path):
     return TrialDataset(clusters=clusters)
 
 
+def cluster_rows(data):
+    """A ClusterSums, or a TrialDataset, as its clusters' (id, arm, m, s)."""
+    if isinstance(data, TrialDataset):
+        return [(c.id, c.arm, c.size, int(c.outcomes.sum())) for c in data.clusters]
+    return list(zip(data.ids, data.arm.tolist(), data.m.tolist(), data.s.tolist()))
+
+
 def parse_both(path):
-    """(outcome, value) of each parser: ("ok", dataset) or ("error", message)."""
+    """(outcome, value) of each parser: ("ok", data) or ("error", message)."""
     results = []
     for parse in (read_trial_csv, reference_read_trial_csv):
         try:
@@ -95,20 +104,17 @@ def parse_both(path):
 
 
 def assert_same(path):
-    """Both parsers accept the file with equal datasets, or reject it alike.
+    """Both parsers accept the file with the same clusters, or reject it alike.
 
-    Returns the reader's dataset, or its error message.
+    Returns the reader's ClusterSums, or its error message.
     """
     (kind, got), (ref_kind, want) = parse_both(path)
     assert kind == ref_kind, (got, want)
     if kind == "error":
         assert got == want
         return got
-    assert [c.id for c in got.clusters] == [c.id for c in want.clusters]
-    assert [c.arm for c in got.clusters] == [c.arm for c in want.clusters]
-    for a, b in zip(got.clusters, want.clusters):
-        assert a.outcomes.dtype == b.outcomes.dtype
-        np.testing.assert_array_equal(a.outcomes, b.outcomes)
+    assert cluster_rows(got) == cluster_rows(want)
+    assert (got.n_clusters, got.n_obs) == (want.n_clusters, want.n_obs)
     return got
 
 
@@ -141,21 +147,20 @@ def test_shuffled_and_interleaved_clusters(tmp_path):
     data = assert_same(write(tmp_path, csv_lines(shuffled)))
     # first-appearance order, not sorted order
     first = list(dict.fromkeys(cid for cid, _, _ in shuffled))
-    assert [c.id for c in data.clusters] == first
+    assert list(data.ids) == first
 
 
 def test_whitespace_padded_cells(tmp_path):
     lines = [" cluster_id , arm ,outcome ", "  a ,0, 1", "b\t, 1 ,0 ", " a,0 ,0", "b,1,1"]
     data = assert_same(write(tmp_path, lines))
-    assert [c.id for c in data.clusters] == ["a", "b"]
-    np.testing.assert_array_equal(data.clusters[0].outcomes, [1.0, 0.0])
+    assert cluster_rows(data) == [("a", 0, 2, 1), ("b", 1, 2, 1)]
 
 
 def test_quoted_ids_with_commas(tmp_path):
     lines = [HEADER, '"site 1, ward A",0,1', '"site 1, ward B",1,0', '"site 1, ward A",0,0',
              '"site ""2""",1,1', '"site 1, ward B","1","1"']
     data = assert_same(write(tmp_path, lines))
-    assert [c.id for c in data.clusters] == ["site 1, ward A", "site 1, ward B", 'site "2"']
+    assert list(data.ids) == ["site 1, ward A", "site 1, ward B", 'site "2"']
 
 
 def test_crlf_line_endings(tmp_path):
@@ -166,8 +171,9 @@ def test_crlf_line_endings(tmp_path):
 
 def test_a_file_without_newlines_is_not_read_whole_before_the_csv_reader(tmp_path):
     # lines ended by a lone \r hold no \n, so no count of \n can end a block
-    lines = csv_lines(trial_rows(40, seed=14, mean_size=CSV_CHUNK_ROWS // 4))
+    lines = csv_lines(trial_rows(40, seed=14, mean_size=SCAN_BLOCK_CHARS // 32))
     path = write(tmp_path, lines, newline="\r")
+    assert path.stat().st_size > 8 * SCAN_BLOCK_CHARS
     scan = crtgee.cli._scan_plain
     with mock.patch.object(crtgee.cli, "_scan_plain", wraps=scan) as scanned:
         assert_same(path)
@@ -192,16 +198,15 @@ def test_file_longer_than_two_chunks_with_a_cluster_across_a_boundary(tmp_path):
     lines = csv_lines(rows)
     lines.insert(CSV_CHUNK_ROWS + 5, "")     # a blank row shifts the later records
     data = assert_same(write(tmp_path, lines))
-    wide = next(c for c in data.clusters if c.id == "wide")
-    np.testing.assert_array_equal(wide.outcomes, [k % 2 for k in range(40)])
+    wide = data.ids.index("wide")
+    assert (data.m[wide], data.s[wide]) == (40, 20)
 
 
 def test_ids_alike_in_their_first_eight_bytes_stay_apart(tmp_path):
     rows = [("site-0123456789", 1, 0), ("site-0123456780", 1, 1), ("site-0123456789", 1, 1),
             ("site-01234567", 1, 1), ("b", 0, 1), ("site-0123456789 ", 1, 0)]
     data = assert_same(write(tmp_path, csv_lines(rows)))
-    assert [c.id for c in data.clusters] == ["site-0123456789", "site-0123456780",
-                                             "site-01234567", "b"]
+    assert list(data.ids) == ["site-0123456789", "site-0123456780", "site-01234567", "b"]
 
 
 def test_a_nul_byte_is_left_to_the_csv_reader(tmp_path):
@@ -263,23 +268,25 @@ def test_error_names_the_physical_line_after_a_quoted_newline(tmp_path):
     assert message.endswith("line 6: arm must be 0 or 1, got '7'")
 
 
-def read_from_stdin(text, chunk=CSV_CHUNK_ROWS):
+def read_from_stdin(text, chunk=CSV_CHUNK_ROWS, block=SCAN_BLOCK_CHARS):
     """Run read_trial_csv('/dev/stdin') on `text` (str or bytes) through a pipe, in a
-    fresh interpreter.
+    fresh interpreter, with csv chunks of `chunk` records and scan blocks of `block`
+    characters.
 
-    Returns (the dataset as [[id, arm, outcomes]], or None, and stderr).
+    Returns (the clusters as [[id, arm, m, s]], or None, and stderr).
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(crtgee.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
     code = (f"import json, crtgee.cli as cli; cli.CSV_CHUNK_ROWS = {chunk}; "
-            "data = cli.read_trial_csv('/dev/stdin'); "
-            "print(json.dumps([[c.id, c.arm, c.outcomes.tolist()] for c in data.clusters]))")
+            f"cli.SCAN_BLOCK_CHARS = {block}; data = cli.read_trial_csv('/dev/stdin'); "
+            "print(json.dumps([data.ids, data.arm.tolist(), data.m.tolist(), "
+            "data.s.tolist()]))")
     data = text if isinstance(text, bytes) else text.encode()
     done = subprocess.run([sys.executable, "-c", code], input=data, capture_output=True,
                           env=env, timeout=120)
     stdout, stderr = done.stdout.decode(), done.stderr.decode()
-    return (json.loads(stdout) if done.returncode == 0 else None), stderr
+    return (list(map(list, zip(*json.loads(stdout)))) if done.returncode == 0 else None), stderr
 
 
 needs_stdin = pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -296,28 +303,33 @@ def test_a_pipe_is_read_once_and_keeps_the_record_number():
 @needs_stdin
 def test_a_plain_pipe_gives_the_files_dataset(tmp_path):
     lines = csv_lines(trial_rows(5, seed=11))
-    got, stderr = read_from_stdin("".join(line + "\n" for line in lines), chunk=4)
+    got, stderr = read_from_stdin("".join(line + "\n" for line in lines), chunk=4, block=30)
     want = assert_same(write(tmp_path, lines))
-    assert got == [[c.id, c.arm, c.outcomes.tolist()] for c in want.clusters], stderr
+    assert got == list(map(list, cluster_rows(want))), stderr
 
 
 @needs_stdin
 def test_a_pipe_with_an_error_in_its_third_block_keeps_the_record_number(tmp_path):
-    # blocks of 4 lines after the header: the first two are scanned, then
-    # the csv reader takes the rest of the stream from line 10 on
+    # blocks of 28 characters after the header, 4 of these 7-character lines:
+    # the first two are scanned, then the csv reader takes the rest of the
+    # stream from line 10 on
     lines = csv_lines(trial_rows(4, seed=12))
     lines[11] = "c9,1,x"
+    assert {len(line) for line in lines[1:12]} == {6}
     message = assert_same(write(tmp_path, lines))
     assert message.endswith("line 12: outcome must be 0 or 1, got 'x'")
-    got, stderr = read_from_stdin("".join(line + "\n" for line in lines), chunk=4)
+    got, stderr = read_from_stdin("".join(line + "\n" for line in lines), chunk=4, block=28)
     assert got is None
     assert stderr.rstrip().endswith(message.replace(str(tmp_path / "trial.csv"), "/dev/stdin"))
 
 
 def test_a_cell_past_the_field_limit_after_scanned_blocks_names_its_line(tmp_path):
-    # the scan reads the first block, then csv.reader starts on its own line count
-    lines = csv_lines(trial_rows(12, seed=14, mean_size=CSV_CHUNK_ROWS // 4))
-    at = CSV_CHUNK_ROWS + 300
+    # the scan reads the first blocks; a quoted id then hands the rest to
+    # csv.reader, which starts on its own line count
+    lines = csv_lines(trial_rows(12, seed=14, mean_size=SCAN_BLOCK_CHARS // 8))
+    at = len(lines) // 2
+    assert sum(map(len, lines[:at - 300])) > 2 * SCAN_BLOCK_CHARS
+    lines[at - 300] = '"c0",0,1'
     lines[at] = "c" * 200_000 + ",1,0"
     message = assert_same(write(tmp_path, lines))
     assert message.endswith(f"line {at + 1}: field larger than field limit "
@@ -378,14 +390,15 @@ def csv_rows(draw):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(rows=csv_rows(), chunk=st.integers(1, 4))
-def test_any_rows_at_any_chunk_size_match_the_reference(tmp_path_factory, rows, chunk):
+@given(rows=csv_rows(), chunk=st.integers(1, 4), block=st.integers(1, 40))
+def test_any_rows_at_any_chunk_size_match_the_reference(tmp_path_factory, rows, chunk, block):
     path = tmp_path_factory.getbasetemp() / "chunked.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_CSV_HEADER)
         writer.writerows(rows)
-    with mock.patch.object(crtgee.cli, "CSV_CHUNK_ROWS", chunk):
+    with mock.patch.object(crtgee.cli, "CSV_CHUNK_ROWS", chunk), \
+            mock.patch.object(crtgee.cli, "SCAN_BLOCK_CHARS", block):
         assert_same(path)
 
 
@@ -413,18 +426,21 @@ def plain_text(draw):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(text=plain_text(), chunk=st.integers(1, 4))
-def test_plain_lines_at_any_chunk_size_match_the_reference(tmp_path_factory, text, chunk):
+@given(text=plain_text(), chunk=st.integers(1, 4), block=st.integers(1, 80))
+def test_plain_lines_at_any_chunk_size_match_the_reference(tmp_path_factory, text, chunk,
+                                                            block):
     path = tmp_path_factory.getbasetemp() / "plain.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(crtgee.cli, "CSV_CHUNK_ROWS", chunk):
+    with mock.patch.object(crtgee.cli, "CSV_CHUNK_ROWS", chunk), \
+            mock.patch.object(crtgee.cli, "SCAN_BLOCK_CHARS", block):
         assert_same(path)
 
 
 def test_a_plain_file_is_scanned_without_the_csv_reader(tmp_path):
     # written as the benchmark writes its trials: one unquoted row per outcome
-    rows = trial_rows(40, seed=13, mean_size=300)
+    rows = trial_rows(40, seed=13, mean_size=SCAN_BLOCK_CHARS // 24)
     path = write(tmp_path, csv_lines(rows))
+    assert path.stat().st_size > 10 * SCAN_BLOCK_CHARS
     tokenised, tokenise = [], csv.reader
 
     def reader(lines):
@@ -435,5 +451,85 @@ def test_a_plain_file_is_scanned_without_the_csv_reader(tmp_path):
     with mock.patch.object(crtgee.cli.csv, "reader", reader):
         data = read_trial_csv(str(path))
     assert tokenised == [list(TRIAL_CSV_HEADER)]
-    assert data.n_obs == len(rows) > 10 * CSV_CHUNK_ROWS
+    assert data.n_obs == len(rows)
     assert_same(path)
+
+
+# --- block reading: linear, bounded, and the fit it feeds ------------------
+
+
+def block_file(tmp_path, blocks, seed=15):
+    """A plain trial file of 40 clusters at least `blocks` scan blocks long."""
+    rows = trial_rows(40, seed=seed, mean_size=blocks * SCAN_BLOCK_CHARS // 200)
+    path = write(tmp_path, csv_lines(rows))
+    assert path.stat().st_size > blocks * SCAN_BLOCK_CHARS
+    return path
+
+
+def test_each_character_is_read_once(tmp_path):
+    path = block_file(tmp_path, 6)
+    reads = []
+
+    class CountingHandle:
+        """The opened file, recording the length of each read."""
+
+        def __init__(self, handle):
+            self._handle = handle
+
+        def read(self, size=-1):
+            text = self._handle.read(size)
+            reads.append(len(text))
+            return text
+
+        def __getattr__(self, name):
+            return getattr(self._handle, name)
+
+        def __iter__(self):
+            return iter(self._handle)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._handle.__exit__(*exc)
+
+    scan = crtgee.cli._scan_plain
+    with mock.patch.object(crtgee.cli, "open", create=True,
+                           new=lambda *a, **k: CountingHandle(open(*a, **k))), \
+            mock.patch.object(crtgee.cli, "_scan_plain", wraps=scan) as scanned:
+        assert_same(path)
+    assert max(reads) == SCAN_BLOCK_CHARS
+    assert sum(reads) <= path.stat().st_size + SCAN_BLOCK_CHARS
+    # every scan but the last (which finds no whole line) reads a block's lines
+    assert scanned.call_count <= path.stat().st_size // SCAN_BLOCK_CHARS + 2
+
+
+def test_memory_is_one_block_at_any_file_length(tmp_path):
+    path = block_file(tmp_path, 24)
+    read_trial_csv(str(path))
+    tracemalloc.start()
+    try:
+        data = read_trial_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n_clusters == 40
+    assert peak < 16 * SCAN_BLOCK_CHARS < path.stat().st_size / 1.5
+
+
+def test_a_fit_from_the_csv_equals_the_fit_from_the_generated_trial(tmp_path):
+    scenario = Scenario(n_clusters=12, sizes=GammaSize(40, 0.8), pi0=0.3, pi1=0.3,
+                        icc=0.05, replicates=1, seed=2027)
+    trial = generate_trial(scenario, 0)
+    path = write(tmp_path, [HEADER, *(f"{c.id},{c.arm},{int(y)}"
+                                      for c in trial.clusters for y in c.outcomes)])
+    data = read_trial_csv(str(path))
+    assert cluster_rows(data) == [(str(cid), arm, m, s) for cid, arm, m, s in cluster_rows(trial)]
+    for spec in ALL_MODELS:
+        want, got = fit_gee(trial, spec), fit_gee(data, spec)
+        assert got.beta.tolist() == want.beta.tolist()
+        assert (got.alpha_hat, got.phi_hat) == (want.alpha_hat, want.phi_hat)
+        want_se, got_se = compute_estimates(want), compute_estimates(got)
+        assert {k: v.cov.tolist() for k, v in got_se.items()} == \
+            {k: v.cov.tolist() for k, v in want_se.items()}
+        assert list(got_se) == list(ALL_KINDS)
