@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -93,8 +94,10 @@ def read_trial_csv(path):
     block, so the reader's working memory is one block and the clusters'
     counts, at any file length.
 
-    The file is read as text, SCAN_BLOCK_CHARS characters at a time. The
-    whole lines of a block, when plain (`_scan_plain`: unquoted, every
+    The file is read as text, SCAN_BLOCK_CHARS characters at a time, and
+    further while the text read holds no line end and may still start one
+    plain line (at most the csv field size limit plus 6 bytes). The whole
+    lines of a block, when plain (`_scan_plain`: unquoted, every
     line `id,arm,outcome` with bare 0/1 codes and a nonempty id, ending in
     \n or \r\n), are read in one numpy pass over their UTF-8 bytes. From
     the first block that is not plain to the end of the file, records are
@@ -128,11 +131,23 @@ def read_trial_csv(path):
                 )
             next_record = 2
             pending = b""                   # text read but not yet scanned, as UTF-8
+            longest = csv.field_size_limit() + 6    # a plain line: id, then ",a,o\r\n"
             while True:
                 # one block more; a block that is not plain (a lone \r, say, in a
                 # file whose lines hold no \n) hands the rest to the csv path
-                pending += handle.read(SCAN_BLOCK_CHARS).encode()
-                scanned = _scan_plain(pending, ids, arm_of)
+                text = handle.read(SCAN_BLOCK_CHARS)
+                pending += text.encode()
+                block = pending
+                if text and b"\n" not in pending:
+                    # the start of one long line, which may be plain: read on until
+                    # it ends, or the file does, or it cannot be plain, and scan it
+                    # alone, as its id's width sets the scan's memory per line
+                    while (text and b"\n" not in pending and len(pending) <= longest
+                           and b"\r" not in pending[:-1]):
+                        text = handle.read(SCAN_BLOCK_CHARS)
+                        pending += text.encode()
+                    block = pending[:pending.find(b"\n") + 1]
+                scanned = _scan_plain(block, ids, arm_of)
                 if scanned is None:
                     break
                 size, arm_of, index, outcomes = scanned
@@ -861,9 +876,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built on the first `main` call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DataError, UsageError) as err:

@@ -35,13 +35,19 @@ undefined, so its estimating equation has no solution: such a replicate
 fails at once with reason empty_arm, before any scoring pass, under every
 link of the family. The Gaussian family fits it.
 
-fit_block, the entry point, scores a block of R replicates that share their
-clusters' arms at once, on (R, N) arrays. Each iteration is one vectorized
-pass over the replicates still iterating; one more pass at each converged
-beta refreshes (alpha, phi), the weights, scores and leverages. Every
-replicate keeps its own iteration count, step halving and outcome, and no
-row's arithmetic depends on the others, so each fit is bit for bit the fit
-of its replicate alone. fit_gee is a block of one.
+fit_block, the entry point, fits K working models to a block of R
+replicates that share their clusters' arms in one loop: the K R fits are
+the rows of (K R, N) arrays, model-major (model k's fit to replicate r is
+row k R + r). Each iteration is one vectorized pass over the fits still
+iterating; one more pass at each converged beta refreshes (alpha, phi), the
+weights, scores and leverages. Only the per-arm functions depend on the
+model (the link, its inverse and derivative, the variance function, the
+mean's range, the empty-arm rule and the Poisson start clamp), and they
+are dispatched per run of models sharing a link or family, on that run's
+contiguous rows. Every fit keeps its own iteration count, step halving and
+outcome, and no row's arithmetic depends on the others, so each fit is bit
+for bit the fit of its model to its replicate alone. fit_gee is a block of
+one model and one replicate.
 """
 
 from __future__ import annotations
@@ -54,7 +60,6 @@ from .data import TrialDataset
 from .errors import NonConvergenceError
 from .families import (
     Family,
-    ModelSpec,
     link_apply,
     link_inverse,
     link_mu_deriv,
@@ -165,58 +170,113 @@ def _arm_eta(beta):
     return eta
 
 
-def _arm_sums(values, arm):
+def _arm_keys(n_rows, arm):
+    """The bins 2 r + arm_i of the entries of an (n_rows, N) array, row-major."""
+    return (2 * np.arange(n_rows)[:, None] + arm).ravel()
+
+
+def _arm_sums(values, keys):
     """Per row of `values` (R, N), the sums over each arm's clusters, (R, 2).
 
-    One bincount over row-major keys adds each bin's entries in cluster
-    order, as a bincount of the row alone would.
+    `keys` are the rows' `_arm_keys`. One bincount over them adds each
+    bin's entries in cluster order, as a bincount of the row alone would.
     """
     n_rep = len(values)
-    keys = (2 * np.arange(n_rep)[:, None] + arm).ravel()
-    sums = np.bincount(keys, weights=values.ravel(), minlength=2 * n_rep)
-    return sums.reshape(n_rep, 2)
+    return np.bincount(keys, weights=values.ravel(), minlength=2 * n_rep).reshape(n_rep, 2)
+
+
+def _model_runs(models, attr):
+    """The runs of consecutive models sharing `attr` ("link" or "family"):
+    [value, first model, stop model] each."""
+    runs = []
+    for k, model in enumerate(models):
+        value = getattr(model, attr)
+        if runs and runs[-1][0] is value:
+            runs[-1][2] = k + 1
+        else:
+            runs.append([value, k, k + 1])
+    return runs
+
+
+def _by_run(func, runs, x, bounds):
+    """func(value, rows) on each run's rows of `x`, stacked in row order.
+
+    The rows of `x` are model-major, and `bounds` holds the K + 1 bounds of
+    the models' rows. A run without rows is skipped; when a single run
+    holds every row, `x` goes to `func` whole, uncopied.
+    """
+    if len(runs) == 1:
+        return func(runs[0][0], x)
+    parts = [(value, bounds[first], bounds[stop]) for value, first, stop in runs
+             if bounds[stop] > bounds[first]]
+    if len(parts) <= 1:
+        return func(parts[0][0] if parts else runs[0][0], x)
+    return np.concatenate([func(value, x[lo:hi]) for value, lo, hi in parts])
+
+
+def _empty_arm(family, events, n_arm):
+    """Per replicate, whether an arm's mean has no solution under the family:
+    an arm without events (binomial, Poisson) or with only events (binomial)."""
+    if family is Family.GAUSSIAN:
+        return np.zeros(len(events), dtype=bool)
+    empty = (events == 0.0).any(axis=1)
+    if family is Family.BINOMIAL:
+        empty |= (events == n_arm).any(axis=1)
+    return empty
+
+
+def _rows_in_range(family, mu):
+    """Per row of arm means (R, 2), whether both are valid means of the family."""
+    return mean_in_range(family, mu, axis=1)
 
 
 @dataclass
 class FitBlock:
-    """Converged fits of one working model to a block of replicates.
+    """Converged fits of K working models to a block of R replicates.
 
-    A block shares its clusters' arms; `rows` lists the replicates (their
-    positions in the block) whose fit converged, and `errors` maps every
-    other position to its NonConvergenceError. Per-replicate arrays have
-    one entry (or row) per converged replicate, in `rows` order, and the
-    per-cluster arrays one column per cluster, in trial order.
+    A block shares its clusters' arms. Its K R fits are stacked model-major:
+    position k R + r is model k fit to replicate r. `rows` lists the
+    positions whose fit converged, in order, and `errors` maps every other
+    position to its NonConvergenceError. Per-fit arrays have one entry (or
+    row) per converged fit, in `rows` order, and the per-cluster arrays one
+    column per cluster, in trial order.
     """
 
-    spec: ModelSpec
+    models: tuple            # (K,) ModelSpec of each model, in stacking order
+    n_rep: int               # R, the replicates each model is fit to
     arm: np.ndarray          # (N,) arm label
-    rows: np.ndarray         # (R,) positions of the converged replicates
+    rows: np.ndarray         # positions of the converged fits
     errors: dict             # position -> NonConvergenceError
-    beta: np.ndarray         # (R, 2)
-    alpha: np.ndarray        # (R,)
-    phi: np.ndarray          # (R,)
-    clamped: np.ndarray      # (R,) alpha was clamped at some iteration
-    iterations: np.ndarray   # (R,)
-    m: np.ndarray            # (R, N) cluster sizes m_i
-    s: np.ndarray            # (R, N) event counts s_i
-    w: np.ndarray            # (R, N) working weights
-    u: np.ndarray            # (R, N) scores
-    h: np.ndarray            # (R, N) leverages w_i / W_a(i)
-    W: np.ndarray            # (R, 2) working information W_a = sum_{i in a} w_i
+    beta: np.ndarray         # (F, 2)
+    alpha: np.ndarray        # (F,)
+    phi: np.ndarray          # (F,)
+    clamped: np.ndarray      # (F,) alpha was clamped at some iteration
+    iterations: np.ndarray   # (F,)
+    m: np.ndarray            # (F, N) cluster sizes m_i
+    s: np.ndarray            # (F, N) event counts s_i
+    w: np.ndarray            # (F, N) working weights
+    u: np.ndarray            # (F, N) scores
+    h: np.ndarray            # (F, N) leverages w_i / W_a(i)
+    W: np.ndarray            # (F, 2) working information W_a = sum_{i in a} w_i
 
 
-def fit_block(arm, m, s, spec):
-    """Fit the marginal model by Fisher scoring to every replicate of a block.
+def fit_block(arm, m, s, models):
+    """Fit each working model by Fisher scoring to every replicate of a block.
 
     `arm` (N,) holds the clusters' arms, shared by the block; `m` and `s`
-    (R, N) hold each replicate's cluster sizes and event counts. Each
-    replicate keeps its own iteration count, step halving and outcome; a
-    replicate that leaves the loop (converged or failed) drops out of the
-    stacked arrays, and no replicate's arithmetic depends on the others,
-    so every fit equals the fit of its replicate alone.
+    (R, N) hold each replicate's cluster sizes and event counts, and
+    `models` the K ModelSpecs. The K R fits run as the rows of one loop,
+    model-major (see FitBlock). Only the per-arm functions depend on the
+    model: the link, its inverse and derivative, the variance function, the
+    mean's range, the empty-arm rule and the Poisson start clamp. These run
+    once per run of consecutive models sharing the link or family, on that
+    run's contiguous rows. Each fit keeps its own iteration count, step
+    halving and outcome; a fit that leaves the loop (converged or failed)
+    drops out of the stacked arrays, and no fit's arithmetic depends on
+    another's, so every fit equals that of its model and replicate alone.
 
-    A replicate fails (an entry in `errors`) when an arm's mean has no
-    solution (empty_arm, after 0 iterations and with no coefficients), the
+    A fit fails (an entry in `errors`) when an arm's mean has no solution
+    (empty_arm, after 0 iterations and with no coefficients), the
     MAX_ITERATIONS or step-halving budget is exhausted, an arm's working
     information W_a is 0 or not finite, or the final score fails the
     first-order condition; the error carries the iteration count, the last
@@ -226,26 +286,27 @@ def fit_block(arm, m, s, spec):
     arm = np.asarray(arm, dtype=int)
     sizes = np.asarray(m)
     s = np.asarray(s, dtype=float)
+    models = tuple(models)
     n_rep = len(sizes)
-    link, family = spec.link, spec.family
+    links, families = _model_runs(models, "link"), _model_runs(models, "family")
+    # the first position of each model, and the end; positions stay sorted
+    # as fits leave, so a model's rows among them are one slice
+    starts = n_rep * np.arange(len(models) + 1)
     m = sizes.astype(float)
-    events, n_arm = _arm_sums(s, arm), _arm_sums(m, arm)
+    keys = _arm_keys(n_rep, arm)
+    events, n_arm = _arm_sums(s, keys), _arm_sums(m, keys)
 
-    # an arm whose mean has no solution: no events (binomial, Poisson) or
-    # only events (binomial)
-    empty = np.zeros(n_rep, dtype=bool)
-    if family is not Family.GAUSSIAN:
-        empty = (events == 0.0).any(axis=1)
-    if family is Family.BINOMIAL:
-        empty |= (events == n_arm).any(axis=1)
+    empty = np.concatenate([np.tile(_empty_arm(family, events, n_arm), stop - first)
+                            for family, first, stop in families])
     errors = {int(r): NonConvergenceError("empty_arm", 0) for r in np.flatnonzero(empty)}
     # per-replicate constants: sizes, m_i - 1, events, moment terms, alpha bound
     all_consts = [m, m - 1.0, s, *_moment_terms(sizes, 2), _alpha_lower(sizes.max(axis=1))]
 
-    def scoring_pass(eta, mu, clamped, m, m1, s, *terms):
-        """(alpha, phi, clamped, w, u, W, U) at the arm means."""
-        d = link_mu_deriv(link, eta)
-        v = variance_function(family, mu)
+    def scoring_pass(bounds, keys, eta, mu, clamped, m, m1, s, *terms):
+        """(alpha, phi, clamped, w, u, W, U) at the arm means of fits whose
+        models' row bounds are `bounds` and whose arm keys are `keys`."""
+        d = _by_run(link_mu_deriv, links, eta, bounds)
+        v = _by_run(variance_function, families, mu, bounds)
         mu_c = mu[:, arm]
         m_mu = m * mu_c
         resid = s - m_mu
@@ -257,24 +318,31 @@ def fit_block(arm, m, s, spec):
         denom = 1.0 + m1 * alpha[:, None]
         w = (d * d / v)[:, arm] * (m / denom)
         u = (d / v)[:, arm] * (resid / denom)
-        return alpha, phi, clamped | now_clamped, w, u, _arm_sums(w, arm), _arm_sums(u, arm)
+        return alpha, phi, clamped | now_clamped, w, u, _arm_sums(w, keys), _arm_sums(u, keys)
 
-    done_at = np.zeros(n_rep, dtype=int)
-    # beta, eta and clamped of each replicate when it converged
-    final = [np.zeros((n_rep, 2)), np.zeros((n_rep, 2)), np.zeros(n_rep, bool)]
+    n_fits = len(empty)
+    done_at = np.zeros(n_fits, dtype=int)
+    # beta, eta and clamped of each fit when it converged
+    final = [np.zeros((n_fits, 2)), np.zeros((n_fits, 2)), np.zeros(n_fits, bool)]
 
-    # the replicates still iterating (`live`) and their state, compacted as
-    # replicates leave; each starts from its arm proportions on the link
-    # scale, a Poisson arm with only events at 1 - 0.5 / n (n observations)
+    # the fits still iterating (`live`), the bounds of each model's among
+    # them, their arm keys and their state, compacted as fits leave; each
+    # starts from its arm proportions on the link scale, a Poisson arm with
+    # only events at 1 - 0.5 / n (n observations)
     live = np.flatnonzero(~empty)
-    consts = [c[live] for c in all_consts]
-    props = events[live] / n_arm[live]
-    if family is Family.POISSON:
-        props = np.minimum(props, 1.0 - 0.5 / m[live].sum(axis=1)[:, None])
-    g = link_apply(link, props)
+    bounds, keys = live.searchsorted(starts), _arm_keys(live.size, arm)
+    reps = live % n_rep
+    consts = [c[reps] for c in all_consts]
+    props = events[reps] / n_arm[reps]
+    for family, first, stop in families:
+        if family is Family.POISSON:
+            lo, hi = bounds[first], bounds[stop]
+            props[lo:hi] = np.minimum(props[lo:hi],
+                                      1.0 - 0.5 / consts[0][lo:hi].sum(axis=1)[:, None])
+    g = _by_run(link_apply, links, props, bounds)
     beta = np.stack([g[:, 0], g[:, 1] - g[:, 0]], axis=1)
     eta = _arm_eta(beta)
-    mu = link_inverse(link, eta)
+    mu = _by_run(link_inverse, links, eta, bounds)
     clamped = np.zeros(live.size, dtype=bool)
 
     def leave(rows, reason, iterations):
@@ -286,7 +354,7 @@ def fit_block(arm, m, s, spec):
         if live.size == 0:
             break
         staying = np.ones(live.size, dtype=bool)
-        _, _, clamped, _, _, W, U = scoring_pass(eta, mu, clamped, *consts)
+        _, _, clamped, _, _, W, U = scoring_pass(bounds, keys, eta, mu, clamped, *consts)
         if not (np.isfinite(W).all() and np.isfinite(U).all() and W.all()):
             finite = np.isfinite(W).all(axis=1) & np.isfinite(U).all(axis=1)
             singular = finite & ~W.all(axis=1)
@@ -297,18 +365,19 @@ def fit_block(arm, m, s, spec):
         step = U / W
         step[:, 1] -= step[:, 0]
 
-        # step halving, per replicate, until its means are valid
+        # step halving, per fit, until its means are valid
         trial_eta = _arm_eta(beta + step)
-        trial_mu = link_inverse(link, trial_eta)
-        todo = staying & ~mean_in_range(family, trial_mu, axis=1)
+        trial_mu = _by_run(link_inverse, links, trial_eta, bounds)
+        todo = staying & ~_by_run(_rows_in_range, families, trial_mu, bounds)
         eta, mu = trial_eta, trial_mu
         if todo.any():
             todo = np.flatnonzero(todo)
             for _ in range(MAX_STEP_HALVINGS):
                 step[todo] = step[todo] / 2.0
                 trial_eta = _arm_eta(beta[todo] + step[todo])
-                trial_mu = link_inverse(link, trial_eta)
-                ok = mean_in_range(family, trial_mu, axis=1)
+                todo_bounds = live[todo].searchsorted(starts)
+                trial_mu = _by_run(link_inverse, links, trial_eta, todo_bounds)
+                ok = _by_run(_rows_in_range, families, trial_mu, todo_bounds)
                 eta[todo[ok]], mu[todo[ok]] = trial_eta[ok], trial_mu[ok]
                 todo = todo[~ok]
                 if todo.size == 0:
@@ -331,6 +400,7 @@ def fit_block(arm, m, s, spec):
             live, beta, eta, mu = live[staying], beta[staying], eta[staying], mu[staying]
             clamped = clamped[staying]
             consts = [c[staying] for c in consts]
+            bounds, keys = live.searchsorted(starts), _arm_keys(live.size, arm)
 
     for k, r in enumerate(live):
         errors[int(r)] = NonConvergenceError("max_iterations", MAX_ITERATIONS, beta[k])
@@ -339,8 +409,10 @@ def fit_block(arm, m, s, spec):
     # first-order condition
     rows = np.flatnonzero(done_at)
     beta, eta, clamped = (f[rows] for f in final)
+    bounds, reps = rows.searchsorted(starts), rows % n_rep
     alpha, phi, clamped, w, u, W, U = scoring_pass(
-        eta, link_inverse(link, eta), clamped, *(c[rows] for c in all_consts))
+        bounds, _arm_keys(rows.size, arm), eta, _by_run(link_inverse, links, eta, bounds),
+        clamped, *(c[reps] for c in all_consts))
     # X'u = (U_0 + U_1, U_1)
     U[:, 0] += U[:, 1]
     failed = np.abs(U).max(axis=1) >= SCORE_TOL
@@ -348,9 +420,10 @@ def fit_block(arm, m, s, spec):
         r = int(rows[k])
         errors[r] = NonConvergenceError("score_condition_failed", int(done_at[r]), beta[k])
     keep = ~failed
-    rows, w, W = rows[keep], w[keep], W[keep]
+    rows, reps, w, W = rows[keep], reps[keep], w[keep], W[keep]
     return FitBlock(
-        spec=spec,
+        models=models,
+        n_rep=n_rep,
         arm=arm,
         rows=rows,
         errors=errors,
@@ -359,8 +432,8 @@ def fit_block(arm, m, s, spec):
         phi=phi[keep],
         clamped=clamped[keep],
         iterations=done_at[rows],
-        m=sizes[rows],
-        s=s[rows],
+        m=sizes[reps],
+        s=s[reps],
         w=w,
         u=u[keep],
         h=w / W[:, arm],
@@ -378,7 +451,7 @@ def _first_row(name, convert=None, doc=None):
 
 @dataclass
 class GeeFit:
-    """A converged GEE fit: a FitBlock of one replicate and its trial's cluster ids.
+    """A converged GEE fit: a FitBlock of one model and one replicate, and its trial's cluster ids.
 
     Per-cluster arrays hold one entry (or row) per cluster, in `cluster_ids` order.
     """
@@ -386,7 +459,7 @@ class GeeFit:
     cluster_ids: tuple
     block: FitBlock
 
-    spec = property(lambda self: self.block.spec)
+    spec = property(lambda self: self.block.models[0])
     arm = property(lambda self: self.block.arm, doc="arm label")
     beta = _first_row("beta")
     alpha_hat = _first_row("alpha", float)
@@ -440,7 +513,7 @@ def fit_gee(data, spec):
     """
     if isinstance(data, TrialDataset):
         data = data.cluster_sums()
-    block = fit_block(data.arm, data.m[None], data.s[None], spec)
+    block = fit_block(data.arm, data.m[None], data.s[None], (spec,))
     if block.errors:
         raise block.errors[0]
     return GeeFit(cluster_ids=data.ids, block=block)

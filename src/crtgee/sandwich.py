@@ -29,11 +29,14 @@ kept unnormalized; the N-normalized textbook writing differs only by
 cancelling factors of N.
 
 The module has two entry points. estimate_block forms every requested
-kind for a block of converged fits at once, as (R, 2, 2) arrays, and
-records each replicate's failure (an arm without working information, a
+kind for a block of converged fits at once, as (F, 2, 2) arrays, and
+records each fit's failure (an arm without working information, a
 leverage at 1) without stopping the others; AVG is formed there, once, as
-(KC + MD) / 2. compute_estimates is a block of one (a fit_gee fit) that
-raises the failure instead.
+(KC + MD) / 2. Every kind reads only each fit's own row and the shared
+arms, so one call serves the stacked fits of all of a block's working
+models (see crtgee.gee.fit_block), each row as it would be alone.
+compute_estimates is a block of one (a fit_gee fit) that raises the
+failure instead.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .errors import (
     UnsupportedDesignError,
     UsageError,
 )
-from .gee import _arm_sums
+from .gee import _arm_keys, _arm_sums
 
 
 class EstimatorKind(enum.Enum):
@@ -116,10 +119,11 @@ def _beta_cov(var, cross=0.0):
 def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids=None):
     """Covariance estimates of every requested kind for a block of converged fits.
 
-    `fits` is a gee.FitBlock. Returns (covs, diagnostics, errors), each a
-    dict keyed by kind: covs[kind] is (R, 2, 2) with NaN rows where the
-    estimate failed, diagnostics[kind] maps a diagnostic name to an (R,)
-    array, and errors[kind] maps a failing replicate's position among the
+    `fits` is a gee.FitBlock, of one working model or several stacked.
+    Returns (covs, diagnostics, errors), each a dict keyed by kind:
+    covs[kind] is (F, 2, 2), one row per converged fit, with NaN rows where
+    the estimate failed, diagnostics[kind] maps a diagnostic name to an
+    (F,) array, and errors[kind] maps a failing fit's position among the
     fits to its exception (a CorrectionSingularityError names the first
     offending cluster by its id in `cluster_ids`, or its position). AVG
     implies KC and MD, which are returned when requested or implied.
@@ -141,7 +145,8 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
         W[list(bread_errors)] = np.nan
     WW = W * W
     # T_a = sum_{i in a} u_i^2, the robust meat on the eta scale
-    T = _arm_sums(u * u, arm)
+    keys = _arm_keys(len(u), arm)
+    T = _arm_sums(u * u, keys)
     covs, diagnostics, errors = {}, {}, {}
     q_max = h.max(axis=1)
 
@@ -158,7 +163,7 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
                         cid, kind.name, f"I - Q_i eigenvalue {float(gaps[k].min()):.3g}"))
                 gaps = np.where(bad, 1.0, gaps)
             cu = u * gaps ** (-0.5 if kind is EstimatorKind.KC else -1.0)
-            covs[kind] = _beta_cov(_arm_sums(cu * cu, arm) / WW)
+            covs[kind] = _beta_cov(_arm_sums(cu * cu, keys) / WW)
         else:
             factors = 1.0 - np.minimum(fg_bound, h)
             bad = factors <= 0.0

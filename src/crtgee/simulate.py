@@ -14,10 +14,14 @@ its replicates) of at most BLOCK_REPLICATES replicates in all. A cell with
 more replicates is split across blocks, and its last piece may share a block
 with the next cell. Cells sharing N share their arms and the t reference's
 N - 2 degrees of freedom, so a block generates each piece's cluster sizes and
-event counts as (R, N) arrays, stacks them, and fits every working model to
-all of them at once: one vectorized Fisher-scoring loop whose step is one
-scalar U_a / W_a per arm, and every variance estimate formed from per-arm
-sums as an (R, 2, 2) array. A fit rejects the null when |t| = |beta1 / SE|
+event counts as (R, N) arrays, stacks them, and fits, estimates and tests
+every working model on all of them in one pass: the K models' K R fits are
+the rows of one vectorized Fisher-scoring loop, model-major, whose step is
+one scalar U_a / W_a per arm, with the per-arm functions (link, variance,
+range, empty-arm rule) dispatched per model on contiguous row slices; every
+variance estimate is formed from per-arm sums as one (K R, 2, 2) array per
+kind, and each kind's tests are one call. Each model's outcomes are then
+cut from the stacked arrays. A fit rejects the null when |t| = |beta1 / SE|
 exceeds the upper alpha_level/2 quantile of t, computed once per N; no
 p-values are computed. Each replicate's outcome is bit for bit the one it
 has alone, so results depend on neither the packing nor the number of
@@ -43,6 +47,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import multiprocessing
 import signal
 import traceback
@@ -155,10 +160,12 @@ class FactorialGrid:
 
 @dataclass
 class ModelBlock:
-    """One working model's outcomes on a block of replicates, one entry per replicate.
+    """Working-model outcomes on a block of replicates, one entry per fit.
 
-    A replicate whose fit failed has its reason, failing iteration and last
-    coefficients, NaN alpha and phi, and no estimates.
+    A block of one model has one entry per replicate; `_fit_models` stacks
+    several models' entries model-major. A fit that failed has its reason,
+    failing iteration and last coefficients, NaN alpha and phi, and no
+    estimates.
     """
 
     reason: tuple            # non-convergence reason; None for a converged fit
@@ -196,7 +203,9 @@ class ModelBlock:
         )
 
     def take(self, rows):
-        """The replicates in the slice `rows`, as one block."""
+        """The entries in the slice `rows`, as one block: this block when it is all of them."""
+        if rows == slice(0, len(self.reason)):
+            return self
         return ModelBlock(
             reason=self.reason[rows],
             iterations=self.iterations[rows],
@@ -238,24 +247,29 @@ class ScenarioResult:
     diagnostics: dict
 
 
-def _model_block(arm, m, s, model, kinds, fg_bound, alpha_level):
-    """Fit one working model to a block's (m, s), estimate and test: a ModelBlock."""
-    n_rep = len(m)
-    fits = fit_block(arm, m, s, model)
+def _fit_models(arm, m, s, models, kinds, fg_bound, alpha_level):
+    """Fit every working model to a block's (m, s), estimate and test, in one pass.
+
+    Returns one ModelBlock of the K R fits, model-major as in fit_block:
+    model k's outcome on replicate r is entry k R + r.
+    """
+    n_fits = len(models) * len(m)
+    fits = fit_block(arm, m, s, models)
     rows = fits.rows
-    reason = [None] * n_rep
-    iterations = np.zeros(n_rep, dtype=int)
-    beta = np.full((n_rep, 2), np.nan)
+    reason = [None] * n_fits
+    iterations = np.zeros(n_fits, dtype=int)
+    beta = np.full((n_fits, 2), np.nan)
     for r, err in fits.errors.items():
         reason[r], iterations[r] = err.reason, err.iterations
         if err.last_beta is not None:
             beta[r] = err.last_beta
     iterations[rows], beta[rows] = fits.iterations, fits.beta
-    alpha, phi, q_max = (np.full(n_rep, np.nan) for _ in range(3))
+    alpha, phi, q_max = (np.full(n_fits, np.nan) for _ in range(3))
     alpha[rows], phi[rows] = fits.alpha, fits.phi
-    clamped = np.zeros(n_rep, dtype=bool)
+    clamped = np.zeros(n_fits, dtype=bool)
     clamped[rows] = fits.clamped
 
+    # every model's t reference has the same N - 2 degrees of freedom
     covs, _, errors = estimate_block(fits, kinds, fg_bound)
     df = len(arm) - 2
     leverage_evaluated = np.zeros(len(rows), dtype=bool)
@@ -263,15 +277,15 @@ def _model_block(arm, m, s, model, kinds, fg_bound, alpha_level):
     for kind in kinds:
         kind_se, kind_reject, degenerate = wald_reject(
             fits.beta[:, 1], covs[kind][:, 1, 1], df, alpha_level)
-        names = [None] * n_rep
+        names = [None] * n_fits
         for k in np.flatnonzero(degenerate):
             err = errors[kind].get(k)
             names[rows[k]] = "DegenerateVarianceError" if err is None else type(err).__name__
         if kind in _LEVERAGE_KINDS:
             leverage_evaluated |= ~degenerate
-        se[kind] = np.full(n_rep, np.nan)
+        se[kind] = np.full(n_fits, np.nan)
         se[kind][rows] = kind_se
-        reject[kind] = np.zeros(n_rep, dtype=bool)
+        reject[kind] = np.zeros(n_fits, dtype=bool)
         reject[kind][rows] = kind_reject
         failures[kind] = tuple(names)
     q_max[rows[leverage_evaluated]] = fits.h[leverage_evaluated].max(axis=1)
@@ -316,10 +330,11 @@ def _fit_pieces(pieces, models, kinds, fg_bound, alpha_level):
         return [], error
     arm = trial_arms(pieces[0][0].n_clusters)
     m, s = np.concatenate(ms), np.concatenate(ss)
-    fitted = {model.label(): _model_block(arm, m, s, model, kinds, fg_bound, alpha_level)
-              for model in models}
+    fitted = _fit_models(arm, m, s, models, kinds, fg_bound, alpha_level)
+    # model k's entries for the piece ending at replicate `end` of the block
     ends = itertools.accumulate(len(piece) for piece in ms)
-    return [{label: block.take(slice(end - len(piece), end)) for label, block in fitted.items()}
+    return [{model.label(): fitted.take(slice(k * len(m) + end - len(piece), k * len(m) + end))
+             for k, model in enumerate(models)}
             for piece, end in zip(ms, ends)], error
 
 
@@ -355,8 +370,41 @@ def _tally(names, rows):
     return dict(zip(found.tolist(), counts.tolist()))
 
 
+def _kind_summary(kind, ses, rejections, n_conv, esd, means=None):
+    """One kind's EstimatorSummary from its converged fits' SEs, NaN where not evaluated.
+
+    `means`, when given, holds the mean SE and percent bias already formed
+    over `ses`, which then holds no NaN.
+    """
+    if means is None:
+        ses = ses[~np.isnan(ses)]
+        means = (None, None)
+        if ses.size:
+            means = (float(np.mean(ses)), None)
+            if esd is not None and esd > 0.0:
+                means = (means[0], float(np.mean((ses - esd) / esd * 100.0)))
+    type1 = rejections / n_conv if n_conv > 0 and ses.size else None
+    acceptable = None
+    if type1 is not None:
+        acceptable = TYPE1_BAND[0] <= type1 <= TYPE1_BAND[1]
+    return EstimatorSummary(
+        kind=kind,
+        n_eval=int(ses.size),
+        mean_se=means[0],
+        percent_bias=means[1],
+        rejections=rejections,
+        type1_error=type1,
+        acceptable=acceptable,
+    )
+
+
 def aggregate(scenario, model, block, kinds=ALL_KINDS):
-    """Summarize one model's replicates (a ModelBlock) in one cell; converged-only denominators."""
+    """Summarize one model's replicates (a ModelBlock) in one cell; converged-only denominators.
+
+    The converged fits' SEs form one C-contiguous row per kind, and the
+    sums are taken along the rows at once, which gives each row's sum bit
+    for bit; a kind with a NaN SE takes its means over its evaluated SEs alone.
+    """
     n_rep = len(block.reason)
     conv = block.converged
     n_conv = int(conv.sum())
@@ -364,28 +412,22 @@ def aggregate(scenario, model, block, kinds=ALL_KINDS):
     if n_conv >= 2:
         esd = float(np.std(block.beta[conv, -1], ddof=1))
 
-    summaries = {}
-    for kind in kinds:
-        ses = block.se[kind][conv]
-        ses = ses[~np.isnan(ses)]
-        mean_se = float(np.mean(ses)) if ses.size else None
-        pct_bias = None
-        if ses.size and esd is not None and esd > 0.0:
-            pct_bias = float(np.mean((ses - esd) / esd * 100.0))
-        rejections = int(block.reject[kind][conv].sum())
-        type1 = rejections / n_conv if n_conv > 0 and ses.size else None
-        acceptable = None
-        if type1 is not None:
-            acceptable = TYPE1_BAND[0] <= type1 <= TYPE1_BAND[1]
-        summaries[kind] = EstimatorSummary(
-            kind=kind,
-            n_eval=int(ses.size),
-            mean_se=mean_se,
-            percent_bias=pct_bias,
-            rejections=rejections,
-            type1_error=type1,
-            acceptable=acceptable,
-        )
+    kinds = tuple(kinds)
+    shape = (len(kinds), n_rep)
+    ses = np.array([block.se[kind] for kind in kinds]).reshape(shape).compress(conv, axis=1)
+    rejections = np.array([block.reject[kind] for kind in kinds]).reshape(shape)
+    rejections = rejections.compress(conv, axis=1).sum(axis=1).tolist()
+    means = [None] * len(kinds)
+    if n_conv:
+        # np.mean is the sum over the count; an SE is NaN or at least 0, so
+        # a row's mean is NaN exactly when the row holds a NaN
+        mean_se = (ses.sum(axis=1) / n_conv).tolist()
+        pct_bias = [None] * len(kinds)
+        if esd is not None and esd > 0.0:
+            pct_bias = (((ses - esd) / esd * 100.0).sum(axis=1) / n_conv).tolist()
+        means = [None if math.isnan(se) else (se, pct) for se, pct in zip(mean_se, pct_bias)]
+    summaries = {kind: _kind_summary(kind, ses[i], rejections[i], n_conv, esd, means[i])
+                 for i, kind in enumerate(kinds)}
 
     diagnostics = {
         "nonconvergence": _tally(block.reason, ~conv),

@@ -170,19 +170,45 @@ def test_analyze_checks_its_flags_before_reading_the_data(tmp_path, capsys, flag
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def cli_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(crtgee.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_analyze_two_observations_write_no_warning(tmp_path):
     # sum m_i = 2 leaves no degree of freedom for the dispersion
     data = tmp_path / "two.csv"
     write_trial_csv(data, [("a", 0, [1]), ("b", 1, [0])])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(crtgee.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-m", "crtgee.cli", "analyze", "--data", str(data),
          "--family", "gaussian", "--link", "identity"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=cli_env(), timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["fit"]["dispersion"] is None
+
+
+def test_main_calls_in_one_process_equal_separate_processes(tmp_path, capsys):
+    # analyze then simulate through the one parser a process builds, against
+    # each command in its own process: the same exit codes and output bytes
+    data = tmp_path / "trial.csv"
+    write_trial_csv(data, SMALL_TRIAL)
+    config, _ = base_config(tmp_path)
+    analyze = ["analyze", "--data", str(data), "--family", "binomial", "--link", "logit"]
+    simulate = ["simulate", "--config", str(config)]
+    crtgee.cli._parser.cache_clear()
+    with mock.patch.object(crtgee.cli, "build_parser", wraps=crtgee.cli.build_parser) as built:
+        codes = [main(analyze), main(simulate)]
+    assert built.call_count == 1
+    outputs = [capsys.readouterr().out, (tmp_path / "results.csv").read_bytes()]
+    (tmp_path / "results.csv").unlink()
+    separate = [subprocess.run([sys.executable, "-m", "crtgee.cli", *argv], capture_output=True,
+                               text=True, env=cli_env(), timeout=120)
+                for argv in (analyze, simulate)]
+    assert codes == [done.returncode for done in separate] == [0, 0]
+    assert outputs == [separate[0].stdout, (tmp_path / "results.csv").read_bytes()]
 
 
 def test_analyze_z_test_flag(tmp_path):

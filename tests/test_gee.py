@@ -205,6 +205,20 @@ def test_all_event_arm_has_no_binomial_solution_but_a_poisson_one():
             assert fit_gee(data, spec).fitted_arm_means()[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_only_a_poisson_fit_starts_an_all_event_arm_below_one():
+    # replicate 6's control arm has only events; the Gaussian fit starts it
+    # at its proportion, 1, and a start at 1 - 0.5 / n (the Poisson clamp)
+    # would end it at beta_1 = -0.08625931397...
+    sc = Scenario(n_clusters=6, sizes=GammaSize(5, 0.8), pi0=0.8, pi1=0.8, icc=0.05, seed=3)
+    m, s = generate_block(sc, [6])
+    fits = fit_block(trial_arms(6), m, s, ALL_SPECS)
+    gaussian = ALL_SPECS.index(ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
+    assert list(fits.rows) == [ALL_SPECS.index(ModelSpec(Family.POISSON, Link.LOG)),
+                               ALL_SPECS.index(ModelSpec(Family.POISSON, Link.IDENTITY)),
+                               gaussian]
+    assert fits.beta[-1].tolist() == pytest.approx([1.0, -0.08625931369695287], rel=1e-12)
+
+
 def test_nonconvergence_iteration_budget(monkeypatch):
     # unequal cluster sizes keep the one-step solution away from the
     # arm-proportion starting values, so a budget of one must fail
@@ -230,7 +244,7 @@ def test_zero_event_arm_fails_alike_in_every_cluster_order():
         reasons = []
         for arms, orders in by_arms.items():
             m, s = (np.array(a) for a in zip(*orders))
-            block = fit_block(np.array(arms), m, s, spec)
+            block = fit_block(np.array(arms), m, s, (spec,))
             assert block.rows.size == 0
             reasons += [(err.reason, err.iterations) for err in block.errors.values()]
         assert reasons == [("empty_arm", 0)] * 720, spec.label()
@@ -244,7 +258,7 @@ def test_failing_replicate_leaves_the_rest_of_its_block_alone(monkeypatch):
     m, s = generate_block(sc, range(3))
     arm = trial_arms(8)
     spec = ModelSpec(Family.BINOMIAL, Link.LOGIT)
-    alone = fit_block(arm, m[2:], s[2:], spec)
+    alone = fit_block(arm, m[2:], s[2:], (spec,))
     deriv = crtgee.gee.link_mu_deriv
 
     def broken(link, eta):
@@ -254,7 +268,7 @@ def test_failing_replicate_leaves_the_rest_of_its_block_alone(monkeypatch):
         return d
 
     monkeypatch.setattr(crtgee.gee, "link_mu_deriv", broken)
-    block = fit_block(arm, m, s, spec)
+    block = fit_block(arm, m, s, (spec,))
     assert [(block.errors[k].reason, block.errors[k].iterations) for k in (0, 1)] == [
         ("singular_information", 1), ("numerical_breakdown", 1)]
     assert list(block.rows) == [2]

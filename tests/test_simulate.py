@@ -31,6 +31,7 @@ from crtgee import (
     run_grid,
     run_scenario,
 )
+from crtgee.families import link_apply
 
 KINDS3 = (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD)
 
@@ -619,3 +620,151 @@ def test_scenario_results_do_not_depend_on_the_block_size(monkeypatch):
         monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", size)
         got = [result_rows(r) for r in run_scenario(sc, models=ALL_MODELS, kinds=ALL_KINDS)]
         assert got == want, size
+
+
+# --- stacked models: one pass over all working models equals each model alone ---
+
+STACK_DESIGNS = {
+    # (scenario, replicates, reasons the working models' fits must show)
+    "zero-event-arms": (BATCH_DESIGNS["zero-event-arms"][0], range(30), {"empty_arm"}),
+    "alpha-cycle": (*BATCH_DESIGNS["alpha-cycle"], {"max_iterations"}),
+    # replicates with an arm of only events: empty under the binomial
+    # models, the Poisson start clamp under the Poisson ones, neither under
+    # the Gaussian one, whose first row (replicate 6, whose fit the clamp
+    # would move) follows the Poisson models' rows
+    "all-event-arms": (Scenario(n_clusters=6, sizes=GammaSize(5, 0.8), pi0=0.8, pi1=0.8,
+                                icc=0.05, seed=3), [6, 0, 1, 32, 49], {"empty_arm"}),
+    # replicate 24 fails the score condition under three models, 274 and 857
+    # run the budget out under most, and about half have an arm without events
+    "rare-event": (Scenario(n_clusters=8, sizes=GammaSize(10, 1.0), pi0=0.05, pi1=0.05,
+                            icc=0.1, seed=5), [*range(8), 24, 274, 857],
+                   {"empty_arm", "max_iterations", "score_condition_failed"}),
+    # replicate 64's binomial-logit fit exhausts its step halvings
+    "step-halving": (Scenario(n_clusters=6, sizes=GammaSize(20, 0.8), pi0=0.5, pi1=0.5,
+                              icc=0.3, seed=7), range(60, 70), {"step_halving_exhausted"}),
+}
+
+FIT_FIELDS = ("beta", "alpha", "phi", "clamped", "iterations", "m", "s", "w", "u", "h", "W")
+
+
+def stack_inputs(design):
+    sc, reps, reasons = STACK_DESIGNS[design]
+    m, s = crtgee.simulate.generate_block(sc, reps)
+    return crtgee.simulate.trial_arms(sc.n_clusters), m, s, reasons
+
+
+def model_fits(fits, k):
+    """Model k's fits of a stacked FitBlock, by replicate: (converged fields, errors)."""
+    n_rep = fits.n_rep
+    mine = fits.rows // n_rep == k
+    fields = {name: bits(getattr(fits, name)[mine]) for name in FIT_FIELDS}
+    fields["rows"] = (fits.rows[mine] - k * n_rep).tolist()
+    errors = {p - k * n_rep: (err.reason, err.iterations,
+                              None if err.last_beta is None else bits(err.last_beta))
+              for p, err in fits.errors.items() if p // n_rep == k}
+    return fields, errors
+
+
+def model_entries(stacked, k, n_rep):
+    """Model k's entries of a stacked ModelBlock, each field as comparable values."""
+    got = stacked.take(slice(k * n_rep, (k + 1) * n_rep))
+    return {
+        "reason": got.reason, "iterations": got.iterations.tolist(), "beta": bits(got.beta),
+        "alpha": bits(got.alpha), "phi": bits(got.phi), "q_max": bits(got.q_max),
+        "alpha_clamped": got.alpha_clamped.tolist(),
+        **{("se", kind): bits(v) for kind, v in got.se.items()},
+        **{("reject", kind): v.tolist() for kind, v in got.reject.items()},
+        **{("failures", kind): v for kind, v in got.failures.items()},
+    }
+
+
+def fit_models(arm, m, s, models):
+    return crtgee.simulate._fit_models(arm, m, s, models, ALL_KINDS,
+                                       crtgee.simulate.DEFAULT_FG_BOUND,
+                                       crtgee.simulate.ALPHA_LEVEL)
+
+
+def assert_stack_equals_each_model_alone(arm, m, s, models):
+    """fit_block and the estimates and tests of a stack of models equal each model's alone."""
+    fits = crtgee.gee.fit_block(arm, m, s, models)
+    stacked = fit_models(arm, m, s, models)
+    assert fits.models == tuple(models) and len(stacked.reason) == len(models) * len(m)
+    reasons = set()
+    for k, model in enumerate(models):
+        alone = crtgee.gee.fit_block(arm, m, s, (model,))
+        assert model_fits(fits, k) == model_fits(alone, 0), model.label()
+        assert model_entries(stacked, k, len(m)) == model_entries(
+            fit_models(arm, m, s, (model,)), 0, len(m)), model.label()
+        reasons.update(err.reason for err in alone.errors.values())
+    return reasons
+
+
+@pytest.mark.parametrize("design", sorted(STACK_DESIGNS))
+def test_stacked_models_equal_each_model_alone(design):
+    arm, m, s, want = stack_inputs(design)
+    for models in (ALL_MODELS, ALL_MODELS[::-1]):
+        reasons = assert_stack_equals_each_model_alone(arm, m, s, models)
+        assert want <= reasons, reasons
+
+
+def test_any_subset_of_models_stacks_as_its_models_alone():
+    arm, m, s, _ = stack_inputs("rare-event")
+    for models in ((ALL_MODELS[2], ALL_MODELS[0]), ALL_MODELS[3:], ALL_MODELS[::2],
+                   (ALL_MODELS[5], ALL_MODELS[1], ALL_MODELS[4])):
+        assert_stack_equals_each_model_alone(arm, m, s, models)
+
+
+def test_stacked_models_equal_each_model_alone_with_singular_information(monkeypatch):
+    # the control arm of replicates 1 and 4 gets no working information at
+    # its starting mean, under every link: those fits fail in their first
+    # pass as singular_information, in the stack as alone
+    arm, m, s, _ = stack_inputs("alpha-cycle")
+    events = np.stack([(s[r] * (arm == 0)).sum() / (m[r] * (arm == 0)).sum() for r in (1, 4)])
+    starts = np.concatenate([link_apply(link, events) for link in Link])
+    deriv = crtgee.gee.link_mu_deriv
+
+    def no_information_at_start(link, eta):
+        d = deriv(link, eta)
+        d[np.isin(eta[:, 0], starts), 0] = 0.0
+        return d
+
+    monkeypatch.setattr(crtgee.gee, "link_mu_deriv", no_information_at_start)
+    reasons = assert_stack_equals_each_model_alone(arm, m, s, ALL_MODELS)
+    assert "singular_information" in reasons
+    fits = crtgee.gee.fit_block(arm, m, s, ALL_MODELS)
+    failed = {(p // fits.n_rep, p % fits.n_rep) for p, err in fits.errors.items()
+              if err.reason == "singular_information"}
+    assert {r for _, r in failed} == {1, 4}
+
+
+def test_aggregate_equals_the_per_kind_path_with_nan_ses():
+    # the rare-event design's blocks hold failed fits and NaN SEs: each
+    # kind's summary equals that kind's summary formed alone, bit for bit
+    sc, reps, _ = STACK_DESIGNS["rare-event"]
+    fitted = run_block(sc, list(range(40)), models=ALL_MODELS, kinds=ALL_KINDS)
+    nan_kinds = set()
+    for model in ALL_MODELS:
+        got = fitted[model.label()]
+        conv = got.converged
+        n_conv = int(conv.sum())
+        esd = float(np.std(got.beta[conv, -1], ddof=1))
+        result = aggregate(sc, model, got, ALL_KINDS)
+        for kind in ALL_KINDS:
+            ses = got.se[kind][conv]
+            nan_kinds.update([kind] if np.isnan(ses).any() else [])
+            want = crtgee.simulate._kind_summary(
+                kind, ses, int(got.reject[kind][conv].sum()), n_conv, esd)
+            assert result.estimators[kind] == want, (model.label(), kind)
+            assert bits([result.estimators[kind].mean_se]) == bits([want.mean_se])
+    # a block of hand-made NaN SEs: the per-kind path is taken for the kind
+    # with a NaN, the stacked means for the others
+    records = [(None, 0.1, {EstimatorKind.KC: (0.2, False), EstimatorKind.MD: (0.3, True)}),
+               (None, -0.2, {EstimatorKind.KC: (0.25, True), EstimatorKind.MD: "SingularityError"}),
+               ("empty_arm", None, {}),
+               (None, 0.05, {EstimatorKind.KC: (0.1 / 3, False), EstimatorKind.MD: (0.7, False)})]
+    kinds = (EstimatorKind.KC, EstimatorKind.MD)
+    result = aggregate(scenario(), ALL_MODELS[0], block(records, kinds), kinds)
+    kc, md = result.estimators[EstimatorKind.KC], result.estimators[EstimatorKind.MD]
+    assert (kc.n_eval, md.n_eval) == (3, 2)
+    assert md.mean_se == 0.5 and kc.mean_se == float(np.mean([0.2, 0.25, 0.1 / 3]))
+    assert nan_kinds

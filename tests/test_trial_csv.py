@@ -436,11 +436,8 @@ def test_plain_lines_at_any_chunk_size_match_the_reference(tmp_path_factory, tex
         assert_same(path)
 
 
-def test_a_plain_file_is_scanned_without_the_csv_reader(tmp_path):
-    # written as the benchmark writes its trials: one unquoted row per outcome
-    rows = trial_rows(40, seed=13, mean_size=SCAN_BLOCK_CHARS // 24)
-    path = write(tmp_path, csv_lines(rows))
-    assert path.stat().st_size > 10 * SCAN_BLOCK_CHARS
+def tokenised_records(path):
+    """(what read_trial_csv returns, the records csv.reader tokenised on the way)."""
     tokenised, tokenise = [], csv.reader
 
     def reader(lines):
@@ -449,10 +446,52 @@ def test_a_plain_file_is_scanned_without_the_csv_reader(tmp_path):
             yield record
 
     with mock.patch.object(crtgee.cli.csv, "reader", reader):
-        data = read_trial_csv(str(path))
+        return read_trial_csv(str(path)), tokenised
+
+
+def test_a_plain_file_is_scanned_without_the_csv_reader(tmp_path):
+    # written as the benchmark writes its trials: one unquoted row per outcome
+    rows = trial_rows(40, seed=13, mean_size=SCAN_BLOCK_CHARS // 24)
+    path = write(tmp_path, csv_lines(rows))
+    assert path.stat().st_size > 10 * SCAN_BLOCK_CHARS
+    data, tokenised = tokenised_records(path)
     assert tokenised == [list(TRIAL_CSV_HEADER)]
     assert data.n_obs == len(rows)
     assert_same(path)
+
+
+def test_lines_after_a_plain_line_longer_than_a_block_are_scanned(tmp_path, capsys):
+    # a 70,000-character id (past one scan block, within the csv field
+    # limit) on line 2: the scan reads on to its line end, and every row
+    # after it is scanned too
+    long_id = "k" * 70_000
+    rows = [(long_id, 1, 1), *trial_rows(40, seed=16, mean_size=SCAN_BLOCK_CHARS // 40)]
+    path = write(tmp_path, csv_lines(rows))
+    assert path.stat().st_size > 4 * SCAN_BLOCK_CHARS
+    data, tokenised = tokenised_records(path)
+    assert tokenised == [list(TRIAL_CSV_HEADER)]
+    assert data.ids[0] == long_id and data.n_obs == len(rows)
+    assert_same(path)
+    # the analyze report is the one the csv path alone gives, byte for byte
+    argv = ["analyze", "--data", str(path), "--family", "binomial", "--link", "logit"]
+    assert crtgee.cli.main(argv) == 0
+    scanned = capsys.readouterr().out
+    with mock.patch.object(crtgee.cli, "_scan_plain", return_value=None):
+        assert crtgee.cli.main(argv) == 0
+    assert capsys.readouterr().out == scanned
+
+
+def test_a_line_too_long_to_be_plain_is_read_no_further_than_the_longest_plain_line(tmp_path):
+    # an id past the csv field limit is an error of the csv path; the scan
+    # stops reading it one block past the longest line it could accept
+    limit = csv.field_size_limit()
+    path = write(tmp_path, csv_lines([("k" * (3 * limit), 0, 1), ("c1", 1, 0)]))
+    scan = crtgee.cli._scan_plain
+    with mock.patch.object(crtgee.cli, "_scan_plain", wraps=scan) as scanned:
+        message = assert_same(path)
+    assert "field larger than field limit" in message
+    assert max(len(call.args[0]) for call in scanned.call_args_list) <= (
+        limit + 6 + SCAN_BLOCK_CHARS)
 
 
 # --- block reading: linear, bounded, and the fit it feeds ------------------
