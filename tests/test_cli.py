@@ -364,6 +364,19 @@ def test_analyze_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def assert_cannot_write(capsys, path):
+    """The command's stderr is one `error: cannot write` line naming `path`."""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+
+
+def test_analyze_unwritable_out_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "report.json"
+    code, doc = run_analyze(tmp_path, out_name=out.relative_to(tmp_path))
+    assert (code, doc) == (1, None)
+    assert_cannot_write(capsys, out)
+
+
 def base_config(tmp_path, **overrides):
     doc = {
         "seed": 2026,
@@ -553,6 +566,13 @@ def test_simulate_bad_json(tmp_path, capsys):
     config.write_text("{not json")
     assert main(["simulate", "--config", str(config)]) == 1
     assert "JSON" in capsys.readouterr().err
+
+
+def test_simulate_unwritable_output_is_an_error_line_before_any_cell(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "results.csv"
+    config, _ = base_config(tmp_path, output=str(out))
+    assert main(["simulate", "--config", str(config)]) == 1
+    assert_cannot_write(capsys, out)         # and no cell's progress line
 
 
 def test_config_size_entries(tmp_path):
@@ -751,6 +771,16 @@ def test_report_stdout_default(tmp_path, capsys):
     assert main(["report", "--results", str(results)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("estimator,")
+
+
+def test_report_unwritable_out_is_an_error_line(tmp_path, capsys):
+    results = simulated_results(
+        tmp_path, n_clusters=[6], icc=[0.05], models=["gaussian-identity"], replicates=6,
+    )
+    capsys.readouterr()
+    out = tmp_path / "no" / "such" / "summary.csv"
+    assert main(["report", "--results", str(results), "--out", str(out)]) == 1
+    assert_cannot_write(capsys, out)
 
 
 def test_simulate_resume_rejects_rows_of_another_grid(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""The trial CSV reader (a numpy scan of plain blocks, then a column-wise csv path)
-against the per-row parser it replaced.
+"""The trial CSV reader (a numpy scan of plain blocks, then a csv path checking one
+record at a time) against the per-row parser it replaced.
 
 `reference_read_trial_csv` is that parser, kept here as an independent
 reference: every input must give the same per-cluster (id, arm, m, s) as
@@ -24,9 +24,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crtgee.cli
+import crtgee.trialcsv
 from crtgee import (ALL_KINDS, ALL_MODELS, Cluster, DataError, GammaSize, Scenario,
                     TrialDataset, compute_estimates, fit_gee, generate_trial)
-from crtgee.cli import CSV_CHUNK_ROWS, SCAN_BLOCK_CHARS, TRIAL_CSV_HEADER, read_trial_csv
+from crtgee.trialcsv import SCAN_BLOCK_CHARS, TRIAL_CSV_HEADER, read_trial_csv
 
 HEADER = ",".join(TRIAL_CSV_HEADER)
 
@@ -174,8 +175,8 @@ def test_a_file_without_newlines_is_not_read_whole_before_the_csv_reader(tmp_pat
     lines = csv_lines(trial_rows(40, seed=14, mean_size=SCAN_BLOCK_CHARS // 32))
     path = write(tmp_path, lines, newline="\r")
     assert path.stat().st_size > 8 * SCAN_BLOCK_CHARS
-    scan = crtgee.cli._scan_plain
-    with mock.patch.object(crtgee.cli, "_scan_plain", wraps=scan) as scanned:
+    scan = crtgee.trialcsv._scan_plain
+    with mock.patch.object(crtgee.trialcsv, "_scan_plain", wraps=scan) as scanned:
         assert_same(path)
     assert max(len(call.args[0]) for call in scanned.call_args_list) < path.stat().st_size / 4
 
@@ -188,15 +189,17 @@ def test_blank_and_whitespace_only_rows(tmp_path):
 
 
 def test_file_longer_than_two_chunks_with_a_cluster_across_a_boundary(tmp_path):
-    rows = trial_rows(6, seed=5, mean_size=CSV_CHUNK_ROWS // 2)
-    # one cluster's rows straddle the end of the first chunk (record 1 is the header)
-    straddle = [("wide", 1, k % 2) for k in range(40)]
-    at = CSV_CHUNK_ROWS - 20
-    rows = rows[:at] + straddle + rows[at:]
-    rows += trial_rows(3, seed=6, mean_size=CSV_CHUNK_ROWS // 2)
-    assert len(rows) > 2 * CSV_CHUNK_ROWS
+    # cluster "wide" starts in the scanned blocks and goes on past a blank row,
+    # which hands the rest of the file to the csv path
+    rows = trial_rows(6, seed=5, mean_size=SCAN_BLOCK_CHARS // 8)
+    wide = [("wide", 1, k % 2) for k in range(40)]
+    at = len(rows) // 2
+    rows = rows[:20] + wide[:20] + rows[20:at] + wide[20:] + rows[at:]
+    rows += trial_rows(3, seed=6, mean_size=512)
     lines = csv_lines(rows)
-    lines.insert(CSV_CHUNK_ROWS + 5, "")     # a blank row shifts the later records
+    blank = at + 20 + 1 + 5                  # between rows of "wide" read by the csv path
+    assert sum(map(len, lines[:blank])) > 2 * SCAN_BLOCK_CHARS and len(rows) > 2048
+    lines.insert(blank, "")                  # a blank row shifts the later records
     data = assert_same(write(tmp_path, lines))
     wide = data.ids.index("wide")
     assert (data.m[wide], data.s[wide]) == (40, 20)
@@ -207,6 +210,25 @@ def test_ids_alike_in_their_first_eight_bytes_stay_apart(tmp_path):
             ("site-01234567", 1, 1), ("b", 0, 1), ("site-0123456789 ", 1, 0)]
     data = assert_same(write(tmp_path, csv_lines(rows)))
     assert list(data.ids) == ["site-0123456789", "site-0123456780", "site-01234567", "b"]
+
+
+@pytest.mark.skipif(codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+                    reason="needs a UTF-8 locale")
+@pytest.mark.parametrize("style", ["plain", "quoted ids", "quoted header and ids"])
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, style):
+    # as Excel's "CSV UTF-8" writes it; a bad row keeps its line number
+    rows = trial_rows(8, seed=18)
+    header = HEADER if style != "quoted header and ids" else '"cluster_id","arm","outcome"'
+    cell = "{}" if style == "plain" else '"{}"'
+    lines = [header, *(f"{cell.format(cid)},{arm},{y}" for cid, arm, y in rows)]
+    original = write(tmp_path, lines)
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + original.read_bytes())
+    assert cluster_rows(read_trial_csv(str(marked))) == cluster_rows(assert_same(original))
+    bad = write(tmp_path, [*lines[:5], "c1,1,x", *lines[5:]])
+    marked.write_bytes(codecs.BOM_UTF8 + bad.read_bytes())
+    with pytest.raises(DataError, match=r"bom\.csv: line 6: outcome must be 0 or 1"):
+        read_trial_csv(str(marked))
 
 
 def test_a_nul_byte_is_left_to_the_csv_reader(tmp_path):
@@ -268,18 +290,17 @@ def test_error_names_the_physical_line_after_a_quoted_newline(tmp_path):
     assert message.endswith("line 6: arm must be 0 or 1, got '7'")
 
 
-def read_from_stdin(text, chunk=CSV_CHUNK_ROWS, block=SCAN_BLOCK_CHARS):
+def read_from_stdin(text, block=SCAN_BLOCK_CHARS):
     """Run read_trial_csv('/dev/stdin') on `text` (str or bytes) through a pipe, in a
-    fresh interpreter, with csv chunks of `chunk` records and scan blocks of `block`
-    characters.
+    fresh interpreter, with scan blocks of `block` characters.
 
     Returns (the clusters as [[id, arm, m, s]], or None, and stderr).
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(crtgee.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
-    code = (f"import json, crtgee.cli as cli; cli.CSV_CHUNK_ROWS = {chunk}; "
-            f"cli.SCAN_BLOCK_CHARS = {block}; data = cli.read_trial_csv('/dev/stdin'); "
+        p for p in (str(Path(crtgee.trialcsv.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    code = (f"import json, crtgee.trialcsv as reader; reader.SCAN_BLOCK_CHARS = {block}; "
+            "data = reader.read_trial_csv('/dev/stdin'); "
             "print(json.dumps([data.ids, data.arm.tolist(), data.m.tolist(), "
             "data.s.tolist()]))")
     data = text if isinstance(text, bytes) else text.encode()
@@ -294,16 +315,27 @@ needs_stdin = pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs
 
 @needs_stdin
 def test_a_pipe_is_read_once_and_keeps_the_record_number():
-    # a pipe cannot be read again to find the line a record starts on
+    # each record is one line here, so its record number is its line
     text = "\n".join([HEADER, "a,0,1", "b,1,1", "b,7,1"]) + "\n"
     _, stderr = read_from_stdin(text)
     assert "/dev/stdin: line 4: arm must be 0 or 1, got '7'" in stderr
 
 
 @needs_stdin
+def test_a_pipe_names_the_physical_line_after_a_quoted_newline(tmp_path):
+    # record 2 spans lines 2-3, so the bad arm of record 4 is on line 5
+    lines = [HEADER, '"a\nb",0,1', "c,1,0", "c,7,1"]
+    message = assert_same(write(tmp_path, lines))
+    assert message.endswith("line 5: arm must be 0 or 1, got '7'")
+    got, stderr = read_from_stdin("".join(line + "\n" for line in lines))
+    assert got is None
+    assert stderr.rstrip().endswith(message.replace(str(tmp_path / "trial.csv"), "/dev/stdin"))
+
+
+@needs_stdin
 def test_a_plain_pipe_gives_the_files_dataset(tmp_path):
     lines = csv_lines(trial_rows(5, seed=11))
-    got, stderr = read_from_stdin("".join(line + "\n" for line in lines), chunk=4, block=30)
+    got, stderr = read_from_stdin("".join(line + "\n" for line in lines), block=30)
     want = assert_same(write(tmp_path, lines))
     assert got == list(map(list, cluster_rows(want))), stderr
 
@@ -318,7 +350,7 @@ def test_a_pipe_with_an_error_in_its_third_block_keeps_the_record_number(tmp_pat
     assert {len(line) for line in lines[1:12]} == {6}
     message = assert_same(write(tmp_path, lines))
     assert message.endswith("line 12: outcome must be 0 or 1, got 'x'")
-    got, stderr = read_from_stdin("".join(line + "\n" for line in lines), chunk=4, block=28)
+    got, stderr = read_from_stdin("".join(line + "\n" for line in lines), block=28)
     assert got is None
     assert stderr.rstrip().endswith(message.replace(str(tmp_path / "trial.csv"), "/dev/stdin"))
 
@@ -352,26 +384,30 @@ def test_missing_file_is_a_data_error(tmp_path):
 
 
 def test_conflicting_arm_first_seen_in_a_later_chunk(tmp_path):
-    rows = trial_rows(8, seed=7, mean_size=CSV_CHUNK_ROWS // 3)
-    assert len(rows) > 2 * CSV_CHUNK_ROWS
+    # the cluster's arm comes from the scanned blocks, the conflict from the
+    # csv path, over 2048 records later
+    rows = trial_rows(8, seed=7, mean_size=SCAN_BLOCK_CHARS // 16)
     cid, arm, _ = rows[0]
     lines = csv_lines(rows)
-    at = 2 * CSV_CHUNK_ROWS + 10
+    at = 3 * len(lines) // 4
+    assert sum(map(len, lines[:at])) > 2 * SCAN_BLOCK_CHARS and at > 2048
     lines.insert(at, f"{cid},{1 - arm},1")
     message = assert_same(write(tmp_path, lines))
     assert f"line {at + 1}: cluster '{cid}' appears in both arms" in message
 
 
 def test_error_in_a_later_chunk_after_blank_rows(tmp_path):
-    lines = csv_lines(trial_rows(6, seed=8, mean_size=CSV_CHUNK_ROWS // 2))
-    lines[CSV_CHUNK_ROWS - 3 : CSV_CHUNK_ROWS - 3] = ["", "  ", ""]
-    at = CSV_CHUNK_ROWS + 40
+    # blank rows make the csv path read the file; the error is past record 2048
+    lines = csv_lines(trial_rows(6, seed=8, mean_size=512))
+    lines[1000:1000] = ["", "  ", ""]
+    at = 2100
+    assert len(lines) > at
     lines[at] = "c0,0,2"
     message = assert_same(write(tmp_path, lines))
     assert f"line {at + 1}: outcome must be 0 or 1" in message
 
 
-# --- every mix of cells across chunk boundaries ----------------------------
+# --- every mix of cells across block boundaries ----------------------------
 
 
 @st.composite
@@ -390,15 +426,14 @@ def csv_rows(draw):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(rows=csv_rows(), chunk=st.integers(1, 4), block=st.integers(1, 40))
-def test_any_rows_at_any_chunk_size_match_the_reference(tmp_path_factory, rows, chunk, block):
-    path = tmp_path_factory.getbasetemp() / "chunked.csv"
+@given(rows=csv_rows(), block=st.integers(1, 40))
+def test_any_rows_at_any_chunk_size_match_the_reference(tmp_path_factory, rows, block):
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_CSV_HEADER)
         writer.writerows(rows)
-    with mock.patch.object(crtgee.cli, "CSV_CHUNK_ROWS", chunk), \
-            mock.patch.object(crtgee.cli, "SCAN_BLOCK_CHARS", block):
+    with mock.patch.object(crtgee.trialcsv, "SCAN_BLOCK_CHARS", block):
         assert_same(path)
 
 
@@ -426,13 +461,11 @@ def plain_text(draw):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(text=plain_text(), chunk=st.integers(1, 4), block=st.integers(1, 80))
-def test_plain_lines_at_any_chunk_size_match_the_reference(tmp_path_factory, text, chunk,
-                                                            block):
+@given(text=plain_text(), block=st.integers(1, 80))
+def test_plain_lines_at_any_chunk_size_match_the_reference(tmp_path_factory, text, block):
     path = tmp_path_factory.getbasetemp() / "plain.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(crtgee.cli, "CSV_CHUNK_ROWS", chunk), \
-            mock.patch.object(crtgee.cli, "SCAN_BLOCK_CHARS", block):
+    with mock.patch.object(crtgee.trialcsv, "SCAN_BLOCK_CHARS", block):
         assert_same(path)
 
 
@@ -440,12 +473,25 @@ def tokenised_records(path):
     """(what read_trial_csv returns, the records csv.reader tokenised on the way)."""
     tokenised, tokenise = [], csv.reader
 
-    def reader(lines):
-        for record in tokenise(lines):
-            tokenised.append(record)
-            yield record
+    class Reader:
+        """csv.reader, recording each record it yields."""
 
-    with mock.patch.object(crtgee.cli.csv, "reader", reader):
+        def __init__(self, lines):
+            self._reader = tokenise(lines)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            record = next(self._reader)
+            tokenised.append(record)
+            return record
+
+        @property
+        def line_num(self):
+            return self._reader.line_num
+
+    with mock.patch.object(crtgee.trialcsv.csv, "reader", Reader):
         return read_trial_csv(str(path)), tokenised
 
 
@@ -476,7 +522,7 @@ def test_lines_after_a_plain_line_longer_than_a_block_are_scanned(tmp_path, caps
     argv = ["analyze", "--data", str(path), "--family", "binomial", "--link", "logit"]
     assert crtgee.cli.main(argv) == 0
     scanned = capsys.readouterr().out
-    with mock.patch.object(crtgee.cli, "_scan_plain", return_value=None):
+    with mock.patch.object(crtgee.trialcsv, "_scan_plain", return_value=None):
         assert crtgee.cli.main(argv) == 0
     assert capsys.readouterr().out == scanned
 
@@ -486,8 +532,8 @@ def test_a_line_too_long_to_be_plain_is_read_no_further_than_the_longest_plain_l
     # stops reading it one block past the longest line it could accept
     limit = csv.field_size_limit()
     path = write(tmp_path, csv_lines([("k" * (3 * limit), 0, 1), ("c1", 1, 0)]))
-    scan = crtgee.cli._scan_plain
-    with mock.patch.object(crtgee.cli, "_scan_plain", wraps=scan) as scanned:
+    scan = crtgee.trialcsv._scan_plain
+    with mock.patch.object(crtgee.trialcsv, "_scan_plain", wraps=scan) as scanned:
         message = assert_same(path)
     assert "field larger than field limit" in message
     assert max(len(call.args[0]) for call in scanned.call_args_list) <= (
@@ -505,42 +551,84 @@ def block_file(tmp_path, blocks, seed=15):
     return path
 
 
+class CountingHandle:
+    """An opened file, recording the length of each read (by `read`, `readline` or
+    iteration) in `reads`."""
+
+    def __init__(self, handle, reads):
+        self._handle, self._reads = handle, reads
+
+    def read(self, size=-1):
+        text = self._handle.read(size)
+        self._reads.append(len(text))
+        return text
+
+    def readline(self, size=-1):
+        text = self._handle.readline(size)
+        self._reads.append(len(text))
+        return text
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self._handle)
+        self._reads.append(len(line))
+        return line
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._handle.__exit__(*exc)
+
+
+def counted_reads(path):
+    """(read_trial_csv's ClusterSums or DataError message, each path the reader
+    opened, the length of each read it made)."""
+    opened, reads = [], []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return CountingHandle(open(file, *args, **kwargs), reads)
+
+    with mock.patch.object(crtgee.trialcsv, "open", create=True, new=counting_open):
+        try:
+            got = read_trial_csv(str(path))
+        except DataError as err:
+            got = str(err)
+    return got, opened, reads
+
+
 def test_each_character_is_read_once(tmp_path):
     path = block_file(tmp_path, 6)
-    reads = []
-
-    class CountingHandle:
-        """The opened file, recording the length of each read."""
-
-        def __init__(self, handle):
-            self._handle = handle
-
-        def read(self, size=-1):
-            text = self._handle.read(size)
-            reads.append(len(text))
-            return text
-
-        def __getattr__(self, name):
-            return getattr(self._handle, name)
-
-        def __iter__(self):
-            return iter(self._handle)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return self._handle.__exit__(*exc)
-
-    scan = crtgee.cli._scan_plain
-    with mock.patch.object(crtgee.cli, "open", create=True,
-                           new=lambda *a, **k: CountingHandle(open(*a, **k))), \
-            mock.patch.object(crtgee.cli, "_scan_plain", wraps=scan) as scanned:
-        assert_same(path)
+    scan = crtgee.trialcsv._scan_plain
+    with mock.patch.object(crtgee.trialcsv, "_scan_plain", wraps=scan) as scanned:
+        _, opened, reads = counted_reads(path)
+    assert opened == [str(path)]
     assert max(reads) == SCAN_BLOCK_CHARS
     assert sum(reads) <= path.stat().st_size + SCAN_BLOCK_CHARS
     # every scan but the last (which finds no whole line) reads a block's lines
     assert scanned.call_count <= path.stat().st_size // SCAN_BLOCK_CHARS + 2
+    assert_same(path)
+
+
+def test_an_error_near_the_end_of_the_csv_path_is_found_in_one_read(tmp_path):
+    # quoted ids send the whole file down the csv path; the line of its bad row
+    # is counted on the way, not found by reading the file again
+    rows = trial_rows(12, seed=17, mean_size=SCAN_BLOCK_CHARS // 16)
+    lines = [HEADER, *(f'"{cid}",{arm},{y}' for cid, arm, y in rows)]
+    lines[-10] = '"c0",0,x'
+    path = write(tmp_path, lines)
+    assert path.stat().st_size > 4 * SCAN_BLOCK_CHARS
+    message, opened, reads = counted_reads(path)
+    assert message == assert_same(path)
+    assert message.endswith(f"line {len(lines) - 9}: outcome must be 0 or 1, got 'x'")
+    assert opened == [str(path)]
+    assert sum(reads) <= path.stat().st_size
 
 
 def test_memory_is_one_block_at_any_file_length(tmp_path):
