@@ -14,6 +14,7 @@ from .datagen import (
     gamma_cluster_sizes,
     generate_block,
     generate_clusters,
+    generate_pieces,
     generate_trial,
     qaqish_coeff,
     substream,
@@ -121,6 +122,7 @@ __all__ = [
     "gamma_cluster_sizes",
     "generate_block",
     "generate_clusters",
+    "generate_pieces",
     "generate_trial",
     "MULTIPLICATIVE_KINDS",
     "parse_family",

@@ -45,7 +45,6 @@ from .simulate import (
     TYPE1_BAND,
     FactorialGrid,
     design_row,
-    result_rows,
     run_grid,
 )
 from .datagen import FixedSize, GammaSize
@@ -181,21 +180,64 @@ def _json_safe(value):
     return value
 
 
+def _cannot_write(path, err):
+    return UsageError(f"cannot write {path}: {err.strerror}")
+
+
 def _open_out(path, mode, **kwargs):
     """`path` opened for writing; an OSError is an `error: cannot write` line."""
     try:
         return open(path, mode, **kwargs)
     except OSError as err:
-        raise UsageError(f"cannot write {path}: {err.strerror}") from err
+        raise _cannot_write(path, err) from err
+
+
+def _write_lines(fh, path, lines):
+    """Write each of `lines` and a newline to `fh`, then flush it.
+
+    An OSError is an `error: cannot write <path>` line. `fh` first drops
+    what it could not write, so that neither closing it nor the
+    interpreter's flush of stdout at exit raises again: a file is closed,
+    stdout is pointed at the null device.
+    """
+    try:
+        fh.writelines(line + "\n" for line in lines)
+        fh.flush()
+    except OSError as err:
+        try:
+            if fh is sys.stdout:
+                fd = fh.fileno()
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+            else:
+                fh.close()
+        except OSError:
+            pass
+        raise _cannot_write(path, err) from err
+
+
+def _close(fh, path):
+    try:
+        fh.close()
+    except OSError as err:
+        raise _cannot_write(path, err) from err
+
+
+def _write_out(lines, path, newline=None):
+    """Write `lines` to the file `path`, or to stdout (named <stdout>) when there is none."""
+    if not path:
+        _write_lines(sys.stdout, "<stdout>", lines)
+        return
+    fh = _open_out(path, "w", newline=newline)
+    try:
+        _write_lines(fh, path, lines)
+    finally:
+        _close(fh, path)
 
 
 def _write_json(doc, out_path):
-    text = json.dumps(_json_safe(doc), indent=2, allow_nan=False)
-    if out_path:
-        with _open_out(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write_out([json.dumps(_json_safe(doc), indent=2, allow_nan=False)], out_path)
 
 
 def _config_list(doc, key, kind, convert):
@@ -319,8 +361,7 @@ def parse_grid_config(doc):
             seed=seed,
             fg_bound=float(fg_bound),
             alpha_level=float(alpha_level),
-        )
-        grid.scenarios()  # force Scenario validation before any work starts
+        )  # builds and checks every Scenario before any work starts
     except CrtGeeError as err:
         raise UsageError(f"invalid config: {err}") from None
     return grid, doc["output"], threads
@@ -334,6 +375,23 @@ def _cell(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _result_lines(result):
+    """The results-table lines of one ScenarioResult: its `result_rows`, cell by cell.
+
+    The columns fixed per (cell, model), scenario_id through link and
+    n_rep through esd, are formatted once; each estimator's line adds its
+    name and its four summaries.
+    """
+    sc, model = result.scenario, result.model
+    design = ",".join(map(_cell, (sc.index, sc.n_clusters, sc.sizes.mean, sc.sizes.cv, sc.pi0,
+                                  sc.icc, model.family.value, model.link.value)))
+    fit = ",".join(map(_cell, (sc.replicates, result.n_converged, result.convergence_rate,
+                               result.esd)))
+    return [f"{design},{kind.value},{fit},{_cell(s.mean_se)},{_cell(s.percent_bias)},"
+            f"{_cell(s.type1_error)},{_cell(s.acceptable)}"
+            for kind, s in result.estimators.items()]
 
 
 def _resolve_threads(flag_value, config_value):
@@ -399,11 +457,17 @@ def _load_resume_lines(path, expected):
 def _replace_lines(path, lines):
     """Atomically make `path` hold `lines`: a temp file beside it, then os.replace."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    with _open_out(tmp, "w", newline="") as fh:
-        fh.writelines(line + "\n" for line in lines)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fh = _open_out(tmp, "w", newline="")
+    try:
+        with fh:
+            _write_lines(fh, tmp, lines)
+            os.fsync(fh.fileno())
+    except OSError as err:
+        raise _cannot_write(tmp, err) from err
+    try:
+        os.replace(tmp, path)
+    except OSError as err:
+        raise _cannot_write(path, err) from err
 
 
 def cmd_simulate(args):
@@ -440,19 +504,18 @@ def cmd_simulate(args):
     if cached:
         _replace_lines(out_path, [header, *(line for rows in lines.values() for line in rows)])
     results = run_grid(grid, threads=threads, progress=progress, skip=tuple(cached))
-    with _open_out(out_path, "a" if cached else "w", newline="") as fh:
+    fh = _open_out(out_path, "a" if cached else "w", newline="")
+    try:
         if not cached:
-            fh.write(header + "\n")
+            _write_lines(fh, out_path, [header])
         for sc in scenarios:
             if sc.index in cached:
                 continue
-            lines[sc.index] = [
-                ",".join(_cell(row[c]) for c in RESULT_COLUMNS)
-                for res in next(results)
-                for row in result_rows(res)
-            ]
-            fh.writelines(line + "\n" for line in lines[sc.index])
-            fh.flush()
+            # the grid runs outside _write_lines: its errors are not write errors
+            lines[sc.index] = [line for res in next(results) for line in _result_lines(res)]
+            _write_lines(fh, out_path, lines[sc.index])
+    finally:
+        _close(fh, out_path)
     if cached:
         _replace_lines(out_path, [header, *(line for sc in scenarios for line in lines[sc.index])])
     return 0
@@ -541,12 +604,7 @@ def cmd_report(args):
             _cell(frac_ok),
         ]
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with _open_out(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(lines, args.out, newline="")
     return 0
 
 

@@ -21,9 +21,12 @@ exactly what one draw of m_i per cluster, in cluster order, would give.
 The runs of all replicates are laid end to end, one row per cluster, and
 the rows are visited longest first, so the rows still drawing at column j
 are a prefix. Each column updates only that prefix, each row with its own
-arm's mu, by the same floating-point operations as a cluster-by-cluster
-loop, so the outcomes are bit-identical to it and do not depend on which
-replicates share the block. A single trial is a block of one.
+mean and correlation, by the same floating-point operations as a
+cluster-by-cluster loop, so the outcomes are bit-identical to it and do not
+depend on which replicates share the block. A block may hold pieces of
+several scenarios that share N (generate_pieces): each piece draws its
+sizes and uniforms in turn, and one recurrence then runs over the rows of
+them all. A single trial is a block of one.
 """
 
 from __future__ import annotations
@@ -128,23 +131,45 @@ def qaqish_coeff(rho, j):
     return rho / (1.0 + (j - 2) * rho)
 
 
+def _check_means(means, rho, size):
+    """Raise GeneratorInvalidError if a conditional mean of draw j = 2..size can leave [0, 1].
+
+    lam = mu + b_j * (sum of the j - 1 centered draws) is at its extremes
+    when every earlier draw is a 0 or every one a 1; both are checked for
+    each mean in `means`, the first failure (by draw, then by mean) raising.
+    """
+    means = sorted(means)
+    for j in range(2, size + 1):
+        b = qaqish_coeff(rho, j)
+        for m in means:
+            low, high = m - (j - 1) * b * m, m + (j - 1) * b * (1.0 - m)
+            if not (0.0 <= low <= 1.0 and 0.0 <= high <= 1.0):
+                raise GeneratorInvalidError(
+                    f"conditional mean left [0, 1] at draw {j} (mu={m}, rho={rho})"
+                )
+
+
 def _draw_rows(flat, sizes, mu, rho, outcomes=None):
     """Run the conditional-linear recurrence over rows laid end to end in `flat`.
 
     Row i owns the next `sizes[i]` uniforms of `flat` and draws with marginal
-    mean `mu[i]`. Column j is drawn for the rows with at least j members,
-    longest first (a stable order). Before it is drawn, the conditional mean
-    mu + b_j * (sum of the j - 1 centered draws) is checked against [0, 1]
-    at its extremes, the all-zero and all-one histories, for each distinct
-    mean. Returns every row's event count; when `outcomes` (an array shaped
-    like `flat`) is given, each draw is also written at its uniform's
-    position.
+    mean `mu[i]` and correlation `rho`, one number for every row or an
+    array of one per row. Column j is drawn for the rows with at least j
+    members, longest first (a stable order); the caller has checked that no
+    conditional mean can leave [0, 1] (`_check_means`). Returns every row's
+    event count; when `outcomes` (an array shaped like `flat`) is given,
+    each draw is also written at its uniform's position.
     """
     starts = np.zeros(sizes.size, dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
     order = np.argsort(-sizes, kind="stable")
     base = starts[order]
     mu = mu[order]
+    rhos = None
+    if isinstance(rho, np.ndarray):
+        # b_j per row, gathered from one b_j per distinct rho
+        rhos, which = np.unique(rho, return_inverse=True)
+        rhos, which = rhos.tolist(), which[order]
     # active[j-1]: the rows with sizes >= j, a prefix of `order`
     active = np.cumsum(np.bincount(sizes)[::-1])[::-1][1:]
     draw = flat[base] < mu
@@ -152,17 +177,12 @@ def _draw_rows(flat, sizes, mu, rho, outcomes=None):
     events = draw.astype(np.intp)
     if outcomes is not None:
         outcomes[base] = draw
-    means = sorted(set(mu.tolist()))
     for j in range(2, active.size + 1):
         k = active[j - 1]
-        b = qaqish_coeff(rho, j)
-        for m in means:
-            # lam at its extremes: every earlier draw a 0, or every one a 1
-            low, high = m - (j - 1) * b * m, m + (j - 1) * b * (1.0 - m)
-            if not (0.0 <= low <= 1.0 and 0.0 <= high <= 1.0):
-                raise GeneratorInvalidError(
-                    f"conditional mean left [0, 1] at draw {j} (mu={m}, rho={rho})"
-                )
+        if rhos is None:
+            b = qaqish_coeff(rho, j)
+        else:
+            b = np.array([qaqish_coeff(r, j) for r in rhos])[which[:k]]
         lam = mu[:k] + b * centered[:k]
         idx = base[:k] + (j - 1)
         draw = flat[idx] < lam
@@ -186,6 +206,7 @@ def generate_clusters(mu, rho, m, count, rng):
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
     flat = rng.random(count * m)
+    _check_means((mu,), rho, m)
     y = np.zeros(flat.size, dtype=np.int8)
     _draw_rows(flat, np.full(count, m), np.full(count, mu, dtype=float), rho, y)
     return y.reshape(count, m)
@@ -224,18 +245,22 @@ def trial_arms(n_clusters):
     return np.repeat([0, 1], n_clusters // 2)
 
 
-def _block_uniforms(scenario, replicate_indices):
+def _draw_piece(scenario, replicate_indices):
     """Sizes (R, N) and the replicates' uniforms end to end, each from its substream.
 
     Every replicate's sizes are drawn, and their totals checked, before any
     uniform is; each substream still gives its sizes, then its uniforms.
+    Raises if the piece cannot be generated: its uniforms cannot form one
+    array, or a conditional mean of its largest cluster can leave [0, 1].
     """
     rngs = [substream(scenario.seed, scenario.index, rep) for rep in replicate_indices]
     sizes = [scenario.sizes.draw(scenario.n_clusters, rng) for rng in rngs]
     totals = [sum(m.tolist()) for m in sizes]      # Python ints: N * m may pass int64
     _check_uniforms(max(totals))
     runs = [rng.random(total) for rng, total in zip(rngs, totals)]
-    return np.array(sizes), np.concatenate(runs)
+    sizes = np.array(sizes)
+    _check_means({scenario.pi0, scenario.pi1}, scenario.icc, int(sizes.max()))
+    return sizes, np.concatenate(runs)
 
 
 def _row_means(scenario, n_replicates):
@@ -243,21 +268,56 @@ def _row_means(scenario, n_replicates):
     return np.tile(mu, n_replicates)
 
 
+def generate_pieces(pieces):
+    """Cluster sizes m and event counts s of a block's pieces, and the error that ended it.
+
+    `pieces` are (scenario, replicate_indices) pairs that share N. Each
+    piece draws its replicates' sizes and uniforms in turn; a piece that
+    cannot be drawn ends the block, and its exception is returned (None
+    when every piece was drawn). The recurrence then runs once over the
+    clusters of the pieces drawn, each with its own scenario's mean and
+    icc. Returns (m, s, error): m and s are (R, N), the drawn pieces'
+    replicates end to end, R = 0 when none was drawn.
+    """
+    sizes, runs, means, iccs, error = [], [], [], [], None
+    for scenario, reps in pieces:
+        try:
+            m, flat = _draw_piece(scenario, reps)
+        except Exception as err:
+            error = err
+            break
+        sizes.append(m)
+        runs.append(flat)
+        means.append(_row_means(scenario, len(m)))
+        iccs.append(scenario.icc)
+    if not sizes:
+        none = np.zeros((0, pieces[0][0].n_clusters), dtype=int)
+        return none, none, error
+    m = np.concatenate(sizes)
+    # one icc stays one number: b_j is then a scalar per column
+    rho = iccs[0] if iccs.count(iccs[0]) == len(iccs) else \
+        np.repeat(iccs, [piece.size for piece in sizes])
+    s = _draw_rows(np.concatenate(runs), m.ravel(), np.concatenate(means), rho)
+    return m, s.reshape(m.shape), error
+
+
 def generate_block(scenario, replicate_indices):
     """Cluster sizes m and event counts s of a block of replicates, each (R, N).
 
     Row r is replicate `replicate_indices[r]`, its columns the clusters in
     trial order (arms from `trial_arms`); the counts are those of
-    `generate_trial` for the same replicate.
+    `generate_trial` for the same replicate. It is `generate_pieces` on one
+    piece, raising the piece's error.
     """
-    m, flat = _block_uniforms(scenario, replicate_indices)
-    s = _draw_rows(flat, m.ravel(), _row_means(scenario, len(m)), scenario.icc)
-    return m, s.reshape(m.shape)
+    m, s, error = generate_pieces([(scenario, replicate_indices)])
+    if error is not None:
+        raise error
+    return m, s
 
 
 def generate_trial(scenario, replicate_index):
     """One simulated trial: N/2 control clusters then N/2 intervention clusters."""
-    m, flat = _block_uniforms(scenario, (replicate_index,))
+    m, flat = _draw_piece(scenario, (replicate_index,))
     sizes = m[0]
     y = np.zeros(flat.size, dtype=np.int8)
     _draw_rows(flat, sizes, _row_means(scenario, 1), scenario.icc, y)

@@ -13,26 +13,29 @@ that share the number of clusters N, cut into pieces (a cell and a range of
 its replicates) of at most BLOCK_REPLICATES replicates in all. A cell with
 more replicates is split across blocks, and its last piece may share a block
 with the next cell. Cells sharing N share their arms and the t reference's
-N - 2 degrees of freedom, so a block generates each piece's cluster sizes and
-event counts as (R, N) arrays, stacks them, and fits, estimates and tests
-every working model on all of them in one pass: the K models' K R fits are
-the rows of one vectorized Fisher-scoring loop, model-major, whose step is
-one scalar U_a / W_a per arm, with the per-arm functions (link, variance,
-range, empty-arm rule) dispatched per model on contiguous row slices; every
-variance estimate is formed from per-arm sums as one (K R, 2, 2) array per
-kind, and each kind's tests are one call. Each model's outcomes are then
-cut from the stacked arrays. A fit rejects the null when |t| = |beta1 / SE|
-exceeds the upper alpha_level/2 quantile of t, computed once per N; no
-p-values are computed. Each replicate's outcome is bit for bit the one it
-has alone, so results depend on neither the packing nor the number of
-processes. Blocks are independent, so the grid can run them on T processes,
-the caller included: block i runs on process i mod T, the caller running
-its own blocks inline and each of the T - 1 worker processes sending its
-results back over a pipe, and the caller takes them in grid order. A
-worker starts its next block only once the caller has taken its previous
-result, so at most T blocks are running or finished and not yet taken.
-run_grid, run_scenario (a grid of one cell) and run_block (a block of one
-piece) all go through this one block loop.
+N - 2 degrees of freedom, so a block is one pass from draws to summaries.
+Its pieces draw their replicates' sizes and uniforms in turn, and one
+conditional-linear recurrence turns them all into (R, N) cluster sizes and
+event counts. The K models' K R fits are the rows of one vectorized
+Fisher-scoring loop, model-major, whose step is one scalar U_a / W_a per
+arm, with the per-arm functions (link, variance, range, empty-arm rule)
+dispatched per model on contiguous row slices; every variance estimate is
+formed from per-arm sums as one (K R, 2, 2) array per kind, and each kind's
+tests are one call. The outcomes stay stacked: a piece is a slice of its
+block's replicates, a cell split across blocks has its pieces joined once,
+and one aggregate call summarizes every model of a cell from (kinds, K, R)
+views. A fit rejects the null when |t| = |beta1 / SE| exceeds the upper
+alpha_level/2 quantile of t, computed once per N; no p-values are
+computed. Each replicate's outcome is bit for bit the one it has alone, so
+results depend on neither the packing nor the number of processes. Blocks
+are independent, so the grid can run them on T processes, the caller
+included: block i runs on process i mod T, the caller running its own
+blocks inline and each of the T - 1 worker processes sending its results
+back over a pipe, and the caller takes them in grid order. A worker starts
+its next block only once the caller has taken its previous result, so at
+most T blocks are running or finished and not yet taken. run_grid,
+run_scenario (a grid of one cell) and run_block (a block of one piece) all
+go through this one block loop.
 
 Summaries are computed over converged replicates only: the empirical SD of
 the effect estimate (ddof=1), each estimator's mean SE and its percent bias
@@ -48,14 +51,11 @@ import contextlib
 import functools
 import itertools
 import math
-import multiprocessing
-import signal
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Scenario, generate_block, trial_arms
+from .datagen import Scenario, generate_pieces, trial_arms
 from .errors import DomainError
 from .families import Family, Link, ModelSpec
 from .gee import fit_block
@@ -135,11 +135,9 @@ class FactorialGrid:
                 raise DomainError(
                     f"n_clusters must be >= 4 (t with N - 2 degrees of freedom), got {n}"
                 )
-
-    def scenarios(self):
-        """Grid cells in deterministic order; the index keys each cell's RNG."""
+        # the cells are built, and so checked, once, with the grid
         cells = itertools.product(self.n_clusters, self.sizes, self.pi0, self.icc)
-        return tuple(
+        object.__setattr__(self, "_cells", tuple(
             Scenario(
                 n_clusters=n,
                 sizes=sizes,
@@ -151,7 +149,11 @@ class FactorialGrid:
                 index=i,
             )
             for i, (n, sizes, pi0, icc) in enumerate(cells)
-        )
+        ))
+
+    def scenarios(self):
+        """Grid cells in deterministic order; the index keys each cell's RNG."""
+        return self._cells
 
     @property
     def n_scenarios(self):
@@ -184,22 +186,35 @@ class ModelBlock:
         return np.array([r is None for r in self.reason], dtype=bool)
 
     @classmethod
-    def concat(cls, blocks):
-        """The blocks' replicates in order, as one block."""
+    def join(cls, parts, n_models):
+        """The replicates of (ModelBlock, rows) parts, end to end, as one block.
+
+        Each block holds `n_models` models' entries stacked model-major, as
+        `_fit_models` gives them, and `rows` is a slice of its replicates;
+        the block returned is stacked the same way.
+        """
+        def arrays(values):
+            cut = [v.reshape(n_models, -1, *v.shape[1:])[:, rows]
+                   for v, (_, rows) in zip(values, parts)]
+            return np.concatenate(cut, axis=1).reshape(-1, *values[0].shape[1:])
+
+        def names(values):
+            return tuple(arrays([np.fromiter(v, dtype=object, count=len(v))
+                                 for v in values]).tolist())
+
+        blocks = [block for block, _ in parts]
         first = blocks[0]
-        if len(blocks) == 1:
-            return first
         return cls(
-            reason=tuple(r for b in blocks for r in b.reason),
-            iterations=np.concatenate([b.iterations for b in blocks]),
-            beta=np.concatenate([b.beta for b in blocks]),
-            alpha=np.concatenate([b.alpha for b in blocks]),
-            phi=np.concatenate([b.phi for b in blocks]),
-            alpha_clamped=np.concatenate([b.alpha_clamped for b in blocks]),
-            q_max=np.concatenate([b.q_max for b in blocks]),
-            se={k: np.concatenate([b.se[k] for b in blocks]) for k in first.se},
-            reject={k: np.concatenate([b.reject[k] for b in blocks]) for k in first.reject},
-            failures={k: tuple(n for b in blocks for n in b.failures[k]) for k in first.failures},
+            reason=names([b.reason for b in blocks]),
+            iterations=arrays([b.iterations for b in blocks]),
+            beta=arrays([b.beta for b in blocks]),
+            alpha=arrays([b.alpha for b in blocks]),
+            phi=arrays([b.phi for b in blocks]),
+            alpha_clamped=arrays([b.alpha_clamped for b in blocks]),
+            q_max=arrays([b.q_max for b in blocks]),
+            se={k: arrays([b.se[k] for b in blocks]) for k in first.se},
+            reject={k: arrays([b.reject[k] for b in blocks]) for k in first.reject},
+            failures={k: names([b.failures[k] for b in blocks]) for k in first.failures},
         )
 
     def take(self, rows):
@@ -306,36 +321,34 @@ def run_block(scenario, replicate_indices, models=ALL_MODELS, kinds=ALL_KINDS,
                                 alpha_level)
     if error is not None:
         raise error
-    return fitted[0]
+    ((fits, _),) = fitted
+    n_rep = len(replicate_indices)
+    return {model.label(): fits.take(slice(k * n_rep, (k + 1) * n_rep))
+            for k, model in enumerate(models)}
 
 
 def _fit_pieces(pieces, models, kinds, fg_bound, alpha_level):
     """Generate a block's (scenario, replicate_indices) pieces, which share N, and fit them.
 
-    Returns ([{model label: ModelBlock} per piece], error). If generating a
-    piece raises, the pieces before it are still fit and returned, with that
-    exception as `error` (None otherwise), so every cell they finish can be
-    reported before the run ends.
+    Returns ([(fits, rows) per piece], error): `fits` is the ModelBlock of
+    every model's fits to the block, stacked model-major, and `rows` the
+    slice of the block's replicates that is the piece. If generating a
+    piece raises, the pieces before it are still fit and returned, with
+    that exception as `error` (None otherwise), so every cell they finish
+    can be reported before the run ends.
     """
-    ms, ss, error = [], [], None
-    for scenario, reps in pieces:
-        try:
-            m, s = generate_block(scenario, reps)
-        except Exception as err:
-            error = err
-            break
-        ms.append(m)
-        ss.append(s)
-    if not ms:
+    m, s, error = generate_pieces(pieces)
+    if not len(m):
         return [], error
     arm = trial_arms(pieces[0][0].n_clusters)
-    m, s = np.concatenate(ms), np.concatenate(ss)
-    fitted = _fit_models(arm, m, s, models, kinds, fg_bound, alpha_level)
-    # model k's entries for the piece ending at replicate `end` of the block
-    ends = itertools.accumulate(len(piece) for piece in ms)
-    return [{model.label(): fitted.take(slice(k * len(m) + end - len(piece), k * len(m) + end))
-             for k, model in enumerate(models)}
-            for piece, end in zip(ms, ends)], error
+    fits = _fit_models(arm, m, s, models, kinds, fg_bound, alpha_level)
+    fitted, stop = [], 0
+    for _, reps in pieces:
+        start, stop = stop, stop + len(reps)
+        if stop > len(m):
+            break
+        fitted.append((fits, slice(start, stop)))
+    return fitted, error
 
 
 def pack_blocks(scenarios, block_replicates):
@@ -398,66 +411,89 @@ def _kind_summary(kind, ses, rejections, n_conv, esd, means=None):
     )
 
 
-def aggregate(scenario, model, block, kinds=ALL_KINDS):
-    """Summarize one model's replicates (a ModelBlock) in one cell; converged-only denominators.
+def aggregate(scenario, models, block, kinds=ALL_KINDS, rows=slice(None)):
+    """Summarize a cell for each working model; converged-only denominators.
 
-    The converged fits' SEs form one C-contiguous row per kind, and the
-    sums are taken along the rows at once, which gives each row's sum bit
-    for bit; a kind with a NaN SE takes its means over its evaluated SEs alone.
+    `block` holds the K = len(models) models' outcomes stacked model-major,
+    as `_fit_models` gives them (model k's entry for replicate r is k R + r),
+    and the cell is its replicates `rows`. Returns one ScenarioResult per
+    model; `models` may also be one ModelSpec, for a block of that model
+    alone, whose ScenarioResult is returned.
+
+    The fields are viewed as (K, R) arrays, and the SEs and rejections as
+    (kinds, K, R), so the rejections, clamped alphas and largest leverages
+    of every model are reduced at once. Each model's converged SEs form one
+    C-contiguous row per kind, and the sums are taken along the rows at
+    once, which gives each row's sum bit for bit; a kind with a NaN SE
+    takes its means over its evaluated SEs alone.
     """
-    n_rep = len(block.reason)
-    conv = block.converged
-    n_conv = int(conv.sum())
-    esd = None
-    if n_conv >= 2:
-        esd = float(np.std(block.beta[conv, -1], ddof=1))
-
+    if isinstance(models, ModelSpec):
+        (result,) = aggregate(scenario, (models,), block, kinds, rows)
+        return result
     kinds = tuple(kinds)
-    shape = (len(kinds), n_rep)
-    ses = np.array([block.se[kind] for kind in kinds]).reshape(shape).compress(conv, axis=1)
-    rejections = np.array([block.reject[kind] for kind in kinds]).reshape(shape)
-    rejections = rejections.compress(conv, axis=1).sum(axis=1).tolist()
-    means = [None] * len(kinds)
-    if n_conv:
-        # np.mean is the sum over the count; an SE is NaN or at least 0, so
-        # a row's mean is NaN exactly when the row holds a NaN
-        mean_se = (ses.sum(axis=1) / n_conv).tolist()
-        pct_bias = [None] * len(kinds)
-        if esd is not None and esd > 0.0:
-            pct_bias = (((ses - esd) / esd * 100.0).sum(axis=1) / n_conv).tolist()
-        means = [None if math.isnan(se) else (se, pct) for se, pct in zip(mean_se, pct_bias)]
-    summaries = {kind: _kind_summary(kind, ses[i], rejections[i], n_conv, esd, means[i])
-                 for i, kind in enumerate(kinds)}
+    shape = (len(models), len(block.reason) // len(models))
 
-    diagnostics = {
-        "nonconvergence": _tally(block.reason, ~conv),
-        "alpha_clamped": int(block.alpha_clamped[conv].sum()),
-        "estimator_failures": {
-            (kind.value, name): count
-            for kind in kinds for name, count in _tally(block.failures[kind], conv).items()
-        },
-    }
-    q_values = block.q_max[conv]
-    q_values = q_values[~np.isnan(q_values)]
-    if q_values.size:
-        diagnostics["q_max"] = float(q_values.max())
-    ordered = [
-        summaries.get(k)
-        for k in (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD)
-    ]
-    if all(s is not None and s.type1_error is not None for s in ordered):
-        t_r, t_kc, t_md = (s.type1_error for s in ordered)
-        diagnostics["ordering_consistent"] = t_r >= t_kc >= t_md
-    return ScenarioResult(
-        scenario=scenario,
-        model=model,
-        n_replicates=n_rep,
-        n_converged=n_conv,
-        convergence_rate=n_conv / n_rep if n_rep else 0.0,
-        esd=esd,
-        estimators=summaries,
-        diagnostics=diagnostics,
-    )
+    def model_rows(names, k):
+        return names[k * shape[1]:(k + 1) * shape[1]][rows]
+
+    reasons = [model_rows(block.reason, k) for k in range(len(models))]
+    conv = np.array([[r is None for r in reason] for reason in reasons], dtype=bool)
+    n_rep = conv.shape[1]
+    n_conv = conv.sum(axis=1).tolist()
+    beta1 = block.beta[:, -1].reshape(shape)[:, rows]
+    stacked = (len(kinds), *shape)
+    ses = np.array([block.se[kind] for kind in kinds]).reshape(stacked)[:, :, rows]
+    rejections = np.array([block.reject[kind] for kind in kinds]).reshape(stacked)
+    rejections = (rejections[:, :, rows] & conv).sum(axis=2).tolist()
+    clamped = (block.alpha_clamped.reshape(shape)[:, rows] & conv).sum(axis=1).tolist()
+    q_max = np.fmax.reduce(np.where(conv, block.q_max.reshape(shape)[:, rows], np.nan),
+                           axis=1, initial=np.nan).tolist()
+    failing = [kind for kind in kinds
+               if block.failures[kind].count(None) < len(block.failures[kind])]
+    ordered = [kinds.index(kind) for kind in (EstimatorKind.ROBUST, EstimatorKind.KC,
+                                              EstimatorKind.MD) if kind in kinds]
+
+    results = []
+    for k, model in enumerate(models):
+        c, nc = conv[k], n_conv[k]
+        esd = float(np.std(beta1[k][c], ddof=1)) if nc >= 2 else None
+        model_ses = ses[:, k].compress(c, axis=1)
+        means = [None] * len(kinds)
+        if nc:
+            # np.mean is the sum over the count; an SE is NaN or at least 0, so
+            # a row's mean is NaN exactly when the row holds a NaN
+            mean_se = (model_ses.sum(axis=1) / nc).tolist()
+            pct_bias = [None] * len(kinds)
+            if esd is not None and esd > 0.0:
+                pct_bias = (((model_ses - esd) / esd * 100.0).sum(axis=1) / nc).tolist()
+            means = [None if math.isnan(se) else (se, pct) for se, pct in zip(mean_se, pct_bias)]
+        summaries = [_kind_summary(kind, model_ses[i], rejections[i][k], nc, esd, means[i])
+                     for i, kind in enumerate(kinds)]
+        diagnostics = {
+            "nonconvergence": _tally(reasons[k], ~c) if nc < n_rep else {},
+            "alpha_clamped": clamped[k],
+            "estimator_failures": {
+                (kind.value, name): count
+                for kind in failing
+                for name, count in _tally(model_rows(block.failures[kind], k), c).items()
+            },
+        }
+        if not math.isnan(q_max[k]):
+            diagnostics["q_max"] = q_max[k]
+        type1 = [summaries[i].type1_error for i in ordered]
+        if len(type1) == 3 and None not in type1:
+            diagnostics["ordering_consistent"] = type1[0] >= type1[1] >= type1[2]
+        results.append(ScenarioResult(
+            scenario=scenario,
+            model=model,
+            n_replicates=n_rep,
+            n_converged=nc,
+            convergence_rate=nc / n_rep if n_rep else 0.0,
+            esd=esd,
+            estimators=dict(zip(kinds, summaries)),
+            diagnostics=diagnostics,
+        ))
+    return results
 
 
 def run_scenario(scenario, models=ALL_MODELS, kinds=ALL_KINDS,
@@ -496,16 +532,17 @@ def _run_cells(scenarios, models, kinds, fg_bound, alpha_level, threads=1, progr
                              alpha_level=alpha_level)
     processes = min(threads, len(blocks))
     with _workers(task, blocks, processes) as take:
-        done, pieces = 0, []
+        done, parts = 0, []
         for i, block in enumerate(blocks):
             fitted, error = take(i) if i % processes else task(block)
-            for (sc, reps), piece in zip(block, fitted):
-                pieces.append(piece)
+            for (sc, reps), part in zip(block, fitted):
+                parts.append(part)
                 if reps.stop < sc.replicates:
                     continue
-                results = [aggregate(sc, m, ModelBlock.concat([p[m.label()] for p in pieces]),
-                                     kinds) for m in models]
-                done, pieces = done + 1, []
+                fits, rows = parts[0] if len(parts) == 1 else \
+                    (ModelBlock.join(parts, len(models)), slice(None))
+                results = aggregate(sc, models, fits, kinds, rows)
+                done, parts = done + 1, []
                 if progress is not None:
                     progress(done, len(scenarios), sc.index)
                 yield results
@@ -525,11 +562,17 @@ def _workers(task, blocks, processes):
     """Start processes - 1 worker processes; worker w fits blocks w, w + processes, ...
 
     Yields take(i), which returns block i's (fitted, error) from its worker
-    and lets that worker start its next block. A worker's error comes back
-    with its traceback as `__cause__`; a worker that exits without sending
-    block i's result makes take(i) raise RuntimeError naming its exit code.
-    On leaving, workers still running are terminated, and all are joined.
+    and lets that worker start its next block (None when there are no
+    workers). A worker's error comes back with its traceback as
+    `__cause__`; a worker that exits without sending block i's result makes
+    take(i) raise RuntimeError naming its exit code. On leaving, workers
+    still running are terminated, and all are joined.
     """
+    if processes <= 1:
+        yield None              # the caller fits every block
+        return
+    import multiprocessing      # only a run on several processes loads it
+
     context = multiprocessing.get_context()
     started = []
     try:
@@ -572,6 +615,9 @@ def _work(conn, task, blocks):
     """A worker: fit its blocks in order, sending each (fitted, error) and waiting for
     the caller to take it before starting the next. An error, raised or returned,
     is sent with its formatted traceback and ends the worker."""
+    import signal
+    import traceback
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller answers Ctrl-C, and stops it
     for k, block in enumerate(blocks):
         if k:

@@ -30,7 +30,8 @@ from crtgee import (
 import crtgee.cli
 import crtgee.datagen
 import crtgee.simulate
-from crtgee.cli import main, read_trial_csv, parse_grid_config, THREADS_ENV_VAR
+from crtgee.cli import main, read_trial_csv, parse_grid_config, THREADS_ENV_VAR, _cell
+from crtgee.simulate import RESULT_COLUMNS, result_rows, run_grid
 
 
 def write_trial_csv(path, clusters):
@@ -445,6 +446,32 @@ def test_simulate_threads_do_not_change_bytes(tmp_path):
     assert serial == parallel
 
 
+#: a grid whose rows hold every kind of cell: None (esd at n_conv 0 and 1,
+#: pct_bias, type1), both booleans, and integral floats (cluster_size 8.0)
+EVERY_CELL_GRID = {
+    "seed": 34, "replicates": 20, "n_clusters": [4],
+    "cluster_sizes": [8, {"type": "gamma", "mean": 3, "cv": 0.5}], "pi0": [0.04, 0.3],
+    "icc": [0.05], "models": ["binomial-log", "poisson-identity", "gaussian-identity"],
+}
+
+
+def test_simulate_writes_each_result_row_cell_by_cell(tmp_path):
+    config, doc = base_config(tmp_path, **EVERY_CELL_GRID)
+    doc.pop("estimators")
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == 0
+    grid, _, _ = parse_grid_config(doc)
+    rows = [row for cell in run_grid(grid) for res in cell for row in result_rows(res)]
+    want = [",".join(RESULT_COLUMNS)] + [",".join(_cell(row[c]) for c in RESULT_COLUMNS)
+                                         for row in rows]
+    assert (tmp_path / "results.csv").read_bytes() == "".join(f"{line}\n" for line in want).encode()
+    assert {row["n_conv"] for row in rows if row["esd"] is None} == {0, 1}
+    assert any(row["pct_bias"] is None for row in rows)
+    assert any(row["type1"] is None for row in rows)
+    assert {row["acceptable"] for row in rows} == {True, False, None}
+    assert {row["cluster_size"] for row in rows} == {8.0, 3.0}
+
+
 def test_simulate_threads_env_var(tmp_path, monkeypatch):
     config, _ = base_config(tmp_path)
     assert main(["simulate", "--config", str(config), "--threads", "1"]) == 0
@@ -543,9 +570,9 @@ def test_simulate_rejects_fewer_than_4_clusters_before_any_work(tmp_path, capsys
     # N = 2 leaves t with 0 degrees of freedom: the grid must be refused
     # when it is built, not after a cell has been generated and fit
     def never(*args, **kwargs):
-        raise AssertionError("generate_block called for a grid that should be rejected")
+        raise AssertionError("generate_pieces called for a grid that should be rejected")
 
-    monkeypatch.setattr(crtgee.simulate, "generate_block", never)
+    monkeypatch.setattr(crtgee.simulate, "generate_pieces", never)
     config, _ = base_config(tmp_path, n_clusters=[6, 2])
     assert main(["simulate", "--config", str(config)]) == 1
     err = capsys.readouterr().err
@@ -663,7 +690,7 @@ def test_simulate_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 43.7 TiB for an array")
 
-    monkeypatch.setattr(crtgee.simulate, "generate_block", no_memory)
+    monkeypatch.setattr(crtgee.simulate, "generate_pieces", no_memory)
     config, _ = base_config(tmp_path, cluster_sizes=[10**12])
     assert main(["simulate", "--config", str(config)]) == 1
     err = capsys.readouterr().err
@@ -807,3 +834,56 @@ def test_simulate_resume_rejects_rows_of_another_grid(tmp_path, capsys):
     out.write_text("\n".join([lines[0], "7" + lines[1][1:]]) + "\n")
     assert main(["simulate", "--config", str(config), "--resume"]) == 1
     assert "scenario 7" in capsys.readouterr().err
+
+
+# --- an output that fails while it is written, flushed or closed ---
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full to fill")
+
+
+@needs_dev_full
+def test_analyze_out_on_a_full_device_is_an_error_line(tmp_path, capsys):
+    data = tmp_path / "trial.csv"
+    write_trial_csv(data, SMALL_TRIAL)
+    assert main(["analyze", "--data", str(data), "--family", "binomial", "--link", "log",
+                 "--out", "/dev/full"]) == 1
+    assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
+
+
+@needs_dev_full
+def test_report_out_on_a_full_device_is_an_error_line(tmp_path, capsys):
+    results = simulated_results(
+        tmp_path, n_clusters=[6], icc=[0.05], models=["gaussian-identity"], replicates=6,
+    )
+    capsys.readouterr()
+    assert main(["report", "--results", str(results), "--out", "/dev/full"]) == 1
+    assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
+
+
+@needs_dev_full
+def test_simulate_output_on_a_full_device_is_an_error_line(tmp_path, capsys):
+    config, _ = base_config(tmp_path, output="/dev/full")
+    assert main(["simulate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_a_stdout_whose_reader_has_exited_is_an_error_line(tmp_path, command):
+    if command == "analyze":
+        write_trial_csv(tmp_path / "trial.csv", SMALL_TRIAL)
+        argv = ["analyze", "--data", str(tmp_path / "trial.csv"), "--family", "binomial",
+                "--link", "log"]
+    else:
+        results = simulated_results(tmp_path, n_clusters=[6], icc=[0.05],
+                                    models=["gaussian-identity"], replicates=6)
+        argv = ["report", "--results", str(results)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "crtgee.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    # one line, and no second error when the interpreter flushes stdout on exit
+    assert (done.returncode, done.stderr) == (1, "error: cannot write <stdout>: Broken pipe\n")

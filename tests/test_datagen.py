@@ -1,5 +1,7 @@
 """Outcome generator: coefficients, calibration, exchangeability, sizes, seeding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -326,6 +328,52 @@ def test_block_counts_equal_generate_trial(design):
         assert s[row].tolist() == [int(c.outcomes.sum()) for c in trial.clusters]
         alone_m, alone_s = crtgee.datagen.generate_block(sc, [rep])
         assert np.array_equal(alone_m[0], m[row]) and np.array_equal(alone_s[0], s[row])
+
+
+#: pieces of one block (N = 12): different icc, means and size laws, one a lone replicate
+MIXED_PIECES = [
+    (Scenario(n_clusters=12, sizes=GammaSize(15.0, 0.75), pi0=0.1, pi1=0.45, icc=0.3, seed=7,
+              index=4), [3, 0, 11]),
+    (Scenario(n_clusters=12, sizes=FixedSize(9), pi0=0.3, pi1=0.3, icc=0.0, seed=7, index=5),
+     range(4)),
+    (Scenario(n_clusters=12, sizes=GammaSize(6.0, 1.0), pi0=0.05, pi1=0.5, icc=0.6, seed=2),
+     [8]),
+    (Scenario(n_clusters=12, sizes=FixedSize(1), pi0=0.2, pi1=0.6, icc=0.3, seed=8), range(5)),
+]
+
+
+def test_pieces_with_different_icc_in_one_block_equal_each_piece_alone():
+    m, s, error = crtgee.datagen.generate_pieces(MIXED_PIECES)
+    alone = [crtgee.datagen.generate_block(sc, reps) for sc, reps in MIXED_PIECES]
+    assert error is None
+    assert np.array_equal(m, np.concatenate([pm for pm, _ in alone]))
+    assert np.array_equal(s, np.concatenate([ps for _, ps in alone]))
+    # one icc for the whole block is the scalar path of the same recurrence
+    same = [(dataclasses.replace(sc, icc=0.3), reps) for sc, reps in MIXED_PIECES]
+    m, s, _ = crtgee.datagen.generate_pieces(same)
+    assert np.array_equal(s, np.concatenate([crtgee.datagen.generate_block(sc, reps)[1]
+                                             for sc, reps in same]))
+
+
+def test_a_piece_that_cannot_be_drawn_ends_the_block_there(monkeypatch):
+    # the piece of icc 0.6 fails the [0, 1] check at its first draw: the
+    # block keeps the two pieces before it, and the error is the one its
+    # generation alone raises, naming the same draw and mean
+    qaqish = crtgee.datagen.qaqish_coeff
+    monkeypatch.setattr(crtgee.datagen, "qaqish_coeff",
+                        lambda rho, j: 5.0 if rho == 0.6 else qaqish(rho, j))
+    m, s, error = crtgee.datagen.generate_pieces(MIXED_PIECES)
+    before = [crtgee.datagen.generate_block(sc, reps) for sc, reps in MIXED_PIECES[:2]]
+    assert np.array_equal(m, np.concatenate([pm for pm, _ in before]))
+    assert np.array_equal(s, np.concatenate([ps for _, ps in before]))
+    with pytest.raises(GeneratorInvalidError) as alone:
+        crtgee.datagen.generate_block(*MIXED_PIECES[2])
+    assert isinstance(error, GeneratorInvalidError)
+    assert str(error) == str(alone.value) == \
+        "conditional mean left [0, 1] at draw 2 (mu=0.05, rho=0.6)"
+    # a first piece that cannot be drawn leaves an empty block
+    m, s, error = crtgee.datagen.generate_pieces(MIXED_PIECES[2:])
+    assert m.shape == s.shape == (0, 12) and isinstance(error, GeneratorInvalidError)
 
 
 def qaqish_sum_pmf(mu, rho, m):

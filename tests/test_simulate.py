@@ -1,5 +1,6 @@
 """Simulation harness: aggregation arithmetic, grid layout, parallel determinism."""
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -8,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import crtgee.datagen
 import crtgee.gee
 import crtgee.simulate
 
@@ -295,20 +297,24 @@ def test_progress_callback_reports_in_order():
     assert seen == [(1, 3, 0), (2, 3, 1), (3, 3, 2)]
 
 
+#: the draw of one piece's sizes and uniforms, where the stand-ins below fail a cell
+_draw_piece = crtgee.datagen._draw_piece
+
+
 def _slow_first_cell_failing_second(scenario, replicate_indices):
-    """A generate_block stand-in: cell 1 fails while cell 0 is still being generated."""
+    """A _draw_piece stand-in: cell 1 fails while cell 0 is still being generated."""
     if scenario.index == 1:
         raise RuntimeError("cell 1 failed")
     if scenario.index == 0:
         time.sleep(0.5)
-    return crtgee.datagen.generate_block(scenario, replicate_indices)
+    return _draw_piece(scenario, replicate_indices)
 
 
 def _failing_second_cell(scenario, replicate_indices):
-    """A generate_block stand-in that fails for cell 1 only."""
+    """A _draw_piece stand-in that fails for cell 1 only."""
     if scenario.index == 1:
         raise RuntimeError("cell 1 failed")
-    return crtgee.datagen.generate_block(scenario, replicate_indices)
+    return _draw_piece(scenario, replicate_indices)
 
 
 FAILING_GRID = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(6),), pi0=(0.3,),
@@ -336,7 +342,7 @@ def test_run_grid_yields_every_earlier_cell_before_a_failure(monkeypatch, thread
         pytest.skip("the patched generator reaches the workers only through fork")
     cell0 = _first_cell_rows()
     monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
-    monkeypatch.setattr(crtgee.simulate, "generate_block", _slow_first_cell_failing_second)
+    monkeypatch.setattr(crtgee.datagen, "_draw_piece", _slow_first_cell_failing_second)
     assert _yielded_before_failure(threads) == [cell0]
 
 
@@ -348,7 +354,7 @@ def test_a_failing_piece_leaves_the_earlier_cells_of_its_block(monkeypatch, thre
     cell0 = _first_cell_rows()
     assert len(crtgee.simulate.pack_blocks(FAILING_GRID.scenarios(),
                                            crtgee.simulate.BLOCK_REPLICATES)) == 1
-    monkeypatch.setattr(crtgee.simulate, "generate_block", _failing_second_cell)
+    monkeypatch.setattr(crtgee.datagen, "_draw_piece", _failing_second_cell)
     assert _yielded_before_failure(threads) == [cell0]
 
 
@@ -469,7 +475,7 @@ def test_no_worker_process_or_pipe_outlives_a_run(monkeypatch, stop):
         with pytest.raises(DomainError, match="cannot be drawn as one array") as raised:
             next(cells)
         # the worker's frames come back as the cause
-        assert "generate_block" in str(raised.value.__cause__)
+        assert "generate_pieces" in str(raised.value.__cause__)
     assert multiprocessing.active_children() == []
     assert _open_fds() == fds
 
@@ -481,16 +487,16 @@ def _fails_in_a_worker(*args, **kwargs):
     return crtgee.gee.fit_block(*args, **kwargs)
 
 
-@pytest.mark.parametrize("target, stand_in", [
-    ("generate_block", _failing_second_cell),       # returned by _fit_pieces
-    ("fit_block", _fails_in_a_worker),              # raised through _fit_pieces
+@pytest.mark.parametrize("module, target, stand_in", [
+    (crtgee.datagen, "_draw_piece", _failing_second_cell),      # returned by _fit_pieces
+    (crtgee.simulate, "fit_block", _fails_in_a_worker),         # raised through _fit_pieces
 ], ids=["returned", "raised"])
-def test_a_worker_error_carries_the_workers_traceback(monkeypatch, target, stand_in):
+def test_a_worker_error_carries_the_workers_traceback(monkeypatch, module, target, stand_in):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched function reaches the workers only through fork")
     cell0 = _first_cell_rows()
     monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
-    monkeypatch.setattr(crtgee.simulate, target, stand_in)
+    monkeypatch.setattr(module, target, stand_in)
     yielded = []
     with pytest.raises(RuntimeError, match="cell 1 failed") as raised:
         for cell in run_grid(FAILING_GRID, threads=2):
@@ -649,8 +655,8 @@ FIT_FIELDS = ("beta", "alpha", "phi", "clamped", "iterations", "m", "s", "w", "u
 
 def stack_inputs(design):
     sc, reps, reasons = STACK_DESIGNS[design]
-    m, s = crtgee.simulate.generate_block(sc, reps)
-    return crtgee.simulate.trial_arms(sc.n_clusters), m, s, reasons
+    m, s = crtgee.datagen.generate_block(sc, reps)
+    return crtgee.datagen.trial_arms(sc.n_clusters), m, s, reasons
 
 
 def model_fits(fits, k):
@@ -768,3 +774,70 @@ def test_aggregate_equals_the_per_kind_path_with_nan_ses():
     assert (kc.n_eval, md.n_eval) == (3, 2)
     assert md.mean_se == 0.5 and kc.mean_se == float(np.mean([0.2, 0.25, 0.1 / 3]))
     assert nan_kinds
+
+
+# --- one summary pass per cell: every model's summary equals the model summarized alone ---
+
+def exact(value):
+    """A result as comparable data: dataclasses and dicts as their items in order, floats as bits."""
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return [(exact(k), exact(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    if isinstance(value, float):
+        return ("float", bits([value])[0])
+    return value
+
+
+#: cells of the rare-event replicates [0..11, 24, 274, 857], as slices of the block
+SUMMARY_CELLS = {
+    "empty arms, every binomial and Poisson model at n_conv 0": slice(7, 12),
+    "n_conv 1 and 0, empty_arm, score_condition_failed, max_iterations": slice(11, 14),
+    "max_iterations only": slice(13, 15),
+    "a NaN SE": slice(4, 7),
+    "the whole block": slice(0, 15),
+}
+
+
+def test_stacked_summary_equals_each_model_summarized_alone():
+    sc, reps, _ = STACK_DESIGNS["rare-event"]
+    arm, m, s, _ = stack_inputs("rare-event")
+    stacked = fit_models(arm, m, s, ALL_MODELS)
+    alone = [fit_models(arm, m, s, (model,)) for model in ALL_MODELS]
+    seen = {"n_conv": set(), "nonconvergence": set(), "nan_se": False}
+    for cell, rows in SUMMARY_CELLS.items():
+        got = aggregate(sc, ALL_MODELS, stacked, ALL_KINDS, rows)
+        assert [r.model for r in got] == list(ALL_MODELS)
+        for k, model in enumerate(ALL_MODELS):
+            want = aggregate(sc, model, alone[k], ALL_KINDS, rows)
+            assert exact(got[k]) == exact(want), (cell, model.label())
+            seen["n_conv"].add(want.n_converged)
+            seen["nonconvergence"].update(want.diagnostics["nonconvergence"])
+            seen["nan_se"] |= any(e.n_eval < want.n_converged for e in want.estimators.values())
+    assert {0, 1} <= seen["n_conv"]
+    assert {"empty_arm", "max_iterations"} <= seen["nonconvergence"]
+    assert seen["nan_se"]
+
+
+def test_stacked_summary_of_cells_split_across_blocks_equals_each_model_alone(monkeypatch):
+    # two cells of BLOCK_REPLICATES + 10 replicates: blocks [cell 0], [cell 0, cell 1],
+    # [cell 1], so each cell joins two pieces, one of them part of a shared block
+    size = crtgee.simulate.BLOCK_REPLICATES
+    grid = FactorialGrid(n_clusters=(8,), sizes=(GammaSize(10, 1.0),), pi0=(0.05,),
+                         icc=(0.1, 0.05), replicates=size + 10, seed=5)
+    blocks = crtgee.simulate.pack_blocks(grid.scenarios(), size)
+    assert [[(sc.index, len(reps)) for sc, reps in b] for b in blocks] == [
+        [(0, size)], [(0, 10), (1, size - 10)], [(1, 20)]]
+    stacked = list(run_grid(grid))
+    assert [res.n_replicates for cell in stacked for res in cell] == [size + 10] * 12
+    for k, model in enumerate(ALL_MODELS):
+        alone = list(run_grid(dataclasses.replace(grid, models=(model,))))
+        assert [exact(cell[k]) for cell in stacked] == [exact(cell[0]) for cell in alone], \
+            model.label()
+    reasons = {r for cell in stacked for res in cell for r in res.diagnostics["nonconvergence"]}
+    assert {"empty_arm", "max_iterations"} <= reasons
+    # and equals the grid in one block, where no cell is joined
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 2 * (size + 10))
+    assert exact(list(run_grid(grid))) == exact(stacked)
