@@ -24,9 +24,11 @@ are a prefix. Each column updates only that prefix, each row with its own
 mean and correlation, by the same floating-point operations as a
 cluster-by-cluster loop, so the outcomes are bit-identical to it and do not
 depend on which replicates share the block. A block may hold pieces of
-several scenarios that share N (generate_pieces): each piece draws its
-sizes and uniforms in turn, and one recurrence then runs over the rows of
-them all. A single trial is a block of one.
+several scenarios, of any N (generate_pieces): each piece draws its sizes
+and uniforms in turn, one recurrence then runs over the rows of them all,
+and each replicate is laid into the block's widest trial, each arm's
+clusters first, with m = s = 0 in the columns it leaves. A single trial is
+a block of one.
 """
 
 from __future__ import annotations
@@ -271,14 +273,19 @@ def _row_means(scenario, n_replicates):
 def generate_pieces(pieces):
     """Cluster sizes m and event counts s of a block's pieces, and the error that ended it.
 
-    `pieces` are (scenario, replicate_indices) pairs that share N. Each
-    piece draws its replicates' sizes and uniforms in turn; a piece that
-    cannot be drawn ends the block, and its exception is returned (None
-    when every piece was drawn). The recurrence then runs once over the
-    clusters of the pieces drawn, each with its own scenario's mean and
-    icc. Returns (m, s, error): m and s are (R, N), the drawn pieces'
-    replicates end to end, R = 0 when none was drawn.
+    `pieces` are (scenario, replicate_indices) pairs, whose N may differ.
+    Each piece draws its replicates' sizes and uniforms in turn; a piece
+    that cannot be drawn ends the block, and its exception is returned
+    (None when every piece was drawn). The recurrence then runs once over
+    the clusters of the pieces drawn, each with its own scenario's mean and
+    icc. Returns (m, s, error): m and s are (R, W), the drawn pieces'
+    replicates end to end, R = 0 when none was drawn, and W the largest N
+    of the pieces. A replicate of N clusters has its control clusters in
+    columns [0, N/2) and its treated ones in [W/2, W/2 + N/2), so that the
+    arms of `trial_arms(W)` are its arms; every other column is padding,
+    with m = s = 0.
     """
+    width = max(scenario.n_clusters for scenario, _ in pieces)
     sizes, runs, means, iccs, error = [], [], [], [], None
     for scenario, reps in pieces:
         try:
@@ -291,14 +298,27 @@ def generate_pieces(pieces):
         means.append(_row_means(scenario, len(m)))
         iccs.append(scenario.icc)
     if not sizes:
-        none = np.zeros((0, pieces[0][0].n_clusters), dtype=int)
+        none = np.zeros((0, width), dtype=int)
         return none, none, error
-    m = np.concatenate(sizes)
     # one icc stays one number: b_j is then a scalar per column
     rho = iccs[0] if iccs.count(iccs[0]) == len(iccs) else \
         np.repeat(iccs, [piece.size for piece in sizes])
-    s = _draw_rows(np.concatenate(runs), m.ravel(), np.concatenate(means), rho)
-    return m, s.reshape(m.shape), error
+    flat_m = np.concatenate([piece.ravel() for piece in sizes])
+    s = _draw_rows(np.concatenate(runs), flat_m, np.concatenate(means), rho)
+    n_rep = sum(len(piece) for piece in sizes)
+    if all(piece.shape[1] == width for piece in sizes):
+        return flat_m.reshape(n_rep, width), s.reshape(n_rep, width), error
+    # each cluster's position in the padded (R, W) layout
+    half, start, places = width // 2, 0, []
+    for piece in sizes:
+        arm_half = np.arange(piece.shape[1] // 2)
+        rows = np.arange(start, start + len(piece))[:, None] * width
+        places.append((rows + np.concatenate([arm_half, half + arm_half])).ravel())
+        start += len(piece)
+    places = np.concatenate(places)
+    padded_m, padded_s = np.zeros(n_rep * width, dtype=int), np.zeros(n_rep * width, dtype=int)
+    padded_m[places], padded_s[places] = flat_m, s
+    return padded_m.reshape(n_rep, width), padded_s.reshape(n_rep, width), error
 
 
 def generate_block(scenario, replicate_indices):

@@ -46,8 +46,13 @@ mean's range, the empty-arm rule and the Poisson start clamp), and they
 are dispatched per run of models sharing a link or family, on that run's
 contiguous rows. Every fit keeps its own iteration count, step halving and
 outcome, and no row's arithmetic depends on the others, so each fit is bit
-for bit the fit of its model to its replicate alone. fit_gee is a block of
-one model and one replicate.
+for bit the fit of its model to its replicate alone. Replicates of
+different N share a block as rows of its widest trial, padded with m = 0
+columns that add only trailing zeros to each arm's sums (bincount keeps
+their association); the moment estimators' sums over a replicate's
+clusters are taken per cluster count, over a C-contiguous gather of its
+own columns, which numpy sums as it sums the replicate's row alone.
+fit_gee is a block of one model and one replicate.
 """
 
 from __future__ import annotations
@@ -185,6 +190,49 @@ def _arm_sums(values, keys):
     return np.bincount(keys, weights=values.ravel(), minlength=2 * n_rep).reshape(n_rep, 2)
 
 
+def _cluster_columns(sizes):
+    """Each row's cluster count N, and the columns of each N's clusters, from sizes (R, W).
+
+    A cluster has m >= 1, so a row's N is its count of m > 0 and a column
+    with m = 0 is padding (see datagen.generate_pieces). Returns (counts,
+    columns): `columns` maps each N to the columns of the first row of that
+    N with m > 0 (rows of one N share them), None for N = W, and is itself
+    None when no column is padding.
+    """
+    width = sizes.shape[1]
+    if sizes.all():
+        return np.full(len(sizes), width), None
+    counts = (sizes > 0).sum(axis=1)
+    found, first = np.unique(counts, return_index=True)
+    return counts, {n: None if n == width else np.flatnonzero(sizes[k] > 0)
+                    for n, k in zip(found.tolist(), first.tolist())}
+
+
+def _row_groups(counts, columns):
+    """For `_row_sums`: the rows of each cluster count in `counts`, with its
+    columns from `_cluster_columns`; None when no column is padding."""
+    if columns is None:
+        return None
+    return [(rows, cols) for n, cols in columns.items()
+            if (rows := np.flatnonzero(counts == n)).size]
+
+
+def _row_sums(x, groups):
+    """Per row of `x` (R, W), the sum over the row's clusters.
+
+    `groups` holds (rows, columns) per cluster count (`_row_groups`). Each
+    group's clusters are gathered into one C-contiguous array, whose rows
+    numpy sums as it sums the row of that trial alone; padding never
+    enters a sum. With no groups every column is a cluster.
+    """
+    if groups is None:
+        return x.sum(axis=1)
+    out = np.empty(len(x))
+    for rows, cols in groups:
+        out[rows] = (x[rows] if cols is None else x[np.ix_(rows, cols)]).sum(axis=1)
+    return out
+
+
 def _model_runs(models, attr):
     """The runs of consecutive models sharing `attr` ("link" or "family"):
     [value, first model, stop model] each."""
@@ -239,7 +287,9 @@ class FitBlock:
     positions whose fit converged, in order, and `errors` maps every other
     position to its NonConvergenceError. Per-fit arrays have one entry (or
     row) per converged fit, in `rows` order, and the per-cluster arrays one
-    column per cluster, in trial order.
+    column per cluster, in trial order. A column with m = 0 is padding (a
+    replicate with fewer clusters than the block is wide): there w, u and h
+    are 0, and a fit's N is its count of m > 0.
     """
 
     models: tuple            # (K,) ModelSpec of each model, in stacking order
@@ -265,7 +315,11 @@ def fit_block(arm, m, s, models):
 
     `arm` (N,) holds the clusters' arms, shared by the block; `m` and `s`
     (R, N) hold each replicate's cluster sizes and event counts, and
-    `models` the K ModelSpecs. The K R fits run as the rows of one loop,
+    `models` the K ModelSpecs. A replicate may have fewer than N clusters:
+    m = s = 0 marks a padding column, which adds zeros to the arm sums, and
+    the sums over a replicate's clusters (the moment estimators') run over
+    its own columns alone, which its rows of one cluster count share, as
+    datagen.generate_pieces lays them. The K R fits run as the rows of one loop,
     model-major (see FitBlock). Only the per-arm functions depend on the
     model: the link, its inverse and derivative, the variance function, the
     mean's range, the empty-arm rule and the Poisson start clamp. These run
@@ -295,6 +349,7 @@ def fit_block(arm, m, s, models):
     m = sizes.astype(float)
     keys = _arm_keys(n_rep, arm)
     events, n_arm = _arm_sums(s, keys), _arm_sums(m, keys)
+    counts, columns = _cluster_columns(sizes)
 
     empty = np.concatenate([np.tile(_empty_arm(family, events, n_arm), stop - first)
                             for family, first, stop in families])
@@ -302,9 +357,10 @@ def fit_block(arm, m, s, models):
     # per-replicate constants: sizes, m_i - 1, events, moment terms, alpha bound
     all_consts = [m, m - 1.0, s, *_moment_terms(sizes, 2), _alpha_lower(sizes.max(axis=1))]
 
-    def scoring_pass(bounds, keys, eta, mu, clamped, m, m1, s, *terms):
+    def scoring_pass(bounds, keys, groups, eta, mu, clamped, m, m1, s, *terms):
         """(alpha, phi, clamped, w, u, W, U) at the arm means of fits whose
-        models' row bounds are `bounds` and whose arm keys are `keys`."""
+        models' row bounds are `bounds`, arm keys `keys` and cluster groups
+        `groups`."""
         d = _by_run(link_mu_deriv, links, eta, bounds)
         v = _by_run(variance_function, families, mu, bounds)
         mu_c = mu[:, arm]
@@ -314,7 +370,7 @@ def fit_block(arm, m, s, models):
         e = resid / np.sqrt(v)[:, arm]
         q = (s * (1.0 - 2.0 * mu)[:, arm] + m_mu * mu_c) / v[:, arm]
         alpha, phi, now_clamped = _alpha_phi(
-            q.sum(axis=1), (e * e - q).sum(axis=1) / 2.0, *terms)
+            _row_sums(q, groups), _row_sums(e * e - q, groups) / 2.0, *terms)
         denom = 1.0 + m1 * alpha[:, None]
         w = (d * d / v)[:, arm] * (m / denom)
         u = (d / v)[:, arm] * (resid / denom)
@@ -326,12 +382,13 @@ def fit_block(arm, m, s, models):
     final = [np.zeros((n_fits, 2)), np.zeros((n_fits, 2)), np.zeros(n_fits, bool)]
 
     # the fits still iterating (`live`), the bounds of each model's among
-    # them, their arm keys and their state, compacted as fits leave; each
+    # them, their arm keys, cluster groups and state, compacted as fits leave; each
     # starts from its arm proportions on the link scale, a Poisson arm with
     # only events at 1 - 0.5 / n (n observations)
     live = np.flatnonzero(~empty)
     bounds, keys = live.searchsorted(starts), _arm_keys(live.size, arm)
     reps = live % n_rep
+    groups = _row_groups(counts[reps], columns)
     consts = [c[reps] for c in all_consts]
     props = events[reps] / n_arm[reps]
     for family, first, stop in families:
@@ -354,7 +411,8 @@ def fit_block(arm, m, s, models):
         if live.size == 0:
             break
         staying = np.ones(live.size, dtype=bool)
-        _, _, clamped, _, _, W, U = scoring_pass(bounds, keys, eta, mu, clamped, *consts)
+        _, _, clamped, _, _, W, U = scoring_pass(bounds, keys, groups, eta, mu, clamped,
+                                                 *consts)
         if not (np.isfinite(W).all() and np.isfinite(U).all() and W.all()):
             finite = np.isfinite(W).all(axis=1) & np.isfinite(U).all(axis=1)
             singular = finite & ~W.all(axis=1)
@@ -401,6 +459,7 @@ def fit_block(arm, m, s, models):
             clamped = clamped[staying]
             consts = [c[staying] for c in consts]
             bounds, keys = live.searchsorted(starts), _arm_keys(live.size, arm)
+            groups = _row_groups(counts[live % n_rep], columns)
 
     for k, r in enumerate(live):
         errors[int(r)] = NonConvergenceError("max_iterations", MAX_ITERATIONS, beta[k])
@@ -411,8 +470,8 @@ def fit_block(arm, m, s, models):
     beta, eta, clamped = (f[rows] for f in final)
     bounds, reps = rows.searchsorted(starts), rows % n_rep
     alpha, phi, clamped, w, u, W, U = scoring_pass(
-        bounds, _arm_keys(rows.size, arm), eta, _by_run(link_inverse, links, eta, bounds),
-        clamped, *(c[reps] for c in all_consts))
+        bounds, _arm_keys(rows.size, arm), _row_groups(counts[reps], columns), eta,
+        _by_run(link_inverse, links, eta, bounds), clamped, *(c[reps] for c in all_consts))
     # X'u = (U_0 + U_1, U_1)
     U[:, 0] += U[:, 1]
     failed = np.abs(U).max(axis=1) >= SCORE_TOL

@@ -3,8 +3,8 @@
 `wald_inference` reports one fit in full (t, p-value, intervals on both
 scales). The Monte Carlo path needs only each fit's standard error and
 test decision: `wald_reject` forms both for a block of fits, rejecting
-where |t| exceeds the cached t_{N-2} critical value, and computes no
-p-values.
+where |t| exceeds the cached t_{N-2} critical value of each fit's N, and
+computes no p-values.
 """
 
 from __future__ import annotations
@@ -126,13 +126,20 @@ def wald_reject(beta1, cov11, df, alpha_level=0.05):
 
     `beta1` and `cov11` hold each fit's arm coefficient and its variance.
     A fit rejects where |beta1 / se| > t_crit, the upper alpha_level/2
-    quantile of t with `df` degrees of freedom. Returns (se, reject,
+    quantile of t with `df` degrees of freedom: one number for every fit,
+    or an array of one per fit, whose quantile is found once per distinct
+    value. Returns (se, reject,
     degenerate): `degenerate` marks variances that are not positive, where
     Wald inference is undefined, se is NaN and the fit does not reject.
     """
     if not 0.0 < alpha_level < 1.0:
         raise UsageError(f"alpha_level must lie in (0, 1), got {alpha_level}")
-    t_crit = student_t_quantile(alpha_level / 2.0, df)
+    if np.ndim(df):
+        values, which = np.unique(df, return_inverse=True)
+        t_crit = np.array([student_t_quantile(alpha_level / 2.0, v)
+                           for v in values.tolist()])[which]
+    else:
+        t_crit = student_t_quantile(alpha_level / 2.0, df)
     degenerate = ~(cov11 > 0.0)
     se = np.sqrt(np.where(degenerate, np.nan, cov11))
     return se, np.abs(beta1 / se) > t_crit, degenerate

@@ -34,7 +34,9 @@ records each fit's failure (an arm without working information, a
 leverage at 1) without stopping the others; AVG is formed there, once, as
 (KC + MD) / 2. Every kind reads only each fit's own row and the shared
 arms, so one call serves the stacked fits of all of a block's working
-models (see crtgee.gee.fit_block), each row as it would be alone.
+models (see crtgee.gee.fit_block), each row as it would be alone; a fit
+whose trial has fewer clusters than the block is wide has m = 0 in the
+other columns, and its N (for MBN) is its count of m > 0.
 compute_estimates is a block of one (a fit_gee fit) that raises the
 failure instead.
 """
@@ -52,7 +54,7 @@ from .errors import (
     UnsupportedDesignError,
     UsageError,
 )
-from .gee import _arm_keys, _arm_sums
+from .gee import _arm_keys, _arm_sums, _cluster_columns, _row_groups, _row_sums
 
 
 class EstimatorKind(enum.Enum):
@@ -95,11 +97,15 @@ def _bread_errors(W):
     return errors
 
 
-def _first_bad(bad, cluster_ids):
-    """Per replicate with a bad cluster: (its position, the first bad cluster's id)."""
+def _first_bad(bad, cluster_ids, m):
+    """Per replicate with a bad cluster: (its position, the first bad cluster's id).
+
+    Without ids a cluster is named by its place among its replicate's
+    clusters, the columns of `m` (R, W) with m > 0 (padding is never bad).
+    """
     for k in np.flatnonzero(bad.any(axis=1)):
         i = int(np.flatnonzero(bad[k])[0])
-        yield int(k), i if cluster_ids is None else cluster_ids[i]
+        yield int(k), int(np.count_nonzero(m[k, :i])) if cluster_ids is None else cluster_ids[i]
 
 
 def _beta_cov(var, cross=0.0):
@@ -137,7 +143,9 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
         raise UsageError(f"FG bound must lie in (0, 1], got {fg_bound}")
 
     arm = fits.arm
-    n_clusters = len(arm)
+    # each fit's own cluster count N; columns with m = 0 are padding
+    n_clusters, columns = _cluster_columns(fits.m)
+    groups = _row_groups(n_clusters, columns)
     u, h, W = fits.u, fits.h, fits.W
     bread_errors = _bread_errors(W)
     if bread_errors:
@@ -158,7 +166,7 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
             gaps = 1.0 - h                         # eigenvalue of I - Q_i along x_i
             bad = gaps <= 1e-14
             if bad.any():
-                for k, cid in _first_bad(bad, cluster_ids):
+                for k, cid in _first_bad(bad, cluster_ids, fits.m):
                     errs.setdefault(k, CorrectionSingularityError(
                         cid, kind.name, f"I - Q_i eigenvalue {float(gaps[k].min()):.3g}"))
                 gaps = np.where(bad, 1.0, gaps)
@@ -168,7 +176,7 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
             factors = 1.0 - np.minimum(fg_bound, h)
             bad = factors <= 0.0
             if bad.any():
-                for k, cid in _first_bad(bad, cluster_ids):
+                for k, cid in _first_bad(bad, cluster_ids, fits.m):
                     errs.setdefault(k, CorrectionSingularityError(
                         cid, "FG", "capped diagonal reached 1"))
                 factors = np.where(bad, 1.0, factors)
@@ -179,8 +187,8 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
             treated = arm == 1
             f0 = np.where(treated, 1.0 - c, c) * u
             f1 = np.where(treated, c, 0.0) * u
-            var = np.stack([(f0 * f0).sum(axis=1), (f1 * f1).sum(axis=1)], axis=1)
-            covs[kind] = _beta_cov(var / WW, (f0 * f1).sum(axis=1) / (W[:, 0] * W[:, 1]))
+            var = np.stack([_row_sums(f0 * f0, groups), _row_sums(f1 * f1, groups)], axis=1)
+            covs[kind] = _beta_cov(var / WW, _row_sums(f0 * f1, groups) / (W[:, 0] * W[:, 1]))
         diagnostics[kind] = {"q_max": q_max}
         errors[kind] = errs
 
@@ -195,19 +203,20 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
         # and phi_mbn = max(1, c trace(B^{-1} sum_i s_i s_i') / 2), where
         # trace(B^{-1} sum_i s_i s_i') = sum_a T_a / W_a
         kind = EstimatorKind.MBN
-        if n_clusters <= 2:
-            err = UnsupportedDesignError(f"MBN needs more than 2 clusters, got {n_clusters}")
-            errors[kind] = {k: err for k in range(len(W))}
-            covs[kind] = np.full((len(W), 2, 2), np.nan)
-            diagnostics[kind] = {}
-        else:
-            total_obs = fits.m.sum(axis=1)
-            c = (((total_obs - 1) / (total_obs - 2)) * (n_clusters / (n_clusters - 1)))[:, None]
-            delta = min(0.5, 2.0 / (n_clusters - 2))
-            phi_mbn = np.fmax(1.0, (c * T / W).sum(axis=1) / 2)
-            covs[kind] = _beta_cov(c * T / WW + (delta * phi_mbn)[:, None] / W)
-            diagnostics[kind] = {"mbn_phi": phi_mbn}
-            errors[kind] = dict(bread_errors)
+        errors[kind] = dict(bread_errors)
+        n, total_obs = n_clusters, fits.m.sum(axis=1)
+        few = n <= 2
+        if few.any():
+            for k in np.flatnonzero(few):
+                errors[kind][int(k)] = UnsupportedDesignError(
+                    f"MBN needs more than 2 clusters, got {n[k]}")
+            # any N > 2 keeps the arithmetic finite; these rows are NaN below
+            n, total_obs = np.where(few, 3, n), np.where(few, 3, total_obs)
+        c = (((total_obs - 1) / (total_obs - 2)) * (n / (n - 1)))[:, None]
+        delta = np.minimum(0.5, 2.0 / (n - 2))
+        phi_mbn = np.fmax(1.0, (c * T / W).sum(axis=1) / 2)
+        covs[kind] = _beta_cov(c * T / WW + (delta * phi_mbn)[:, None] / W)
+        diagnostics[kind] = {"mbn_phi": phi_mbn}
 
     if EstimatorKind.AVG in want:
         kc, md = EstimatorKind.KC, EstimatorKind.MD

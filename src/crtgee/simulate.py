@@ -9,14 +9,19 @@ and every replicate's RNG substream is keyed by (seed, scenario, replicate),
 which makes output files byte-identical at any parallelism.
 
 The unit of work is a block: consecutive cells of the grid, in grid order,
-that share the number of clusters N, cut into pieces (a cell and a range of
+whatever their number of clusters N, cut into pieces (a cell and a range of
 its replicates) of at most BLOCK_REPLICATES replicates in all. A cell with
 more replicates is split across blocks, and its last piece may share a block
-with the next cell. Cells sharing N share their arms and the t reference's
-N - 2 degrees of freedom, so a block is one pass from draws to summaries.
-Its pieces draw their replicates' sizes and uniforms in turn, and one
-conditional-linear recurrence turns them all into (R, N) cluster sizes and
-event counts. The K models' K R fits are the rows of one vectorized
+with the next cell, so a grid of at most BLOCK_REPLICATES replicates is one
+block. A block is one pass from draws to summaries. Its pieces draw their
+replicates' sizes and uniforms in turn, and one conditional-linear
+recurrence turns them all into (R, W) cluster sizes and event counts, W the
+block's largest N: a trial of N clusters fills each arm's first N/2 columns
+and has m = s = 0 in the others. A cluster has m >= 1, so m = 0 marks
+padding, which adds only trailing zeros to each arm's sums; the sums over a
+trial's clusters are taken over its own columns alone, and its N (MBN's
+N / (N - 1) and delta_N, the t reference's N - 2 degrees of freedom) is its
+count of m > 0. The K models' K R fits are the rows of one vectorized
 Fisher-scoring loop, model-major, whose step is one scalar U_a / W_a per
 arm, with the per-arm functions (link, variance, range, empty-arm rule)
 dispatched per model on contiguous row slices; every variance estimate is
@@ -25,13 +30,14 @@ tests are one call. The outcomes stay stacked: a piece is a slice of its
 block's replicates, a cell split across blocks has its pieces joined once,
 and one aggregate call summarizes every model of a cell from (kinds, K, R)
 views. A fit rejects the null when |t| = |beta1 / SE| exceeds the upper
-alpha_level/2 quantile of t, computed once per N; no p-values are
+alpha_level/2 quantile of t, computed once per N in a block; no p-values are
 computed. Each replicate's outcome is bit for bit the one it has alone, so
 results depend on neither the packing nor the number of processes. Blocks
 are independent, so the grid can run them on T processes, the caller
-included: block i runs on process i mod T, the caller running its own
-blocks inline and each of the T - 1 worker processes sending its results
-back over a pipe, and the caller takes them in grid order. A worker starts
+included, and on no more than there are blocks: a grid of one block runs
+in the caller alone. Block i runs on process i mod T, the caller running
+its own blocks inline and each of the T - 1 worker processes sending its
+results back over a pipe, and the caller takes them in grid order. A worker starts
 its next block only once the caller has taken its previous result, so at
 most T blocks are running or finished and not yet taken. run_grid,
 run_scenario (a grid of one cell) and run_block (a block of one piece) all
@@ -58,7 +64,7 @@ import numpy as np
 from .datagen import Scenario, generate_pieces, trial_arms
 from .errors import DomainError
 from .families import Family, Link, ModelSpec
-from .gee import fit_block
+from .gee import _cluster_columns, fit_block
 from .inference import wald_reject
 from .sandwich import (
     ALL_KINDS,
@@ -284,9 +290,11 @@ def _fit_models(arm, m, s, models, kinds, fg_bound, alpha_level):
     clamped = np.zeros(n_fits, dtype=bool)
     clamped[rows] = fits.clamped
 
-    # every model's t reference has the same N - 2 degrees of freedom
+    # each fit's t reference has N - 2 degrees of freedom, N its trial's
+    # clusters (m > 0): one number when no fit's trial is padded
     covs, _, errors = estimate_block(fits, kinds, fg_bound)
-    df = len(arm) - 2
+    n, padded = _cluster_columns(fits.m)
+    df = len(arm) - 2 if padded is None else n - 2
     leverage_evaluated = np.zeros(len(rows), dtype=bool)
     se, reject, failures = {}, {}, {}
     for kind in kinds:
@@ -328,7 +336,7 @@ def run_block(scenario, replicate_indices, models=ALL_MODELS, kinds=ALL_KINDS,
 
 
 def _fit_pieces(pieces, models, kinds, fg_bound, alpha_level):
-    """Generate a block's (scenario, replicate_indices) pieces, which share N, and fit them.
+    """Generate a block's (scenario, replicate_indices) pieces, of any N, and fit them.
 
     Returns ([(fits, rows) per piece], error): `fits` is the ModelBlock of
     every model's fits to the block, stacked model-major, and `rows` the
@@ -340,7 +348,7 @@ def _fit_pieces(pieces, models, kinds, fg_bound, alpha_level):
     m, s, error = generate_pieces(pieces)
     if not len(m):
         return [], error
-    arm = trial_arms(pieces[0][0].n_clusters)
+    arm = trial_arms(m.shape[1])
     fits = _fit_models(arm, m, s, models, kinds, fg_bound, alpha_level)
     fitted, stop = [], 0
     for _, reps in pieces:
@@ -354,14 +362,12 @@ def _fit_pieces(pieces, models, kinds, fg_bound, alpha_level):
 def pack_blocks(scenarios, block_replicates):
     """Cut the cells' replicates into blocks, in order: lists of (scenario, range) pieces.
 
-    A block holds consecutive cells that share n_clusters and at most
-    `block_replicates` replicates; a cell is split where a block fills, so
-    its pieces cover its replicates once, in order.
+    A block holds at most `block_replicates` replicates of consecutive
+    cells, whatever their N; a cell is split where a block fills, so its
+    pieces cover its replicates once, in order.
     """
     blocks, room = [], 0
     for sc in scenarios:
-        if blocks and sc.n_clusters != blocks[-1][0][0].n_clusters:
-            room = 0
         start = 0
         while start < sc.replicates:
             if room == 0:

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import crtgee.simulate
+
 from crtgee import (
     ALL_MODELS,
     Cluster,
@@ -289,7 +291,10 @@ def test_criterion_7_inference_engine():
     )
 
 
-def test_criterion_8_parallel_determinism(tmp_path):
+def test_criterion_8_parallel_determinism(tmp_path, monkeypatch):
+    # the grid's 100 replicates fit one block, which the caller would fit
+    # alone; blocks of 30 make 4, so --threads 8 runs them on 4 processes
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 30)
     doc = {
         "seed": PROJECT_SEED,
         "replicates": 25,

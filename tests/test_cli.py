@@ -437,13 +437,32 @@ def test_simulate_rerun_same_checksum(tmp_path):
     assert digest1 == digest2
 
 
-def test_simulate_threads_do_not_change_bytes(tmp_path):
+def test_simulate_threads_do_not_change_bytes(tmp_path, monkeypatch):
     config, _ = base_config(tmp_path)
+    # 4 blocks of 8 of the grid's 32 replicates, so --threads 3 starts workers
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 8)
     assert main(["simulate", "--config", str(config), "--threads", "1"]) == 0
     serial = (tmp_path / "results.csv").read_bytes()
     assert main(["simulate", "--config", str(config), "--threads", "3"]) == 0
     parallel = (tmp_path / "results.csv").read_bytes()
     assert serial == parallel
+
+
+def test_simulate_threads_start_a_worker_for_a_grid_of_two_blocks(tmp_path, monkeypatch):
+    # 4 cells of 30 replicates over N = 6 and 10: 120 replicates, two blocks
+    config, _ = base_config(tmp_path, replicates=30)
+    assert main(["simulate", "--config", str(config), "--threads", "1"]) == 0
+    serial = (tmp_path / "results.csv").read_bytes()
+    started, workers = [], crtgee.simulate._workers
+
+    def spy(task, blocks, processes):
+        started.append((len(blocks), processes))
+        return workers(task, blocks, processes)
+
+    monkeypatch.setattr(crtgee.simulate, "_workers", spy)
+    assert main(["simulate", "--config", str(config), "--threads", "2"]) == 0
+    assert started == [(2, 2)]
+    assert (tmp_path / "results.csv").read_bytes() == serial
 
 
 #: a grid whose rows hold every kind of cell: None (esd at n_conv 0 and 1,
@@ -474,6 +493,8 @@ def test_simulate_writes_each_result_row_cell_by_cell(tmp_path):
 
 def test_simulate_threads_env_var(tmp_path, monkeypatch):
     config, _ = base_config(tmp_path)
+    # 4 blocks of 8 of the grid's 32 replicates, so 2 threads start a worker
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 8)
     assert main(["simulate", "--config", str(config), "--threads", "1"]) == 0
     want = (tmp_path / "results.csv").read_bytes()
     monkeypatch.setenv(THREADS_ENV_VAR, "2")

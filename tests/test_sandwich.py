@@ -27,6 +27,7 @@ from crtgee import (
 )
 
 from crtgee.families import link_inverse, link_mu_deriv, variance_function
+from crtgee.gee import fit_block
 
 from _dense_oracle import dense_estimates, identity_gap, mp_sandwiches, rel_err
 
@@ -342,3 +343,20 @@ def test_covariances_are_symmetric_psd():
             assert np.array_equal(est.cov, est.cov.T), kind
             vals = np.linalg.eigvalsh(est.cov)
             assert np.min(vals) > -1e-14, kind
+
+
+def test_a_padded_trial_names_its_singular_cluster_by_its_place_in_the_trial():
+    # the second replicate is a trial of 2 control clusters and 1 treated one,
+    # whose leverage is 1; in the block's 6 columns it sits after a padding column
+    kinds = (EstimatorKind.KC, EstimatorKind.MD, EstimatorKind.FG)
+    m = np.array([[5, 6, 7, 8, 9, 10], [5, 6, 0, 8, 0, 0]])
+    s = np.array([[1, 2, 3, 4, 5, 6], [1, 3, 0, 4, 0, 0]])
+    spec = ModelSpec(Family.GAUSSIAN, Link.IDENTITY)
+    block = fit_block(np.repeat([0, 1], 3), m, s, (spec,))
+    alone = fit_block(np.array([0, 0, 1]), m[1:, [0, 1, 3]], s[1:, [0, 1, 3]], (spec,))
+    assert block.rows.tolist() == [0, 1] and alone.rows.tolist() == [0]
+    _, _, got = estimate_block(block, kinds, fg_bound=1.0)
+    _, _, want = estimate_block(alone, kinds, fg_bound=1.0)
+    for kind in kinds:
+        assert list(got[kind]) == [1] and got[kind][1].cluster_id == 2
+        assert str(got[kind][1]) == str(want[kind][0]), kind

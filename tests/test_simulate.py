@@ -11,6 +11,7 @@ import pytest
 
 import crtgee.datagen
 import crtgee.gee
+import crtgee.sandwich
 import crtgee.simulate
 
 from crtgee import (
@@ -227,7 +228,9 @@ def test_rows_schema_and_values():
             assert (TYPE1_BAND[0] <= r["type1"] <= TYPE1_BAND[1]) == r["acceptable"]
 
 
-def test_run_grid_parallelism_is_invisible():
+def test_run_grid_parallelism_is_invisible(monkeypatch):
+    # 4 blocks of 8 of the grid's 32 replicates, so threads=4 runs 4 processes
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 8)
     grid = FactorialGrid(
         n_clusters=(6, 10),
         sizes=(FixedSize(8),),
@@ -262,7 +265,9 @@ def test_run_grid_skip_resumes_by_scenario():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_run_grid_skip_drops_exactly_the_listed_cells(threads):
+def test_run_grid_skip_drops_exactly_the_listed_cells(monkeypatch, threads):
+    # the 6 replicates run are 2 blocks of 3, so threads=2 starts a worker
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 3)
     grid = FactorialGrid(
         n_clusters=(6, 10),
         sizes=(FixedSize(6),),
@@ -322,15 +327,15 @@ FAILING_GRID = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(6),), pi0=(0.3,),
                              estimators=(EstimatorKind.ROBUST,), replicates=1, seed=2026)
 
 
-def _first_cell_rows():
-    sc = FAILING_GRID.scenarios()[0]
-    return [result_rows(r) for r in run_scenario(sc, FAILING_GRID.models, FAILING_GRID.estimators)]
+def _first_cell_rows(grid=FAILING_GRID):
+    sc = grid.scenarios()[0]
+    return [result_rows(r) for r in run_scenario(sc, grid.models, grid.estimators)]
 
 
-def _yielded_before_failure(threads):
+def _yielded_before_failure(threads, grid=FAILING_GRID):
     yielded = []
     with pytest.raises(RuntimeError, match="cell 1 failed"):
-        for cell in run_grid(FAILING_GRID, threads=threads):
+        for cell in run_grid(grid, threads=threads):
             yielded.append([result_rows(r) for r in cell])
     return yielded
 
@@ -346,16 +351,28 @@ def test_run_grid_yields_every_earlier_cell_before_a_failure(monkeypatch, thread
     assert _yielded_before_failure(threads) == [cell0]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_a_failing_piece_leaves_the_earlier_cells_of_its_block(monkeypatch, threads):
-    # all three cells share one block: cell 0 is still fit and yielded
+def assert_a_failing_piece_leaves_cell_0(monkeypatch, threads, grid):
+    """Cell 0 is still fit and yielded when cell 1, in the same block, fails to draw."""
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched generator reaches the workers only through fork")
-    cell0 = _first_cell_rows()
-    assert len(crtgee.simulate.pack_blocks(FAILING_GRID.scenarios(),
+    cell0 = _first_cell_rows(grid)
+    assert len(crtgee.simulate.pack_blocks(grid.scenarios(),
                                            crtgee.simulate.BLOCK_REPLICATES)) == 1
     monkeypatch.setattr(crtgee.datagen, "_draw_piece", _failing_second_cell)
-    assert _yielded_before_failure(threads) == [cell0]
+    assert _yielded_before_failure(threads, grid) == [cell0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_piece_leaves_the_earlier_cells_of_its_block(monkeypatch, threads):
+    # all three cells share one block
+    assert_a_failing_piece_leaves_cell_0(monkeypatch, threads, FAILING_GRID)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_wider_piece_leaves_the_narrower_cell_before_it(monkeypatch, threads):
+    # cell 1 has N = 10, so cell 0 (N = 6) is drawn into a block wider than any trial drawn
+    grid = dataclasses.replace(FAILING_GRID, n_clusters=(6, 10), icc=(0.0,))
+    assert_a_failing_piece_leaves_cell_0(monkeypatch, threads, grid)
 
 
 #: the directory where _marked_fit_pieces leaves one file per block it starts
@@ -542,16 +559,16 @@ PACKED_GRID = FactorialGrid(n_clusters=(6, 10, 6), sizes=(FixedSize(4), GammaSiz
                             pi0=(0.1, 0.3), icc=(0.05,), replicates=5, seed=11)
 
 
-def test_pack_blocks_fills_bounded_single_n_blocks_in_grid_order():
+def test_pack_blocks_fills_bounded_blocks_across_n_in_grid_order():
     # cells 0-3 and 8-11 have N = 6, cells 4-7 N = 10; two cells are skipped
     scenarios = [sc for sc in PACKED_GRID.scenarios() if sc.index not in (1, 6)]
     blocks = crtgee.simulate.pack_blocks(scenarios, 7)
-    assert all(sum(len(reps) for _, reps in b) <= 7 for b in blocks)
-    assert all(len({sc.n_clusters for sc, _ in b}) == 1 for b in blocks)
     pieces = [(sc.index, rep) for b in blocks for sc, reps in b for rep in reps]
     assert pieces == [(sc.index, rep) for sc in scenarios for rep in range(sc.replicates)]
-    # each run of same-N cells fills its blocks: 15, 15 and 20 replicates
-    assert [sum(len(reps) for _, reps in b) for b in blocks] == [7, 7, 1, 7, 7, 1, 7, 7, 6]
+    # blocks fill across a change of N: 50 replicates are 7 full blocks and 1
+    assert [sum(len(reps) for _, reps in b) for b in blocks] == [7] * 7 + [1]
+    assert [sorted({sc.n_clusters for sc, _ in b}) for b in blocks] == \
+        [[6], [6], [6, 10], [10], [6, 10], [6], [6], [6]]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -841,3 +858,116 @@ def test_stacked_summary_of_cells_split_across_blocks_equals_each_model_alone(mo
     # and equals the grid in one block, where no cell is joined
     monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 2 * (size + 10))
     assert exact(list(run_grid(grid))) == exact(stacked)
+
+
+# --- blocks across N: a trial laid into a wider block equals the trial alone ---
+
+def fit_pieces(pieces, models=ALL_MODELS):
+    """Each piece's ModelBlock (every model, stacked) from one `_fit_pieces` call."""
+    fitted, error = crtgee.simulate._fit_pieces(pieces, models, ALL_KINDS,
+                                                crtgee.simulate.DEFAULT_FG_BOUND,
+                                                crtgee.simulate.ALPHA_LEVEL)
+    assert error is None and len(fitted) == len(pieces)
+    return [ModelBlock.join([part], len(models)) for part in fitted]
+
+
+MIXED_BLOCKS = {
+    # (pieces of one block, reasons their fits must show)
+    "empty-arm-cycle-size-1": ([
+        BATCH_DESIGNS["zero-event-arms"],                       # N = 6, some arms empty
+        (BATCH_DESIGNS["alpha-cycle"][0], [10, 91, 154, 0, 1]),  # N = 12, max_iterations
+        (Scenario(n_clusters=8, sizes=FixedSize(1), pi0=0.3, pi1=0.3, icc=0.05, seed=3),
+         range(20)),                                            # size-1 clusters
+    ], {"empty_arm", "max_iterations"}),
+    # N = 6 on both sides of an N = 20 piece: a step-halving failure, then arms of
+    # only events (empty under the binomial models, the start clamp under Poisson)
+    "step-halving-all-event": ([
+        STACK_DESIGNS["step-halving"][:2],
+        (BATCH_DESIGNS["criterion-9"][0], range(5)),
+        STACK_DESIGNS["all-event-arms"][:2],
+    ], {"step_halving_exhausted", "empty_arm"}),
+    # MBN's delta_N is capped at 0.5 at N = 4 and 2 / 18 at N = 20, and the t
+    # reference has 2 and 18 degrees of freedom; the N = 12 trials' 6 treated
+    # clusters sit past 4 padding columns, where a sum over all 20 columns would
+    # associate them differently
+    "mbn-4-beside-20": ([
+        (Scenario(n_clusters=4, sizes=GammaSize(10, 0.5), pi0=0.3, pi1=0.3, icc=0.05, seed=4),
+         range(40)),
+        (BATCH_DESIGNS["criterion-9"][0], range(10)),
+        (BATCH_DESIGNS["alpha-cycle"][0], range(20, 40)),
+    ], set()),
+}
+
+
+@pytest.mark.parametrize("design", sorted(MIXED_BLOCKS))
+def test_a_block_across_n_equals_each_cell_alone(design):
+    pieces, want = MIXED_BLOCKS[design]
+    assert len({sc.n_clusters for sc, _ in pieces}) > 1
+    reasons = set()
+    for (sc, reps), got in zip(pieces, fit_pieces(pieces)):
+        (alone,) = fit_pieces([(sc, reps)])
+        for k, model in enumerate(ALL_MODELS):
+            where = (design, sc.n_clusters, model.label())
+            assert model_entries(got, k, len(reps)) == model_entries(alone, k, len(reps)), where
+        reasons.update(alone.reason)
+    assert want <= reasons, reasons
+
+
+def test_the_t_reference_follows_each_trials_n_in_a_block_across_n():
+    # some N = 4 fits have |t| between t_2 and t_18's critical values
+    pieces, _ = MIXED_BLOCKS["mbn-4-beside-20"]
+    narrow = fit_pieces(pieces)[0]
+    t = np.abs(narrow.beta[:, 1] / narrow.se[EstimatorKind.ROBUST])
+    assert ((t > 2.2) & (t < 4.3)).any()
+    assert not narrow.reject[EstimatorKind.ROBUST][t < 4.3].any()
+
+
+def estimates_by_fit(arm, m, s, fg_bound):
+    """{(model, replicate): reason, or each kind's (covariance bits, error name)}."""
+    fits = crtgee.gee.fit_block(arm, m, s, ALL_MODELS)
+    covs, _, errors = crtgee.sandwich.estimate_block(fits, ALL_KINDS, fg_bound)
+    out = {divmod(p, len(m)): err.reason for p, err in fits.errors.items()}
+    for i, p in enumerate(fits.rows.tolist()):
+        out[divmod(p, len(m))] = {kind: (bits(covs[kind][i].ravel()),
+                                         type(errors[kind].get(i)).__name__) for kind in ALL_KINDS}
+    return out
+
+
+def test_estimator_failures_in_a_block_across_n_equal_each_trial_alone():
+    # N = 2: each arm's one cluster has leverage 1, so with the FG bound at 1 FG is
+    # singular, as KC and MD are, and MBN needs more than 2 clusters
+    pieces = [(Scenario(n_clusters=2, sizes=FixedSize(6), pi0=0.4, pi1=0.4, icc=0.05, seed=1),
+               range(8)), (BATCH_DESIGNS["criterion-9"][0], range(4))]
+    m, s, error = crtgee.datagen.generate_pieces(pieces)
+    assert error is None and m.shape == (12, 20)
+    got = estimates_by_fit(crtgee.datagen.trial_arms(20), m, s, 1.0)
+    failures = set()
+    row = 0
+    for sc, reps in pieces:
+        for rep in reps:
+            alone = estimates_by_fit(crtgee.datagen.trial_arms(sc.n_clusters),
+                                     *crtgee.datagen.generate_block(sc, [rep]), 1.0)
+            for k in range(len(ALL_MODELS)):
+                assert got[k, row] == alone[k, 0], (sc.n_clusters, rep, k)
+                if isinstance(alone[k, 0], dict):
+                    failures.update((kind, name) for kind, (_, name) in alone[k, 0].items())
+            row += 1
+    assert {(EstimatorKind.FG, "CorrectionSingularityError"),
+            (EstimatorKind.MBN, "UnsupportedDesignError")} <= failures
+
+
+def test_a_narrow_trials_sums_keep_their_association_in_a_wider_block():
+    # cell 23 (N = 8) shares its second block with cell 24 (N = 10); summing its
+    # clusters' residual products from an F-ordered gather, x[:, cols], moved
+    # replicate 21's binomial-log beta1 to 0.2522147203257484
+    grid = FactorialGrid(n_clusters=(4, 6, 8, 10, 20), sizes=(FixedSize(3), GammaSize(10, 1.0)),
+                         pi0=(0.05, 0.3), icc=(0.01, 0.1), replicates=60, seed=11)
+    cells = grid.scenarios()
+    (block,) = [b for b in crtgee.simulate.pack_blocks(cells, crtgee.simulate.BLOCK_REPLICATES)
+                if (cells[23], range(20, 60)) in b]
+    assert [(sc.index, sc.n_clusters) for sc, _ in block] == [(23, 8), (24, 10)]
+    got = fit_pieces(block)[0]
+    alone = run_block(cells[23], [21])["binomial-log"]
+    assert ALL_MODELS[0].label() == "binomial-log"
+    assert bits(got.beta[1]) == bits(alone.beta[0])
+    assert got.beta[1, 1] == 0.25221472032574827
