@@ -13,7 +13,7 @@ Cluster sizes are fixed or gamma-drawn; substreams keyed by
 (seed, scenario, replicate) make every dataset reproducible bit-for-bit
 regardless of execution order.
 
-A block of replicates is generated in one pass over columns. Each
+A block of replicates is generated in one recurrence. Each
 replicate draws its cluster sizes and then one flat run of sum(m_i)
 uniforms from its own substream; the generator's stream is a sequence of
 doubles that any split into calls consumes in order, so the flat run holds
@@ -21,19 +21,21 @@ exactly what one draw of m_i per cluster, in cluster order, would give.
 The runs of all replicates are laid end to end, one row per cluster, and
 the rows are visited longest first, so the rows still drawing at column j
 are a prefix. Each column updates only that prefix, each row with its own
-mean and correlation, by the same floating-point operations as a
-cluster-by-cluster loop, so the outcomes are bit-identical to it and do not
-depend on which replicates share the block. A block may hold pieces of
-several scenarios, of any N (generate_pieces): each piece draws its sizes
-and uniforms in turn, one recurrence then runs over the rows of them all,
-and each replicate is laid into the block's widest trial, each arm's
-clusters first, with m = s = 0 in the columns it leaves. A single trial is
-a block of one.
+mean and correlation, until at most TAIL_ROWS rows are left; those then
+finish one at a time in a scalar loop. Both phases do the same
+floating-point operations as a cluster-by-cluster loop, so the outcomes
+are bit-identical to it and do not depend on which replicates share the
+block. A block may hold pieces of several scenarios, of any N
+(generate_pieces): each piece draws its sizes and uniforms in turn, one
+recurrence then runs over the rows of them all, and each replicate is laid
+into the block's widest trial, each arm's clusters first, with m = s = 0
+in the columns it leaves. A single trial is a block of one.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,16 +153,47 @@ def _check_means(means, rho, size):
                 )
 
 
+#: the most rows still drawing at which the recurrence finishes each row
+#: alone. A numpy pass over one column costs about as much as 45-60 draws
+#: of the scalar loop (measured on CPython 3.11: 6-7 us a column against
+#: 0.11-0.14 us a draw), so with fewer rows left the column pass costs
+#: more per draw; block timings are flat for a bound of 32 to 64
+TAIL_ROWS = 64
+
+
+def _finish_row(uniforms, coeffs, mu, centered):
+    """The rest of one row's recurrence: a draw per uniform, with b_j from `coeffs`.
+
+    `centered` is the sum of the row's centered draws so far. Each draw
+    does what a column pass does to its row, in the same order: lam = mu +
+    b_j centered, y = u < lam, centered += y - mu. Returns the draws, a
+    list of bools.
+    """
+    up, draws = 1.0 - mu, []
+    for u, b in zip(uniforms, coeffs):
+        draw = u < mu + b * centered
+        centered = centered + up if draw else centered - mu
+        draws.append(draw)
+    return draws
+
+
 def _draw_rows(flat, sizes, mu, rho, outcomes=None):
     """Run the conditional-linear recurrence over rows laid end to end in `flat`.
 
     Row i owns the next `sizes[i]` uniforms of `flat` and draws with marginal
     mean `mu[i]` and correlation `rho`, one number for every row or an
-    array of one per row. Column j is drawn for the rows with at least j
-    members, longest first (a stable order); the caller has checked that no
-    conditional mean can leave [0, 1] (`_check_means`). Returns every row's
-    event count; when `outcomes` (an array shaped like `flat`) is given,
-    each draw is also written at its uniform's position.
+    array of one per row. The caller has checked that no conditional mean
+    can leave [0, 1] (`_check_means`). Returns every row's event count;
+    when `outcomes` (an array shaped like `flat`) is given, each draw is
+    also written at its uniform's position.
+
+    The recurrence runs in two phases. While more than TAIL_ROWS rows are
+    still drawing, column j is drawn in one numpy pass for the rows with at
+    least j members, longest first (a stable order), so they are a prefix.
+    The few long rows left then finish one at a time, each in a scalar loop
+    over its own uniforms (`_finish_row`). Both phases do the same IEEE
+    operations per draw in the same order, so every draw is the one a
+    cluster-by-cluster loop gives, wherever the phases split.
     """
     starts = np.zeros(sizes.size, dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
@@ -179,7 +212,8 @@ def _draw_rows(flat, sizes, mu, rho, outcomes=None):
     events = draw.astype(np.intp)
     if outcomes is not None:
         outcomes[base] = draw
-    for j in range(2, active.size + 1):
+    j = 2
+    while j <= active.size and active[j - 1] > TAIL_ROWS:
         k = active[j - 1]
         if rhos is None:
             b = qaqish_coeff(rho, j)
@@ -192,6 +226,20 @@ def _draw_rows(flat, sizes, mu, rho, outcomes=None):
         events[:k] += draw
         if outcomes is not None:
             outcomes[idx] = draw
+        j += 1
+    if j <= active.size:
+        # the k rows with columns j.. left, and b_j of those columns once per rho
+        k = int(active[j - 1])
+        coeffs = [[qaqish_coeff(r, i) for i in range(j, active.size + 1)]
+                  for r in rhos or (rho,)]
+        rows = zip(range(k), (base[:k] + (j - 1)).tolist(),
+                   (base[:k] + sizes[order[:k]]).tolist(), mu[:k].tolist(),
+                   centered[:k].tolist(), which[:k].tolist() if rhos else [0] * k)
+        for p, start, stop, row_mu, row_centered, w in rows:
+            draws = _finish_row(flat[start:stop].tolist(), coeffs[w], row_mu, row_centered)
+            events[p] += sum(draws)
+            if outcomes is not None:
+                outcomes[start:stop] = draws
     counts = np.empty_like(events)
     counts[order] = events
     return counts
@@ -200,13 +248,17 @@ def _draw_rows(flat, sizes, mu, rho, outcomes=None):
 def generate_clusters(mu, rho, m, count, rng):
     """Sample `count` independent clusters of size m as a (count, m) 0/1 array.
 
-    Vectorized across clusters: all uniforms are drawn up front and each
-    column's threshold is the conditional mean given the previous columns.
+    All uniforms are drawn up front, cluster after cluster, and the
+    recurrence then runs over them as over a block's (`_draw_rows`). Raises
+    DomainError unless m >= 1 and count >= 0 are integers.
     """
     if not 0.0 < mu < 1.0:
         raise DomainError(f"marginal mean must lie in (0, 1), got {mu}")
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
+    for name, value, least in (("cluster size", m, 1), ("cluster count", count, 0)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     flat = rng.random(count * m)
     _check_means((mu,), rho, m)
     y = np.zeros(flat.size, dtype=np.int8)
@@ -288,6 +340,8 @@ def generate_pieces(pieces):
     width = max(scenario.n_clusters for scenario, _ in pieces)
     sizes, runs, means, iccs, error = [], [], [], [], None
     for scenario, reps in pieces:
+        if not len(reps):
+            continue
         try:
             m, flat = _draw_piece(scenario, reps)
         except Exception as err:

@@ -57,6 +57,7 @@ fit_gee is a block of one model and one replicate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,6 +309,12 @@ class FitBlock:
     u: np.ndarray            # (F, N) scores
     h: np.ndarray            # (F, N) leverages w_i / W_a(i)
     W: np.ndarray            # (F, 2) working information W_a = sum_{i in a} w_i
+
+    @functools.cached_property
+    def clusters(self):
+        """Each fit's N and the columns of each N's clusters (`_cluster_columns` of m),
+        found once per block for every reader."""
+        return _cluster_columns(self.m)
 
 
 def fit_block(arm, m, s, models):

@@ -124,13 +124,14 @@ def wald_inference(fit, var, measure=None, alpha_level=0.05):
 def wald_reject(beta1, cov11, df, alpha_level=0.05):
     """Standard errors and two-sided Wald t decisions for a block of fits.
 
-    `beta1` and `cov11` hold each fit's arm coefficient and its variance.
-    A fit rejects where |beta1 / se| > t_crit, the upper alpha_level/2
-    quantile of t with `df` degrees of freedom: one number for every fit,
-    or an array of one per fit, whose quantile is found once per distinct
-    value. Returns (se, reject,
-    degenerate): `degenerate` marks variances that are not positive, where
-    Wald inference is undefined, se is NaN and the fit does not reject.
+    `beta1` (F,) holds each fit's arm coefficient and `cov11` its variance,
+    (F,), or a stack (K, F) of K estimates of it. A fit rejects where
+    |beta1 / se| > t_crit, the upper alpha_level/2 quantile of t with `df`
+    degrees of freedom: one number for every fit, or an array of one per
+    fit, whose quantile is found once per distinct value. Returns (se,
+    reject, degenerate), each shaped like `cov11`: `degenerate` marks
+    variances that are not positive, where Wald inference is undefined, se
+    is NaN and the fit does not reject.
     """
     if not 0.0 < alpha_level < 1.0:
         raise UsageError(f"alpha_level must lie in (0, 1), got {alpha_level}")

@@ -54,7 +54,7 @@ from .errors import (
     UnsupportedDesignError,
     UsageError,
 )
-from .gee import _arm_keys, _arm_sums, _cluster_columns, _row_groups, _row_sums
+from .gee import _arm_keys, _arm_sums, _row_groups, _row_sums
 
 
 class EstimatorKind(enum.Enum):
@@ -144,7 +144,7 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
 
     arm = fits.arm
     # each fit's own cluster count N; columns with m = 0 are padding
-    n_clusters, columns = _cluster_columns(fits.m)
+    n_clusters, columns = fits.clusters
     groups = _row_groups(n_clusters, columns)
     u, h, W = fits.u, fits.h, fits.W
     bread_errors = _bread_errors(W)

@@ -64,7 +64,7 @@ import numpy as np
 from .datagen import Scenario, generate_pieces, trial_arms
 from .errors import DomainError
 from .families import Family, Link, ModelSpec
-from .gee import _cluster_columns, fit_block
+from .gee import fit_block
 from .inference import wald_reject
 from .sandwich import (
     ALL_KINDS,
@@ -290,16 +290,17 @@ def _fit_models(arm, m, s, models, kinds, fg_bound, alpha_level):
     clamped = np.zeros(n_fits, dtype=bool)
     clamped[rows] = fits.clamped
 
-    # each fit's t reference has N - 2 degrees of freedom, N its trial's
-    # clusters (m > 0): one number when no fit's trial is padded
     covs, _, errors = estimate_block(fits, kinds, fg_bound)
-    n, padded = _cluster_columns(fits.m)
+    # each fit's t reference has N - 2 degrees of freedom, N its trial's
+    # clusters (m > 0): one number when no fit's trial is padded. Every kind
+    # is tested in one call, which finds each distinct N's quantile once
+    n, padded = fits.clusters
     df = len(arm) - 2 if padded is None else n - 2
+    var11 = np.array([covs[kind][:, 1, 1] for kind in kinds]).reshape(len(kinds), len(rows))
+    tests = zip(kinds, *wald_reject(fits.beta[:, 1], var11, df, alpha_level))
     leverage_evaluated = np.zeros(len(rows), dtype=bool)
     se, reject, failures = {}, {}, {}
-    for kind in kinds:
-        kind_se, kind_reject, degenerate = wald_reject(
-            fits.beta[:, 1], covs[kind][:, 1, 1], df, alpha_level)
+    for kind, kind_se, kind_reject, degenerate in tests:
         names = [None] * n_fits
         for k in np.flatnonzero(degenerate):
             err = errors[kind].get(k)
@@ -346,8 +347,6 @@ def _fit_pieces(pieces, models, kinds, fg_bound, alpha_level):
     can be reported before the run ends.
     """
     m, s, error = generate_pieces(pieces)
-    if not len(m):
-        return [], error
     arm = trial_arms(m.shape[1])
     fits = _fit_models(arm, m, s, models, kinds, fg_bound, alpha_level)
     fitted, stop = [], 0

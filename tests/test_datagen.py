@@ -429,3 +429,109 @@ def test_block_event_counts_follow_the_exact_sum_pmf(m, pi0, pi1, rho):
         stat = float(((np.array(obs_bins) - exp_bins) ** 2 / exp_bins).sum())
         p = scipy.stats.chi2.sf(stat, len(obs_bins) - 1)
         assert p > 1e-3, (mu, rho, m, stat, p)
+
+
+# --- the two phases of the recurrence: column passes, then rows alone ------
+
+
+def generator_outputs():
+    """m, s and outcomes of every generator entry point on fixed inputs, as lists."""
+    out = []
+    for sc in REFERENCE_DESIGNS.values():
+        out += [a.tolist() for a in crtgee.datagen.generate_block(sc, range(25))]
+        out += [[c.outcomes.tolist() for c in generate_trial(sc, rep).clusters]
+                for rep in (0, 7)]
+    out += [a.tolist() for a in crtgee.datagen.generate_pieces(MIXED_PIECES)[:2]]
+    # 70 rows of one length: every column has more than TAIL_ROWS rows drawing
+    out += [generate_clusters(mu, rho, m, count, substream(13, m, count)).tolist()
+            for mu, rho, m, count in ((0.3, 0.1, 7, 70), (0.05, 0.3, 40, 9))]
+    return out
+
+
+@pytest.mark.parametrize("tail_rows", [0, 10**9])
+def test_the_phase_boundary_changes_no_draw(monkeypatch, tail_rows):
+    # 0: every column in one numpy pass; 10**9: every row alone after its first draw
+    default = generator_outputs()
+    monkeypatch.setattr(crtgee.datagen, "TAIL_ROWS", tail_rows)
+    assert generator_outputs() == default
+
+
+def reference_rows(flat, sizes, mu, rho):
+    """Each row's draws from its own uniforms by the reference column loop."""
+    rho = np.broadcast_to(rho, sizes.shape)
+    ends = np.cumsum(sizes)
+    return [reference_draws(flat[end - size:end], mu_i, rho_i)
+            for end, size, mu_i, rho_i in zip(ends, sizes, mu, rho)]
+
+
+def reference_draws(u, mu, rho):
+    y = np.empty(u.size, dtype=np.int8)
+    y[0] = u[0] < mu
+    centered = y[0] - mu
+    for j in range(2, u.size + 1):
+        y[j - 1] = u[j - 1] < mu + (rho / (1.0 + (j - 2) * rho)) * centered
+        centered += y[j - 1] - mu
+    return y
+
+
+@pytest.mark.parametrize("tail_rows", [None, 0, 10**9])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_rows_equal_the_reference_when_the_active_count_meets_the_bound(
+        monkeypatch, tail_rows, extra):
+    # TAIL_ROWS + extra rows of 9 beside one of 4: columns 2-4 have
+    # TAIL_ROWS + extra + 1 rows drawing, columns 5-9 TAIL_ROWS + extra
+    bound = crtgee.datagen.TAIL_ROWS
+    if tail_rows is not None:
+        monkeypatch.setattr(crtgee.datagen, "TAIL_ROWS", tail_rows)
+    sizes = np.array([4] + [9] * (bound + extra))
+    rng = substream(14, bound, extra)
+    flat = rng.random(int(sizes.sum()))
+    mu = np.where(np.arange(sizes.size) % 2, 0.3, 0.05)
+    for rho in (0.2, np.where(np.arange(sizes.size) % 3, 0.05, 0.4)):
+        outcomes = np.zeros(flat.size, dtype=np.int8)
+        counts = crtgee.datagen._draw_rows(flat, sizes, mu, rho, outcomes)
+        want = reference_rows(flat, sizes, mu, rho)
+        assert np.array_equal(outcomes, np.concatenate(want))
+        assert counts.tolist() == [int(y.sum()) for y in want]
+
+
+@pytest.mark.parametrize("tail_rows", [None, 0, 10**9])
+def test_a_zero_coefficient_draws_independent_bernoullis_in_both_phases(monkeypatch,
+                                                                        tail_rows):
+    # b_j = 0 leaves lam = mu, so each draw is u < mu, in a column pass or alone
+    monkeypatch.setattr(crtgee.datagen, "qaqish_coeff", lambda rho, j: 0.0)
+    if tail_rows is not None:
+        monkeypatch.setattr(crtgee.datagen, "TAIL_ROWS", tail_rows)
+    sizes = np.array([30] * 5 + [6] * 100)
+    flat = substream(15, 0, 0).random(int(sizes.sum()))
+    mu = np.linspace(0.1, 0.6, sizes.size)
+    for rho in (0.3, np.linspace(0.0, 0.5, sizes.size)):
+        outcomes = np.zeros(flat.size, dtype=np.int8)
+        counts = crtgee.datagen._draw_rows(flat, sizes, mu, rho, outcomes)
+        independent = flat < np.repeat(mu, sizes)
+        assert np.array_equal(outcomes, independent)
+        assert np.array_equal(counts, np.add.reduceat(independent, np.cumsum(sizes) - sizes))
+
+
+@pytest.mark.parametrize("m, count", [(0, 3), (-1, 3), (2.5, 3), (3.0, 3), (3, -1), (3, 1.5)])
+def test_generate_clusters_rejects_sizes_that_are_not_counts(m, count):
+    with pytest.raises(DomainError, match="must be an integer"):
+        generate_clusters(0.3, 0.1, m, count, substream(0, 0, 0))
+
+
+def test_generate_clusters_of_no_clusters_is_empty():
+    y = generate_clusters(0.3, 0.1, np.int64(4), 0, substream(0, 0, 0))
+    assert y.shape == (0, 4) and y.dtype == np.int8
+
+
+def test_a_block_of_no_replicates_is_empty():
+    sc = REFERENCE_DESIGNS["gamma-cv1"]
+    m, s = crtgee.datagen.generate_block(sc, [])
+    assert m.shape == s.shape == (0, 20)
+    # a piece of no replicates adds nothing to a block of others
+    wide = Scenario(n_clusters=24, sizes=FixedSize(3), pi0=0.3, pi1=0.3, icc=0.1, seed=1)
+    m, s, error = crtgee.datagen.generate_pieces([(wide, []), *MIXED_PIECES])
+    alone_m, alone_s, _ = crtgee.datagen.generate_pieces(MIXED_PIECES)
+    assert error is None and m.shape == (len(alone_m), 24)
+    clusters = np.r_[0:6, 12:18]
+    assert np.array_equal(m[:, clusters], alone_m) and np.array_equal(s[:, clusters], alone_s)

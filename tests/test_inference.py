@@ -210,3 +210,17 @@ def test_wald_reject_marks_degenerate_variances():
     assert np.isnan(se).all()
     with pytest.raises(UsageError):
         wald_reject(np.array([0.3]), np.array([0.01]), 6, alpha_level=1.0)
+
+
+def test_wald_reject_of_stacked_estimators_equals_each_alone():
+    # (K, F) variances against per-fit df: each row is the call on that row alone
+    beta1 = np.array([0.9, -0.4, 0.05, 1.3, 0.7])
+    df = np.array([2, 18, 18, 4, 2])
+    cov11 = np.array([[0.04, 0.01, 0.3, -1.0, 0.2], [0.5, np.nan, 0.001, 0.09, 0.08]])
+    stacked = wald_reject(beta1, cov11, df)
+    for k in range(len(cov11)):
+        alone = wald_reject(beta1, cov11[k], df)
+        for got, want in zip(stacked, alone):
+            assert got.shape == cov11.shape
+            assert np.array_equal(got[k], want, equal_nan=True)
+    assert stacked[1].any() and not stacked[1].all()

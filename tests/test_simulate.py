@@ -11,6 +11,7 @@ import pytest
 
 import crtgee.datagen
 import crtgee.gee
+import crtgee.inference
 import crtgee.sandwich
 import crtgee.simulate
 
@@ -971,3 +972,22 @@ def test_a_narrow_trials_sums_keep_their_association_in_a_wider_block():
     assert ALL_MODELS[0].label() == "binomial-log"
     assert bits(got.beta[1]) == bits(alone.beta[0])
     assert got.beta[1, 1] == 0.25221472032574827
+
+
+def test_a_block_finds_one_t_quantile_per_distinct_n(monkeypatch):
+    # three pieces of N = 4, 20 and 12: every kind's tests share three quantiles
+    pieces, _ = MIXED_BLOCKS["mbn-4-beside-20"]
+    found = []
+    quantile = crtgee.inference.student_t_quantile
+    monkeypatch.setattr(crtgee.inference, "student_t_quantile",
+                        lambda p, df: found.append(df) or quantile(p, df))
+    fit_pieces(pieces)
+    assert sorted(found) == [2, 10, 18]
+
+
+def test_a_block_of_no_replicates_is_empty():
+    blocks = run_block(scenario(), [], models=ALL_MODELS, kinds=ALL_KINDS)
+    assert list(blocks) == [model.label() for model in ALL_MODELS]
+    for got in blocks.values():
+        assert got.reason == () and got.beta.shape == (0, 2)
+        assert all(got.se[kind].shape == (0,) and got.failures[kind] == () for kind in ALL_KINDS)
