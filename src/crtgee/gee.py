@@ -17,17 +17,36 @@ m / (1 + (m-1) alpha):
     score                     u_i = d_i / v_i * (s_i - m_i mu_i) / (1 + (m_i - 1) alpha)
 
 so that D_i' V_i^{-1} D_i = w_i x_i x_i' and D_i' V_i^{-1} (y_i - mu_i) =
-u_i x_i. Forming s costs O(total observations) once per fit; every scoring
-iteration then costs O(N), with mu, d and v evaluated once per arm and read
-per cluster.
+u_i x_i. Forming s costs O(total observations) once per fit.
 
 On the scale of the arm means' linear predictors eta_a = beta_0 + a beta_1
 the information is diag(W_a), W_a = sum_{i in a} w_i, and the score is
 U_a = sum_{i in a} u_i. A scoring step is one scalar per arm, delta eta_a =
 U_a / W_a, and (delta eta_0, delta eta_1 - delta eta_0) in beta; the
-information is singular exactly when some W_a is 0. The converged fit keeps
-w, u, W and each cluster's leverage h_i = w_i / W_a(i), its share of its
-arm's working information.
+information is singular exactly when some W_a is 0. A fit's state is eta
+itself, and beta = (eta_0, eta_1 - eta_0) is read from it, so an arm whose
+score is 0 keeps its mean bit for bit.
+
+The moment estimators need sum_i q_i and sum_i e_i^2, and mu, d and v are
+one value per arm, so over an arm's clusters, at its mean mu_a with
+variance v_a, they are five arm sums of (m_i, s_i): S_a = sum s_i,
+M_a = sum m_i, sum s_i^2, sum s_i m_i and sum m_i^2,
+
+    sum_{i in a} q_i    = (S_a (1 - 2 mu_a) + M_a mu_a^2) / v_a
+    sum_{i in a} e_i^2  = (sum s_i^2 - 2 mu_a sum s_i m_i + mu_a^2 sum m_i^2) / v_a
+
+which a block forms once. Each scoring pass reads the clusters only for
+
+    W_a = d_a^2 / v_a * sum_{i in a} m_i / (1 + (m_i - 1) alpha)
+    U_a = d_a / v_a * sum_{i in a} (s_i - m_i mu_a) / (1 + (m_i - 1) alpha),
+
+two weighted arm sums, O(N). The residual stays inside U_a's sum: in an
+arm whose clusters all share one proportion each residual is then 0
+exactly, and so is its score, where the equal sum_i s_i / (...) -
+mu_a sum_i m_i / (...) leaves rounding noise, and with it a small positive
+sandwich variance where the true one is 0. The converged fit alone forms
+the per-cluster w and u, their arm sums W and U, and each cluster's
+leverage h_i = w_i / W_a(i), its share of its arm's working information.
 
 An arm without events (binomial or Poisson), or with only events
 (binomial), puts its mean where the family's variance or the link is
@@ -48,16 +67,14 @@ contiguous rows. Every fit keeps its own iteration count, step halving and
 outcome, and no row's arithmetic depends on the others, so each fit is bit
 for bit the fit of its model to its replicate alone. Replicates of
 different N share a block as rows of its widest trial, padded with m = 0
-columns that add only trailing zeros to each arm's sums (bincount keeps
-their association); the moment estimators' sums over a replicate's
-clusters are taken per cluster count, over a C-contiguous gather of its
-own columns, which numpy sums as it sums the replicate's row alone.
-fit_gee is a block of one model and one replicate.
+columns; every sum over a replicate's clusters is an arm sum, a bincount,
+to which padding adds only trailing zeros without changing how the
+replicate's own clusters associate. fit_gee is a block of one model and
+one replicate.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +193,13 @@ def _arm_eta(beta):
     return eta
 
 
+def _arm_beta(eta):
+    """The coefficients (eta_0, eta_1 - eta_0) of the arms' linear predictors, (..., 2)."""
+    beta = eta.copy()
+    beta[..., 1] -= eta[..., 0]
+    return beta
+
+
 def _arm_keys(n_rows, arm):
     """The bins 2 r + arm_i of the entries of an (n_rows, N) array, row-major."""
     return (2 * np.arange(n_rows)[:, None] + arm).ravel()
@@ -189,49 +213,6 @@ def _arm_sums(values, keys):
     """
     n_rep = len(values)
     return np.bincount(keys, weights=values.ravel(), minlength=2 * n_rep).reshape(n_rep, 2)
-
-
-def _cluster_columns(sizes):
-    """Each row's cluster count N, and the columns of each N's clusters, from sizes (R, W).
-
-    A cluster has m >= 1, so a row's N is its count of m > 0 and a column
-    with m = 0 is padding (see datagen.generate_pieces). Returns (counts,
-    columns): `columns` maps each N to the columns of the first row of that
-    N with m > 0 (rows of one N share them), None for N = W, and is itself
-    None when no column is padding.
-    """
-    width = sizes.shape[1]
-    if sizes.all():
-        return np.full(len(sizes), width), None
-    counts = (sizes > 0).sum(axis=1)
-    found, first = np.unique(counts, return_index=True)
-    return counts, {n: None if n == width else np.flatnonzero(sizes[k] > 0)
-                    for n, k in zip(found.tolist(), first.tolist())}
-
-
-def _row_groups(counts, columns):
-    """For `_row_sums`: the rows of each cluster count in `counts`, with its
-    columns from `_cluster_columns`; None when no column is padding."""
-    if columns is None:
-        return None
-    return [(rows, cols) for n, cols in columns.items()
-            if (rows := np.flatnonzero(counts == n)).size]
-
-
-def _row_sums(x, groups):
-    """Per row of `x` (R, W), the sum over the row's clusters.
-
-    `groups` holds (rows, columns) per cluster count (`_row_groups`). Each
-    group's clusters are gathered into one C-contiguous array, whose rows
-    numpy sums as it sums the row of that trial alone; padding never
-    enters a sum. With no groups every column is a cluster.
-    """
-    if groups is None:
-        return x.sum(axis=1)
-    out = np.empty(len(x))
-    for rows, cols in groups:
-        out[rows] = (x[rows] if cols is None else x[np.ix_(rows, cols)]).sum(axis=1)
-    return out
 
 
 def _model_runs(models, attr):
@@ -310,12 +291,6 @@ class FitBlock:
     h: np.ndarray            # (F, N) leverages w_i / W_a(i)
     W: np.ndarray            # (F, 2) working information W_a = sum_{i in a} w_i
 
-    @functools.cached_property
-    def clusters(self):
-        """Each fit's N and the columns of each N's clusters (`_cluster_columns` of m),
-        found once per block for every reader."""
-        return _cluster_columns(self.m)
-
 
 def fit_block(arm, m, s, models):
     """Fit each working model by Fisher scoring to every replicate of a block.
@@ -323,11 +298,12 @@ def fit_block(arm, m, s, models):
     `arm` (N,) holds the clusters' arms, shared by the block; `m` and `s`
     (R, N) hold each replicate's cluster sizes and event counts, and
     `models` the K ModelSpecs. A replicate may have fewer than N clusters:
-    m = s = 0 marks a padding column, which adds zeros to the arm sums, and
-    the sums over a replicate's clusters (the moment estimators') run over
-    its own columns alone, which its rows of one cluster count share, as
-    datagen.generate_pieces lays them. The K R fits run as the rows of one loop,
-    model-major (see FitBlock). Only the per-arm functions depend on the
+    m = s = 0 marks a padding column (datagen.generate_pieces lays them),
+    which adds zeros to the arm sums. Each replicate's five arm sums (S, M,
+    sum s^2, sum s m, sum m^2) are formed once, and each scoring pass finds
+    (alpha, phi) from them and W_a and U_a from two weighted arm sums over
+    the clusters (see the module docstring). The K R fits run as the rows
+    of one loop, model-major (see FitBlock). Only the per-arm functions depend on the
     model: the link, its inverse and derivative, the variance function, the
     mean's range, the empty-arm rule and the Poisson start clamp. These run
     once per run of consecutive models sharing the link or family, on that
@@ -355,47 +331,53 @@ def fit_block(arm, m, s, models):
     starts = n_rep * np.arange(len(models) + 1)
     m = sizes.astype(float)
     keys = _arm_keys(n_rep, arm)
+    # per replicate and arm: S, M, sum s_i^2, sum s_i m_i and sum m_i^2
     events, n_arm = _arm_sums(s, keys), _arm_sums(m, keys)
-    counts, columns = _cluster_columns(sizes)
+    power_sums = [_arm_sums(s * s, keys), _arm_sums(s * m, keys), _arm_sums(m * m, keys)]
 
     empty = np.concatenate([np.tile(_empty_arm(family, events, n_arm), stop - first)
                             for family, first, stop in families])
     errors = {int(r): NonConvergenceError("empty_arm", 0) for r in np.flatnonzero(empty)}
-    # per-replicate constants: sizes, m_i - 1, events, moment terms, alpha bound
-    all_consts = [m, m - 1.0, s, *_moment_terms(sizes, 2), _alpha_lower(sizes.max(axis=1))]
+    # per-replicate constants: sizes, m_i - 1, events, the five arm sums,
+    # moment terms, alpha bound
+    all_consts = [m, m - 1.0, s, events, n_arm, *power_sums, *_moment_terms(sizes, 2),
+                  _alpha_lower(sizes.max(axis=1))]
 
-    def scoring_pass(bounds, keys, groups, eta, mu, clamped, m, m1, s, *terms):
-        """(alpha, phi, clamped, w, u, W, U) at the arm means of fits whose
-        models' row bounds are `bounds`, arm keys `keys` and cluster groups
-        `groups`."""
+    def scoring_pass(bounds, eta, mu, clamped, m, m1, s, S, M, ss, sm, mm, *terms):
+        """At the arm means of fits whose models' row bounds are `bounds`:
+        (alpha, phi, clamped), the per-arm factors d^2 / v and d / v, and per
+        cluster m_i / denom_i and (s_i - m_i mu_a) / denom_i, denom_i =
+        1 + (m_i - 1) alpha."""
         d = _by_run(link_mu_deriv, links, eta, bounds)
         v = _by_run(variance_function, families, mu, bounds)
-        mu_c = mu[:, arm]
-        m_mu = m * mu_c
-        resid = s - m_mu
-        # per cluster: e_i = sum_j e_ij and q_i = sum_j e_ij^2
-        e = resid / np.sqrt(v)[:, arm]
-        q = (s * (1.0 - 2.0 * mu)[:, arm] + m_mu * mu_c) / v[:, arm]
+        # per arm, sum_i q_i and sum_i e_i^2 from the arm sums
+        Q = (S * (1.0 - 2.0 * mu) + M * mu * mu) / v
+        E = (ss - 2.0 * mu * sm + mu * mu * mm) / v
+        square_sum = Q[:, 0] + Q[:, 1]
         alpha, phi, now_clamped = _alpha_phi(
-            _row_sums(q, groups), _row_sums(e * e - q, groups) / 2.0, *terms)
+            square_sum, (E[:, 0] + E[:, 1] - square_sum) / 2.0, *terms)
         denom = 1.0 + m1 * alpha[:, None]
-        w = (d * d / v)[:, arm] * (m / denom)
-        u = (d / v)[:, arm] * (resid / denom)
-        return alpha, phi, clamped | now_clamped, w, u, _arm_sums(w, keys), _arm_sums(u, keys)
+        # the residual stays inside the score's sum: an arm whose clusters
+        # share one proportion then has U_a = 0 exactly, where
+        # sum s_i / denom_i - mu_a sum m_i / denom_i leaves rounding noise
+        return (alpha, phi, clamped | now_clamped, d * d / v, d / v, m / denom,
+                (s - m * mu[:, arm]) / denom)
 
     n_fits = len(empty)
     done_at = np.zeros(n_fits, dtype=int)
-    # beta, eta and clamped of each fit when it converged
-    final = [np.zeros((n_fits, 2)), np.zeros((n_fits, 2)), np.zeros(n_fits, bool)]
+    # eta and clamped of each fit when it converged
+    final = [np.zeros((n_fits, 2)), np.zeros(n_fits, bool)]
 
     # the fits still iterating (`live`), the bounds of each model's among
-    # them, their arm keys, cluster groups and state, compacted as fits leave; each
-    # starts from its arm proportions on the link scale, a Poisson arm with
-    # only events at 1 - 0.5 / n (n observations)
+    # them, their arm keys and state, compacted as fits leave. The state is
+    # the arm means' linear predictors eta, which each fit starts at its
+    # arm proportions on the link scale (a Poisson arm with only events at
+    # 1 - 0.5 / n, n observations) and steps by delta eta_a; beta is read
+    # from eta, so an arm mean that needs no step stays bit for bit where
+    # it started
     live = np.flatnonzero(~empty)
     bounds, keys = live.searchsorted(starts), _arm_keys(live.size, arm)
     reps = live % n_rep
-    groups = _row_groups(counts[reps], columns)
     consts = [c[reps] for c in all_consts]
     props = events[reps] / n_arm[reps]
     for family, first, stop in families:
@@ -403,82 +385,84 @@ def fit_block(arm, m, s, models):
             lo, hi = bounds[first], bounds[stop]
             props[lo:hi] = np.minimum(props[lo:hi],
                                       1.0 - 0.5 / consts[0][lo:hi].sum(axis=1)[:, None])
-    g = _by_run(link_apply, links, props, bounds)
-    beta = np.stack([g[:, 0], g[:, 1] - g[:, 0]], axis=1)
-    eta = _arm_eta(beta)
+    eta = _by_run(link_apply, links, props, bounds)
     mu = _by_run(link_inverse, links, eta, bounds)
     clamped = np.zeros(live.size, dtype=bool)
 
     def leave(rows, reason, iterations):
         for k in rows:
-            errors[int(live[k])] = NonConvergenceError(reason, iterations, beta[k])
+            errors[int(live[k])] = NonConvergenceError(reason, iterations, _arm_beta(eta[k]))
         staying[rows] = False
 
     for it in range(1, MAX_ITERATIONS + 1):
         if live.size == 0:
             break
         staying = np.ones(live.size, dtype=bool)
-        _, _, clamped, _, _, W, U = scoring_pass(bounds, keys, groups, eta, mu, clamped,
-                                                 *consts)
+        _, _, clamped, info, score, weights, resid = scoring_pass(bounds, eta, mu, clamped,
+                                                                  *consts)
+        W, U = info * _arm_sums(weights, keys), score * _arm_sums(resid, keys)
         if not (np.isfinite(W).all() and np.isfinite(U).all() and W.all()):
             finite = np.isfinite(W).all(axis=1) & np.isfinite(U).all(axis=1)
             singular = finite & ~W.all(axis=1)
             leave(np.flatnonzero(~finite), "numerical_breakdown", it)
             leave(np.flatnonzero(singular), "singular_information", it)
             W, U = np.where(staying[:, None], W, 1.0), np.where(staying[:, None], U, 0.0)
-        # the arm means' steps delta eta_a = U_a / W_a, then on the beta scale
+        # the arm means' steps delta eta_a = U_a / W_a
         step = U / W
-        step[:, 1] -= step[:, 0]
 
         # step halving, per fit, until its means are valid
-        trial_eta = _arm_eta(beta + step)
+        trial_eta = eta + step
         trial_mu = _by_run(link_inverse, links, trial_eta, bounds)
         todo = staying & ~_by_run(_rows_in_range, families, trial_mu, bounds)
-        eta, mu = trial_eta, trial_mu
         if todo.any():
             todo = np.flatnonzero(todo)
             for _ in range(MAX_STEP_HALVINGS):
                 step[todo] = step[todo] / 2.0
-                trial_eta = _arm_eta(beta[todo] + step[todo])
+                half_eta = eta[todo] + step[todo]
                 todo_bounds = live[todo].searchsorted(starts)
-                trial_mu = _by_run(link_inverse, links, trial_eta, todo_bounds)
-                ok = _by_run(_rows_in_range, families, trial_mu, todo_bounds)
-                eta[todo[ok]], mu[todo[ok]] = trial_eta[ok], trial_mu[ok]
+                half_mu = _by_run(link_inverse, links, half_eta, todo_bounds)
+                ok = _by_run(_rows_in_range, families, half_mu, todo_bounds)
+                trial_eta[todo[ok]], trial_mu[todo[ok]] = half_eta[ok], half_mu[ok]
                 todo = todo[~ok]
                 if todo.size == 0:
                     break
             leave(todo, "step_halving_exhausted", it)
 
-        beta = beta + step
-        if not np.isfinite(beta).all():
-            leave(np.flatnonzero(staying & ~np.isfinite(beta).all(axis=1)),
+        eta, mu = trial_eta, trial_mu
+        if not np.isfinite(eta).all():
+            leave(np.flatnonzero(staying & ~np.isfinite(eta).all(axis=1)),
                   "numerical_breakdown", it)
-        converged = staying & (np.abs(step).max(axis=1) < BETA_TOL)
+        # the step on the beta scale is (delta eta_0, delta eta_1 - delta eta_0)
+        converged = staying & (np.abs(step[:, 0]) < BETA_TOL) & (
+            np.abs(step[:, 1] - step[:, 0]) < BETA_TOL)
         if converged.any():
             rows = live[converged]
             done_at[rows] = it
-            for out, value in zip(final, (beta, eta, clamped)):
+            for out, value in zip(final, (eta, clamped)):
                 out[rows] = value[converged]
             staying &= ~converged
 
         if not staying.all():
-            live, beta, eta, mu = live[staying], beta[staying], eta[staying], mu[staying]
+            live, eta, mu = live[staying], eta[staying], mu[staying]
             clamped = clamped[staying]
             consts = [c[staying] for c in consts]
             bounds, keys = live.searchsorted(starts), _arm_keys(live.size, arm)
-            groups = _row_groups(counts[live % n_rep], columns)
 
     for k, r in enumerate(live):
-        errors[int(r)] = NonConvergenceError("max_iterations", MAX_ITERATIONS, beta[k])
+        errors[int(r)] = NonConvergenceError("max_iterations", MAX_ITERATIONS, _arm_beta(eta[k]))
 
     # at each converged beta: refresh (alpha, phi), then verify the
     # first-order condition
     rows = np.flatnonzero(done_at)
-    beta, eta, clamped = (f[rows] for f in final)
+    eta, clamped = (f[rows] for f in final)
+    beta = _arm_beta(eta)
     bounds, reps = rows.searchsorted(starts), rows % n_rep
-    alpha, phi, clamped, w, u, W, U = scoring_pass(
-        bounds, _arm_keys(rows.size, arm), _row_groups(counts[reps], columns), eta,
-        _by_run(link_inverse, links, eta, bounds), clamped, *(c[reps] for c in all_consts))
+    alpha, phi, clamped, info, score, weights, resid = scoring_pass(
+        bounds, eta, _by_run(link_inverse, links, eta, bounds), clamped,
+        *(c[reps] for c in all_consts))
+    keys = _arm_keys(rows.size, arm)
+    w, u = info[:, arm] * weights, score[:, arm] * resid
+    W, U = _arm_sums(w, keys), _arm_sums(u, keys)
     # X'u = (U_0 + U_1, U_1)
     U[:, 0] += U[:, 1]
     failed = np.abs(U).max(axis=1) >= SCORE_TOL

@@ -54,7 +54,7 @@ from .errors import (
     UnsupportedDesignError,
     UsageError,
 )
-from .gee import _arm_keys, _arm_sums, _row_groups, _row_sums
+from .gee import _arm_keys, _arm_sums
 
 
 class EstimatorKind(enum.Enum):
@@ -143,9 +143,6 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
         raise UsageError(f"FG bound must lie in (0, 1], got {fg_bound}")
 
     arm = fits.arm
-    # each fit's own cluster count N; columns with m = 0 are padding
-    n_clusters, columns = fits.clusters
-    groups = _row_groups(n_clusters, columns)
     u, h, W = fits.u, fits.h, fits.W
     bread_errors = _bread_errors(W)
     if bread_errors:
@@ -182,13 +179,15 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
                 factors = np.where(bad, 1.0, factors)
             # the FG factor c_i scales the score's coordinate of the
             # cluster's arm; f0 and f1 are W_0 and W_1 times the influence
-            # on eta_0 and eta_1
+            # on eta_0 and eta_1, and f1 is 0 on control clusters, so its
+            # sums are the treated arm's
             c = 1.0 / np.sqrt(factors)
             treated = arm == 1
             f0 = np.where(treated, 1.0 - c, c) * u
             f1 = np.where(treated, c, 0.0) * u
-            var = np.stack([_row_sums(f0 * f0, groups), _row_sums(f1 * f1, groups)], axis=1)
-            covs[kind] = _beta_cov(var / WW, _row_sums(f0 * f1, groups) / (W[:, 0] * W[:, 1]))
+            var = np.stack([_arm_sums(f0 * f0, keys).sum(axis=1),
+                            _arm_sums(f1 * f1, keys)[:, 1]], axis=1)
+            covs[kind] = _beta_cov(var / WW, _arm_sums(f0 * f1, keys)[:, 1] / (W[:, 0] * W[:, 1]))
         diagnostics[kind] = {"q_max": q_max}
         errors[kind] = errs
 
@@ -204,7 +203,7 @@ def estimate_block(fits, kinds=ALL_KINDS, fg_bound=DEFAULT_FG_BOUND, cluster_ids
         # trace(B^{-1} sum_i s_i s_i') = sum_a T_a / W_a
         kind = EstimatorKind.MBN
         errors[kind] = dict(bread_errors)
-        n, total_obs = n_clusters, fits.m.sum(axis=1)
+        n, total_obs = np.count_nonzero(fits.m, axis=1), fits.m.sum(axis=1)
         few = n <= 2
         if few.any():
             for k in np.flatnonzero(few):

@@ -18,10 +18,10 @@ replicates' sizes and uniforms in turn, and one conditional-linear
 recurrence turns them all into (R, W) cluster sizes and event counts, W the
 block's largest N: a trial of N clusters fills each arm's first N/2 columns
 and has m = s = 0 in the others. A cluster has m >= 1, so m = 0 marks
-padding, which adds only trailing zeros to each arm's sums; the sums over a
-trial's clusters are taken over its own columns alone, and its N (MBN's
-N / (N - 1) and delta_N, the t reference's N - 2 degrees of freedom) is its
-count of m > 0. The K models' K R fits are the rows of one vectorized
+padding, which adds only trailing zeros to each arm's sums, and every sum
+over a trial's clusters is an arm sum; its N (MBN's N / (N - 1) and
+delta_N, the t reference's N - 2 degrees of freedom) is its count of
+m > 0. The K models' K R fits are the rows of one vectorized
 Fisher-scoring loop, model-major, whose step is one scalar U_a / W_a per
 arm, with the per-arm functions (link, variance, range, empty-arm rule)
 dispatched per model on contiguous row slices; every variance estimate is
@@ -292,10 +292,9 @@ def _fit_models(arm, m, s, models, kinds, fg_bound, alpha_level):
 
     covs, _, errors = estimate_block(fits, kinds, fg_bound)
     # each fit's t reference has N - 2 degrees of freedom, N its trial's
-    # clusters (m > 0): one number when no fit's trial is padded. Every kind
-    # is tested in one call, which finds each distinct N's quantile once
-    n, padded = fits.clusters
-    df = len(arm) - 2 if padded is None else n - 2
+    # clusters (m > 0). Every kind is tested in one call, which finds each
+    # distinct N's quantile once
+    df = np.count_nonzero(fits.m, axis=1) - 2
     var11 = np.array([covs[kind][:, 1, 1] for kind in kinds]).reshape(len(kinds), len(rows))
     tests = zip(kinds, *wald_reject(fits.beta[:, 1], var11, df, alpha_level))
     leverage_evaluated = np.zeros(len(rows), dtype=bool)

@@ -1,6 +1,7 @@
 """Simulation harness: aggregation arithmetic, grid layout, parallel determinism."""
 
 import dataclasses
+import itertools
 import multiprocessing
 import os
 import signal
@@ -761,6 +762,41 @@ def test_stacked_models_equal_each_model_alone_with_singular_information(monkeyp
     assert {r for _, r in failed} == {1, 4}
 
 
+@pytest.mark.parametrize("events, model_based_rejects", [((3, 3, 3, 2, 2, 2), True),
+                                                         ((3, 3, 3, 3, 3, 3), False)])
+def test_arms_of_one_proportion_have_no_sandwich_variance(events, model_based_rejects):
+    # every cluster of an arm has the arm's proportion, so every residual
+    # s_i - m_i mu_a is exactly 0 at the fitted means and each sandwich
+    # kind's meat is 0: those estimates are degenerate under every model and
+    # never reject, while MB and MBN keep phi (MBN's phi_mbn is 1) and
+    # reject an arm difference (beta1 is 0 when the arms are equal)
+    arm = np.repeat([0, 1], 3)
+    m, s = np.full((1, 6), 10), np.array([events])
+    got = fit_models(arm, m, s, ALL_MODELS)
+    assert got.reason == (None,) * len(ALL_MODELS)
+    for kind in (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD, EstimatorKind.FG,
+                 EstimatorKind.AVG):
+        assert got.failures[kind] == ("DegenerateVarianceError",) * len(ALL_MODELS), kind
+        assert not got.reject[kind].any(), kind
+    for kind in (EstimatorKind.MB, EstimatorKind.MBN):
+        assert got.failures[kind] == (None,) * len(ALL_MODELS), kind
+        assert (got.reject[kind] == model_based_rejects).all(), kind
+
+
+def test_identity_links_keep_the_residuals_of_arms_of_one_proportion_at_zero():
+    # an identity link maps each arm's starting proportion to its mean
+    # exactly, and a fit steps each arm's linear predictor on its own, so a
+    # treated arm's mean is never rebuilt as beta_0 + beta_1 and its zero
+    # residuals stay exact: robust is degenerate for every pair of proportions
+    arm, m = np.repeat([0, 1], 3), np.full((1, 6), 10)
+    models = [model for model in ALL_MODELS if model.link is Link.IDENTITY]
+    for a, b in itertools.product(range(1, 10), repeat=2):
+        got = fit_models(arm, m, np.array([[a] * 3 + [b] * 3]), models)
+        assert got.reason == (None,) * len(models)
+        assert got.failures[EstimatorKind.ROBUST] == ("DegenerateVarianceError",) * len(models), (
+            a, b)
+
+
 def test_aggregate_equals_the_per_kind_path_with_nan_ses():
     # the rare-event design's blocks hold failed fits and NaN SEs: each
     # kind's summary equals that kind's summary formed alone, bit for bit
@@ -958,9 +994,10 @@ def test_estimator_failures_in_a_block_across_n_equal_each_trial_alone():
 
 
 def test_a_narrow_trials_sums_keep_their_association_in_a_wider_block():
-    # cell 23 (N = 8) shares its second block with cell 24 (N = 10); summing its
-    # clusters' residual products from an F-ordered gather, x[:, cols], moved
-    # replicate 21's binomial-log beta1 to 0.2522147203257484
+    # cell 23 (N = 8) shares its second block with cell 24 (N = 10); its padding
+    # columns add only trailing zeros to each arm's sums, so replicate 21 fits
+    # bit for bit as alone (summing its clusters from an F-ordered gather,
+    # x[:, cols], once moved its binomial-log beta1 to 0.2522147203257484)
     grid = FactorialGrid(n_clusters=(4, 6, 8, 10, 20), sizes=(FixedSize(3), GammaSize(10, 1.0)),
                          pi0=(0.05, 0.3), icc=(0.01, 0.1), replicates=60, seed=11)
     cells = grid.scenarios()
@@ -971,7 +1008,7 @@ def test_a_narrow_trials_sums_keep_their_association_in_a_wider_block():
     alone = run_block(cells[23], [21])["binomial-log"]
     assert ALL_MODELS[0].label() == "binomial-log"
     assert bits(got.beta[1]) == bits(alone.beta[0])
-    assert got.beta[1, 1] == 0.25221472032574827
+    assert got.beta[1, 1] == 0.2522147203257483
 
 
 def test_a_block_finds_one_t_quantile_per_distinct_n(monkeypatch):
