@@ -12,7 +12,6 @@ import numpy as np
 
 from crtgee import (
     Cluster,
-    EffectMeasure,
     EstimatorKind,
     Family,
     Link,
@@ -66,7 +65,7 @@ print("\nordering holds: robust <= KC <= MD")
 # --- inference under robust vs corrected variances ---------------------------
 # The Wald test uses a t reference with N - 2 degrees of freedom.
 for kind in (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD):
-    res = wald_inference(fit, estimates[kind], measure=EffectMeasure.RR)
+    res = wald_inference(fit, estimates[kind])
     lo, hi = res.ci_effect
     print(
         f"{kind.value:<8} RR {res.estimate_effect:.3f} "

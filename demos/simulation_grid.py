@@ -17,9 +17,10 @@ from crtgee import (
     Link,
     ModelSpec,
     Scenario,
-    result_rows,
+    result_lines,
     run_scenario,
 )
+from crtgee.simulate import RESULT_COLUMNS
 
 # --- one grid cell ------------------------------------------------------------
 # 10 clusters of 40, prevalence 0.3 in both arms, ICC 0.02.
@@ -56,11 +57,9 @@ for kind, summ in cell.estimators.items():
         f" {summ.type1_error:>8.4f}  {verdict}"
     )
 
-# --- flat rows, as written to the results file --------------------------------
-rows = result_rows(cell)
-print("\nresult rows (one per estimator):")
-for row in rows:
-    print(
-        f"  scenario {row['scenario_id']}, {row['estimator']}: "
-        f"type1 = {row['type1']:.4f}, acceptable = {row['acceptable']}"
-    )
+# --- the results-file lines, as `crtgee simulate` writes them -----------------
+# one line per estimator; an empty cell is a summary with no value
+print("\nresults-file lines (one per estimator):")
+print(",".join(RESULT_COLUMNS))
+for line in result_lines(cell):
+    print(line)

@@ -66,7 +66,7 @@ from .simulate import (
     ModelBlock,
     ScenarioResult,
     aggregate,
-    result_rows,
+    result_lines,
     run_block,
     run_grid,
     run_scenario,
@@ -128,7 +128,7 @@ __all__ = [
     "parse_family",
     "parse_link",
     "qaqish_coeff",
-    "result_rows",
+    "result_lines",
     "run_block",
     "run_grid",
     "run_scenario",

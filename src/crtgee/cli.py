@@ -42,9 +42,11 @@ from .simulate import (
     ALL_MODELS,
     ALPHA_LEVEL,
     RESULT_COLUMNS,
-    TYPE1_BAND,
+    EstimatorSummary,
     FactorialGrid,
-    design_row,
+    ScenarioResult,
+    _cell,
+    result_lines,
     run_grid,
 )
 from .datagen import FixedSize, GammaSize
@@ -58,6 +60,8 @@ _NUMERIC_COLUMNS = {
     "scenario_id", "n_clusters", "cluster_size", "cv", "pi0", "icc",
     "n_rep", "n_conv", "conv_rate", "esd", "mean_se", "pct_bias", "type1",
 }
+#: the acceptable column's cells: empty where there is no type I error rate
+_FLAGS = {"": None, "0": 0, "1": 1}
 _GROUPABLE_COLUMNS = (
     "scenario_id", "n_clusters", "cluster_size", "cv", "pi0", "icc",
     "family", "link", "estimator",
@@ -367,33 +371,6 @@ def parse_grid_config(doc):
     return grid, doc["output"], threads
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _result_lines(result):
-    """The results-table lines of one ScenarioResult: its `result_rows`, cell by cell.
-
-    The columns fixed per (cell, model), scenario_id through link and
-    n_rep through esd, are formatted once; each estimator's line adds its
-    name and its four summaries.
-    """
-    sc, model = result.scenario, result.model
-    design = ",".join(map(_cell, (sc.index, sc.n_clusters, sc.sizes.mean, sc.sizes.cv, sc.pi0,
-                                  sc.icc, model.family.value, model.link.value)))
-    fit = ",".join(map(_cell, (sc.replicates, result.n_converged, result.convergence_rate,
-                               result.esd)))
-    return [f"{design},{kind.value},{fit},{_cell(s.mean_se)},{_cell(s.percent_bias)},"
-            f"{_cell(s.type1_error)},{_cell(s.acceptable)}"
-            for kind, s in result.estimators.items()]
-
-
 def _resolve_threads(flag_value, config_value):
     if flag_value is not None:
         if flag_value < 1:
@@ -454,6 +431,23 @@ def _load_resume_lines(path, expected):
             if len(lines) == len(expected[sid])}
 
 
+def _design_columns(grid):
+    """Map scenario_id -> the design columns (scenario_id through n_rep) of the rows it writes.
+
+    They are cut from `result_lines` of each (cell, model) with no
+    summaries, so they are the columns a run writes, formatted the same way.
+    """
+    width = RESULT_COLUMNS.index("n_rep") + 1
+    unfit = {kind: EstimatorSummary(kind, 0, None, None, 0, None, None)
+             for kind in grid.estimators}
+    return {
+        sc.index: [tuple(line.split(",")[:width]) for model in grid.models
+                   for line in result_lines(ScenarioResult(sc, model, sc.replicates, 0, 0.0,
+                                                           None, unfit, {}))]
+        for sc in grid.scenarios()
+    }
+
+
 def _replace_lines(path, lines):
     """Atomically make `path` hold `lines`: a temp file beside it, then os.replace."""
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -484,12 +478,7 @@ def cmd_simulate(args):
     scenarios = grid.scenarios()
     cached = {}
     if args.resume:
-        expected = {
-            sc.index: [tuple(_cell(v) for v in design_row(sc, model, kind).values())
-                       for model in grid.models for kind in grid.estimators]
-            for sc in scenarios
-        }
-        cached = _load_resume_lines(out_path, expected)
+        cached = _load_resume_lines(out_path, _design_columns(grid))
 
     def progress(done, total, idx):
         sys.stderr.write(f"scenario {idx} done ({done}/{total} computed)\n")
@@ -512,7 +501,7 @@ def cmd_simulate(args):
             if sc.index in cached:
                 continue
             # the grid runs outside _write_lines: its errors are not write errors
-            lines[sc.index] = [line for res in next(results) for line in _result_lines(res)]
+            lines[sc.index] = [line for res in next(results) for line in result_lines(res)]
             _write_lines(fh, out_path, lines[sc.index])
     finally:
         _close(fh, out_path)
@@ -541,7 +530,12 @@ def _read_results(path):
                                 f"{len(RESULT_COLUMNS)} fields, got {len(fields)}")
             row = {}
             for name, text in zip(RESULT_COLUMNS, fields):
-                if name in _NUMERIC_COLUMNS:
+                if name == "acceptable":
+                    if text not in _FLAGS:
+                        raise DataError(f"{path}: line {lineno}: column 'acceptable' is not "
+                                        "0, 1 or empty")
+                    row[name] = _FLAGS[text]
+                elif name in _NUMERIC_COLUMNS:
                     if text == "":
                         row[name] = None
                     else:
@@ -585,12 +579,6 @@ def cmd_report(args):
     lines = [",".join(out_columns)]
     for key in sorted(groups, key=lambda k: tuple((v is None, v) for v in k)):
         items = groups[key]
-        type1s = [r["type1"] for r in items if r["type1"] is not None]
-        frac_ok = None
-        if type1s:
-            frac_ok = sum(
-                1 for t in type1s if TYPE1_BAND[0] <= t <= TYPE1_BAND[1]
-            ) / len(type1s)
         cells = [_cell(int(v) if isinstance(v, float) and v.is_integer() and c in
                        ("scenario_id", "n_clusters", "n_rep", "n_conv") else v)
                  for c, v in zip(by, key)]
@@ -601,7 +589,7 @@ def cmd_report(args):
             _cell(mean_of(items, "mean_se")),
             _cell(mean_of(items, "pct_bias")),
             _cell(mean_of(items, "type1")),
-            _cell(frac_ok),
+            _cell(mean_of(items, "acceptable")),    # the share of stored flags that are 1
         ]
         lines.append(",".join(cells))
     _write_out(lines, args.out, newline="")

@@ -40,13 +40,17 @@ which a block forms once. Each scoring pass reads the clusters only for
     W_a = d_a^2 / v_a * sum_{i in a} m_i / (1 + (m_i - 1) alpha)
     U_a = d_a / v_a * sum_{i in a} (s_i - m_i mu_a) / (1 + (m_i - 1) alpha),
 
-two weighted arm sums, O(N). The residual stays inside U_a's sum: in an
-arm whose clusters all share one proportion each residual is then 0
-exactly, and so is its score, where the equal sum_i s_i / (...) -
-mu_a sum_i m_i / (...) leaves rounding noise, and with it a small positive
-sandwich variance where the true one is 0. The converged fit alone forms
-the per-cluster w and u, their arm sums W and U, and each cluster's
-leverage h_i = w_i / W_a(i), its share of its arm's working information.
+two weighted arm sums, O(N). The residual stays inside U_a's sum, where
+the equal sum_i s_i / (...) - mu_a sum_i m_i / (...) leaves rounding noise.
+In an arm whose clusters all share one proportion, s_i M_a = m_i S_a for
+each i (exact in integers, tested once per replicate), every true residual
+is 0; but the mean mu_a the link gives back for that proportion (log and
+logit links do not return it bit for bit) leaves each a rounding away from
+0, and with it a small positive sandwich variance where the true one is 0,
+so the converged fit's residuals in such arms are set to 0. The converged
+fit alone forms the per-cluster w and u, their arm sums W and U, and each
+cluster's leverage h_i = w_i / W_a(i), its share of its arm's working
+information.
 
 An arm without events (binomial or Poisson), or with only events
 (binomial), puts its mean where the family's variance or the link is
@@ -334,6 +338,9 @@ def fit_block(arm, m, s, models):
     # per replicate and arm: S, M, sum s_i^2, sum s_i m_i and sum m_i^2
     events, n_arm = _arm_sums(s, keys), _arm_sums(m, keys)
     power_sums = [_arm_sums(s * s, keys), _arm_sums(s * m, keys), _arm_sums(m * m, keys)]
+    # per replicate and arm: whether its clusters all share one proportion,
+    # s_i M_a = m_i S_a in exact integers, so that each residual is 0 there
+    one_proportion = _arm_sums(s * n_arm[:, arm] != m * events[:, arm], keys) == 0.0
 
     empty = np.concatenate([np.tile(_empty_arm(family, events, n_arm), stop - first)
                             for family, first, stop in families])
@@ -461,6 +468,9 @@ def fit_block(arm, m, s, models):
         bounds, eta, _by_run(link_inverse, links, eta, bounds), clamped,
         *(c[reps] for c in all_consts))
     keys = _arm_keys(rows.size, arm)
+    # the link's round trip leaves mu_a a rounding away from such an arm's
+    # proportion, and its residuals that far from 0
+    resid[one_proportion[reps][:, arm]] = 0.0
     w, u = info[:, arm] * weights, score[:, arm] * resid
     W, U = _arm_sums(w, keys), _arm_sums(u, keys)
     # X'u = (U_0 + U_1, U_1)

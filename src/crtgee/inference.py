@@ -65,22 +65,15 @@ def _exp(x):
         return math.inf
 
 
-def wald_inference(fit, var, measure=None, alpha_level=0.05):
+def wald_inference(fit, var, alpha_level=0.05):
     """Wald t-test and CI for the arm effect using one variance estimate.
 
     Degrees of freedom are N - 2 for N clusters and the two mean parameters.
+    The effect is the measure the fit's link estimates (default_measure).
     The effect-scale interval exponentiates the link-scale interval for
     log and logit links and is the identity for the identity link; an
     exponentiated value past the float range is inf.
     """
-    link_measure = default_measure(fit.spec.link)
-    if measure is None:
-        measure = link_measure
-    elif measure is not link_measure:
-        raise UsageError(
-            f"measure {measure.value} inconsistent with link {fit.spec.link.value} "
-            f"(expected {link_measure.value})"
-        )
     if not 0.0 < alpha_level < 1.0:
         raise UsageError(f"alpha_level must lie in (0, 1), got {alpha_level}")
 
@@ -107,7 +100,7 @@ def wald_inference(fit, var, measure=None, alpha_level=0.05):
         ci_effect = (_exp(lo), _exp(hi))
 
     return InferenceResult(
-        effect_measure=measure,
+        effect_measure=default_measure(fit.spec.link),
         estimate_link=beta1,
         estimate_effect=estimate_effect,
         se=se,

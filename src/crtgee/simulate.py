@@ -43,12 +43,17 @@ most T blocks are running or finished and not yet taken. run_grid,
 run_scenario (a grid of one cell) and run_block (a block of one piece) all
 go through this one block loop.
 
-Summaries are computed over converged replicates only: the empirical SD of
-the effect estimate (ddof=1), each estimator's mean SE and its percent bias
-against that SD, and the type I error rate at the 5% level with the
-[0.036, 0.064] acceptance band. A replicate whose arm has no events (or,
-under the binomial family, only events) fails as empty_arm before any
-scoring pass, so rare-outcome cells keep only part of their replicates.
+Summaries are computed over converged replicates only, in aggregate alone:
+the empirical SD of the effect estimate (ddof=1); each estimator's mean SE
+and its percent bias against that SD, over the fits whose SE it evaluated
+(a sum over a count, in which an SE not evaluated is neither added nor
+counted); and its type I error rate at the 5% level, whose acceptable flag
+is decided here, once, against the [0.036, 0.064] band. result_lines
+writes every row of the results table, in RESULT_COLUMNS order, and
+`crtgee report` reads the flags it wrote. A replicate whose arm has no
+events (or, under the binomial family, only events) fails as empty_arm
+before any scoring pass, so rare-outcome cells keep only part of their
+replicates.
 """
 
 from __future__ import annotations
@@ -97,6 +102,7 @@ BLOCK_REPLICATES = 100
 #: estimates whose diagnostics carry the largest leverage q_max
 _LEVERAGE_KINDS = frozenset((*MULTIPLICATIVE_KINDS, EstimatorKind.AVG))
 
+#: the columns of the results table, whose every row result_lines writes
 RESULT_COLUMNS = (
     "scenario_id",
     "n_clusters",
@@ -116,6 +122,34 @@ RESULT_COLUMNS = (
     "type1",
     "acceptable",
 )
+
+
+def _cell(value):
+    """One cell of the results table: None is empty, a bool 1 or 0, a float its repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def result_lines(result):
+    """The results-table lines of one ScenarioResult, one per estimator, in RESULT_COLUMNS order.
+
+    The columns fixed per (cell, model), scenario_id through link and
+    n_rep through esd, are formatted once; each estimator's line adds its
+    name and its four summaries.
+    """
+    sc, model = result.scenario, result.model
+    design = ",".join(map(_cell, (sc.index, sc.n_clusters, sc.sizes.mean, sc.sizes.cv, sc.pi0,
+                                  sc.icc, model.family.value, model.link.value)))
+    fit = ",".join(map(_cell, (sc.replicates, result.n_converged, result.convergence_rate,
+                               result.esd)))
+    return [f"{design},{kind.value},{fit},{_cell(s.mean_se)},{_cell(s.percent_bias)},"
+            f"{_cell(s.type1_error)},{_cell(s.acceptable)}"
+            for kind, s in result.estimators.items()]
 
 
 @dataclass(frozen=True)
@@ -387,53 +421,23 @@ def _tally(names, rows):
     return dict(zip(found.tolist(), counts.tolist()))
 
 
-def _kind_summary(kind, ses, rejections, n_conv, esd, means=None):
-    """One kind's EstimatorSummary from its converged fits' SEs, NaN where not evaluated.
-
-    `means`, when given, holds the mean SE and percent bias already formed
-    over `ses`, which then holds no NaN.
-    """
-    if means is None:
-        ses = ses[~np.isnan(ses)]
-        means = (None, None)
-        if ses.size:
-            means = (float(np.mean(ses)), None)
-            if esd is not None and esd > 0.0:
-                means = (means[0], float(np.mean((ses - esd) / esd * 100.0)))
-    type1 = rejections / n_conv if n_conv > 0 and ses.size else None
-    acceptable = None
-    if type1 is not None:
-        acceptable = TYPE1_BAND[0] <= type1 <= TYPE1_BAND[1]
-    return EstimatorSummary(
-        kind=kind,
-        n_eval=int(ses.size),
-        mean_se=means[0],
-        percent_bias=means[1],
-        rejections=rejections,
-        type1_error=type1,
-        acceptable=acceptable,
-    )
-
-
 def aggregate(scenario, models, block, kinds=ALL_KINDS, rows=slice(None)):
     """Summarize a cell for each working model; converged-only denominators.
 
     `block` holds the K = len(models) models' outcomes stacked model-major,
     as `_fit_models` gives them (model k's entry for replicate r is k R + r),
     and the cell is its replicates `rows`. Returns one ScenarioResult per
-    model; `models` may also be one ModelSpec, for a block of that model
-    alone, whose ScenarioResult is returned.
+    model.
 
     The fields are viewed as (K, R) arrays, and the SEs and rejections as
     (kinds, K, R), so the rejections, clamped alphas and largest leverages
-    of every model are reduced at once. Each model's converged SEs form one
-    C-contiguous row per kind, and the sums are taken along the rows at
-    once, which gives each row's sum bit for bit; a kind with a NaN SE
-    takes its means over its evaluated SEs alone.
+    of every model are reduced at once, and so are each SE's percent bias
+    and whether it was evaluated. Each model's converged SEs and biases
+    form one C-contiguous row per kind, in which an SE that was not
+    evaluated (NaN) enters as 0; a kind's mean SE and percent bias are its
+    rows' sums, taken along the rows at once, over its count of evaluated
+    SEs.
     """
-    if isinstance(models, ModelSpec):
-        (result,) = aggregate(scenario, (models,), block, kinds, rows)
-        return result
     kinds = tuple(kinds)
     shape = (len(models), len(block.reason) // len(models))
 
@@ -456,23 +460,35 @@ def aggregate(scenario, models, block, kinds=ALL_KINDS, rows=slice(None)):
                if block.failures[kind].count(None) < len(block.failures[kind])]
     ordered = [kinds.index(kind) for kind in (EstimatorKind.ROBUST, EstimatorKind.KC,
                                               EstimatorKind.MD) if kind in kinds]
+    esds = [float(np.std(beta1[k][conv[k]], ddof=1)) if nc >= 2 else None
+            for k, nc in enumerate(n_conv)]
+    # each SE's percent bias against its model's esd (NaN without a positive
+    # esd); an SE that was not evaluated (NaN) enters both sums as 0
+    has_bias = [esd is not None and esd > 0.0 for esd in esds]
+    scale = np.array([[esd if ok else np.nan] for esd, ok in zip(esds, has_bias)])
+    evaluated = ~np.isnan(ses) & conv
+    n_eval = evaluated.sum(axis=2).tolist()
+    bias = np.where(evaluated, (ses - scale) / scale * 100.0, 0.0)
+    ses = np.where(evaluated, ses, 0.0)
 
     results = []
     for k, model in enumerate(models):
-        c, nc = conv[k], n_conv[k]
-        esd = float(np.std(beta1[k][c], ddof=1)) if nc >= 2 else None
-        model_ses = ses[:, k].compress(c, axis=1)
-        means = [None] * len(kinds)
-        if nc:
-            # np.mean is the sum over the count; an SE is NaN or at least 0, so
-            # a row's mean is NaN exactly when the row holds a NaN
-            mean_se = (model_ses.sum(axis=1) / nc).tolist()
-            pct_bias = [None] * len(kinds)
-            if esd is not None and esd > 0.0:
-                pct_bias = (((model_ses - esd) / esd * 100.0).sum(axis=1) / nc).tolist()
-            means = [None if math.isnan(se) else (se, pct) for se, pct in zip(mean_se, pct_bias)]
-        summaries = [_kind_summary(kind, model_ses[i], rejections[i][k], nc, esd, means[i])
-                     for i, kind in enumerate(kinds)]
+        c, nc, esd = conv[k], n_conv[k], esds[k]
+        se_sums = ses[:, k].compress(c, axis=1).sum(axis=1).tolist()
+        bias_sums = bias[:, k].compress(c, axis=1).sum(axis=1).tolist()
+        summaries = []
+        for i, kind in enumerate(kinds):
+            n = n_eval[i][k]
+            type1 = rejections[i][k] / nc if n else None
+            summaries.append(EstimatorSummary(
+                kind=kind,
+                n_eval=n,
+                mean_se=se_sums[i] / n if n else None,
+                percent_bias=bias_sums[i] / n if n and has_bias[k] else None,
+                rejections=rejections[i][k],
+                type1_error=type1,
+                acceptable=None if type1 is None else TYPE1_BAND[0] <= type1 <= TYPE1_BAND[1],
+            ))
         diagnostics = {
             "nonconvergence": _tally(reasons[k], ~c) if nc < n_rep else {},
             "alpha_clamped": clamped[k],
@@ -637,36 +653,3 @@ def _work(conn, task, blocks):
         if error is not None:
             break
     conn.close()
-
-
-def design_row(scenario, model, kind):
-    """The columns of a result row fixed by the grid alone (scenario_id through n_rep)."""
-    return {
-        "scenario_id": scenario.index,
-        "n_clusters": scenario.n_clusters,
-        "cluster_size": scenario.sizes.mean,
-        "cv": scenario.sizes.cv,
-        "pi0": scenario.pi0,
-        "icc": scenario.icc,
-        "family": model.family.value,
-        "link": model.link.value,
-        "estimator": kind.value,
-        "n_rep": scenario.replicates,
-    }
-
-
-def result_rows(result):
-    """Flatten one ScenarioResult into per-estimator rows for the results table."""
-    return [
-        {
-            **design_row(result.scenario, result.model, kind),
-            "n_conv": result.n_converged,
-            "conv_rate": result.convergence_rate,
-            "esd": result.esd,
-            "mean_se": summ.mean_se,
-            "pct_bias": summ.percent_bias,
-            "type1": summ.type1_error,
-            "acceptable": summ.acceptable,
-        }
-        for kind, summ in result.estimators.items()
-    ]

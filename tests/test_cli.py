@@ -30,8 +30,8 @@ from crtgee import (
 import crtgee.cli
 import crtgee.datagen
 import crtgee.simulate
-from crtgee.cli import main, read_trial_csv, parse_grid_config, THREADS_ENV_VAR, _cell
-from crtgee.simulate import RESULT_COLUMNS, result_rows, run_grid
+from crtgee.cli import main, read_trial_csv, parse_grid_config, THREADS_ENV_VAR
+from crtgee.simulate import RESULT_COLUMNS, result_lines, run_grid
 
 
 def write_trial_csv(path, clusters):
@@ -480,15 +480,15 @@ def test_simulate_writes_each_result_row_cell_by_cell(tmp_path):
     config.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(config)]) == 0
     grid, _, _ = parse_grid_config(doc)
-    rows = [row for cell in run_grid(grid) for res in cell for row in result_rows(res)]
-    want = [",".join(RESULT_COLUMNS)] + [",".join(_cell(row[c]) for c in RESULT_COLUMNS)
-                                         for row in rows]
+    results = [res for cell in run_grid(grid) for res in cell]
+    want = [",".join(RESULT_COLUMNS)] + [line for res in results for line in result_lines(res)]
     assert (tmp_path / "results.csv").read_bytes() == "".join(f"{line}\n" for line in want).encode()
-    assert {row["n_conv"] for row in rows if row["esd"] is None} == {0, 1}
-    assert any(row["pct_bias"] is None for row in rows)
-    assert any(row["type1"] is None for row in rows)
-    assert {row["acceptable"] for row in rows} == {True, False, None}
-    assert {row["cluster_size"] for row in rows} == {8.0, 3.0}
+    summaries = [s for res in results for s in res.estimators.values()]
+    assert {res.n_converged for res in results if res.esd is None} == {0, 1}
+    assert any(s.percent_bias is None for s in summaries)
+    assert any(s.type1_error is None for s in summaries)
+    assert {s.acceptable for s in summaries} == {True, False, None}
+    assert {res.scenario.sizes.mean for res in results} == {8.0, 3.0}
 
 
 def test_simulate_threads_env_var(tmp_path, monkeypatch):
@@ -762,12 +762,19 @@ def test_report_group_by_estimator_single_scenario_passthrough(tmp_path, capsys)
         assert (got_frac == "1.0") == (want_flag == "1")
 
 
-def test_report_recomputed_band_matches_stored_flag(tmp_path):
+def frac_acceptable(summary):
+    """{(scenario_id, estimator): frac_acceptable} of a report grouped by both."""
+    return {tuple(ln.split(",")[:2]): ln.split(",")[-1]
+            for ln in summary.read_text().splitlines()[1:]}
+
+
+def test_report_frac_acceptable_is_the_share_of_stored_flags(tmp_path):
     results = simulated_results(tmp_path, replicates=12)
     rows = read_results_lines(results)[1:]
     out = tmp_path / "summary.csv"
-    assert main(["report", "--results", str(results), "--by", "scenario_id,estimator",
-                 "--out", str(out)]) == 0
+    report = ["report", "--results", str(results), "--by", "scenario_id,estimator",
+              "--out", str(out)]
+    assert main(report) == 0
     # per (scenario, estimator) each group holds 2 models; frac_acceptable
     # must equal the fraction of stored acceptable flags in the group
     stored = {}
@@ -775,15 +782,33 @@ def test_report_recomputed_band_matches_stored_flag(tmp_path):
         f = ln.split(",")
         key = (f[0], f[8])
         stored.setdefault(key, []).append(f[16])
-    for ln in out.read_text().splitlines()[1:]:
-        f = ln.split(",")
-        key = (f[0], f[1])
+    got = frac_acceptable(out)
+    for key, frac in got.items():
         flags = [v for v in stored[key] if v != ""]
         if not flags:
-            assert f[-1] == ""
+            assert frac == ""
             continue
         want = sum(1 for v in flags if v == "1") / len(flags)
-        assert float(f[-1]) == pytest.approx(want, abs=1e-12)
+        assert float(frac) == pytest.approx(want, abs=1e-12)
+    # report reads the flags, not type1: at 12 replicates no type1 is in the
+    # band, and flags set to 1 by hand make every stored flag count
+    assert "0.0" in got.values()
+    flagged = [ln if ln.endswith(",") else ln[:-1] + "1" for ln in rows]
+    results.write_text("\n".join([",".join(RESULT_COLUMNS), *flagged]) + "\n")
+    assert main(report) == 0
+    assert {frac for frac in frac_acceptable(out).values()} <= {"", "1.0"}
+
+
+@pytest.mark.parametrize("flag", ["2", "1.0", "yes", " 1", "True"])
+def test_report_names_the_line_of_an_acceptable_cell_that_is_not_a_flag(tmp_path, capsys, flag):
+    results = simulated_results(tmp_path, replicates=6)
+    lines = read_results_lines(results)
+    lines[3] = lines[3][:lines[3].rfind(",") + 1] + flag
+    results.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--results", str(results)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {results}: line 4: column 'acceptable' is not 0, 1 or empty\n")
 
 
 def test_report_group_by_design_factors(tmp_path):
@@ -855,6 +880,32 @@ def test_simulate_resume_rejects_rows_of_another_grid(tmp_path, capsys):
     out.write_text("\n".join([lines[0], "7" + lines[1][1:]]) + "\n")
     assert main(["simulate", "--config", str(config), "--resume"]) == 1
     assert "scenario 7" in capsys.readouterr().err
+
+
+#: per design column, a value other than the one the base grid writes on its second row
+OTHER_DESIGN = {"scenario_id": "1", "n_clusters": "10", "cluster_size": "9.0", "cv": "0.5",
+                "pi0": "0.2", "icc": "0.1", "family": "poisson", "link": "log",
+                "estimator": "md", "n_rep": "9"}
+
+
+@pytest.mark.parametrize("column", list(OTHER_DESIGN))
+def test_simulate_resume_refuses_a_row_whose_design_column_differs(tmp_path, capsys, column):
+    assert tuple(OTHER_DESIGN) == RESULT_COLUMNS[:RESULT_COLUMNS.index("n_rep") + 1]
+    config, _ = base_config(tmp_path)
+    out = tmp_path / "results.csv"
+    assert main(["simulate", "--config", str(config)]) == 0
+    lines = read_results_lines(out)
+    fields = lines[2].split(",")
+    i = RESULT_COLUMNS.index(column)
+    assert fields[i] != OTHER_DESIGN[column]
+    fields[i] = OTHER_DESIGN[column]
+    lines[2] = ",".join(fields)
+    out.write_text("\n".join(lines) + "\n")
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config), "--resume"]) == 1
+    assert "was written by a different grid" in capsys.readouterr().err
+    assert out.read_bytes() == before
 
 
 # --- an output that fails while it is written, flushed or closed ---

@@ -137,15 +137,6 @@ def test_alpha_level_changes_interval_width():
         wald_inference(fit, var, alpha_level=1.0)
 
 
-def test_measure_mismatch_rejected():
-    fit = fitted(seed=81, label="binomial-log")
-    var = compute_estimates(fit, (EstimatorKind.ROBUST,))[EstimatorKind.ROBUST]
-    res = wald_inference(fit, var, measure=EffectMeasure.RR)
-    assert res.effect_measure is EffectMeasure.RR
-    with pytest.raises(UsageError):
-        wald_inference(fit, var, measure=EffectMeasure.OR)
-
-
 def test_degenerate_variance_rejected():
     fit = fitted(seed=87)
     zero = VarianceEstimate(kind=EstimatorKind.ROBUST, cov=np.zeros((2, 2)))

@@ -21,6 +21,7 @@ from crtgee import (
     ALL_MODELS,
     DomainError,
     EstimatorKind,
+    EstimatorSummary,
     Family,
     FactorialGrid,
     FixedSize,
@@ -29,14 +30,16 @@ from crtgee import (
     ModelBlock,
     ModelSpec,
     Scenario,
+    ScenarioResult,
     TYPE1_BAND,
     aggregate,
-    result_rows,
+    result_lines,
     run_block,
     run_grid,
     run_scenario,
 )
 from crtgee.families import link_apply
+from crtgee.simulate import RESULT_COLUMNS
 
 KINDS3 = (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD)
 
@@ -81,7 +84,7 @@ def test_aggregate_hand_fixture():
         (None, 0.1, {kind: (0.2, False)}),
         ("max_iterations", None, {}),
     ], (kind,))
-    res = aggregate(scenario(), ALL_MODELS[0], records, kinds=(kind,))
+    (res,) = aggregate(scenario(), ALL_MODELS[:1], records, kinds=(kind,))
 
     beta = np.array([0.2, -0.1, 0.4, 0.1])
     esd = float(np.std(beta, ddof=1))
@@ -107,13 +110,13 @@ def test_percent_bias_is_plus_ten_when_se_is_inflated_ten_percent():
     beta = rng.normal(size=50)
     esd = float(np.std(beta, ddof=1))
     records = block([(None, float(b), {kind: (1.1 * esd, False)}) for b in beta], (kind,))
-    res = aggregate(scenario(replicates=50), ALL_MODELS[0], records, kinds=(kind,))
+    (res,) = aggregate(scenario(replicates=50), ALL_MODELS[:1], records, kinds=(kind,))
     assert res.estimators[kind].percent_bias == pytest.approx(10.0, abs=1e-9)
 
 
 def test_aggregate_handles_zero_convergence():
     records = block([("max_iterations", None, {}) for _ in range(3)], KINDS3)
-    res = aggregate(scenario(replicates=3), ALL_MODELS[0], records, kinds=KINDS3)
+    (res,) = aggregate(scenario(replicates=3), ALL_MODELS[:1], records, kinds=KINDS3)
     assert res.n_converged == 0
     assert res.esd is None
     for kind in KINDS3:
@@ -131,7 +134,7 @@ def test_estimator_failures_counted_as_non_rejections():
         (None, 0.1, {kind: (0.2, True)}),
         (None, 0.2, {kind: "CorrectionSingularityError"}),
     ], (kind,))
-    res = aggregate(scenario(replicates=2), ALL_MODELS[0], records, kinds=(kind,))
+    (res,) = aggregate(scenario(replicates=2), ALL_MODELS[:1], records, kinds=(kind,))
     summ = res.estimators[kind]
     assert summ.n_eval == 1
     assert summ.rejections == 1
@@ -215,19 +218,46 @@ def test_run_scenario_counts():
 def test_rows_schema_and_values():
     sc = scenario(replicates=6)
     res = run_scenario(sc, models=(ALL_MODELS[0],), kinds=ALL_KINDS)[0]
-    rows = result_rows(res)
-    assert len(rows) == len(ALL_KINDS)
+    lines = result_lines(res)
+    assert [len(line.split(",")) for line in lines] == [len(RESULT_COLUMNS)] * len(ALL_KINDS)
+    rows = [dict(zip(RESULT_COLUMNS, line.split(","))) for line in lines]
     assert [r["estimator"] for r in rows] == [k.value for k in ALL_KINDS]
     for r in rows:
-        assert r["scenario_id"] == sc.index
-        assert r["n_clusters"] == 10
-        assert r["cluster_size"] == 20.0
-        assert r["cv"] == 0.0
+        assert r["scenario_id"] == str(sc.index)
+        assert r["n_clusters"] == "10"
+        assert r["cluster_size"] == "20.0"
+        assert r["cv"] == "0.0"
         assert r["family"] == "binomial"
         assert r["link"] == "log"
-        assert r["n_rep"] == 6
-        if r["type1"] is not None:
-            assert (TYPE1_BAND[0] <= r["type1"] <= TYPE1_BAND[1]) == r["acceptable"]
+        assert r["n_rep"] == "6"
+        if r["type1"]:
+            assert r["acceptable"] == ("1" if TYPE1_BAND[0] <= float(r["type1"]) <= TYPE1_BAND[1]
+                                       else "0")
+        else:
+            assert r["acceptable"] == ""
+
+
+def test_result_lines_write_each_cell_as_text():
+    # None is an empty cell, a bool 1 or 0, a float its repr and an int its digits
+    sc = scenario(replicates=3, pi0=0.1, pi1=0.1)
+    kc, md, mbn = EstimatorKind.KC, EstimatorKind.MD, EstimatorKind.MBN
+    result = ScenarioResult(
+        scenario=sc, model=ModelSpec(Family.POISSON, Link.LOG), n_replicates=3,
+        n_converged=2, convergence_rate=2 / 3, esd=0.1 + 0.2,
+        estimators={
+            kc: EstimatorSummary(kc, 2, 0.25, -12.5, 0, 0.05, True),
+            md: EstimatorSummary(md, 2, 1 / 3, 1e-17, 2, 1.0, False),
+            mbn: EstimatorSummary(mbn, 0, None, None, 0, None, None),
+        },
+        diagnostics={},
+    )
+    fixed = f"{sc.index},10,20.0,0.0,0.1,0.05,poisson,log"
+    fit = "3,2,0.6666666666666666,0.30000000000000004"
+    assert result_lines(result) == [
+        f"{fixed},kc,{fit},0.25,-12.5,0.05,1",
+        f"{fixed},md,{fit},0.3333333333333333,1e-17,1.0,0",
+        f"{fixed},mbn,{fit},,,,",
+    ]
 
 
 def test_run_grid_parallelism_is_invisible(monkeypatch):
@@ -243,8 +273,8 @@ def test_run_grid_parallelism_is_invisible(monkeypatch):
         replicates=8,
         seed=2026,
     )
-    serial = [result_rows(r) for block in run_grid(grid, threads=1) for r in block]
-    parallel = [result_rows(r) for block in run_grid(grid, threads=4) for r in block]
+    serial = [result_lines(r) for block in run_grid(grid, threads=1) for r in block]
+    parallel = [result_lines(r) for block in run_grid(grid, threads=4) for r in block]
     assert serial == parallel
 
 
@@ -263,7 +293,7 @@ def test_run_grid_skip_resumes_by_scenario():
     partial = list(run_grid(grid, threads=1, skip=(0, 1)))
     assert [b[0].scenario.index for b in full] == [0, 1, 2, 3]
     assert [b[0].scenario.index for b in partial] == [2, 3]
-    assert result_rows(partial[0][0]) == result_rows(full[2][0])
+    assert result_lines(partial[0][0]) == result_lines(full[2][0])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -280,11 +310,11 @@ def test_run_grid_skip_drops_exactly_the_listed_cells(monkeypatch, threads):
         replicates=3,
         seed=2026,
     )
-    full = [result_rows(b[0]) for b in run_grid(grid, threads=1)]
+    full = [result_lines(b[0]) for b in run_grid(grid, threads=1)]
     # a one-shot iterator: the skip set must be built once, not per cell
     kept = list(run_grid(grid, threads=threads, skip=iter([3, 1])))
     assert [b[0].scenario.index for b in kept] == [0, 2]
-    assert [result_rows(b[0]) for b in kept] == [full[0], full[2]]
+    assert [result_lines(b[0]) for b in kept] == [full[0], full[2]]
 
 
 def test_progress_callback_reports_in_order():
@@ -331,14 +361,14 @@ FAILING_GRID = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(6),), pi0=(0.3,),
 
 def _first_cell_rows(grid=FAILING_GRID):
     sc = grid.scenarios()[0]
-    return [result_rows(r) for r in run_scenario(sc, grid.models, grid.estimators)]
+    return [result_lines(r) for r in run_scenario(sc, grid.models, grid.estimators)]
 
 
 def _yielded_before_failure(threads, grid=FAILING_GRID):
     yielded = []
     with pytest.raises(RuntimeError, match="cell 1 failed"):
         for cell in run_grid(grid, threads=threads):
-            yielded.append([result_rows(r) for r in cell])
+            yielded.append([result_lines(r) for r in cell])
     return yielded
 
 
@@ -445,7 +475,7 @@ STRIDE_GRID = FactorialGrid(n_clusters=(6,), sizes=(FixedSize(4),), pi0=(0.3,),
 
 
 def _stride_rows(threads):
-    return [[result_rows(r) for r in cell] for cell in run_grid(STRIDE_GRID, threads=threads)]
+    return [[result_lines(r) for r in cell] for cell in run_grid(STRIDE_GRID, threads=threads)]
 
 
 @pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default", "spawn"])
@@ -519,7 +549,7 @@ def test_a_worker_error_carries_the_workers_traceback(monkeypatch, module, targe
     yielded = []
     with pytest.raises(RuntimeError, match="cell 1 failed") as raised:
         for cell in run_grid(FAILING_GRID, threads=2):
-            yielded.append([result_rows(r) for r in cell])
+            yielded.append([result_lines(r) for r in cell])
     assert yielded == [cell0]
     cause = str(raised.value.__cause__)
     assert stand_in.__name__ in cause and "Traceback" in cause
@@ -549,7 +579,7 @@ def test_a_worker_that_exits_without_a_result_ends_the_run(monkeypatch):
     try:
         with pytest.raises(RuntimeError, match="exited with code 3 before returning block 1"):
             for cell in run_grid(FAILING_GRID, threads=2):
-                yielded.append([result_rows(r) for r in cell])
+                yielded.append([result_lines(r) for r in cell])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -578,9 +608,9 @@ def test_packing_cells_into_shared_blocks_does_not_change_results(monkeypatch, t
     skip = (2, 7)
     cells = [sc for sc in PACKED_GRID.scenarios() if sc.index not in skip]
     monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
-    want = [[result_rows(r) for r in run_scenario(sc, ALL_MODELS, ALL_KINDS)] for sc in cells]
+    want = [[result_lines(r) for r in run_scenario(sc, ALL_MODELS, ALL_KINDS)] for sc in cells]
     monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 7)
-    got = [[result_rows(r) for r in cell]
+    got = [[result_lines(r) for r in cell]
            for cell in run_grid(PACKED_GRID, threads=threads, skip=skip)]
     assert got == want
 
@@ -640,10 +670,10 @@ def test_block_equals_each_replicate_alone(design):
 def test_scenario_results_do_not_depend_on_the_block_size(monkeypatch):
     sc = Scenario(n_clusters=6, sizes=FixedSize(10), pi0=0.1, pi1=0.1, icc=0.05, seed=7,
                   replicates=23)
-    want = [result_rows(r) for r in run_scenario(sc, models=ALL_MODELS, kinds=ALL_KINDS)]
+    want = [result_lines(r) for r in run_scenario(sc, models=ALL_MODELS, kinds=ALL_KINDS)]
     for size in (1, 4, 23):
         monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", size)
-        got = [result_rows(r) for r in run_scenario(sc, models=ALL_MODELS, kinds=ALL_KINDS)]
+        got = [result_lines(r) for r in run_scenario(sc, models=ALL_MODELS, kinds=ALL_KINDS)]
         assert got == want, size
 
 
@@ -762,6 +792,10 @@ def test_stacked_models_equal_each_model_alone_with_singular_information(monkeyp
     assert {r for _, r in failed} == {1, 4}
 
 
+SANDWICH_KINDS = (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD, EstimatorKind.FG,
+                  EstimatorKind.AVG)
+
+
 @pytest.mark.parametrize("events, model_based_rejects", [((3, 3, 3, 2, 2, 2), True),
                                                          ((3, 3, 3, 3, 3, 3), False)])
 def test_arms_of_one_proportion_have_no_sandwich_variance(events, model_based_rejects):
@@ -774,32 +808,38 @@ def test_arms_of_one_proportion_have_no_sandwich_variance(events, model_based_re
     m, s = np.full((1, 6), 10), np.array([events])
     got = fit_models(arm, m, s, ALL_MODELS)
     assert got.reason == (None,) * len(ALL_MODELS)
-    for kind in (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD, EstimatorKind.FG,
-                 EstimatorKind.AVG):
+    for kind in SANDWICH_KINDS:
         assert got.failures[kind] == ("DegenerateVarianceError",) * len(ALL_MODELS), kind
         assert not got.reject[kind].any(), kind
     for kind in (EstimatorKind.MB, EstimatorKind.MBN):
         assert got.failures[kind] == (None,) * len(ALL_MODELS), kind
         assert (got.reject[kind] == model_based_rejects).all(), kind
-
-
-def test_identity_links_keep_the_residuals_of_arms_of_one_proportion_at_zero():
-    # an identity link maps each arm's starting proportion to its mean
-    # exactly, and a fit steps each arm's linear predictor on its own, so a
-    # treated arm's mean is never rebuilt as beta_0 + beta_1 and its zero
-    # residuals stay exact: robust is degenerate for every pair of proportions
-    arm, m = np.repeat([0, 1], 3), np.full((1, 6), 10)
-    models = [model for model in ALL_MODELS if model.link is Link.IDENTITY]
-    for a, b in itertools.product(range(1, 10), repeat=2):
-        got = fit_models(arm, m, np.array([[a] * 3 + [b] * 3]), models)
-        assert got.reason == (None,) * len(models)
-        assert got.failures[EstimatorKind.ROBUST] == ("DegenerateVarianceError",) * len(models), (
-            a, b)
+    # so too for every pair of arm proportions a / size and b / size, unequal
+    # or equal as in `events`. The fitted means do not give every residual
+    # back as 0 (49 (1 / 49) is not 1 under the identity links, and the log
+    # and logit links do not return 1 / 10 bit for bit), so the residuals are
+    # 0 because the fit sets them so; where the arms are equal beta1 is 0 and
+    # nothing rejects
+    differ = events[0] != events[-1]
+    for size in (7, 10, 49):
+        pairs = [(a, b) for a, b in itertools.product(range(1, size), repeat=2)
+                 if (a != b) == differ]
+        s = np.array([[a] * 3 + [b] * 3 for a, b in pairs])
+        got = fit_models(arm, np.full(s.shape, size), s, ALL_MODELS)
+        n_fits = len(ALL_MODELS) * len(pairs)
+        assert got.reason == (None,) * n_fits, size
+        for kind in SANDWICH_KINDS:
+            assert got.failures[kind] == ("DegenerateVarianceError",) * n_fits, (size, kind)
+            assert not got.reject[kind].any(), (size, kind)
+        if not differ:
+            assert not (got.reject[EstimatorKind.MB] | got.reject[EstimatorKind.MBN]).any()
 
 
 def test_aggregate_equals_the_per_kind_path_with_nan_ses():
     # the rare-event design's blocks hold failed fits and NaN SEs: each
-    # kind's summary equals that kind's summary formed alone, bit for bit
+    # kind's counts are its own, and its means are np.mean over its
+    # evaluated SEs alone (a NaN SE enters the sum as 0 and is not counted;
+    # the zeros may move the sum's last bit)
     sc, reps, _ = STACK_DESIGNS["rare-event"]
     fitted = run_block(sc, list(range(40)), models=ALL_MODELS, kinds=ALL_KINDS)
     nan_kinds = set()
@@ -808,22 +848,27 @@ def test_aggregate_equals_the_per_kind_path_with_nan_ses():
         conv = got.converged
         n_conv = int(conv.sum())
         esd = float(np.std(got.beta[conv, -1], ddof=1))
-        result = aggregate(sc, model, got, ALL_KINDS)
+        (result,) = aggregate(sc, (model,), got, ALL_KINDS)
         for kind in ALL_KINDS:
             ses = got.se[kind][conv]
-            nan_kinds.update([kind] if np.isnan(ses).any() else [])
-            want = crtgee.simulate._kind_summary(
-                kind, ses, int(got.reject[kind][conv].sum()), n_conv, esd)
-            assert result.estimators[kind] == want, (model.label(), kind)
-            assert bits([result.estimators[kind].mean_se]) == bits([want.mean_se])
-    # a block of hand-made NaN SEs: the per-kind path is taken for the kind
-    # with a NaN, the stacked means for the others
+            evaluated = ses[~np.isnan(ses)]
+            nan_kinds.update([kind] if evaluated.size < ses.size else [])
+            summary = result.estimators[kind]
+            rejections = int(got.reject[kind][conv].sum())
+            assert (summary.n_eval, summary.rejections) == (evaluated.size, rejections), (
+                model.label(), kind)
+            assert evaluated.size, (model.label(), kind)
+            assert summary.mean_se == pytest.approx(float(np.mean(evaluated)), rel=1e-15, abs=0)
+            assert summary.percent_bias == pytest.approx(
+                float(np.mean((evaluated - esd) / esd * 100.0)), rel=1e-15, abs=0)
+            assert summary.type1_error == rejections / n_conv
+    # a block of hand-made NaN SEs, one in MD's row and none in KC's
     records = [(None, 0.1, {EstimatorKind.KC: (0.2, False), EstimatorKind.MD: (0.3, True)}),
                (None, -0.2, {EstimatorKind.KC: (0.25, True), EstimatorKind.MD: "SingularityError"}),
                ("empty_arm", None, {}),
                (None, 0.05, {EstimatorKind.KC: (0.1 / 3, False), EstimatorKind.MD: (0.7, False)})]
     kinds = (EstimatorKind.KC, EstimatorKind.MD)
-    result = aggregate(scenario(), ALL_MODELS[0], block(records, kinds), kinds)
+    (result,) = aggregate(scenario(), ALL_MODELS[:1], block(records, kinds), kinds)
     kc, md = result.estimators[EstimatorKind.KC], result.estimators[EstimatorKind.MD]
     assert (kc.n_eval, md.n_eval) == (3, 2)
     assert md.mean_se == 0.5 and kc.mean_se == float(np.mean([0.2, 0.25, 0.1 / 3]))
@@ -865,7 +910,7 @@ def test_stacked_summary_equals_each_model_summarized_alone():
         got = aggregate(sc, ALL_MODELS, stacked, ALL_KINDS, rows)
         assert [r.model for r in got] == list(ALL_MODELS)
         for k, model in enumerate(ALL_MODELS):
-            want = aggregate(sc, model, alone[k], ALL_KINDS, rows)
+            (want,) = aggregate(sc, (model,), alone[k], ALL_KINDS, rows)
             assert exact(got[k]) == exact(want), (cell, model.label())
             seen["n_conv"].add(want.n_converged)
             seen["nonconvergence"].update(want.diagnostics["nonconvergence"])
