@@ -835,6 +835,20 @@ def test_arms_of_one_proportion_have_no_sandwich_variance(events, model_based_re
             assert not (got.reject[EstimatorKind.MB] | got.reject[EstimatorKind.MBN]).any()
 
 
+def test_identity_links_keep_the_residuals_of_arms_of_one_proportion_at_zero():
+    # the same claim for the identity links with each pair of proportions
+    # fitted as a block of one replicate: a treated arm's mean is not rebuilt
+    # as beta_0 + beta_1 bit for bit, but its residuals are 0 all the same,
+    # so robust is degenerate for every pair
+    arm, m = np.repeat([0, 1], 3), np.full((1, 6), 10)
+    models = [model for model in ALL_MODELS if model.link is Link.IDENTITY]
+    for a, b in itertools.product(range(1, 10), repeat=2):
+        got = fit_models(arm, m, np.array([[a] * 3 + [b] * 3]), models)
+        assert got.reason == (None,) * len(models)
+        assert got.failures[EstimatorKind.ROBUST] == ("DegenerateVarianceError",) * len(models), (
+            a, b)
+
+
 def test_aggregate_equals_the_per_kind_path_with_nan_ses():
     # the rare-event design's blocks hold failed fits and NaN SEs: each
     # kind's counts are its own, and its means are np.mean over its
