@@ -127,11 +127,13 @@ def substream(seed, scenario_index, replicate_index):
 
 
 def qaqish_coeff(rho, j):
-    """Conditional-regression coefficient b_j for the j-th draw, j >= 2."""
+    """Conditional-regression coefficient b_j for the j-th draw, j >= 2 (an int or an
+    integer array)."""
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    if j < 2:
-        raise DomainError(f"coefficient defined for j >= 2, got {j}")
+    least = j.min() if isinstance(j, np.ndarray) else j
+    if least < 2:
+        raise DomainError(f"coefficient defined for j >= 2, got {least}")
     return rho / (1.0 + (j - 2) * rho)
 
 
@@ -140,17 +142,25 @@ def _check_means(means, rho, size):
 
     lam = mu + b_j * (sum of the j - 1 centered draws) is at its extremes
     when every earlier draw is a 0 or every one a 1; both are checked for
-    each mean in `means`, the first failure (by draw, then by mean) raising.
+    each mean in `means` and every draw at once, on (means, draws) arrays,
+    the first failure (by draw, then by mean) raising.
     """
+    if size < 2:
+        return
     means = sorted(means)
-    for j in range(2, size + 1):
-        b = qaqish_coeff(rho, j)
-        for m in means:
-            low, high = m - (j - 1) * b * m, m + (j - 1) * b * (1.0 - m)
-            if not (0.0 <= low <= 1.0 and 0.0 <= high <= 1.0):
-                raise GeneratorInvalidError(
-                    f"conditional mean left [0, 1] at draw {j} (mu={m}, rho={rho})"
-                )
+    j = np.arange(2, size + 1)
+    step = (j - 1) * qaqish_coeff(rho, j)
+    m = np.array(means, dtype=float)[:, None]
+    # (lows, highs) by (mean, draw), in the scalar loop's operations
+    lam = np.concatenate([m - step * m, m + step * (1.0 - m)])
+    inside = (0.0 <= lam) & (lam <= 1.0)
+    if not inside.all():
+        failed = ~(inside[:len(means)] & inside[len(means):])
+        draw = int(failed.any(axis=0).argmax())
+        raise GeneratorInvalidError(
+            f"conditional mean left [0, 1] at draw {draw + 2} "
+            f"(mu={means[int(failed[:, draw].argmax())]}, rho={rho})"
+        )
 
 
 #: the most rows still drawing at which the recurrence finishes each row

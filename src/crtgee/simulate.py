@@ -27,15 +27,17 @@ arm, with the per-arm functions (link, variance, range, empty-arm rule)
 dispatched per model on contiguous row slices; every variance estimate is
 formed from per-arm sums as one (K R, 2, 2) array per kind, and each kind's
 tests are one call. The outcomes stay stacked: a piece is a slice of its
-block's replicates, a cell split across blocks has its pieces joined once,
-and one aggregate call summarizes every model of a cell from (kinds, K, R)
-views. A fit rejects the null when |t| = |beta1 / SE| exceeds the upper
-alpha_level/2 quantile of t, computed once per N in a block; no p-values are
-computed. Each replicate's outcome is bit for bit the one it has alone, so
-results depend on neither the packing nor the number of processes. Blocks
-are independent, so the grid can run them on T processes, the caller
-included, and on no more than there are blocks: a grid of one block runs
-in the caller alone. Block i runs on process i mod T, the caller running
+block's replicates, and one aggregate call summarizes every model of all
+the cells that lie whole in the block from (kinds, K, R) views; a cell
+split across blocks has its pieces joined once and is a call of its own,
+so a block takes at most two; every cell's sums keep the bits of the cell
+summarized alone. A fit rejects the null when |t| = |beta1 / SE| exceeds
+the upper alpha_level/2 quantile of t, computed once per N in a block; no
+p-values are computed. Each replicate's outcome is bit for bit the one it
+has alone, so results depend on neither the packing nor the number of
+processes. Blocks are independent, so the grid can run them on T
+processes, the caller included, and on no more than there are blocks: a
+grid of one block runs in the caller alone. Block i runs on process i mod T, the caller running
 its own blocks inline and each of the T - 1 worker processes sending its
 results back over a pipe, and the caller takes them in grid order. A worker starts
 its next block only once the caller has taken its previous result, so at
@@ -58,6 +60,7 @@ replicates.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -124,15 +127,26 @@ RESULT_COLUMNS = (
 )
 
 
+#: the scalar types written as a flag and as an integer, numpy's included
+_FLAGS = (bool, np.bool_)
+_INTEGERS = (int, np.integer)
+
+
 def _cell(value):
-    """One cell of the results table: None is empty, a bool 1 or 0, a float its repr."""
+    """One cell of the results table: None is empty, a bool 1 or 0, an integer its
+    digits, a string itself and any other real number the repr of its float, numpy's
+    scalars included (numpy 2's repr of np.float64(0.5) is "np.float64(0.5)")."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return repr(float(value))
+    if isinstance(value, _FLAGS):
+        return "1" if value else "0"
+    if isinstance(value, _INTEGERS):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return repr(float(value))
 
 
 def result_lines(result):
@@ -412,107 +426,150 @@ def pack_blocks(scenarios, block_replicates):
     return blocks
 
 
-def _tally(names, rows):
-    """{name: count} over the rows of a boolean mask, from one name or None per replicate."""
-    if names.count(None) == len(names):
-        return {}
-    names = np.fromiter(names, dtype=object, count=len(names))[rows]
-    found, counts = np.unique(names[np.not_equal(names, None)].astype(str), return_counts=True)
-    return dict(zip(found.tolist(), counts.tolist()))
+def _tallies(names, hits, windows):
+    """{name: count} of `names` at the sorted positions `hits` in each [start, stop) window."""
+    if not len(hits):
+        return [{} for _ in windows]
+    cuts = hits.searchsorted(windows).tolist()
+    hits = hits.tolist()
+    return [dict(sorted(collections.Counter(names[i] for i in hits[a:b]).items()))
+            if b > a else {} for a, b in cuts]
 
 
-def aggregate(scenario, models, block, kinds=ALL_KINDS, rows=slice(None)):
-    """Summarize a cell for each working model; converged-only denominators.
+def aggregate(cells, models, block, kinds=ALL_KINDS):
+    """Summarize the cells of one block for each working model; converged-only denominators.
 
-    `block` holds the K = len(models) models' outcomes stacked model-major,
-    as `_fit_models` gives them (model k's entry for replicate r is k R + r),
-    and the cell is its replicates `rows`. Returns one ScenarioResult per
-    model.
+    `block` holds the K = len(models) models' outcomes on R replicates,
+    stacked model-major as `_fit_models` gives them (model k's entry for
+    replicate r is k R + r). `cells` are (scenario, rows) pairs, rows a
+    slice of consecutive replicates of the block. Returns, per cell, one
+    ScenarioResult per model.
 
     The fields are viewed as (K, R) arrays, and the SEs and rejections as
-    (kinds, K, R), so the rejections, clamped alphas and largest leverages
-    of every model are reduced at once, and so are each SE's percent bias
-    and whether it was evaluated. Each model's converged SEs and biases
-    form one C-contiguous row per kind, in which an SE that was not
-    evaluated (NaN) enters as 0; a kind's mean SE and percent bias are its
-    rows' sums, taken along the rows at once, over its count of evaluated
-    SEs.
+    (kinds, K, R); a (cell, model) pair is a window of the K R entries.
+    Every count of every pair - converged fits, evaluated SEs, rejections,
+    clamped alphas - is the difference of one running count across its
+    window, and the largest leverages are one fmax.reduceat over the
+    windows. The float sums keep the bits of a sum over one pair alone:
+    the converged fits are compressed once, model-major, so that a pair's
+    converged fits are one run of them, and its sums are `np.sum` over its
+    run (np.add.reduceat over the runs would add in another order). The
+    empirical SD of beta1 is np.std's arithmetic (ddof=1) on each
+    run: the run's sum over its count is the mean, and the squared
+    deviations from it are summed over the run. An SE that was not
+    evaluated (NaN) enters its run's SE and percent-bias sums as 0 and is
+    not counted; a kind's mean SE and percent bias are those sums over its
+    count of evaluated SEs.
     """
     kinds = tuple(kinds)
-    shape = (len(models), len(block.reason) // len(models))
+    n_models, n_kinds = len(models), len(kinds)
+    n_block = len(block.reason) // n_models
+    shape = (n_models, n_block)
+    spans = [range(n_block)[rows] for _, rows in cells]
+    # the (cell, model) pairs, cell-major, as windows [start, stop) of the K R entries
+    windows = np.array([(k * n_block + r.start, k * n_block + r.start + len(r))
+                        for r in spans for k in range(n_models)], dtype=np.intp)
+    flat_conv = block.converged
+    conv = flat_conv.reshape(shape)
+    ses = np.array([block.se[kind] for kind in kinds]).reshape(n_kinds, *shape)
+    rejects = np.array([block.reject[kind] for kind in kinds]).reshape(n_kinds, *shape)
+    flags = np.concatenate([conv[None], ~np.isnan(ses), rejects,
+                            block.alpha_clamped.reshape(1, *shape)]) & conv
+    # every count of every pair, from one running count of each flag over
+    # the K R entries: the difference across the pair's window
+    running = np.zeros((len(flags), flat_conv.size + 1), dtype=np.intp)
+    np.cumsum(flags.reshape(len(flags), -1), axis=1, out=running[:, 1:])
+    counts = running[:, windows[:, 1]] - running[:, windows[:, 0]]
+    # the largest leverage of each pair's converged fits: one fmax.reduceat
+    # over the windows' bounds (every other segment), past a NaN at the end
+    leverage = np.concatenate([np.where(flat_conv, block.q_max, np.nan), [np.nan]])
+    q_max = np.fmax.reduceat(leverage, windows.ravel())[::2]
+    q_max[windows[:, 0] == windows[:, 1]] = np.nan
 
-    def model_rows(names, k):
-        return names[k * shape[1]:(k + 1) * shape[1]][rows]
+    # a pair's converged entries are a run of the compressed ones, from the
+    # count of converged entries before its window
+    size = counts[0]
+    ends = size.cumsum()
+    starts = ends - size
+    runs = list(zip(starts.tolist(), ends.tolist()))
+    positions = flat_conv.nonzero()[0]
+    taken = positions[np.arange(ends[-1]) + (running[0, windows[:, 0]] - starts).repeat(size)]
+    # `take` returns C order, so each kind's run is contiguous: np.sum adds a
+    # strided run in another order, which moves the last bits
+    beta1 = block.beta[taken, -1]
+    run_ses = ses.reshape(n_kinds, -1).take(taken, axis=1)
+    # np.std(ddof=1) per run: the mean is the run's sum over its count
+    has_esd = size >= 2
+    beta_sums = np.array([beta1[a:b].sum() for a, b in runs])
+    mean = np.divide(beta_sums, size, out=np.zeros(len(runs)), where=has_esd)
+    terms = np.concatenate([np.square(beta1 - mean.repeat(size))[None],
+                            np.where(np.isnan(run_ses), 0.0, run_ses)])
+    sums = np.array([terms[:, a:b].sum(axis=1) for a, b in runs])
+    esd = np.sqrt(np.divide(sums[:, 0], size - 1, out=np.zeros(len(runs)), where=has_esd))
+    # each SE's percent bias against its pair's esd (NaN without a positive
+    # esd); an SE that was not evaluated (NaN) enters the sum as 0
+    has_bias = has_esd & (esd > 0.0)
+    scale = np.where(has_bias, esd, np.nan).repeat(size)
+    bias = np.where(np.isnan(run_ses), 0.0, (run_ses - scale) / scale * 100.0)
+    bias_sums = np.array([bias[:, a:b].sum(axis=1) for a, b in runs])
 
-    reasons = [model_rows(block.reason, k) for k in range(len(models))]
-    conv = np.array([[r is None for r in reason] for reason in reasons], dtype=bool)
-    n_rep = conv.shape[1]
-    n_conv = conv.sum(axis=1).tolist()
-    beta1 = block.beta[:, -1].reshape(shape)[:, rows]
-    stacked = (len(kinds), *shape)
-    ses = np.array([block.se[kind] for kind in kinds]).reshape(stacked)[:, :, rows]
-    rejections = np.array([block.reject[kind] for kind in kinds]).reshape(stacked)
-    rejections = (rejections[:, :, rows] & conv).sum(axis=2).tolist()
-    clamped = (block.alpha_clamped.reshape(shape)[:, rows] & conv).sum(axis=1).tolist()
-    q_max = np.fmax.reduce(np.where(conv, block.q_max.reshape(shape)[:, rows], np.nan),
-                           axis=1, initial=np.nan).tolist()
-    failing = [kind for kind in kinds
-               if block.failures[kind].count(None) < len(block.failures[kind])]
+    nonconvergence = _tallies(block.reason, (~flat_conv).nonzero()[0], windows)
+    failures = {}
+    for kind in kinds:
+        names = block.failures[kind]
+        if names.count(None) < len(names):
+            named = np.not_equal(np.fromiter(names, dtype=object, count=len(names)), None)
+            failures[kind.value] = _tallies(names, (named & flat_conv).nonzero()[0], windows)
     ordered = [kinds.index(kind) for kind in (EstimatorKind.ROBUST, EstimatorKind.KC,
                                               EstimatorKind.MD) if kind in kinds]
-    esds = [float(np.std(beta1[k][conv[k]], ddof=1)) if nc >= 2 else None
-            for k, nc in enumerate(n_conv)]
-    # each SE's percent bias against its model's esd (NaN without a positive
-    # esd); an SE that was not evaluated (NaN) enters both sums as 0
-    has_bias = [esd is not None and esd > 0.0 for esd in esds]
-    scale = np.array([[esd if ok else np.nan] for esd, ok in zip(esds, has_bias)])
-    evaluated = ~np.isnan(ses) & conv
-    n_eval = evaluated.sum(axis=2).tolist()
-    bias = np.where(evaluated, (ses - scale) / scale * 100.0, 0.0)
-    ses = np.where(evaluated, ses, 0.0)
+    n_conv, n_eval = size.tolist(), counts[1:1 + n_kinds].T.tolist()
+    rejections = counts[1 + n_kinds:1 + 2 * n_kinds].T.tolist()
+    clamped, q_max = counts[-1].tolist(), q_max.tolist()
+    esd, has_bias = esd.tolist(), has_bias.tolist()
+    se_sums, bias_sums = sums[:, 1:].tolist(), bias_sums.tolist()
 
-    results = []
-    for k, model in enumerate(models):
-        c, nc, esd = conv[k], n_conv[k], esds[k]
-        se_sums = ses[:, k].compress(c, axis=1).sum(axis=1).tolist()
-        bias_sums = bias[:, k].compress(c, axis=1).sum(axis=1).tolist()
-        summaries = []
-        for i, kind in enumerate(kinds):
-            n = n_eval[i][k]
-            type1 = rejections[i][k] / nc if n else None
-            summaries.append(EstimatorSummary(
-                kind=kind,
-                n_eval=n,
-                mean_se=se_sums[i] / n if n else None,
-                percent_bias=bias_sums[i] / n if n and has_bias[k] else None,
-                rejections=rejections[i][k],
-                type1_error=type1,
-                acceptable=None if type1 is None else TYPE1_BAND[0] <= type1 <= TYPE1_BAND[1],
+    results, p = [], 0
+    for (scenario, _), span in zip(cells, spans):
+        n_rep, cell = len(span), []
+        for model in models:
+            nc = n_conv[p]
+            summaries = []
+            for i, kind in enumerate(kinds):
+                n = n_eval[p][i]
+                type1 = rejections[p][i] / nc if n else None
+                summaries.append(EstimatorSummary(
+                    kind=kind,
+                    n_eval=n,
+                    mean_se=se_sums[p][i] / n if n else None,
+                    percent_bias=bias_sums[p][i] / n if n and has_bias[p] else None,
+                    rejections=rejections[p][i],
+                    type1_error=type1,
+                    acceptable=None if type1 is None else TYPE1_BAND[0] <= type1 <= TYPE1_BAND[1],
+                ))
+            diagnostics = {
+                "nonconvergence": nonconvergence[p],
+                "alpha_clamped": clamped[p],
+                "estimator_failures": {(kind, name): count
+                                       for kind, tallies in failures.items()
+                                       for name, count in tallies[p].items()},
+            }
+            if not math.isnan(q_max[p]):
+                diagnostics["q_max"] = q_max[p]
+            type1 = [summaries[i].type1_error for i in ordered]
+            if len(type1) == 3 and None not in type1:
+                diagnostics["ordering_consistent"] = type1[0] >= type1[1] >= type1[2]
+            cell.append(ScenarioResult(
+                scenario=scenario,
+                model=model,
+                n_replicates=n_rep,
+                n_converged=nc,
+                convergence_rate=nc / n_rep if n_rep else 0.0,
+                esd=esd[p] if nc >= 2 else None,
+                estimators=dict(zip(kinds, summaries)),
+                diagnostics=diagnostics,
             ))
-        diagnostics = {
-            "nonconvergence": _tally(reasons[k], ~c) if nc < n_rep else {},
-            "alpha_clamped": clamped[k],
-            "estimator_failures": {
-                (kind.value, name): count
-                for kind in failing
-                for name, count in _tally(model_rows(block.failures[kind], k), c).items()
-            },
-        }
-        if not math.isnan(q_max[k]):
-            diagnostics["q_max"] = q_max[k]
-        type1 = [summaries[i].type1_error for i in ordered]
-        if len(type1) == 3 and None not in type1:
-            diagnostics["ordering_consistent"] = type1[0] >= type1[1] >= type1[2]
-        results.append(ScenarioResult(
-            scenario=scenario,
-            model=model,
-            n_replicates=n_rep,
-            n_converged=nc,
-            convergence_rate=nc / n_rep if n_rep else 0.0,
-            esd=esd,
-            estimators=dict(zip(kinds, summaries)),
-            diagnostics=diagnostics,
-        ))
+            p += 1
+        results.append(cell)
     return results
 
 
@@ -544,8 +601,9 @@ def _run_cells(scenarios, models, kinds, fg_bound, alpha_level, threads=1, progr
     runs on process i mod that number, process 0 being the caller, which
     fits its blocks here, inline; the others are `_workers`. Blocks are
     taken in grid order, so cells are yielded in grid order. Cells sharing
-    a block finish together; a block's error is raised after every cell it
-    finished.
+    a block finish together: one aggregate call summarizes the cells that
+    lie whole in it, and one more a cell whose last piece it holds, its
+    pieces joined. A block's error is raised after every cell it finished.
     """
     blocks = pack_blocks(scenarios, BLOCK_REPLICATES)
     task = functools.partial(_fit_pieces, models=models, kinds=kinds, fg_bound=fg_bound,
@@ -555,14 +613,23 @@ def _run_cells(scenarios, models, kinds, fg_bound, alpha_level, threads=1, progr
         done, parts = 0, []
         for i, block in enumerate(blocks):
             fitted, error = take(i) if i % processes else task(block)
-            for (sc, reps), part in zip(block, fitted):
-                parts.append(part)
-                if reps.stop < sc.replicates:
+            finished, whole = [], []
+            for (sc, reps), (fits, rows) in zip(block, fitted):
+                if len(reps) == sc.replicates:
+                    whole.append((sc, rows))
                     continue
-                fits, rows = parts[0] if len(parts) == 1 else \
-                    (ModelBlock.join(parts, len(models)), slice(None))
-                results = aggregate(sc, models, fits, kinds, rows)
-                done, parts = done + 1, []
+                parts.append((fits, rows))
+                if reps.stop == sc.replicates:
+                    # a split cell's last piece opens its block, so it finishes first
+                    joined = ModelBlock.join(parts, len(models))
+                    (results,) = aggregate([(sc, slice(None))], models, joined, kinds)
+                    finished.append((sc, results))
+                    parts = []
+            if whole:
+                finished += zip([sc for sc, _ in whole],
+                                aggregate(whole, models, fitted[0][0], kinds))
+            for sc, results in finished:
+                done += 1
                 if progress is not None:
                     progress(done, len(scenarios), sc.index)
                 yield results

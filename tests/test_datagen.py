@@ -49,6 +49,42 @@ def test_conditional_mean_stays_in_range_for_rare_outcome():
         assert lam_high < 1.0
 
 
+def reference_check_means(means, rho, size):
+    """The scalar loop of `_check_means`: (draw, mean) of the first conditional mean
+    that can leave [0, 1], by draw and then by mean, or None."""
+    means = sorted(means)
+    for j in range(2, size + 1):
+        b = qaqish_coeff(rho, j)
+        for m in means:
+            low, high = m - (j - 1) * b * m, m + (j - 1) * b * (1.0 - m)
+            if not (0.0 <= low <= 1.0 and 0.0 <= high <= 1.0):
+                return j, m
+    return None
+
+
+def test_check_means_raises_at_the_draw_and_mean_of_the_scalar_loop():
+    # (j - 1) b_j < 1, so the extremes stay in [0, 1] in exact arithmetic;
+    # at rho a few ulps below 1 they leave it by rounding alone, at a draw
+    # and mean only the same operations find
+    rhos = [1.0 - k * 2.0 ** -53 for k in (1, 2, 3, 5, 8, 13, 30, 100)] + [0.999, 0.3]
+    means = [1e-13, 0.05, 0.3, 0.5198330743342318, 0.6, 0.7, 0.9, 1.0 - 1e-13]
+    raised = 0
+    for rho in rhos:
+        for pair in [(m,) for m in means] + list(zip(means, means[::-1])):
+            want = reference_check_means(pair, rho, 400)
+            if want is None:
+                crtgee.datagen._check_means(set(pair), rho, 400)
+                continue
+            raised += 1
+            with pytest.raises(GeneratorInvalidError) as got:
+                crtgee.datagen._check_means(set(pair), rho, 400)
+            assert str(got.value) == (f"conditional mean left [0, 1] at draw {want[0]} "
+                                      f"(mu={want[1]}, rho={rho})")
+            # the draws before the first failing one pass
+            crtgee.datagen._check_means(set(pair), rho, want[0] - 1)
+    assert 0 < raised < len(rhos) * 2 * len(means)
+
+
 def test_independent_case_is_plain_bernoulli():
     rng = substream(2026, 0, 0)
     y = generate_clusters(0.3, 0.0, 8, 50_000, rng)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import multiprocessing
 import os
 import signal
@@ -38,6 +39,7 @@ from crtgee import (
     run_grid,
     run_scenario,
 )
+from crtgee.cli import main
 from crtgee.families import link_apply
 from crtgee.simulate import RESULT_COLUMNS
 
@@ -84,7 +86,7 @@ def test_aggregate_hand_fixture():
         (None, 0.1, {kind: (0.2, False)}),
         ("max_iterations", None, {}),
     ], (kind,))
-    (res,) = aggregate(scenario(), ALL_MODELS[:1], records, kinds=(kind,))
+    ((res,),) = aggregate([(scenario(), slice(None))], ALL_MODELS[:1], records, kinds=(kind,))
 
     beta = np.array([0.2, -0.1, 0.4, 0.1])
     esd = float(np.std(beta, ddof=1))
@@ -110,13 +112,15 @@ def test_percent_bias_is_plus_ten_when_se_is_inflated_ten_percent():
     beta = rng.normal(size=50)
     esd = float(np.std(beta, ddof=1))
     records = block([(None, float(b), {kind: (1.1 * esd, False)}) for b in beta], (kind,))
-    (res,) = aggregate(scenario(replicates=50), ALL_MODELS[:1], records, kinds=(kind,))
+    ((res,),) = aggregate([(scenario(replicates=50), slice(None))], ALL_MODELS[:1], records,
+                          kinds=(kind,))
     assert res.estimators[kind].percent_bias == pytest.approx(10.0, abs=1e-9)
 
 
 def test_aggregate_handles_zero_convergence():
     records = block([("max_iterations", None, {}) for _ in range(3)], KINDS3)
-    (res,) = aggregate(scenario(replicates=3), ALL_MODELS[:1], records, kinds=KINDS3)
+    ((res,),) = aggregate([(scenario(replicates=3), slice(None))], ALL_MODELS[:1], records,
+                          kinds=KINDS3)
     assert res.n_converged == 0
     assert res.esd is None
     for kind in KINDS3:
@@ -134,7 +138,8 @@ def test_estimator_failures_counted_as_non_rejections():
         (None, 0.1, {kind: (0.2, True)}),
         (None, 0.2, {kind: "CorrectionSingularityError"}),
     ], (kind,))
-    (res,) = aggregate(scenario(replicates=2), ALL_MODELS[:1], records, kinds=(kind,))
+    ((res,),) = aggregate([(scenario(replicates=2), slice(None))], ALL_MODELS[:1], records,
+                          kinds=(kind,))
     summ = res.estimators[kind]
     assert summ.n_eval == 1
     assert summ.rejections == 1
@@ -258,6 +263,40 @@ def test_result_lines_write_each_cell_as_text():
         f"{fixed},md,{fit},0.3333333333333333,1e-17,1.0,0",
         f"{fixed},mbn,{fit},,,,",
     ]
+
+
+def test_result_lines_write_numpy_scalars_as_python_numbers(tmp_path):
+    # a cell of numpy scalars writes the lines of the same cell of Python
+    # numbers (numpy 2's repr of np.float64(0.5) is "np.float64(0.5)"), and
+    # report reads them
+    kw = dict(n_clusters=10, pi0=0.3, pi1=0.3, icc=0.05, replicates=4, seed=2026, index=3)
+    plain = Scenario(sizes=GammaSize(10.0, 0.5), **kw)
+    typed = Scenario(sizes=GammaSize(np.float64(10.0), np.float64(0.5)),
+                     **{k: np.int64(v) if isinstance(v, int) else np.float64(v)
+                        for k, v in kw.items()})
+    models = (ALL_MODELS[0], ALL_MODELS[-1])
+    want = [line for res in run_scenario(plain, models, ALL_KINDS) for line in result_lines(res)]
+    got = [line for res in run_scenario(typed, models, ALL_KINDS) for line in result_lines(res)]
+    assert got == want
+
+    def numpy_scalars(summary):
+        return dataclasses.replace(summary, **{
+            f.name: (np.bool_(v) if isinstance(v, bool) else np.int64(v) if isinstance(v, int)
+                     else np.float64(v))
+            for f in dataclasses.fields(summary)
+            if (v := getattr(summary, f.name)) is not None and f.name != "kind"})
+
+    results = [dataclasses.replace(res, n_converged=np.int64(res.n_converged),
+                                   convergence_rate=np.float64(res.convergence_rate),
+                                   esd=np.float64(res.esd),
+                                   estimators={kind: numpy_scalars(summary)
+                                               for kind, summary in res.estimators.items()})
+               for res in run_scenario(typed, models, ALL_KINDS)]
+    assert any(type(s.acceptable) is np.bool_ for s in results[0].estimators.values())
+    assert [line for res in results for line in result_lines(res)] == want
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join([",".join(RESULT_COLUMNS), *want]) + "\n")
+    assert main(["report", "--results", str(path), "--by", "cv,pi0,icc"]) == 0
 
 
 def test_run_grid_parallelism_is_invisible(monkeypatch):
@@ -615,6 +654,86 @@ def test_packing_cells_into_shared_blocks_does_not_change_results(monkeypatch, t
     assert got == want
 
 
+#: 4 cells of 12 replicates, most of whose fits converge: each (cell, model)
+#: sums at least 9 terms, past where np.sum stops adding in sequence
+SHARED_GRID = FactorialGrid(n_clusters=(10,), sizes=(FixedSize(20), GammaSize(15, 0.5)),
+                            pi0=(0.3,), icc=(0.05, 0.1), replicates=12, seed=17)
+
+
+def reference_floats(scenario, models):
+    """Per model: esd and, per kind, mean SE and percent bias, summed over the cell alone.
+
+    The sums of the one-cell summary: np.std(ddof=1) of the converged
+    beta1, and np.sum over each kind's converged SEs and biases in a fresh
+    array, an SE not evaluated entering as 0.
+    """
+    fitted = run_block(scenario, range(scenario.replicates), models=models, kinds=ALL_KINDS)
+    floats = []
+    for model in models:
+        fits = fitted[model.label()]
+        conv = fits.converged
+        esd = float(np.std(fits.beta[conv, -1], ddof=1))
+        kinds = {}
+        for kind in ALL_KINDS:
+            se = fits.se[kind][conv]
+            n = int(np.count_nonzero(~np.isnan(se)))
+            bias = np.where(np.isnan(se), 0.0, (se - esd) / esd * 100.0)
+            kinds[kind] = (float(np.where(np.isnan(se), 0.0, se).sum()) / n,
+                           float(bias.sum()) / n)
+        floats.append((esd, kinds))
+    return floats
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_float_sums_of_cells_sharing_a_block_keep_their_bits(monkeypatch, threads):
+    # blocks of 24 hold 2 whole cells each, so threads=2 starts a worker; the
+    # second cell's runs lie past the first's, where a sum over all the runs
+    # at once (np.add.reduceat) adds in another order than np.sum over one
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 1)
+    want = [[result_lines(r) for r in cell] for cell in run_grid(SHARED_GRID)]
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 24)
+    shared = list(run_grid(SHARED_GRID, threads=threads))
+    assert [[result_lines(r) for r in cell] for cell in shared] == want
+    for sc, cell in zip(SHARED_GRID.scenarios(), shared):
+        assert min(res.n_converged for res in cell) >= 9
+        got = [(res.esd, {kind: (s.mean_se, s.percent_bias) for kind, s in res.estimators.items()})
+               for res in cell]
+        assert got == reference_floats(sc, SHARED_GRID.models), sc.index
+
+
+def test_aggregate_runs_once_per_block_and_once_per_joined_cell(monkeypatch, tmp_path):
+    calls = []
+    aggregate = crtgee.simulate.aggregate
+
+    def spy(cells, *args):
+        calls.append([sc.index for sc, _ in cells])
+        return aggregate(cells, *args)
+
+    monkeypatch.setattr(crtgee.simulate, "aggregate", spy)
+    # PACKED_GRID in blocks of 7: one call per block that holds a whole cell
+    # (5, one cell each) and one per cell split across blocks (7)
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 7)
+    list(run_grid(PACKED_GRID))
+    blocks = crtgee.simulate.pack_blocks(PACKED_GRID.scenarios(), 7)
+    whole = [b for b in blocks if any(len(reps) == sc.replicates for sc, reps in b)]
+    split = {sc.index for b in blocks for sc, reps in b if len(reps) < sc.replicates}
+    assert (len(whole), len(split)) == (5, 7)
+    assert len(calls) == len(whole) + len(split)
+    assert calls == [[i] for i in range(PACKED_GRID.n_scenarios)]
+    # the benchmark's 8-cell grid is one block: one call summarizes it all
+    monkeypatch.setattr(crtgee.simulate, "BLOCK_REPLICATES", 100)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "seed": 20260821, "replicates": 2, "n_clusters": [6, 10],
+        "cluster_sizes": [8, {"type": "gamma", "mean": 10, "cv": 0.5}],
+        "pi0": [0.1, 0.3], "icc": [0.05],
+        "models": ["binomial-identity", "poisson-identity", "gaussian-identity"],
+        "output": str(tmp_path / "results.csv")}))
+    calls.clear()
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert calls == [list(range(8))]
+
+
 # --- batch invariance: a block of replicates equals each replicate alone ---
 
 BATCH_DESIGNS = {
@@ -862,7 +981,7 @@ def test_aggregate_equals_the_per_kind_path_with_nan_ses():
         conv = got.converged
         n_conv = int(conv.sum())
         esd = float(np.std(got.beta[conv, -1], ddof=1))
-        (result,) = aggregate(sc, (model,), got, ALL_KINDS)
+        ((result,),) = aggregate([(sc, slice(None))], (model,), got, ALL_KINDS)
         for kind in ALL_KINDS:
             ses = got.se[kind][conv]
             evaluated = ses[~np.isnan(ses)]
@@ -882,7 +1001,8 @@ def test_aggregate_equals_the_per_kind_path_with_nan_ses():
                ("empty_arm", None, {}),
                (None, 0.05, {EstimatorKind.KC: (0.1 / 3, False), EstimatorKind.MD: (0.7, False)})]
     kinds = (EstimatorKind.KC, EstimatorKind.MD)
-    (result,) = aggregate(scenario(), ALL_MODELS[:1], block(records, kinds), kinds)
+    ((result,),) = aggregate([(scenario(), slice(None))], ALL_MODELS[:1], block(records, kinds),
+                             kinds)
     kc, md = result.estimators[EstimatorKind.KC], result.estimators[EstimatorKind.MD]
     assert (kc.n_eval, md.n_eval) == (3, 2)
     assert md.mean_se == 0.5 and kc.mean_se == float(np.mean([0.2, 0.25, 0.1 / 3]))
@@ -921,10 +1041,10 @@ def test_stacked_summary_equals_each_model_summarized_alone():
     alone = [fit_models(arm, m, s, (model,)) for model in ALL_MODELS]
     seen = {"n_conv": set(), "nonconvergence": set(), "nan_se": False}
     for cell, rows in SUMMARY_CELLS.items():
-        got = aggregate(sc, ALL_MODELS, stacked, ALL_KINDS, rows)
+        (got,) = aggregate([(sc, rows)], ALL_MODELS, stacked, ALL_KINDS)
         assert [r.model for r in got] == list(ALL_MODELS)
         for k, model in enumerate(ALL_MODELS):
-            (want,) = aggregate(sc, (model,), alone[k], ALL_KINDS, rows)
+            ((want,),) = aggregate([(sc, rows)], (model,), alone[k], ALL_KINDS)
             assert exact(got[k]) == exact(want), (cell, model.label())
             seen["n_conv"].add(want.n_converged)
             seen["nonconvergence"].update(want.diagnostics["nonconvergence"])
