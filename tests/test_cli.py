@@ -697,8 +697,9 @@ def test_simulate_stops_at_gamma_draws_that_cannot_form_one_array(tmp_path, caps
         def random(self, size):
             raise AssertionError(f"{size} uniforms asked for")
 
-    substream = crtgee.datagen.substream
-    monkeypatch.setattr(crtgee.datagen, "substream", lambda *key: SizesOnly(substream(*key)))
+    generators = crtgee.datagen._generators
+    monkeypatch.setattr(crtgee.datagen, "_generators",
+                        lambda *keys: [SizesOnly(rng) for rng in generators(*keys)])
     config, _ = base_config(tmp_path, cluster_sizes=[{"type": "gamma", "mean": 5e17, "cv": 0.5}])
     assert main(["simulate", "--config", str(config)]) == 1
     err = capsys.readouterr().err

@@ -227,6 +227,14 @@ def test_scenario_validation():
         Scenario(n_clusters=6, sizes=FixedSize(5), pi0=0.3, pi1=0.3, icc=0.05, replicates=0)
 
 
+@pytest.mark.parametrize("field", ["seed", "index"])
+@pytest.mark.parametrize("value", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_scenario_rejects_a_seed_or_index_that_is_not_a_nonnegative_integer(field, value):
+    # both key the generators, whose hash reads a nonnegative integer's 32-bit words
+    with pytest.raises(DomainError, match=f"{field} must be a nonnegative integer"):
+        Scenario(n_clusters=6, sizes=FixedSize(5), pi0=0.3, pi1=0.3, icc=0.05, **{field: value})
+
+
 def test_trial_layout():
     sc = Scenario(n_clusters=10, sizes=FixedSize(7), pi0=0.2, pi1=0.4, icc=0.05, seed=44)
     data = generate_trial(sc, 0)
@@ -319,6 +327,8 @@ REFERENCE_DESIGNS = {
                                  icc=0.0, seed=10),
     "n2-gamma": Scenario(n_clusters=2, sizes=GammaSize(8.0, 1.0), pi0=0.3, pi1=0.7,
                          icc=0.3, seed=11, index=2),
+    "multiword-key": Scenario(n_clusters=4, sizes=GammaSize(10.0, 0.5), pi0=0.2, pi1=0.5,
+                              icc=0.1, seed=2**70 + 3, index=2**32 + 5),
 }
 
 
@@ -389,6 +399,22 @@ def test_pieces_with_different_icc_in_one_block_equal_each_piece_alone():
     m, s, _ = crtgee.datagen.generate_pieces(same)
     assert np.array_equal(s, np.concatenate([crtgee.datagen.generate_block(sc, reps)[1]
                                              for sc, reps in same]))
+
+
+def test_a_piece_checked_past_an_earlier_pieces_size_can_still_end_the_block():
+    # at this icc a conditional mean leaves [0, 1] by rounding at draw 28 and
+    # not before: the first piece (m = 27) passes, and the second, of the same
+    # means and icc, is checked again at its larger size and fails
+    rho = 1.0 - 2 * 2.0**-53
+    design = dict(n_clusters=4, pi0=0.3, pi1=0.3, icc=rho, seed=3)
+    pieces = [(Scenario(sizes=FixedSize(27), **design), range(2)),
+              (Scenario(sizes=FixedSize(28), index=1, **design), range(2)),
+              (Scenario(sizes=FixedSize(2), index=2, **design), range(2))]
+    m, s, error = crtgee.datagen.generate_pieces(pieces)
+    first_m, first_s = crtgee.datagen.generate_block(*pieces[0])
+    assert np.array_equal(m, first_m) and np.array_equal(s, first_s)
+    assert isinstance(error, GeneratorInvalidError)
+    assert str(error) == f"conditional mean left [0, 1] at draw 28 (mu=0.3, rho={rho})"
 
 
 def test_a_piece_that_cannot_be_drawn_ends_the_block_there(monkeypatch):
@@ -535,7 +561,7 @@ def test_rows_equal_the_reference_when_the_active_count_meets_the_bound(
 def test_a_zero_coefficient_draws_independent_bernoullis_in_both_phases(monkeypatch,
                                                                         tail_rows):
     # b_j = 0 leaves lam = mu, so each draw is u < mu, in a column pass or alone
-    monkeypatch.setattr(crtgee.datagen, "qaqish_coeff", lambda rho, j: 0.0)
+    monkeypatch.setattr(crtgee.datagen, "qaqish_coeff", lambda rho, j: 0.0 * j)
     if tail_rows is not None:
         monkeypatch.setattr(crtgee.datagen, "TAIL_ROWS", tail_rows)
     sizes = np.array([30] * 5 + [6] * 100)
@@ -571,3 +597,57 @@ def test_a_block_of_no_replicates_is_empty():
     assert error is None and m.shape == (len(alone_m), 24)
     clusters = np.r_[0:6, 12:18]
     assert np.array_equal(m[:, clusters], alone_m) and np.array_equal(s[:, clusters], alone_s)
+
+
+# --- the generators' keys: numpy's SeedSequence hash, once per (seed, scenario) -------
+
+
+#: seeds and indices of one, two and more 32-bit words
+KEY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128]
+KEY_INDICES = [0, 1, 2**32 - 1, 2**32 + 5]
+
+
+def test_philox_keys_equal_the_seed_sequence_state():
+    for seed in KEY_SEEDS:
+        for scenario in KEY_INDICES:
+            seed_pool = crtgee.datagen._seed_pool(seed, scenario)
+            for rep in KEY_INDICES:
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(scenario, rep))
+                want = tuple(ss.generate_state(2, np.uint64).tolist())
+                assert crtgee.datagen._philox_key(seed_pool, rep) == want, (seed, scenario, rep)
+
+
+def test_each_generator_draws_what_a_seed_sequence_philox_draws():
+    sizes = GammaSize(30.0, 1.0)
+    for seed, scenario in ((2026, 3), (2**64 + 1, 2**32 + 5)):
+        reps = [0, 1, 7, 2**32 - 1, 2**32 + 5]
+        rngs = crtgee.datagen._generators(seed, scenario, reps)
+        for rng, alone, rep in zip(rngs, (substream(seed, scenario, r) for r in reps), reps):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(scenario, rep))
+            want = np.random.Generator(np.random.Philox(ss))
+            m = sizes.draw(20, want)
+            assert np.array_equal(sizes.draw(20, rng), m)
+            assert np.array_equal(sizes.draw(20, alone), m)
+            u = want.random(int(m.sum())).tolist()
+            assert rng.random(len(u)).tolist() == u == alone.random(len(u)).tolist()
+
+
+def test_a_philox_key_answers_only_the_request_philox_makes():
+    key = crtgee.datagen._PhiloxKey((2**64 - 1, 5))
+    assert key.generate_state(2, np.uint64).tolist() == [2**64 - 1, 5]
+    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (1, np.uint64), (4, np.uint64)):
+        with pytest.raises(ValueError, match="a Philox key is 2 uint64 words"):
+            key.generate_state(n_words, dtype)
+
+
+@pytest.mark.parametrize("tail_rows", [0, 1, 7, 64, 10**9])
+def test_the_count_only_tail_equals_the_reference(monkeypatch, tail_rows):
+    # without outcomes the rows left after the column passes only count their events
+    monkeypatch.setattr(crtgee.datagen, "TAIL_ROWS", tail_rows)
+    rng = substream(16, tail_rows, 0)
+    sizes = np.maximum(np.rint(rng.gamma(1.0, 20.0, 90)).astype(int), 1)
+    flat = rng.random(int(sizes.sum()))
+    mu = rng.uniform(0.05, 0.6, sizes.size)
+    for rho in (0.1, rng.choice([0.0, 0.05, 0.3], sizes.size)):
+        counts = crtgee.datagen._draw_rows(flat, sizes, mu, rho)
+        assert counts.tolist() == [int(y.sum()) for y in reference_rows(flat, sizes, mu, rho)]
