@@ -62,23 +62,39 @@ fit_block, the entry point, fits K working models to a block of R
 replicates that share their clusters' arms in one loop: the K R fits are
 the rows of (K R, N) arrays, model-major (model k's fit to replicate r is
 row k R + r). Each iteration is one vectorized pass over the fits still
-iterating; one more pass at each converged beta refreshes (alpha, phi), the
-weights, scores and leverages. Only the per-arm functions depend on the
-model (the link, its inverse and derivative, the variance function, the
-mean's range, the empty-arm rule and the Poisson start clamp), and they
-are dispatched per run of models sharing a link or family, on that run's
-contiguous rows. Every fit keeps its own iteration count, step halving and
-outcome, and no row's arithmetic depends on the others, so each fit is bit
-for bit the fit of its model to its replicate alone. Replicates of
-different N share a block as rows of its widest trial, padded with m = 0
-columns; every sum over a replicate's clusters is an arm sum, a bincount,
-to which padding adds only trailing zeros without changing how the
-replicate's own clusters associate. fit_gee is a block of one model and
-one replicate.
+iterating, until the few left finish alone (below); one more pass at each
+converged beta refreshes (alpha, phi), the weights, scores and leverages.
+Only the per-arm functions depend on the model (the link, its inverse and
+derivative, the variance function, the mean's range, the empty-arm rule
+and the Poisson start clamp), and they are dispatched per run of models
+sharing a link or family, on that run's contiguous rows. Every fit keeps
+its own iteration count, step halving and outcome, and no row's
+arithmetic depends on the others, so each fit is bit for bit the fit of
+its model to its replicate alone. Replicates of different N share a
+block as rows of its widest trial, padded with m = 0 columns; every sum
+over a replicate's clusters is an arm sum, a bincount, to which padding
+adds only trailing zeros without changing how the replicate's own
+clusters associate. fit_gee is a block of one model and one replicate.
+
+A stacked pass costs about as much however few fits it holds, and a block
+runs until its slowest fit is done. So once the fits still iterating hold
+at most TAIL_ENTRIES cluster entries (fits x block width), each of them
+finishes its passes alone, in Python floats, with the same IEEE operations
+in the same order: the same per-arm formulas, and the two weighted arm sums
+added cluster by cluster from 0.0, as a bincount adds them. The link's
+inverse and derivative stay numpy calls on the fit's (2,) arm arrays:
+math.exp and math.log differ from numpy's exp and log in the last bit on
+some inputs (about 4.6 % and 0.4 % of them on an AVX-512 x86-64), while
+numpy gives an element the same bits whatever the array's length; the
+tests compare both paths bit for bit on every working model. The switch
+reads only the block's width and how many fits are left, so every fit
+keeps its bits, iteration count and outcome wherever it falls. The
+block's setup and the refresh pass at the converged betas stay stacked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +124,15 @@ MAX_STEP_HALVINGS = 10
 
 #: scoring passes a fit may take before it fails with max_iterations
 MAX_ITERATIONS = 50
+
+#: the most cluster entries (fits still iterating x block width) at which
+#: the fits left finish one at a time, in Python floats (_finish_fit). A
+#: stacked pass costs about 62 us however few fits it holds, a per-fit pass
+#: about 8 us at N = 20 (CPython 3.11, numpy 2.4, x86-64). Over bounds of 32
+#: to 256, fit_block on blocks of 5 fits x 20 clusters and of 48 x 10 was
+#: fastest, and flat, from 96 to 160 entries; at 256 the 48 x 10 block took
+#: 12 % longer, and at 64 the 5 x 20 one 35 % longer
+TAIL_ENTRIES = 128
 
 
 def _alpha_lower(max_sizes):
@@ -264,6 +289,113 @@ def _rows_in_range(family, mu):
     return mean_in_range(family, mu, axis=1)
 
 
+def _weighted_arm_sums(alpha, mu, clusters):
+    """Per arm a, the sums of m_i / denom_i and (s_i - m_i mu_a) / denom_i over its
+    clusters, denom_i = 1 + (m_i - 1) alpha, in Python floats.
+
+    `mu` holds the arm means and `clusters` each arm's (m_i, m_i - 1, s_i), in
+    cluster order. Each sum adds its terms one at a time from 0.0, in that
+    order, as np.bincount does, so both equal a stacked pass's arm sums bit for
+    bit. These are the two weighted arm sums of a scoring pass; mu_a plus
+    their ratio (resid over weight) is the arm mean that solves the score at
+    alpha.
+    """
+    weights, resids = [0.0, 0.0], [0.0, 0.0]
+    for a, (mu_a, arm_clusters) in enumerate(zip(mu, clusters)):
+        weight = resid = 0.0
+        for m_i, m1_i, s_i in arm_clusters:
+            denom = 1.0 + m1_i * alpha
+            weight += m_i / denom
+            resid += (s_i - m_i * mu_a) / denom
+        weights[a], resids[a] = weight, resid
+    return weights, resids
+
+
+def _variances(family, mu0, mu1):
+    """The family's variance function at both arm means, in Python floats."""
+    if family is Family.BINOMIAL:
+        return mu0 * (1.0 - mu0), mu1 * (1.0 - mu1)
+    if family is Family.POISSON:
+        return mu0 + 0.0, mu1 + 0.0
+    return 1.0, 1.0
+
+
+def _in_range(family, mu0, mu1):
+    """Whether both arm means are valid means of the family, in Python floats."""
+    if family is Family.BINOMIAL:
+        return 0.0 < mu0 < 1.0 and 0.0 < mu1 < 1.0
+    if family is Family.POISSON:
+        return 0.0 < mu0 < math.inf and 0.0 < mu1 < math.inf
+    return math.isfinite(mu0) and math.isfinite(mu1)
+
+
+def _finish_fit(model, first, eta, mu, clamped, clusters, sums, terms):
+    """One fit's scoring passes from pass `first` on, in Python floats.
+
+    Each pass makes the IEEE operations of fit_block's stacked pass, in the
+    same order, on this fit alone, so every iterate keeps its bits. The link's
+    inverse and derivative stay numpy calls on (2,) arm arrays: math.exp and
+    math.log do not always give numpy's bits, while numpy's do not depend on
+    the array's length. `eta` and `mu` are the arm lists at the start of pass
+    `first`, `clamped` the fit's flag so far, `clusters` each arm's (m_i,
+    m_i - 1, s_i), `sums` the five arm sums (S, M, sum s^2, sum s m,
+    sum m^2), each a pair over the arms, and `terms` the moment terms and
+    alpha bound (see _moment_terms). Returns (eta, clamped, iterations) of a
+    converged fit, or the NonConvergenceError that ends it.
+    """
+    link, family = model.link, model.family
+    (S0, S1), (M0, M1), (ss0, ss1), (sm0, sm1), (mm0, mm1) = sums
+    obs_df, pair_df, pairs_ok, has_pairs, lower = terms
+    upper = 1.0 - ALPHA_MARGIN
+    (e0, e1), (mu0, mu1) = eta, mu
+    eta = np.array(eta)
+    for it in range(first, MAX_ITERATIONS + 1):
+        d0, d1 = link_mu_deriv(link, eta).tolist()
+        v0, v1 = _variances(family, mu0, mu1)
+        # alpha and phi from the arm sums, as _alpha_phi: a NaN alpha stays
+        # NaN through the clamp and counts as clamped
+        square_sum = ((S0 * (1.0 - 2.0 * mu0) + M0 * mu0 * mu0) / v0
+                      + (S1 * (1.0 - 2.0 * mu1) + M1 * mu1 * mu1) / v1)
+        cross_sum = ((ss0 - 2.0 * mu0 * sm0 + mu0 * mu0 * mm0) / v0
+                     + (ss1 - 2.0 * mu1 * sm1 + mu1 * mu1 * mm1) / v1 - square_sum) / 2.0
+        phi = square_sum / obs_df
+        if pairs_ok and not phi <= 0.0:
+            alpha_raw = cross_sum / pair_df / phi
+            alpha = lower if alpha_raw < lower else upper if alpha_raw > upper else alpha_raw
+            clamped = clamped or alpha != alpha_raw
+        else:
+            alpha, clamped = 0.0, clamped or has_pairs
+        (A0, A1), (B0, B1) = _weighted_arm_sums(alpha, (mu0, mu1), clusters)
+        W0, W1 = d0 * d0 / v0 * A0, d1 * d1 / v1 * A1
+        U0, U1 = d0 / v0 * B0, d1 / v1 * B1
+        if not (math.isfinite(W0) and math.isfinite(W1) and math.isfinite(U0)
+                and math.isfinite(U1)):
+            return NonConvergenceError("numerical_breakdown", it, np.array((e0, e1 - e0)))
+        if W0 == 0.0 or W1 == 0.0:
+            return NonConvergenceError("singular_information", it, np.array((e0, e1 - e0)))
+        step0, step1 = U0 / W0, U1 / W1
+        t0, t1 = e0 + step0, e1 + step1
+        trial = np.array((t0, t1))
+        tmu0, tmu1 = link_inverse(link, trial).tolist()
+        if not _in_range(family, tmu0, tmu1):
+            for _ in range(MAX_STEP_HALVINGS):
+                step0, step1 = step0 / 2.0, step1 / 2.0
+                t0, t1 = e0 + step0, e1 + step1
+                trial = np.array((t0, t1))
+                tmu0, tmu1 = link_inverse(link, trial).tolist()
+                if _in_range(family, tmu0, tmu1):
+                    break
+            else:
+                return NonConvergenceError("step_halving_exhausted", it,
+                                           np.array((e0, e1 - e0)))
+        eta, e0, e1, mu0, mu1 = trial, t0, t1, tmu0, tmu1
+        if not (math.isfinite(e0) and math.isfinite(e1)):
+            return NonConvergenceError("numerical_breakdown", it, np.array((e0, e1 - e0)))
+        if abs(step0) < BETA_TOL and abs(step1 - step0) < BETA_TOL:
+            return (e0, e1), clamped, it
+    return NonConvergenceError("max_iterations", MAX_ITERATIONS, np.array((e0, e1 - e0)))
+
+
 @dataclass
 class FitBlock:
     """Converged fits of K working models to a block of R replicates.
@@ -315,6 +447,12 @@ def fit_block(arm, m, s, models):
     halving and outcome; a fit that leaves the loop (converged or failed)
     drops out of the stacked arrays, and no fit's arithmetic depends on
     another's, so every fit equals that of its model and replicate alone.
+    Once the fits left hold at most TAIL_ENTRIES cluster entries (fits x
+    N), each finishes its remaining passes alone in Python floats, with
+    the same operations in the same order and the link's inverse and
+    derivative still numpy calls (_finish_fit), so every bit is the same
+    at any TAIL_ENTRIES. The refresh at the converged betas is one stacked
+    pass.
 
     A fit fails (an entry in `errors`) when an arm's mean has no solution
     (empty_arm, after 0 iterations and with no coefficients), the
@@ -401,8 +539,12 @@ def fit_block(arm, m, s, models):
             errors[int(live[k])] = NonConvergenceError(reason, iterations, _arm_beta(eta[k]))
         staying[rows] = False
 
+    # the pass at which the fits left finish one at a time (_finish_fit):
+    # once they hold at most TAIL_ENTRIES cluster entries, or past the budget
+    first, width = MAX_ITERATIONS + 1, m.shape[1]
     for it in range(1, MAX_ITERATIONS + 1):
-        if live.size == 0:
+        if live.size * width <= TAIL_ENTRIES:
+            first = it
             break
         staying = np.ones(live.size, dtype=bool)
         _, _, clamped, info, score, weights, resid = scoring_pass(bounds, eta, mu, clamped,
@@ -455,8 +597,20 @@ def fit_block(arm, m, s, models):
             consts = [c[staying] for c in consts]
             bounds, keys = live.searchsorted(starts), _arm_keys(live.size, arm)
 
-    for k, r in enumerate(live):
-        errors[int(r)] = NonConvergenceError("max_iterations", MAX_ITERATIONS, _arm_beta(eta[k]))
+    if live.size:
+        # per fit, as Python floats: its clusters' (m_i, m_i - 1, s_i) by arm,
+        # its five arm sums and its moment terms
+        by_arm = [[c[:, arm == a].tolist() for c in consts[:3]] for a in (0, 1)]
+        sums, terms = [c.tolist() for c in consts[3:8]], [c.tolist() for c in consts[8:]]
+        state = zip(live.tolist(), eta.tolist(), mu.tolist(), clamped.tolist())
+        for k, (p, *start) in enumerate(state):
+            clusters = [list(zip(*(col[k] for col in cols))) for cols in by_arm]
+            out = _finish_fit(models[p // n_rep], first, *start, clusters,
+                              [x[k] for x in sums], [x[k] for x in terms])
+            if isinstance(out, NonConvergenceError):
+                errors[p] = out
+            else:
+                final[0][p], final[1][p], done_at[p] = out
 
     # at each converged beta: refresh (alpha, phi), then verify the
     # first-order condition

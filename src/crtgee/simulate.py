@@ -166,6 +166,17 @@ def result_lines(result):
             for kind, s in result.estimators.items()]
 
 
+def _check_n_clusters(n_clusters):
+    """Reject a cell count below 4: each fit's t reference has N - 2 degrees of
+    freedom. Run before any cell is generated and fit, rather than failing
+    at its first quantile."""
+    for n in n_clusters:
+        if n < 4:
+            raise DomainError(
+                f"n_clusters must be >= 4 (t with N - 2 degrees of freedom), got {n}"
+            )
+
+
 @dataclass(frozen=True)
 class FactorialGrid:
     """Null-hypothesis simulation study over the cross of the factor lists."""
@@ -182,13 +193,7 @@ class FactorialGrid:
     alpha_level: float = ALPHA_LEVEL
 
     def __post_init__(self):
-        # the t reference has N - 2 degrees of freedom; reject here, before
-        # any cell is generated and fit, rather than at its first quantile
-        for n in self.n_clusters:
-            if n < 4:
-                raise DomainError(
-                    f"n_clusters must be >= 4 (t with N - 2 degrees of freedom), got {n}"
-                )
+        _check_n_clusters(self.n_clusters)
         # the cells are built, and so checked, once, with the grid
         cells = itertools.product(self.n_clusters, self.sizes, self.pi0, self.icc)
         object.__setattr__(self, "_cells", tuple(
@@ -373,6 +378,7 @@ def run_block(scenario, replicate_indices, models=ALL_MODELS, kinds=ALL_KINDS,
     `replicate_indices`. Every replicate's outcome equals that of a block
     holding it alone.
     """
+    _check_n_clusters([scenario.n_clusters])
     fitted, error = _fit_pieces([(scenario, replicate_indices)], models, kinds, fg_bound,
                                 alpha_level)
     if error is not None:
@@ -605,6 +611,7 @@ def _run_cells(scenarios, models, kinds, fg_bound, alpha_level, threads=1, progr
     lie whole in it, and one more a cell whose last piece it holds, its
     pieces joined. A block's error is raised after every cell it finished.
     """
+    _check_n_clusters([sc.n_clusters for sc in scenarios])
     blocks = pack_blocks(scenarios, BLOCK_REPLICATES)
     task = functools.partial(_fit_pieces, models=models, kinds=kinds, fg_bound=fg_bound,
                              alpha_level=alpha_level)

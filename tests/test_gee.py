@@ -253,27 +253,38 @@ def test_zero_event_arm_fails_alike_in_every_cluster_order():
 def test_failing_replicate_leaves_the_rest_of_its_block_alone(monkeypatch):
     # in the first scoring pass replicate 0's control arm gets no working
     # information (W_0 = 0) and replicate 1's treated arm a NaN: each fails
-    # with its own reason, and replicate 2 fits as it does alone
+    # with its own reason, and replicate 2 fits as it does alone. The
+    # derivative breaks at each replicate's starting arm predictors, so it
+    # breaks alike in a stacked pass ((3, 2) arrays) and a per-fit one ((2,))
     sc = Scenario(n_clusters=8, sizes=FixedSize(6), pi0=0.3, pi1=0.3, icc=0.05, seed=3)
     m, s = generate_block(sc, range(3))
     arm = trial_arms(8)
     spec = ModelSpec(Family.BINOMIAL, Link.LOGIT)
-    alone = fit_block(arm, m[2:], s[2:], (spec,))
+    starts = link_apply(Link.LOGIT, np.stack(
+        [[s[r, arm == a].sum() / m[r, arm == a].sum() for a in (0, 1)] for r in range(3)]))
+    assert len({tuple(row) for row in starts.tolist()}) == 3
     deriv = crtgee.gee.link_mu_deriv
 
     def broken(link, eta):
         d = deriv(link, eta)
-        if len(d) == 3:
-            d[0, 0], d[1, 1] = 0.0, np.nan
+        rows, at = d.reshape(-1, 2), np.reshape(eta, (-1, 2))
+        rows[(at == starts[0]).all(axis=1), 0] = 0.0
+        rows[(at == starts[1]).all(axis=1), 1] = np.nan
         return d
 
-    monkeypatch.setattr(crtgee.gee, "link_mu_deriv", broken)
-    block = fit_block(arm, m, s, (spec,))
-    assert [(block.errors[k].reason, block.errors[k].iterations) for k in (0, 1)] == [
-        ("singular_information", 1), ("numerical_breakdown", 1)]
-    assert list(block.rows) == [2]
-    assert np.array_equal(block.beta, alone.beta)
-    assert np.array_equal(block.iterations, alone.iterations)
+    # 0 keeps every pass stacked; the block's 3 x 8 entries hand every fit
+    # to the per-fit loop from the first pass
+    for tail_entries in (0, 3 * 8):
+        monkeypatch.setattr(crtgee.gee, "TAIL_ENTRIES", tail_entries)
+        monkeypatch.setattr(crtgee.gee, "link_mu_deriv", deriv)
+        alone = fit_block(arm, m[2:], s[2:], (spec,))
+        monkeypatch.setattr(crtgee.gee, "link_mu_deriv", broken)
+        block = fit_block(arm, m, s, (spec,))
+        assert [(block.errors[k].reason, block.errors[k].iterations) for k in (0, 1)] == [
+            ("singular_information", 1), ("numerical_breakdown", 1)]
+        assert list(block.rows) == [2]
+        assert np.array_equal(block.beta, alone.beta)
+        assert np.array_equal(block.iterations, alone.iterations)
 
 
 def test_alpha_cycle_runs_the_budget_out(monkeypatch):

@@ -211,6 +211,29 @@ def test_grid_rejects_fewer_than_4_clusters():
     assert Scenario(n_clusters=2, sizes=FixedSize(8), pi0=0.3, pi1=0.3, icc=0.05).n_clusters == 2
 
 
+def test_a_cell_of_fewer_than_4_clusters_is_refused_before_any_draw(monkeypatch):
+    # the grid's check, before any replicate is generated, rather than
+    # tdist's "degrees of freedom must be positive" after the first block
+    calls = []
+    pieces = crtgee.simulate.generate_pieces
+
+    def spy(*args):
+        calls.append(args)
+        return pieces(*args)
+
+    monkeypatch.setattr(crtgee.simulate, "generate_pieces", spy)
+    small = scenario(replicates=3, n_clusters=2)
+    for run in (lambda: run_scenario(small), lambda: run_block(small, range(3))):
+        with pytest.raises(DomainError, match=r"n_clusters must be >= 4 \(t with N - 2 degrees "
+                                              r"of freedom\), got 2"):
+            run()
+    assert calls == []
+    run_block(scenario(replicates=3, n_clusters=4), range(3))
+    assert len(calls) == 1
+    # a trial of 2 clusters is still generated
+    assert crtgee.datagen.generate_trial(small, 0).n_clusters == 2
+
+
 def test_run_scenario_counts():
     sc = scenario(replicates=6)
     results = run_scenario(sc, models=ALL_MODELS[:2], kinds=KINDS3)
@@ -891,7 +914,8 @@ def test_any_subset_of_models_stacks_as_its_models_alone():
 def test_stacked_models_equal_each_model_alone_with_singular_information(monkeypatch):
     # the control arm of replicates 1 and 4 gets no working information at
     # its starting mean, under every link: those fits fail in their first
-    # pass as singular_information, in the stack as alone
+    # pass as singular_information, in the stack as alone, whether the
+    # passes are stacked ((F, 2) arm arrays) or per fit ((2,))
     arm, m, s, _ = stack_inputs("alpha-cycle")
     events = np.stack([(s[r] * (arm == 0)).sum() / (m[r] * (arm == 0)).sum() for r in (1, 4)])
     starts = np.concatenate([link_apply(link, events) for link in Link])
@@ -899,16 +923,122 @@ def test_stacked_models_equal_each_model_alone_with_singular_information(monkeyp
 
     def no_information_at_start(link, eta):
         d = deriv(link, eta)
-        d[np.isin(eta[:, 0], starts), 0] = 0.0
+        d.reshape(-1, 2)[np.isin(np.reshape(eta, (-1, 2))[:, 0], starts), 0] = 0.0
         return d
 
     monkeypatch.setattr(crtgee.gee, "link_mu_deriv", no_information_at_start)
-    reasons = assert_stack_equals_each_model_alone(arm, m, s, ALL_MODELS)
-    assert "singular_information" in reasons
-    fits = crtgee.gee.fit_block(arm, m, s, ALL_MODELS)
-    failed = {(p // fits.n_rep, p % fits.n_rep) for p, err in fits.errors.items()
-              if err.reason == "singular_information"}
-    assert {r for _, r in failed} == {1, 4}
+    # 0 keeps every pass stacked; the stack's entries hand every fit to the
+    # per-fit loop from the first pass
+    for tail_entries in (0, len(ALL_MODELS) * m.size):
+        monkeypatch.setattr(crtgee.gee, "TAIL_ENTRIES", tail_entries)
+        reasons = assert_stack_equals_each_model_alone(arm, m, s, ALL_MODELS)
+        assert "singular_information" in reasons
+        fits = crtgee.gee.fit_block(arm, m, s, ALL_MODELS)
+        failed = {(p // fits.n_rep, p % fits.n_rep) for p, err in fits.errors.items()
+                  if err.reason == "singular_information"}
+        assert {r for _, r in failed} == {1, 4}
+
+
+# --- the per-fit tail: fits finished one at a time equal the stacked loop's ---
+
+TAIL_DESIGNS = {**BATCH_DESIGNS, **{k: (sc, reps) for k, (sc, reps, _) in STACK_DESIGNS.items()}}
+
+
+def fit_block_bits(fits):
+    """Every field of a FitBlock, and every error's reason, iterations and last beta, as bits."""
+    fields = {name: bits(getattr(fits, name)) for name in FIT_FIELDS}
+    fields["rows"] = fits.rows.tolist()
+    fields["errors"] = {p: (err.reason, err.iterations,
+                            None if err.last_beta is None else bits(err.last_beta))
+                        for p, err in fits.errors.items()}
+    return fields
+
+
+def tail_handovers(monkeypatch, arm, m, s, models, budget):
+    """fit_block at MAX_ITERATIONS `budget` with every pass stacked, with a tail
+    from mid-loop and with every pass per fit: (the three FitBlocks, the
+    passes at which the mid-loop one handed its fits over)."""
+    monkeypatch.setattr(crtgee.gee, "MAX_ITERATIONS", budget)
+    monkeypatch.setattr(crtgee.gee, "TAIL_ENTRIES", 0)
+    stacked = crtgee.gee.fit_block(arm, m, s, models)
+    # half the entries of the fits that start iterating: the first pass is
+    # stacked, and the tail takes over once half of them have left
+    starting = stacked.rows.size + sum(err.reason != "empty_arm"
+                                       for err in stacked.errors.values())
+    finish, handovers = crtgee.gee._finish_fit, []
+
+    def spy(model, first, *args):
+        handovers.append(first)
+        return finish(model, first, *args)
+
+    monkeypatch.setattr(crtgee.gee, "_finish_fit", spy)
+    monkeypatch.setattr(crtgee.gee, "TAIL_ENTRIES", starting * m.shape[1] // 2)
+    mid = crtgee.gee.fit_block(arm, m, s, models)
+    monkeypatch.setattr(crtgee.gee, "_finish_fit", finish)
+    monkeypatch.setattr(crtgee.gee, "TAIL_ENTRIES", float("inf"))
+    return (stacked, mid, crtgee.gee.fit_block(arm, m, s, models)), handovers
+
+
+@pytest.mark.parametrize("design", sorted(TAIL_DESIGNS))
+def test_the_per_fit_tail_equals_the_stacked_loop_bit_for_bit(monkeypatch, design):
+    # every FitBlock field and every error, whichever pass the fits left
+    # iterating are handed to the per-fit loop at, under every budget: the
+    # designs reach empty_arm, max_iterations, score_condition_failed,
+    # step_halving_exhausted, the alpha cycle and the Poisson start clamp
+    sc, reps = TAIL_DESIGNS[design]
+    m, s = crtgee.datagen.generate_block(sc, reps)
+    arm = crtgee.datagen.trial_arms(sc.n_clusters)
+    for budget in (1, 2, 3, 4, 5, 50):
+        fits, handovers = tail_handovers(monkeypatch, arm, m, s, ALL_MODELS, budget)
+        want = fit_block_bits(fits[0])
+        for got, path in zip(fits[1:], ("mid-loop", "per fit")):
+            assert fit_block_bits(got) == want, (design, budget, path)
+        # the mid-loop tail starts after the first pass, once a fit runs past it
+        if max([*fits[0].iterations, *(e.iterations for e in fits[0].errors.values())]) > 1:
+            assert handovers and min(handovers) > 1, (design, budget)
+
+
+def test_the_per_fit_tail_reaches_every_reason(monkeypatch):
+    monkeypatch.setattr(crtgee.gee, "TAIL_ENTRIES", float("inf"))
+    reasons = set()
+    for design, (sc, reps) in TAIL_DESIGNS.items():
+        m, s = crtgee.datagen.generate_block(sc, reps)
+        fits = crtgee.gee.fit_block(crtgee.datagen.trial_arms(sc.n_clusters), m, s, ALL_MODELS)
+        reasons.update(err.reason for err in fits.errors.values())
+    assert reasons == {"empty_arm", "max_iterations", "score_condition_failed",
+                       "step_halving_exhausted"}
+
+
+def test_the_per_fit_tail_fails_as_the_stacked_loop_on_a_broken_derivative(monkeypatch):
+    # the derivative of a fit's arm predictors breaks by a rule on their
+    # bits alone, so a pass on (F, 2) arrays and one on (2,) break the same
+    # fits, at every pass: some fits lose an arm's working information
+    # (singular_information), others get a NaN (numerical_breakdown)
+    deriv = crtgee.gee.link_mu_deriv
+
+    def broken(link, eta):
+        d = deriv(link, eta)
+        rows, key = d.reshape(-1, 2), np.reshape(eta, (-1, 2)).view(np.int64)[:, 0] % 13
+        rows[key == 0, 0] = 0.0
+        rows[key == 1, 1] = np.nan
+        return d
+
+    monkeypatch.setattr(crtgee.gee, "link_mu_deriv", broken)
+    late = set()
+    for design in ("alpha-cycle", "rare-event", "criterion-9"):
+        sc, reps = TAIL_DESIGNS[design]
+        m, s = crtgee.datagen.generate_block(sc, reps)
+        arm = crtgee.datagen.trial_arms(sc.n_clusters)
+        # a converged fit's refresh pass may break too: its leverages are
+        # then 0 / 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            fits, _ = tail_handovers(monkeypatch, arm, m, s, ALL_MODELS, 50)
+        want = fit_block_bits(fits[0])
+        for got in fits[1:]:
+            assert fit_block_bits(got) == want, design
+        late.update((reason, iterations > 1) for reason, iterations, _ in want["errors"].values())
+    assert {("singular_information", True), ("numerical_breakdown", True),
+            ("singular_information", False), ("numerical_breakdown", False)} <= late
 
 
 SANDWICH_KINDS = (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD, EstimatorKind.FG,
