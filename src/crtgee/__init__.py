@@ -36,8 +36,6 @@ from .families import Family, Link, ModelSpec, parse_family, parse_link
 from .gee import (
     FitBlock,
     GeeFit,
-    alpha_bounds,
-    estimate_alpha_phi,
     fit_block,
     fit_gee,
 )
@@ -111,11 +109,9 @@ __all__ = [
     "UsageError",
     "VarianceEstimate",
     "aggregate",
-    "alpha_bounds",
     "betainc",
     "compute_estimates",
     "default_measure",
-    "estimate_alpha_phi",
     "estimate_block",
     "fit_gee",
     "fit_block",

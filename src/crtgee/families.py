@@ -83,13 +83,10 @@ def link_inverse(link, eta):
     if link is Link.LOG:
         return np.exp(eta)
     if link is Link.LOGIT:
-        # logistic, written to avoid overflow for large |eta|
-        out = np.empty_like(eta, dtype=float)
-        pos = eta >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-        ex = np.exp(eta[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        # logistic, written to avoid overflow for large |eta|: exp(-eta) for
+        # eta >= 0, exp(eta) below
+        e = np.exp(-np.abs(eta))
+        return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if link is Link.IDENTITY:
         return eta + 0.0
     raise UsageError(f"unknown link {link!r}")
@@ -104,7 +101,7 @@ def link_mu_deriv(link, eta):
         mu = link_inverse(Link.LOGIT, eta)
         return mu * (1.0 - mu)
     if link is Link.IDENTITY:
-        return np.ones_like(eta)
+        return np.ones(eta.shape)
     raise UsageError(f"unknown link {link!r}")
 
 

@@ -68,32 +68,43 @@ Only the per-arm functions depend on the model (the link, its inverse and
 derivative, the variance function, the mean's range, the empty-arm rule
 and the Poisson start clamp), and they are dispatched per run of models
 sharing a link or family, on that run's contiguous rows. Every fit keeps
-its own iteration count, step halving and outcome, and no row's
-arithmetic depends on the others, so each fit is bit for bit the fit of
-its model to its replicate alone. Replicates of different N share a
-block as rows of its widest trial, padded with m = 0 columns; every sum
-over a replicate's clusters is an arm sum, a bincount, to which padding
-adds only trailing zeros without changing how the replicate's own
-clusters associate. fit_gee is a block of one model and one replicate.
+its own iteration count and outcome, and no row's arithmetic depends on
+the others, so each fit is bit for bit the fit of its model to its
+replicate alone. Replicates of different N share a block as rows of its
+widest trial, padded with m = 0 columns; every sum over a replicate's
+clusters is an arm sum, a bincount, to which padding adds only trailing
+zeros without changing how the replicate's own clusters associate.
+fit_gee is a block of one model and one replicate.
+
+The stacked pass takes only regular steps. A fit's pass is irregular when
+an arm's working information W_a is 0 or not finite, its score U_a is not
+finite, the step leaves the family's range (it needs a halving) or the new
+eta is not finite; the fit then leaves the stack with its state at the
+start of that pass, and _finish_fit redoes the pass and the rest alone.
+Step halving and the failures max_iterations, step_halving_exhausted,
+singular_information and numerical_breakdown live there only; empty_arm
+comes from the block's setup and score_condition_failed from the refresh.
 
 A stacked pass costs about as much however few fits it holds, and a block
 runs until its slowest fit is done. So once the fits still iterating hold
 at most TAIL_ENTRIES cluster entries (fits x block width), each of them
-finishes its passes alone, in Python floats, with the same IEEE operations
-in the same order: the same per-arm formulas, and the two weighted arm sums
-added cluster by cluster from 0.0, as a bincount adds them. The link's
-inverse and derivative stay numpy calls on the fit's (2,) arm arrays:
-math.exp and math.log differ from numpy's exp and log in the last bit on
-some inputs (about 4.6 % and 0.4 % of them on an AVX-512 x86-64), while
-numpy gives an element the same bits whatever the array's length; the
-tests compare both paths bit for bit on every working model. The switch
-reads only the block's width and how many fits are left, so every fit
-keeps its bits, iteration count and outcome wherever it falls. The
-block's setup and the refresh pass at the converged betas stay stacked.
+also finishes its passes in _finish_fit, in Python floats, with the same
+IEEE operations in the same order: the same per-arm formulas, and the two
+weighted arm sums added cluster by cluster from 0.0, as a bincount adds
+them. The link's inverse and derivative stay numpy calls on the fit's (2,)
+arm arrays: math.exp and math.log differ from numpy's exp and log in the
+last bit on some inputs (about 4.6 % and 0.4 % of them on an AVX-512
+x86-64), while numpy gives an element the same bits whatever the array's
+length; the tests compare both paths bit for bit on every working model.
+The switch reads only the block's width and how many fits are left, and
+whether a pass is regular depends on its fit alone, so every fit keeps its
+bits, iteration count and outcome wherever it falls. The block's setup and
+the refresh pass at the converged betas stay stacked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,48 +151,6 @@ def _alpha_lower(max_sizes):
     return -1.0 / (np.maximum(max_sizes, 2) - 1) + ALPHA_MARGIN
 
 
-def alpha_bounds(max_cluster_size):
-    """Valid exchangeable-correlation interval for the largest cluster."""
-    return (float(_alpha_lower(max_cluster_size)), 1.0 - ALPHA_MARGIN)
-
-
-@dataclass
-class AlphaPhiEstimate:
-    alpha: float
-    phi: float
-    clamped: bool = False
-
-
-def estimate_alpha_phi(resid_sums, resid_sq_sums, sizes, n_params, max_cluster_size=None):
-    """Moment estimators of the exchangeable correlation and dispersion.
-
-    Parameters
-    ----------
-    resid_sums, resid_sq_sums : 1-D arrays
-        Per-cluster sums of the Pearson residuals (y_ij - mu_i)/sqrt(V(mu_i))
-        and of their squares.
-    sizes : 1-D integer array
-        Cluster sizes m_i.
-    n_params : int
-        Number of mean-model parameters subtracted from both denominators.
-    max_cluster_size : int, optional
-        Used for the positive-definiteness clamp; inferred when omitted.
-    """
-    sums = np.asarray(resid_sums, dtype=float)
-    squares = np.asarray(resid_sq_sums, dtype=float)
-    sizes = np.asarray(sizes)
-    if max_cluster_size is None:
-        max_cluster_size = int(sizes.max())
-    # sum_{j<k} e_ij e_ik = ((sum_j e_ij)^2 - sum_j e_ij^2) / 2
-    alpha, phi, clamped = _alpha_phi(
-        squares.sum(keepdims=True),
-        (sums * sums - squares).sum(keepdims=True) / 2.0,
-        *_moment_terms(sizes[None], n_params),
-        _alpha_lower(np.array([max_cluster_size])),
-    )
-    return AlphaPhiEstimate(alpha=float(alpha[0]), phi=float(phi[0]), clamped=bool(clamped[0]))
-
-
 def _moment_terms(m, n_params):
     """Per replicate, the constants of the moment estimators from the sizes (R, N).
 
@@ -213,13 +182,6 @@ def _alpha_phi(square_sum, cross_sum, obs_df, pair_df, pairs_ok, has_pairs, lowe
     if identified:
         return alpha, phi, clamped
     return np.where(ok, alpha, 0.0), phi, (clamped | ~ok) & has_pairs
-
-
-def _arm_eta(beta):
-    """The arms' linear predictors (beta_0, beta_0 + beta_1), (R, 2)."""
-    eta = beta.copy()
-    eta[:, 1] += beta[:, 0]
-    return eta
 
 
 def _arm_beta(eta):
@@ -332,6 +294,8 @@ def _in_range(family, mu0, mu1):
 def _finish_fit(model, first, eta, mu, clamped, clusters, sums, terms):
     """One fit's scoring passes from pass `first` on, in Python floats.
 
+    The only code that halves a step or ends a fit as max_iterations,
+    step_halving_exhausted, singular_information or numerical_breakdown.
     Each pass makes the IEEE operations of fit_block's stacked pass, in the
     same order, on this fit alone, so every iterate keeps its bits. The link's
     inverse and derivative stay numpy calls on (2,) arm arrays: math.exp and
@@ -443,22 +407,25 @@ def fit_block(arm, m, s, models):
     model: the link, its inverse and derivative, the variance function, the
     mean's range, the empty-arm rule and the Poisson start clamp. These run
     once per run of consecutive models sharing the link or family, on that
-    run's contiguous rows. Each fit keeps its own iteration count, step
-    halving and outcome; a fit that leaves the loop (converged or failed)
-    drops out of the stacked arrays, and no fit's arithmetic depends on
-    another's, so every fit equals that of its model and replicate alone.
-    Once the fits left hold at most TAIL_ENTRIES cluster entries (fits x
-    N), each finishes its remaining passes alone in Python floats, with
+    run's contiguous rows. Each fit keeps its own iteration count and
+    outcome; a fit that converges drops out of the stacked arrays, and no
+    fit's arithmetic depends on another's, so every fit equals that of its
+    model and replicate alone. The stacked loop takes only regular passes: a
+    fit whose pass is irregular (a W_a of 0 or not finite, a U_a not
+    finite, a step that needs a halving, a new eta not finite) leaves it as
+    it was at that pass's start, and once the fits left hold at most
+    TAIL_ENTRIES cluster entries (fits x N) they all leave. _finish_fit
+    runs each fit that left from that pass on, alone in Python floats, with
     the same operations in the same order and the link's inverse and
-    derivative still numpy calls (_finish_fit), so every bit is the same
-    at any TAIL_ENTRIES. The refresh at the converged betas is one stacked
-    pass.
+    derivative still numpy calls, so every bit is the same at any
+    TAIL_ENTRIES. The refresh at the converged betas is one stacked pass.
 
     A fit fails (an entry in `errors`) when an arm's mean has no solution
-    (empty_arm, after 0 iterations and with no coefficients), the
-    MAX_ITERATIONS or step-halving budget is exhausted, an arm's working
-    information W_a is 0 or not finite, or the final score fails the
-    first-order condition; the error carries the iteration count, the last
+    (empty_arm, from the setup, after 0 iterations and with no
+    coefficients), the MAX_ITERATIONS or step-halving budget is exhausted,
+    an arm's working information W_a is 0 or not finite (each from
+    _finish_fit), or the final score fails the first-order condition (from
+    the refresh); the error carries the iteration count, the last
     coefficient vector and a reason tag, which simulation code counts as
     the convergence outcome.
     """
@@ -534,83 +501,69 @@ def fit_block(arm, m, s, models):
     mu = _by_run(link_inverse, links, eta, bounds)
     clamped = np.zeros(live.size, dtype=bool)
 
-    def leave(rows, reason, iterations):
-        for k in rows:
-            errors[int(live[k])] = NonConvergenceError(reason, iterations, _arm_beta(eta[k]))
-        staying[rows] = False
+    # the fits handed to _finish_fit, each as (position, first pass, the
+    # rest of _finish_fit's arguments)
+    handed = []
 
-    # the pass at which the fits left finish one at a time (_finish_fit):
-    # once they hold at most TAIL_ENTRIES cluster entries, or past the budget
-    first, width = MAX_ITERATIONS + 1, m.shape[1]
-    for it in range(1, MAX_ITERATIONS + 1):
-        if live.size * width <= TAIL_ENTRIES:
-            first = it
-            break
-        staying = np.ones(live.size, dtype=bool)
-        _, _, clamped, info, score, weights, resid = scoring_pass(bounds, eta, mu, clamped,
-                                                                  *consts)
+    def hand_over(rows, first):
+        """Queue the fits at `rows` of the stack for _finish_fit from pass `first`:
+        their state then and, as Python floats, their clusters' (m_i, m_i - 1,
+        s_i) by arm, their five arm sums and their moment terms."""
+        cs = [c[rows] for c in consts]
+        # per arm, per fit: its clusters' (m_i, m_i - 1, s_i)
+        by_arm = [[list(zip(*fit)) for fit in zip(*(c[:, arm == a].tolist() for c in cs[:3]))]
+                  for a in (0, 1)]
+        handed.extend(zip(live[rows].tolist(), itertools.repeat(first), eta[rows].tolist(),
+                          mu[rows].tolist(), clamped[rows].tolist(), zip(*by_arm),
+                          zip(*(c.tolist() for c in cs[3:8])), zip(*(c.tolist() for c in cs[8:]))))
+
+    # stacked passes while the fits still iterating hold more than
+    # TAIL_ENTRIES cluster entries; then each fit left finishes alone (past
+    # the budget, _finish_fit reports it as max_iterations)
+    it, width = 1, m.shape[1]
+    while it <= MAX_ITERATIONS and live.size * width > TAIL_ENTRIES:
+        _, _, now_clamped, info, score, weights, resid = scoring_pass(bounds, eta, mu, clamped,
+                                                                      *consts)
         W, U = info * _arm_sums(weights, keys), score * _arm_sums(resid, keys)
-        if not (np.isfinite(W).all() and np.isfinite(U).all() and W.all()):
-            finite = np.isfinite(W).all(axis=1) & np.isfinite(U).all(axis=1)
-            singular = finite & ~W.all(axis=1)
-            leave(np.flatnonzero(~finite), "numerical_breakdown", it)
-            leave(np.flatnonzero(singular), "singular_information", it)
-            W, U = np.where(staying[:, None], W, 1.0), np.where(staying[:, None], U, 0.0)
+        # a pass is irregular where some W_a is 0 or not finite or some U_a
+        # is not finite (its step here is then 0), where the step needs a
+        # halving or where the new eta is not finite: _finish_fit redoes it
+        regular = (np.isfinite(W) & np.isfinite(U) & (W != 0.0)).all(axis=1)
+        if not regular.all():
+            W, U = np.where(regular[:, None], W, 1.0), np.where(regular[:, None], U, 0.0)
         # the arm means' steps delta eta_a = U_a / W_a
         step = U / W
-
-        # step halving, per fit, until its means are valid
-        trial_eta = eta + step
-        trial_mu = _by_run(link_inverse, links, trial_eta, bounds)
-        todo = staying & ~_by_run(_rows_in_range, families, trial_mu, bounds)
-        if todo.any():
-            todo = np.flatnonzero(todo)
-            for _ in range(MAX_STEP_HALVINGS):
-                step[todo] = step[todo] / 2.0
-                half_eta = eta[todo] + step[todo]
-                todo_bounds = live[todo].searchsorted(starts)
-                half_mu = _by_run(link_inverse, links, half_eta, todo_bounds)
-                ok = _by_run(_rows_in_range, families, half_mu, todo_bounds)
-                trial_eta[todo[ok]], trial_mu[todo[ok]] = half_eta[ok], half_mu[ok]
-                todo = todo[~ok]
-                if todo.size == 0:
-                    break
-            leave(todo, "step_halving_exhausted", it)
-
-        eta, mu = trial_eta, trial_mu
-        if not np.isfinite(eta).all():
-            leave(np.flatnonzero(staying & ~np.isfinite(eta).all(axis=1)),
-                  "numerical_breakdown", it)
+        next_eta = eta + step
+        next_mu = _by_run(link_inverse, links, next_eta, bounds)
+        regular &= _by_run(_rows_in_range, families, next_mu, bounds)
+        regular &= np.isfinite(next_eta).all(axis=1)
         # the step on the beta scale is (delta eta_0, delta eta_1 - delta eta_0)
-        converged = staying & (np.abs(step[:, 0]) < BETA_TOL) & (
+        converged = regular & (np.abs(step[:, 0]) < BETA_TOL) & (
             np.abs(step[:, 1] - step[:, 0]) < BETA_TOL)
         if converged.any():
             rows = live[converged]
             done_at[rows] = it
-            for out, value in zip(final, (eta, clamped)):
+            for out, value in zip(final, (next_eta, now_clamped)):
                 out[rows] = value[converged]
-            staying &= ~converged
+        if not regular.all():
+            hand_over(~regular, it)
 
+        staying = regular & ~converged
+        eta, mu, clamped = next_eta, next_mu, now_clamped
         if not staying.all():
             live, eta, mu = live[staying], eta[staying], mu[staying]
             clamped = clamped[staying]
             consts = [c[staying] for c in consts]
             bounds, keys = live.searchsorted(starts), _arm_keys(live.size, arm)
+        it += 1
+    hand_over(slice(None), it)
 
-    if live.size:
-        # per fit, as Python floats: its clusters' (m_i, m_i - 1, s_i) by arm,
-        # its five arm sums and its moment terms
-        by_arm = [[c[:, arm == a].tolist() for c in consts[:3]] for a in (0, 1)]
-        sums, terms = [c.tolist() for c in consts[3:8]], [c.tolist() for c in consts[8:]]
-        state = zip(live.tolist(), eta.tolist(), mu.tolist(), clamped.tolist())
-        for k, (p, *start) in enumerate(state):
-            clusters = [list(zip(*(col[k] for col in cols))) for cols in by_arm]
-            out = _finish_fit(models[p // n_rep], first, *start, clusters,
-                              [x[k] for x in sums], [x[k] for x in terms])
-            if isinstance(out, NonConvergenceError):
-                errors[p] = out
-            else:
-                final[0][p], final[1][p], done_at[p] = out
+    for p, first, *args in handed:
+        out = _finish_fit(models[p // n_rep], first, *args)
+        if isinstance(out, NonConvergenceError):
+            errors[p] = out
+        else:
+            final[0][p], final[1][p], done_at[p] = out
 
     # at each converged beta: refresh (alpha, phi), then verify the
     # first-order condition
@@ -691,22 +644,6 @@ class GeeFit:
     @property
     def n_clusters(self):
         return len(self.cluster_ids)
-
-    @property
-    def x(self):
-        """Covariate rows x_i = (1, arm_i), (N, 2)."""
-        return np.stack([np.ones(len(self.arm)), self.arm], axis=1)
-
-    @property
-    def info_sum(self):
-        """The information B = sum_i w_i x_i x_i', from the arm totals W_a."""
-        W = self.W
-        return np.array([[W[0] + W[1], W[1]], [W[1], W[1]]])
-
-    def fitted_arm_means(self):
-        """Fitted mean per arm (identical across clusters of an arm)."""
-        mu = link_inverse(self.spec.link, _arm_eta(self.beta[None])[0])
-        return {0: float(mu[0]), 1: float(mu[1])}
 
 
 def fit_gee(data, spec):

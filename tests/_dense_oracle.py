@@ -8,12 +8,16 @@ second route. Shares no linear algebra with the package beyond numpy
 primitives. Also holds the sum Q_i = I reconstruction of criterion 2 and
 a 60-digit mpmath evaluation of the robust, KC and MD matrices, the
 reference where alpha sits at its lower bound and the m x m inverses
-above lose digits.
+above lose digits, and what only tests read of a fit: its covariate rows,
+its information B = sum_i w_i x_i x_i' summed from its weights, and the
+interval alpha is clamped to.
 """
 
 import mpmath
 import numpy as np
 import scipy.linalg as sla
+
+from crtgee.gee import ALPHA_MARGIN
 
 
 def _inv_link(link, eta):
@@ -132,6 +136,24 @@ def dense_estimates(data, family, link, beta, alpha, phi, fg_bound=0.75):
     return out
 
 
+def alpha_bounds(max_cluster_size):
+    """The exchangeable correlation's interval for the largest cluster size:
+    R(alpha) is positive definite on (-1 / (m - 1), 1), kept ALPHA_MARGIN
+    inside it."""
+    return (-1.0 / (max(max_cluster_size, 2) - 1) + ALPHA_MARGIN, 1.0 - ALPHA_MARGIN)
+
+
+def covariates(arm):
+    """Each cluster's covariate row x_i = (1, arm_i), (N, 2)."""
+    return np.stack([np.ones(len(arm)), np.asarray(arm, dtype=float)], axis=1)
+
+
+def information(fit):
+    """The information B = sum_i w_i x_i x_i', summed cluster by cluster."""
+    x = covariates(fit.arm)
+    return (x * fit.w[:, None]).T @ x
+
+
 def identity_gap(fit):
     """sum_i Q_i - I for a fit, an algebraic zero up to rounding.
 
@@ -139,7 +161,8 @@ def identity_gap(fit):
     is rebuilt from the fit's closed-form h_i, so the gap also checks that
     h_i is the cluster's share of its arm's information.
     """
-    x, binv = fit.x, np.linalg.inv(fit.info_sum)
+    x = covariates(fit.arm)
+    binv = np.linalg.inv(information(fit))
     lev = np.sum((x @ binv) * x, axis=1)       # x_i' B^{-1} x_i
     total = (x * (fit.h / lev)[:, None]).T @ x @ binv
     return total - np.eye(total.shape[0])

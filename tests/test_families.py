@@ -52,6 +52,40 @@ def test_logit_inverse_is_overflow_safe():
     assert big[1] == 0.0
 
 
+def two_branch_logistic(eta):
+    """The logistic split by sign: 1 / (1 + exp(-eta)) for eta >= 0, exp(eta) / (1 + exp(eta))
+    below."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_logit_inverse_gives_the_two_branch_bits():
+    # the arm arrays a fit passes, (2,) and (F, 2): signed zeros, infinities,
+    # subnormals, |eta| up to 800 and random values
+    rng = np.random.default_rng(7)
+    edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 800.0, -800.0,
+             36.7, -36.7, 745.2, -745.2]
+    eta = np.concatenate([edges, np.linspace(-800.0, 800.0, 4002), rng.normal(0.0, 20.0, 4000)])
+    pairs = eta.reshape(-1, 2)
+    assert np.array_equal(link_inverse(Link.LOGIT, pairs).view(np.int64),
+                          two_branch_logistic(pairs).view(np.int64))
+    for pair in pairs[:50]:
+        got = link_inverse(Link.LOGIT, pair)
+        assert got.shape == (2,)
+        assert np.array_equal(got.view(np.int64), two_branch_logistic(pair).view(np.int64))
+    assert np.isnan(link_inverse(Link.LOGIT, np.array([np.nan, 1.0]))[0])
+
+
+def test_identity_derivative_is_ones_of_the_input_shape():
+    for shape in ((), (2,), (3, 2)):
+        d = link_mu_deriv(Link.IDENTITY, np.full(shape, 0.25))
+        assert d.shape == shape and d.dtype == float and (d == 1.0).all()
+
+
 def test_variance_functions():
     mu = np.array([0.2, 0.5])
     assert np.allclose(variance_function(Family.BINOMIAL, mu), mu * (1 - mu))

@@ -1,6 +1,7 @@
 """GEE fitting: closed-form solutions, moment estimators, and failure modes."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from crtgee import (
     ModelSpec,
     NonConvergenceError,
     TrialDataset,
-    alpha_bounds,
-    estimate_alpha_phi,
     fit_gee,
     generate_trial,
     FixedSize,
@@ -26,7 +25,7 @@ from crtgee import (
 )
 from crtgee.datagen import generate_block, trial_arms
 from crtgee.families import link_apply, link_inverse, link_mu_deriv, variance_function
-from crtgee.gee import fit_block
+from crtgee.gee import ALPHA_MARGIN, _alpha_lower, _alpha_phi, _moment_terms, fit_block
 
 ALL_SPECS = [
     ModelSpec(Family.BINOMIAL, Link.LOG),
@@ -52,6 +51,26 @@ def simulated(n_clusters=10, m=20, pi0=0.3, pi1=0.3, icc=0.05, seed=7, rep=0):
     return generate_trial(sc, rep)
 
 
+def arm_means(fit):
+    """The fitted mean of each arm, g^{-1}(beta_0 + a beta_1)."""
+    mu = link_inverse(fit.spec.link, np.array([fit.beta[0], fit.beta[0] + fit.beta[1]]))
+    return {0: float(mu[0]), 1: float(mu[1])}
+
+
+def moment_estimate(resid_sums, resid_sq_sums, sizes, n_params):
+    """alpha, phi and clamped of the moment estimators for one replicate, from its
+    clusters' sums of Pearson residuals and of their squares and its cluster sizes,
+    by the functions a scoring pass calls."""
+    sums, squares = np.asarray(resid_sums, dtype=float), np.asarray(resid_sq_sums, dtype=float)
+    sizes = np.asarray(sizes)
+    # sum_{j<k} e_ij e_ik = ((sum_j e_ij)^2 - sum_j e_ij^2) / 2
+    alpha, phi, clamped = _alpha_phi(squares.sum(keepdims=True),
+                                     (sums * sums - squares).sum(keepdims=True) / 2.0,
+                                     *_moment_terms(sizes[None], n_params),
+                                     _alpha_lower(sizes.max(keepdims=True)))
+    return SimpleNamespace(alpha=float(alpha[0]), phi=float(phi[0]), clamped=bool(clamped[0]))
+
+
 def test_weighted_mean_solution_at_alpha_hat():
     # with cluster-constant covariates and a given alpha the estimating
     # equation has the closed form g^{-1}(eta_a) = weighted arm mean with
@@ -67,7 +86,7 @@ def test_weighted_mean_solution_at_alpha_hat():
     for spec in ALL_SPECS:
         fit = fit_gee(data, spec)
         alpha = fit.alpha_hat
-        means = fit.fitted_arm_means()
+        means = arm_means(fit)
         for arm in (0, 1):
             num = den = 0.0
             for c in data.clusters:
@@ -93,7 +112,7 @@ def test_equal_sizes_recover_arm_proportions_exactly():
     summary = data.arm_summary()
     for spec in ALL_SPECS:
         fit = fit_gee(data, spec)
-        means = fit.fitted_arm_means()
+        means = arm_means(fit)
         assert means[0] == pytest.approx(summary[0]["proportion"], abs=1e-9)
         assert means[1] == pytest.approx(summary[1]["proportion"], abs=1e-9)
         g0 = link_apply(spec.link, summary[0]["proportion"])
@@ -110,7 +129,7 @@ def test_singleton_clusters_match_independence_fit():
     for spec in ALL_SPECS:
         fit = fit_gee(data, spec)
         assert fit.alpha_hat == 0.0
-        means = fit.fitted_arm_means()
+        means = arm_means(fit)
         for arm in (0, 1):
             assert means[arm] == pytest.approx(summary[arm]["proportion"], abs=1e-10)
 
@@ -144,7 +163,7 @@ def test_estimate_alpha_phi_hand_oracle():
     # phi = (1 + 1 + 4 + 0 + 1) / (5 - 2) = 7/3
     # pairwise cross-products: (1)(-1) = -1; (2*0 + 2*1 + 0*1) = 2; total 1
     # pairs = 1 + 3 = 4, so alpha = (1 / (4 - 2)) / phi = 0.5 / (7/3) = 3/14
-    est = estimate_alpha_phi([0.0, 3.0], [2.0, 5.0], [2, 3], n_params=2)
+    est = moment_estimate([0.0, 3.0], [2.0, 5.0], [2, 3], n_params=2)
     assert est.phi == pytest.approx(7.0 / 3.0, abs=1e-15)
     assert est.alpha == pytest.approx(3.0 / 14.0, abs=1e-15)
     assert not est.clamped
@@ -153,22 +172,22 @@ def test_estimate_alpha_phi_hand_oracle():
 def test_estimate_alpha_phi_clamps_at_upper_bound():
     # identical residuals within each cluster, [2, 2, 2] and
     # [-1.5, -1.5, -1.5], push the raw alpha past 1
-    est = estimate_alpha_phi([6.0, -4.5], [12.0, 6.75], [3, 3], n_params=1)
-    lo, hi = alpha_bounds(3)
+    est = moment_estimate([6.0, -4.5], [12.0, 6.75], [3, 3], n_params=1)
+    hi = 1.0 - ALPHA_MARGIN
     assert est.clamped
     assert est.alpha == hi
 
 
 def test_estimate_alpha_phi_all_singletons():
     # residual clusters [1] and [-2]
-    est = estimate_alpha_phi([1.0, -2.0], [1.0, 4.0], [1, 1], n_params=1)
+    est = moment_estimate([1.0, -2.0], [1.0, 4.0], [1, 1], n_params=1)
     assert est.alpha == 0.0
     assert est.phi == pytest.approx(5.0, abs=1e-15)
 
 
 def test_alpha_bounds_shrink_with_cluster_size():
-    lo3, hi = alpha_bounds(3)
-    lo6, _ = alpha_bounds(6)
+    lo3, lo6 = _alpha_lower(np.array([3, 6]))
+    hi = 1.0 - ALPHA_MARGIN
     assert lo3 == pytest.approx(-0.5, abs=1e-5)
     assert lo6 == pytest.approx(-0.2, abs=1e-5)
     assert hi < 1.0
@@ -202,7 +221,7 @@ def test_all_event_arm_has_no_binomial_solution_but_a_poisson_one():
                 fit_gee(data, spec)
             assert (exc.value.reason, exc.value.iterations) == ("empty_arm", 0), spec.label()
         else:
-            assert fit_gee(data, spec).fitted_arm_means()[0] == pytest.approx(1.0, abs=1e-9)
+            assert arm_means(fit_gee(data, spec))[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_only_a_poisson_fit_starts_an_all_event_arm_below_one():
@@ -272,8 +291,9 @@ def test_failing_replicate_leaves_the_rest_of_its_block_alone(monkeypatch):
         rows[(at == starts[1]).all(axis=1), 1] = np.nan
         return d
 
-    # 0 keeps every pass stacked; the block's 3 x 8 entries hand every fit
-    # to the per-fit loop from the first pass
+    # 0 keeps every regular pass stacked and hands replicates 0 and 1 alone
+    # to the per-fit loop, at their first pass; the block's 3 x 8 entries
+    # hand every fit over from the first pass
     for tail_entries in (0, 3 * 8):
         monkeypatch.setattr(crtgee.gee, "TAIL_ENTRIES", tail_entries)
         monkeypatch.setattr(crtgee.gee, "link_mu_deriv", deriv)
@@ -352,7 +372,9 @@ def test_cluster_caches_match_dense_algebra():
         assert np.allclose(fit.w[i] * np.outer(x, x), info, atol=1e-10)
         assert np.allclose(fit.u[i] * x, d.T @ vinv @ (c.outcomes - mu), atol=1e-10)
         total += info
-    assert np.allclose(fit.info_sum, total, atol=1e-10)
+    # the information B = sum_i w_i x_i x_i' is ((W_0 + W_1, W_1), (W_1, W_1))
+    W = fit.W
+    assert np.allclose([[W[0] + W[1], W[1]], [W[1], W[1]]], total, atol=1e-10)
 
 
 def test_alpha_recovery_on_simulated_data():

@@ -20,12 +20,11 @@ from crtgee import (
     ModelSpec,
     NonConvergenceError,
     TrialDataset,
-    alpha_bounds,
     compute_estimates,
     fit_gee,
 )
 
-from _dense_oracle import dense_estimates, mp_sandwiches, rel_err
+from _dense_oracle import alpha_bounds, dense_estimates, information, mp_sandwiches, rel_err
 
 ALL_SPECS = [
     ModelSpec(Family.BINOMIAL, Link.LOG),
@@ -100,7 +99,7 @@ def check_against_oracle(data, spec):
         fit = fit_gee(data, spec)
     except NonConvergenceError:
         assume(False)
-    scale = working_condition(fit) + np.linalg.cond(fit.info_sum) / (1.0 - np.max(fit.h))
+    scale = working_condition(fit) + np.linalg.cond(information(fit)) / (1.0 - np.max(fit.h))
     tol = max(1e-10, 4.0 * np.finfo(float).eps * scale)
     want = dense_estimates(
         data, spec.family.value, spec.link.value, fit.beta, fit.alpha_hat, fit.phi_hat

@@ -19,7 +19,6 @@ from crtgee import (
     TrialDataset,
     UnsupportedDesignError,
     UsageError,
-    alpha_bounds,
     compute_estimates,
     estimate_block,
     fit_gee,
@@ -29,7 +28,15 @@ from crtgee import (
 from crtgee.families import link_inverse, link_mu_deriv, variance_function
 from crtgee.gee import fit_block
 
-from _dense_oracle import dense_estimates, identity_gap, mp_sandwiches, rel_err
+from _dense_oracle import (
+    alpha_bounds,
+    covariates,
+    dense_estimates,
+    identity_gap,
+    information,
+    mp_sandwiches,
+    rel_err,
+)
 
 KIND_NAMES = {
     EstimatorKind.MB: "mb",
@@ -235,8 +242,8 @@ def test_mbn_arithmetic_pieces():
     est = compute_estimates(fit, (EstimatorKind.MBN,))[EstimatorKind.MBN]
     c = (99.0 / 98.0) * (10.0 / 9.0)
     delta = 0.25
-    binv = np.linalg.inv(fit.info_sum)
-    meat = sum(np.outer(s, s) for s in fit.u[:, None] * fit.x)
+    binv = np.linalg.inv(information(fit))
+    meat = sum(np.outer(s, s) for s in fit.u[:, None] * covariates(fit.arm))
     phi_mbn = max(1.0, float(np.trace(c * (binv @ meat))) / 2.0)
     want = c * (binv @ meat @ binv) + delta * phi_mbn * binv
     assert est.diagnostics["mbn_phi"] == pytest.approx(phi_mbn, rel=1e-12)
@@ -248,8 +255,8 @@ def test_mbn_delta_saturates_at_half_for_small_n():
     data = simulated(n_clusters=4, m=8, seed=29)
     fit = fit_gee(data, ModelSpec(Family.GAUSSIAN, Link.IDENTITY))
     est = compute_estimates(fit, (EstimatorKind.MBN,))[EstimatorKind.MBN]
-    binv = np.linalg.inv(fit.info_sum)
-    meat = sum(np.outer(s, s) for s in fit.u[:, None] * fit.x)
+    binv = np.linalg.inv(information(fit))
+    meat = sum(np.outer(s, s) for s in fit.u[:, None] * covariates(fit.arm))
     total_obs = data.n_obs
     c = ((total_obs - 1) / (total_obs - 2)) * (4.0 / 3.0)
     phi_mbn = est.diagnostics["mbn_phi"]

@@ -927,8 +927,9 @@ def test_stacked_models_equal_each_model_alone_with_singular_information(monkeyp
         return d
 
     monkeypatch.setattr(crtgee.gee, "link_mu_deriv", no_information_at_start)
-    # 0 keeps every pass stacked; the stack's entries hand every fit to the
-    # per-fit loop from the first pass
+    # 0 keeps every regular pass stacked and hands the singular fits alone
+    # to the per-fit loop, at their first pass; the stack's entries hand
+    # every fit over from the first pass
     for tail_entries in (0, len(ALL_MODELS) * m.size):
         monkeypatch.setattr(crtgee.gee, "TAIL_ENTRIES", tail_entries)
         reasons = assert_stack_equals_each_model_alone(arm, m, s, ALL_MODELS)
@@ -955,7 +956,8 @@ def fit_block_bits(fits):
 
 
 def tail_handovers(monkeypatch, arm, m, s, models, budget):
-    """fit_block at MAX_ITERATIONS `budget` with every pass stacked, with a tail
+    """fit_block at MAX_ITERATIONS `budget` with every regular pass stacked
+    (only a fit's irregular pass and those after it run per fit), with a tail
     from mid-loop and with every pass per fit: (the three FitBlocks, the
     passes at which the mid-loop one handed its fits over)."""
     monkeypatch.setattr(crtgee.gee, "MAX_ITERATIONS", budget)
@@ -1039,6 +1041,30 @@ def test_the_per_fit_tail_fails_as_the_stacked_loop_on_a_broken_derivative(monke
         late.update((reason, iterations > 1) for reason, iterations, _ in want["errors"].values())
     assert {("singular_information", True), ("numerical_breakdown", True),
             ("singular_information", False), ("numerical_breakdown", False)} <= late
+
+
+def test_an_irregular_pass_goes_to_the_per_fit_loop_at_the_pass_it_happens(monkeypatch):
+    # replicate 64's binomial-logit fit needs a step halving in its sixth
+    # pass and exhausts it there; with TAIL_ENTRIES 0 every regular pass
+    # stays stacked, so that fit alone goes to the per-fit loop, from that
+    # pass, and the block keeps the bits of one run wholly per fit
+    arm, m, s, _ = stack_inputs("step-halving")
+    monkeypatch.setattr(crtgee.gee, "TAIL_ENTRIES", float("inf"))
+    want = fit_block_bits(crtgee.gee.fit_block(arm, m, s, ALL_MODELS))
+    finish, handovers = crtgee.gee._finish_fit, []
+
+    def spy(model, first, *args):
+        handovers.append((model, first))
+        return finish(model, first, *args)
+
+    monkeypatch.setattr(crtgee.gee, "_finish_fit", spy)
+    monkeypatch.setattr(crtgee.gee, "TAIL_ENTRIES", 0)
+    fits = crtgee.gee.fit_block(arm, m, s, ALL_MODELS)
+    logit = ModelSpec(Family.BINOMIAL, Link.LOGIT)
+    assert handovers == [(logit, 6)]
+    err = fits.errors[ALL_MODELS.index(logit) * len(m) + 4]
+    assert (err.reason, err.iterations) == ("step_halving_exhausted", 6)
+    assert fit_block_bits(fits) == want
 
 
 SANDWICH_KINDS = (EstimatorKind.ROBUST, EstimatorKind.KC, EstimatorKind.MD, EstimatorKind.FG,
